@@ -58,13 +58,12 @@ pub use fragment::{
     FrameIndex, FrameInfo,
 };
 pub use parallel::{
-    analyze_file, analyze_frames, analyze_frames_with, AnalyzeOptions, FragmentWork,
-    ParallelAnalysis,
+    analyze_frames, analyze_frames_with, AnalyzeOptions, FragmentWork, ParallelAnalysis,
 };
 pub use query::{Predicate, Query, QueryOptions, QueryReport};
 pub use store::{DefectKind, FrameDefect, StoreFrame, TraceStore};
 pub use stream::{
-    decode_frames, encode_frame, encode_frame_with, read_frames, Backpressure, FileFrameSink,
-    FrameEncoding, FrameSink, NullFrameSink, PipelineConfig, PipelineStats, StreamFrame,
-    StreamPipeline,
+    decode_frames, encode_frame, encode_frame_with, read_frames, Backpressure, EventRef,
+    FileFrameSink, FrameEncoding, FrameSink, NullFrameSink, PipelineConfig, PipelineStats,
+    StreamFrame, StreamPipeline,
 };

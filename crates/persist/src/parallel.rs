@@ -9,7 +9,6 @@
 //! pipeline against the single-fragment and legacy sequential analyses.
 
 use std::io;
-use std::path::Path;
 use std::time::Instant;
 
 use btrace_analysis::{
@@ -21,6 +20,7 @@ use btrace_replay::{check_handoff, BoundaryDefect, BoundaryExpectation, TraceSta
 
 use crate::fragment::{scan_frames, split_fragments, FragmentContext};
 use crate::query::Predicate;
+use crate::stream::visit_frames;
 
 /// Tuning for [`analyze_frames`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -227,16 +227,6 @@ pub fn analyze_frames_with(
     })
 }
 
-/// Reads and analyzes a BTSF frame file.
-///
-/// # Errors
-///
-/// I/O errors reading the file, plus everything [`analyze_frames`] reports.
-pub fn analyze_file(path: impl AsRef<Path>, opts: &AnalyzeOptions) -> io::Result<ParallelAnalysis> {
-    let bytes = std::fs::read(path)?;
-    analyze_frames(&bytes, opts)
-}
-
 fn map_fragment(
     frag: &FragmentContext,
     stream: &[u8],
@@ -244,15 +234,14 @@ fn map_fragment(
     predicate: Option<&Predicate>,
 ) -> io::Result<FragmentPartial> {
     let t0 = Instant::now();
-    let frames = frag.decode(stream)?;
     let mut events: Vec<CollectedEvent> = Vec::with_capacity(frag.events as usize);
     let mut state = TraceState::empty();
-    for frame in &frames {
-        for e in &frame.events {
-            if let Some(pred) = predicate {
-                if !pred.admits_event(e) {
-                    continue;
-                }
+    let mut frames = 0usize;
+    visit_frames(&stream[frag.bytes.clone()], |_, decoded| {
+        frames += 1;
+        for e in decoded {
+            if predicate.is_some_and(|pred| !pred.admits_ref(e)) {
+                continue;
             }
             events.push(CollectedEvent {
                 stamp: e.stamp,
@@ -262,13 +251,13 @@ fn map_fragment(
             });
             state.record(e.core, e.tid, e.stamp, e.payload.len() as u64);
         }
-    }
+    })?;
     let trace = TracePartial::map(&events);
     let gap = gap.map(|(gopts, newest)| GapMapPartial::map(trace.metrics.stamps(), newest, gopts));
     Ok(FragmentPartial {
         work: FragmentWork {
             fragment: frag.index,
-            frames: frames.len(),
+            frames,
             events: events.len() as u64,
             bytes: (frag.bytes.end - frag.bytes.start) as u64,
             busy_ns: t0.elapsed().as_nanos() as u64,

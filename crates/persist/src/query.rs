@@ -9,18 +9,20 @@
 //!    always decoded. Category predicates prune nothing at the frame level
 //!    (footers carry no category information) — they filter per event after
 //!    decode.
-//! 2. **Filter + fold**: each surviving frame is decoded (checksummed), its
-//!    events are filtered by the *exact* predicate, and the survivors feed
-//!    the same monoid partials ([`TracePartial`]) the fragment-parallel
-//!    analyzer uses — so `btrace query` and a predicate-pruned
-//!    [`analyze_frames`](crate::analyze_frames) are one execution path, and
-//!    both are bit-identical to a linear full-decode-then-filter oracle by
-//!    the monoid's `map ∘ concat = merge ∘ map` law.
+//! 2. **Filter + fold**: each surviving frame is validated (checksummed)
+//!    and decoded in place as borrowed [`EventRef`]s, its events are
+//!    filtered by the *exact* predicate before anything is copied, and the
+//!    survivors feed the same monoid partial ([`TracePartial`]) the
+//!    fragment-parallel analyzer uses — so `btrace query` and a
+//!    predicate-pruned [`analyze_frames`](crate::analyze_frames) are one
+//!    execution path, and both are bit-identical to a linear
+//!    full-decode-then-filter oracle by the monoid's
+//!    `map ∘ concat = merge ∘ map` law.
 //!
 //! Frame corruption never aborts a query: each damaged frame becomes a
 //! [`FrameDefect`] in the report and the rest of the file still answers.
 
-use btrace_analysis::{tree_merge, GapMapOptions, TraceAnalysis, TracePartial};
+use btrace_analysis::{GapMapOptions, TraceAnalysis, TracePartial};
 use btrace_atrace::{Category, OwnedEvent};
 use btrace_core::event::encoded_len;
 use btrace_core::sink::{CollectedEvent, FullEvent};
@@ -28,6 +30,7 @@ use btrace_replay::TraceState;
 
 use crate::fragment::{FrameIndex, FrameInfo};
 use crate::store::{FrameDefect, StoreFrame, TraceStore};
+use crate::stream::EventRef;
 
 /// What a query is looking for. `Default` matches every event.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -82,8 +85,8 @@ impl Predicate {
         self.admits_index(info.index.as_ref())
     }
 
-    /// Exact event-level match.
-    pub fn admits_event(&self, e: &FullEvent) -> bool {
+    /// Exact event-level match, judged where the event's bytes live.
+    pub fn admits_ref(&self, e: &EventRef<'_>) -> bool {
         if e.stamp < self.since.unwrap_or(0) || e.stamp > self.until.unwrap_or(u64::MAX) {
             return false;
         }
@@ -92,11 +95,16 @@ impl Predicate {
         }
         match self.category {
             None => true,
-            Some(mask) => match OwnedEvent::decode(&e.payload) {
+            Some(mask) => match OwnedEvent::decode(e.payload) {
                 Ok(ev) => ev.category().bits() & mask.bits() != 0,
                 Err(_) => false,
             },
         }
+    }
+
+    /// [`Predicate::admits_ref`] for an owned event.
+    pub fn admits_event(&self, e: &FullEvent) -> bool {
+        self.admits_ref(&EventRef::from(e))
     }
 }
 
@@ -176,29 +184,26 @@ impl Query {
     }
 
     /// Resolves the query against `store`.
+    ///
+    /// Each planned frame is validated and decoded in place into one reused
+    /// scratch buffer; the predicate judges every event there, and only a
+    /// match is copied — its mapping fields always, its payload only when
+    /// [`QueryOptions::collect_events`] is set. All matches are mapped once
+    /// at the end, which by the monoid law equals merging per-frame
+    /// partials.
     pub fn run(&self, store: &TraceStore) -> QueryReport {
         let plan = self.plan(store);
         let mut defects = store.defects().to_vec();
         let mut events = Vec::new();
-        let mut matched_events = 0u64;
+        let mut collected = Vec::new();
         let mut state = TraceState::empty();
-        let mut partials: Vec<TracePartial> = Vec::new();
-        let mut frames_decoded = 0usize;
-        for idx in &plan {
-            frames_decoded += 1;
-            let decoded = match store.decode_frame(*idx) {
-                Ok(decoded) => decoded,
-                Err(defect) => {
-                    defects.push(defect);
-                    continue;
-                }
-            };
-            let mut collected = Vec::new();
-            for e in decoded {
-                if !self.predicate.admits_event(&e) {
-                    continue;
-                }
-                matched_events += 1;
+        let mut scratch = Vec::new();
+        for &idx in &plan {
+            if let Err(defect) = store.decode_frame_refs(idx, &mut scratch) {
+                defects.push(defect);
+                continue;
+            }
+            for e in scratch.iter().filter(|e| self.predicate.admits_ref(e)) {
                 collected.push(CollectedEvent {
                     stamp: e.stamp,
                     core: e.core,
@@ -207,17 +212,11 @@ impl Query {
                 });
                 state.record(e.core, e.tid, e.stamp, e.payload.len() as u64);
                 if self.options.collect_events {
-                    events.push(e);
+                    events.push(e.to_owned());
                 }
             }
-            if !collected.is_empty() {
-                partials.push(TracePartial::map(&collected));
-            }
         }
-        // One partial per frame: a linear fold over a growing accumulator
-        // would be quadratic in frames, so reduce pairwise (associativity
-        // makes the result identical, pinned in btrace-analysis).
-        let merged = tree_merge(partials, TracePartial::merge).unwrap_or_default();
+        let merged = TracePartial::map(&collected);
         let newest_stamp = merged.metrics.newest();
         let gap_map = self.options.gap_map.and_then(|gopts| {
             newest_stamp.map(|newest| {
@@ -228,13 +227,13 @@ impl Query {
         let analysis = merged.finish(self.options.capacity_bytes, self.options.top_threads);
         QueryReport {
             events,
-            matched_events,
+            matched_events: collected.len() as u64,
             analysis,
             state,
             gap_map,
             newest_stamp,
             frames_total: store.frames().len(),
-            frames_decoded,
+            frames_decoded: plan.len(),
             frames_pruned: store.frames().len() - plan.len(),
             defects,
         }

@@ -14,8 +14,9 @@
 //!   directory scan, and the scanner resyncs on the next checksummed frame
 //!   so intact frames beyond the damage stay queryable;
 //! * content damage (checksum mismatch, body overrun, footer lies) is
-//!   caught when [`TraceStore::decode_frame`] verifies the frame, again as
-//!   a typed defect for that frame only.
+//!   caught when [`TraceStore::decode_frame_refs`] verifies the frame,
+//!   again as a typed defect for that frame only; a frame's events are
+//!   handed out only after the whole frame validated.
 //!
 //! Nothing in this module panics on hostile bytes — the corruption battery
 //! in `tests/query.rs` flips bits everywhere and asserts exactly that.
@@ -27,9 +28,7 @@ use btrace_core::sink::FullEvent;
 use btrace_vmem::FileMap;
 
 use crate::fragment::FrameIndex;
-use crate::stream::{
-    decode_events, fnv, FOOTER_BYTES, FOOTER_MAGIC, FRAME_FLAG_COMPRESSED, FRAME_MAGIC,
-};
+use crate::stream::{fnv, validate_frame, EventRef, FRAME_FLAG_COMPRESSED, FRAME_MAGIC};
 
 /// What kind of damage a [`FrameDefect`] reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +51,7 @@ pub enum DefectKind {
 }
 
 /// One frame's damage report. Produced either by the directory scan
-/// (structural) or by [`TraceStore::decode_frame`] (content).
+/// (structural) or by [`TraceStore::decode_frame_refs`] (content).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct FrameDefect {
@@ -139,7 +138,7 @@ impl TraceStore {
     }
 
     /// Structural defects found while building the directory (content
-    /// defects surface per frame from [`TraceStore::decode_frame`]).
+    /// defects surface per frame from [`TraceStore::decode_frame_refs`]).
     pub fn defects(&self) -> &[FrameDefect] {
         &self.defects
     }
@@ -149,43 +148,39 @@ impl TraceStore {
         self.frames.iter().map(|f| f.events as u64).sum()
     }
 
-    /// Fully decodes directory entry `idx`: checksum first, then the event
-    /// section, then footer consistency. Every failure mode is a typed
-    /// [`FrameDefect`] scoped to this frame.
+    /// Validates directory entry `idx` and decodes its events in place
+    /// into `out` (cleared first, reused across calls): checksum first, then
+    /// the event section, then footer consistency. The events borrow from
+    /// the store's mapping, and `out` holds them only when the whole frame
+    /// validated — on any failure it is left empty.
+    ///
+    /// # Errors
+    ///
+    /// The defect describing why this frame's bytes cannot be trusted.
+    pub fn decode_frame_refs<'a>(
+        &'a self,
+        idx: usize,
+        out: &mut Vec<EventRef<'a>>,
+    ) -> Result<(), FrameDefect> {
+        let entry = &self.frames[idx];
+        let frame = &self.map.bytes()[entry.offset..entry.offset + entry.len];
+        validate_frame(frame, out).map(|_| ()).map_err(|(kind, detail)| FrameDefect {
+            frame: idx,
+            offset: entry.offset,
+            kind,
+            detail: detail.to_string(),
+        })
+    }
+
+    /// [`TraceStore::decode_frame_refs`] with the events copied out.
     ///
     /// # Errors
     ///
     /// The defect describing why this frame's bytes cannot be trusted.
     pub fn decode_frame(&self, idx: usize) -> Result<Vec<FullEvent>, FrameDefect> {
-        let entry = &self.frames[idx];
-        let bytes = self.map.bytes();
-        let frame = &bytes[entry.offset..entry.offset + entry.len];
-        let defect = |kind: DefectKind, detail: &str| FrameDefect {
-            frame: idx,
-            offset: entry.offset,
-            kind,
-            detail: detail.to_string(),
-        };
-        let crc_stored = u64::from_le_bytes(frame[entry.len - 8..].try_into().expect("8 bytes"));
-        if fnv(&frame[..entry.len - 8]) != crc_stored {
-            return Err(defect(DefectKind::ChecksumMismatch, "frame checksum mismatch"));
-        }
-        let mut r = &frame[20..entry.len - 8];
-        let events = decode_events(&mut r, entry.events as usize, entry.compressed)
-            .map_err(|e| defect(DefectKind::BodyOverrun, &e.to_string()))?;
-        if entry.compressed && r.is_empty() {
-            return Err(defect(DefectKind::FooterMismatch, "compressed frame missing footer"));
-        }
-        if !r.is_empty() {
-            if r.len() != FOOTER_BYTES || &r[..4] != FOOTER_MAGIC {
-                return Err(defect(DefectKind::BodyOverrun, "frame body overrun"));
-            }
-            let footer_count = u32::from_le_bytes(r[28..32].try_into().expect("4 bytes"));
-            if footer_count != entry.events {
-                return Err(defect(DefectKind::FooterMismatch, "frame footer count mismatch"));
-            }
-        }
-        Ok(events)
+        let mut events = Vec::new();
+        self.decode_frame_refs(idx, &mut events)?;
+        Ok(events.iter().map(EventRef::to_owned).collect())
     }
 }
 
@@ -336,6 +331,54 @@ mod tests {
         assert_eq!(store.frames().len(), 4);
         assert_eq!(store.defects().len(), 1);
         assert_eq!(store.defects()[0].kind, DefectKind::Truncated);
+    }
+
+    /// A footer-less frame exactly as the pre-footer encoder wrote it.
+    fn legacy_frame(seq: u64, events: &[FullEvent]) -> Vec<u8> {
+        let mut frame = FRAME_MAGIC.to_vec();
+        let body_len = 12 + events.iter().map(|e| 18 + e.payload.len()).sum::<usize>() + 8;
+        frame.extend_from_slice(&(body_len as u32).to_le_bytes());
+        frame.extend_from_slice(&seq.to_le_bytes());
+        frame.extend_from_slice(&(events.len() as u32).to_le_bytes());
+        for e in events {
+            frame.extend_from_slice(&e.stamp.to_le_bytes());
+            frame.extend_from_slice(&e.core.to_le_bytes());
+            frame.extend_from_slice(&e.tid.to_le_bytes());
+            frame.extend_from_slice(&(e.payload.len() as u32).to_le_bytes());
+            frame.extend_from_slice(&e.payload);
+        }
+        let crc = fnv(&frame);
+        frame.extend_from_slice(&crc.to_le_bytes());
+        frame
+    }
+
+    #[test]
+    fn frame_refs_copy_out_to_the_owned_decode_on_every_revision() {
+        let events: Vec<FullEvent> =
+            (0..90).map(|s| ev(s, (s % 3) as u16, (s % 17) as usize)).collect();
+        let mut bytes = legacy_frame(0, &events[..30]);
+        bytes.extend_from_slice(&crate::encode_frame_with(
+            1,
+            &events[30..60],
+            FrameEncoding::Plain,
+        ));
+        bytes.extend_from_slice(&crate::encode_frame_with(
+            2,
+            &events[60..],
+            FrameEncoding::Compressed,
+        ));
+        let store = TraceStore::from_bytes(bytes);
+        assert!(store.defects().is_empty());
+        assert!(store.frames()[0].index.is_none(), "frame 0 is footer-less");
+        // One scratch buffer across all three frames: each call replaces
+        // the previous frame's events.
+        let mut refs = Vec::new();
+        for (i, chunk) in events.chunks(30).enumerate() {
+            store.decode_frame_refs(i, &mut refs).expect("healthy frame validates");
+            let owned: Vec<FullEvent> = refs.iter().map(EventRef::to_owned).collect();
+            assert_eq!(owned, store.decode_frame(i).unwrap());
+            assert_eq!(owned, chunk);
+        }
     }
 
     #[test]

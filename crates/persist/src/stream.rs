@@ -21,6 +21,7 @@
 //! renders them live).
 
 use crate::export::RetryPolicy;
+use crate::store::DefectKind;
 use btrace_core::sink::FullEvent;
 use btrace_core::BTrace;
 use btrace_telemetry::{
@@ -327,14 +328,49 @@ pub struct StreamFrame {
     pub events: Vec<FullEvent>,
 }
 
+/// One event decoded in place: header fields by value, payload borrowed
+/// from the frame bytes it was read from (for a [`TraceStore`] read, the
+/// store's mapping), so filtering and mapping an event copies nothing.
+///
+/// [`TraceStore`]: crate::TraceStore
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventRef<'a> {
+    /// Timestamp.
+    pub stamp: u64,
+    /// Recording core.
+    pub core: u16,
+    /// Thread id.
+    pub tid: u32,
+    /// Payload bytes, borrowed from the frame.
+    pub payload: &'a [u8],
+}
+
+impl EventRef<'_> {
+    /// Copies the event out of the frame.
+    pub fn to_owned(&self) -> FullEvent {
+        FullEvent {
+            stamp: self.stamp,
+            core: self.core,
+            tid: self.tid,
+            payload: self.payload.to_vec(),
+        }
+    }
+}
+
+impl<'a> From<&'a FullEvent> for EventRef<'a> {
+    fn from(e: &'a FullEvent) -> Self {
+        EventRef { stamp: e.stamp, core: e.core, tid: e.tid, payload: &e.payload }
+    }
+}
+
 fn bad_data(reason: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, reason.to_string())
 }
 
 /// Splits `n` bytes off the front of `r`.
-fn take<'a>(r: &mut &'a [u8], n: usize) -> io::Result<&'a [u8]> {
+fn take<'a>(r: &mut &'a [u8], n: usize) -> Result<&'a [u8], &'static str> {
     if r.len() < n {
-        return Err(bad_data("truncated frame body"));
+        return Err("truncated frame body");
     }
     let (head, tail) = r.split_at(n);
     *r = tail;
@@ -342,42 +378,45 @@ fn take<'a>(r: &mut &'a [u8], n: usize) -> io::Result<&'a [u8]> {
 }
 
 /// Reads one LEB128 varint off the front of `r`.
-fn read_varint(r: &mut &[u8]) -> io::Result<u64> {
+fn read_varint(r: &mut &[u8]) -> Result<u64, &'static str> {
     let mut value = 0u64;
     for shift in (0..64).step_by(7) {
         let byte = take(r, 1)?[0];
         let bits = (byte & 0x7f) as u64;
         if shift == 63 && bits > 1 {
-            return Err(bad_data("varint overflows u64"));
+            return Err("varint overflows u64");
         }
         value |= bits << shift;
         if byte & 0x80 == 0 {
             return Ok(value);
         }
     }
-    Err(bad_data("varint longer than 10 bytes"))
+    Err("varint longer than 10 bytes")
 }
 
 /// Decodes the event section of one frame body (`r` starts right after the
 /// header count and ends right before the footer/crc), shared by both frame
-/// revisions.
-pub(crate) fn decode_events(
-    r: &mut &[u8],
+/// revisions. `out` is cleared first and reused, so a caller decoding frame
+/// after frame allocates only while its scratch grows. On error `out` may
+/// hold a prefix of the section; [`validate_frame`] discards it.
+fn decode_event_refs<'a>(
+    r: &mut &'a [u8],
     count: usize,
     compressed: bool,
-) -> io::Result<Vec<FullEvent>> {
-    let mut events = Vec::with_capacity(count.min(1 << 20));
+    out: &mut Vec<EventRef<'a>>,
+) -> Result<(), &'static str> {
+    out.clear();
+    out.reserve(count.min(1 << 20));
     let mut prev_stamp = 0u64;
     for _ in 0..count {
         let (stamp, core, tid, payload_len) = if compressed {
             let stamp = prev_stamp.wrapping_add(unzigzag(read_varint(r)?) as u64);
             prev_stamp = stamp;
-            let core = u16::try_from(read_varint(r)?)
-                .map_err(|_| bad_data("compressed core out of range"))?;
-            let tid = u32::try_from(read_varint(r)?)
-                .map_err(|_| bad_data("compressed tid out of range"))?;
+            let core =
+                u16::try_from(read_varint(r)?).map_err(|_| "compressed core out of range")?;
+            let tid = u32::try_from(read_varint(r)?).map_err(|_| "compressed tid out of range")?;
             let payload_len = usize::try_from(read_varint(r)?)
-                .map_err(|_| bad_data("compressed payload length out of range"))?;
+                .map_err(|_| "compressed payload length out of range")?;
             (stamp, core, tid, payload_len)
         } else {
             let stamp = u64::from_le_bytes(take(r, 8)?.try_into().expect("8 bytes"));
@@ -386,60 +425,105 @@ pub(crate) fn decode_events(
             let payload_len = u32::from_le_bytes(take(r, 4)?.try_into().expect("4 bytes")) as usize;
             (stamp, core, tid, payload_len)
         };
-        let payload = take(r, payload_len)?.to_vec();
-        events.push(FullEvent { stamp, core, tid, payload });
+        let payload = take(r, payload_len)?;
+        out.push(EventRef { stamp, core, tid, payload });
     }
-    Ok(events)
+    Ok(())
 }
 
-/// Decodes every frame in `bytes` (the inverse of [`encode_frame`] /
-/// [`encode_frame_with`] — both revisions, freely interleaved).
+/// The one frame validator both readers share. `frame` is a whole frame,
+/// magic through crc, whose length header has already been checked (so it
+/// is at least 28 bytes). Checks run in order — FNV-1a checksum, then the
+/// event section (no overrun), then the footer (mandatory on compressed
+/// frames, exactly one, count matching the header) — and `out` holds the
+/// frame's events only once all of them passed: on any failure it is left
+/// empty, so a defective frame contributes nothing. Returns the frame's
+/// seq.
+pub(crate) fn validate_frame<'a>(
+    frame: &'a [u8],
+    out: &mut Vec<EventRef<'a>>,
+) -> Result<u64, (DefectKind, &'static str)> {
+    check_frame(frame, out).inspect_err(|_| out.clear())
+}
+
+fn check_frame<'a>(
+    frame: &'a [u8],
+    out: &mut Vec<EventRef<'a>>,
+) -> Result<u64, (DefectKind, &'static str)> {
+    let len = frame.len();
+    let crc_stored = u64::from_le_bytes(frame[len - 8..].try_into().expect("8 bytes"));
+    if fnv(&frame[..len - 8]) != crc_stored {
+        return Err((DefectKind::ChecksumMismatch, "frame checksum mismatch"));
+    }
+    let seq = u64::from_le_bytes(frame[8..16].try_into().expect("8 bytes"));
+    let raw_count = u32::from_le_bytes(frame[16..20].try_into().expect("4 bytes"));
+    let compressed = raw_count & FRAME_FLAG_COMPRESSED != 0;
+    let count = raw_count & !FRAME_FLAG_COMPRESSED;
+    let mut r = &frame[20..len - 8];
+    decode_event_refs(&mut r, count as usize, compressed, out)
+        .map_err(|detail| (DefectKind::BodyOverrun, detail))?;
+    // Footer-bearing frames leave exactly one index footer after the
+    // events; footer-less frames (written before the footer existed) leave
+    // nothing. Compressed frames always carry a footer by construction.
+    // Anything else is corruption.
+    if compressed && r.is_empty() {
+        return Err((DefectKind::FooterMismatch, "compressed frame missing footer"));
+    }
+    if !r.is_empty() {
+        if r.len() != FOOTER_BYTES || &r[..4] != FOOTER_MAGIC {
+            return Err((DefectKind::BodyOverrun, "frame body overrun"));
+        }
+        let footer_count = u32::from_le_bytes(r[28..32].try_into().expect("4 bytes"));
+        if footer_count != count {
+            return Err((DefectKind::FooterMismatch, "frame footer count mismatch"));
+        }
+    }
+    Ok(seq)
+}
+
+/// Walks every frame in `bytes`, handing each frame's seq and events to
+/// `visit` only after the frame validated (see [`validate_frame`]). The
+/// events borrow from `bytes` and live in one scratch buffer reused across
+/// frames, so a walk allocates nothing per event.
 ///
 /// # Errors
 ///
-/// [`io::ErrorKind::InvalidData`] on bad magic, truncation, or checksum
-/// mismatch — a torn stream tail is corruption, not silence.
-pub fn decode_frames(mut bytes: &[u8]) -> io::Result<Vec<StreamFrame>> {
-    let bad = bad_data;
-    let mut frames = Vec::new();
+/// [`io::ErrorKind::InvalidData`] at the first bad magic, truncation, or
+/// frame that fails validation; frames before it were already visited.
+pub(crate) fn visit_frames<'a>(
+    mut bytes: &'a [u8],
+    mut visit: impl FnMut(u64, &[EventRef<'a>]),
+) -> io::Result<()> {
+    let mut scratch = Vec::new();
     while !bytes.is_empty() {
         if bytes.len() < 8 || &bytes[..4] != FRAME_MAGIC {
-            return Err(bad("bad frame magic"));
+            return Err(bad_data("bad frame magic"));
         }
         let body_len = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) as usize;
         if bytes.len() < 8 + body_len || body_len < 20 {
-            return Err(bad("truncated frame"));
+            return Err(bad_data("truncated frame"));
         }
         let (frame, rest) = bytes.split_at(8 + body_len);
-        let crc_stored = u64::from_le_bytes(frame[8 + body_len - 8..].try_into().expect("8 bytes"));
-        if fnv(&frame[..8 + body_len - 8]) != crc_stored {
-            return Err(bad("frame checksum mismatch"));
-        }
-        let mut r = &frame[8..8 + body_len - 8];
-        let seq = u64::from_le_bytes(take(&mut r, 8)?.try_into().expect("8 bytes"));
-        let raw_count = u32::from_le_bytes(take(&mut r, 4)?.try_into().expect("4 bytes"));
-        let compressed = raw_count & FRAME_FLAG_COMPRESSED != 0;
-        let count = raw_count & !FRAME_FLAG_COMPRESSED;
-        let events = decode_events(&mut r, count as usize, compressed)?;
-        // Footer-bearing frames leave exactly one index footer after the
-        // events; footer-less frames (written before the footer existed)
-        // leave nothing. Compressed frames always carry a footer by
-        // construction. Anything else is corruption.
-        if compressed && r.is_empty() {
-            return Err(bad("compressed frame missing footer"));
-        }
-        if !r.is_empty() {
-            if r.len() != FOOTER_BYTES || &r[..4] != FOOTER_MAGIC {
-                return Err(bad("frame body overrun"));
-            }
-            let footer_count = u32::from_le_bytes(r[28..32].try_into().expect("4 bytes"));
-            if footer_count != count {
-                return Err(bad("frame footer count mismatch"));
-            }
-        }
-        frames.push(StreamFrame { seq, events });
+        let seq = validate_frame(frame, &mut scratch).map_err(|(_, detail)| bad_data(detail))?;
+        visit(seq, &scratch);
         bytes = rest;
     }
+    Ok(())
+}
+
+/// Decodes every frame in `bytes` (the inverse of [`encode_frame`] /
+/// [`encode_frame_with`] — both revisions, freely interleaved) into owned
+/// events.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] on bad magic, truncation, or a frame that
+/// fails validation — a torn stream tail is corruption, not silence.
+pub fn decode_frames(bytes: &[u8]) -> io::Result<Vec<StreamFrame>> {
+    let mut frames = Vec::new();
+    visit_frames(bytes, |seq, events| {
+        frames.push(StreamFrame { seq, events: events.iter().map(EventRef::to_owned).collect() });
+    })?;
     Ok(frames)
 }
 

@@ -27,8 +27,9 @@ use btrace::core::event::encoded_len;
 use btrace::core::sink::{CollectedEvent, FullEvent};
 use btrace::core::{BTrace, Backing, Config, TraceError};
 use btrace::persist::{
-    analyze_frames_with, decode_frames, encode_frame, encode_frame_with, AnalyzeOptions,
-    DefectKind, FrameEncoding, Predicate, Query, QueryOptions, TraceStore,
+    analyze_frames, analyze_frames_with, decode_frames, encode_frame, encode_frame_with,
+    AnalyzeOptions, DefectKind, FrameEncoding, Predicate, Query, QueryOptions, StoreFrame,
+    TraceStore,
 };
 use btrace::replay::TraceState;
 use btrace::vmem::FaultPlan;
@@ -272,6 +273,26 @@ fn run_query_vs_oracle(seed: u64) {
         (0..4).map(|_| gen_predicate(&mut rng, min_stamp, max_stamp.max(min_stamp))).collect();
     predicates.push(Predicate::default());
 
+    // The borrowed decode yields the oracle's events in file order, and
+    // every predicate judges a borrowed event exactly as its owned copy.
+    let mut refs = Vec::new();
+    let mut owned = all.iter();
+    for idx in 0..store.frames().len() {
+        store.decode_frame_refs(idx, &mut refs).expect("healthy frame validates");
+        for r in &refs {
+            let e = owned.next().expect("store yields no more events than the oracle");
+            assert_eq!(r.to_owned(), *e, "seed {seed} frame {idx}: borrowed decode diverged");
+            for (pi, predicate) in predicates.iter().enumerate() {
+                assert_eq!(
+                    predicate.admits_ref(r),
+                    predicate.admits_event(e),
+                    "seed {seed} predicate {pi}: admits_ref disagrees with admits_event"
+                );
+            }
+        }
+    }
+    assert!(owned.next().is_none(), "seed {seed}: store yields fewer events than the oracle");
+
     for (pi, predicate) in predicates.into_iter().enumerate() {
         let oracle: Vec<FullEvent> =
             all.iter().filter(|e| predicate.admits_event(e)).cloned().collect();
@@ -321,6 +342,24 @@ fn run_query_vs_oracle(seed: u64) {
             report.frames_total,
             report.frames_decoded + report.frames_pruned,
             "seed {seed} predicate {pi}: prune accounting does not tile the directory"
+        );
+
+        // Without `collect_events` (the `btrace query` path) no payload is
+        // copied, and every derived answer must be the same.
+        let uncollected =
+            Query { options: QueryOptions { collect_events: false, ..q.options }, ..q.clone() }
+                .run(&store);
+        assert!(uncollected.events.is_empty(), "seed {seed} predicate {pi}: events kept");
+        assert!(uncollected.defects.is_empty(), "seed {seed} predicate {pi}");
+        assert_eq!(uncollected.matched_events, report.matched_events, "seed {seed} pred {pi}");
+        assert_eq!(uncollected.analysis, report.analysis, "seed {seed} predicate {pi}");
+        assert_eq!(uncollected.state, report.state, "seed {seed} predicate {pi}");
+        assert_eq!(uncollected.gap_map, report.gap_map, "seed {seed} predicate {pi}");
+        assert_eq!(uncollected.newest_stamp, report.newest_stamp, "seed {seed} predicate {pi}");
+        assert_eq!(
+            (uncollected.frames_decoded, uncollected.frames_pruned),
+            (report.frames_decoded, report.frames_pruned),
+            "seed {seed} predicate {pi}: prune counts diverged"
         );
 
         // The pruned fragment-parallel analyzer shares the plan and must
@@ -560,6 +599,97 @@ fn truncation_anywhere_is_contained() {
             assert_eq!(store.decode_frame(idx).expect("surviving frames decode"), frames[seq]);
         }
         Query::default().run(&store); // must not panic
+    }
+}
+
+/// Rewrites one event's payload length inside frame `seq` of the battery
+/// stream so the event section runs past the body, then re-seals the crc:
+/// the checksum passes and only the event-section check can catch it.
+fn overrun_behind_valid_crc(
+    bytes: &mut [u8],
+    frame: &StoreFrame,
+    events: &[FullEvent],
+    victim: usize,
+    encoding: FrameEncoding,
+) {
+    // The event sections of a frame and of its prefix agree byte for byte,
+    // so the prefix encoding locates the victim's payload (footer 40 and
+    // crc 8 bytes sit behind it).
+    let prefix = encode_frame_with(frame.seq, &events[..=victim], encoding);
+    let payload_at = frame.offset + prefix.len() - 48 - events[victim].payload.len();
+    assert!(events[victim].payload.len() >= 3, "room for the widened varint");
+    match encoding {
+        // The u32 length right before the payload.
+        FrameEncoding::Plain => {
+            bytes[payload_at - 4..payload_at].copy_from_slice(&0x00FF_FFFFu32.to_le_bytes());
+        }
+        // The one-byte varint length becomes a four-byte 2^28 - 1 that
+        // swallows the payload's first three bytes.
+        _ => bytes[payload_at - 1..payload_at + 3].copy_from_slice(&[0xFF, 0xFF, 0xFF, 0x7F]),
+    }
+    let end = frame.offset + frame.len - 8;
+    let crc = fnv(&bytes[frame.offset..end]);
+    bytes[end..end + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
+#[test]
+fn overrun_behind_a_valid_checksum_contributes_nothing() {
+    let (clean, frames) = battery_stream();
+    let directory = TraceStore::from_bytes(clean.clone()).frames().to_vec();
+    // Frame 0 is plain, frame 1 compressed; event 10 of 20 overruns, so
+    // ten events decode cleanly before the damage is found.
+    for (victim, encoding) in [(0usize, FrameEncoding::Plain), (1, FrameEncoding::Compressed)] {
+        let mut bytes = clean.clone();
+        overrun_behind_valid_crc(&mut bytes, &directory[victim], &frames[victim], 10, encoding);
+        let store = TraceStore::from_bytes(bytes.clone());
+        assert!(store.defects().is_empty(), "structure is intact");
+        assert_eq!(store.frames().len(), frames.len());
+
+        // The scratch still holds the previous frame's events when the
+        // victim is decoded into it; a defect must leave it empty.
+        let mut refs = Vec::new();
+        store.decode_frame_refs(2, &mut refs).expect("frame 2 is intact");
+        assert!(!refs.is_empty());
+        let err = store.decode_frame_refs(victim, &mut refs).expect_err("overrun frame");
+        assert_eq!(err.kind, DefectKind::BodyOverrun, "{encoding:?}: {err}");
+        assert_eq!(err.frame, victim);
+        assert!(refs.is_empty(), "{encoding:?}: a defective frame must hand out no event");
+
+        // The query reports the defect, counts none of the victim's events,
+        // and every other frame still answers.
+        let survivors: Vec<FullEvent> = frames
+            .iter()
+            .enumerate()
+            .filter(|&(seq, _)| seq != victim)
+            .flat_map(|(_, f)| f.iter().cloned())
+            .collect();
+        for collect_events in [true, false] {
+            let q = Query {
+                options: QueryOptions { collect_events, ..Default::default() },
+                ..Default::default()
+            };
+            let report = q.run(&store);
+            assert_eq!(report.defects.len(), 1, "{encoding:?}: {:?}", report.defects);
+            assert_eq!(report.defects[0].kind, DefectKind::BodyOverrun);
+            assert_eq!(report.matched_events, survivors.len() as u64);
+            if collect_events {
+                assert_eq!(report.events, survivors);
+            }
+            let mut state = TraceState::empty();
+            for e in &survivors {
+                state.record(e.core, e.tid, e.stamp, e.payload.len() as u64);
+            }
+            assert_eq!(report.state, state, "{encoding:?}: the victim leaked into the state");
+        }
+        let core = Query::new(Predicate { cores: vec![2], ..Default::default() }).run(&store);
+        assert_eq!(core.matched_events, survivors.iter().filter(|e| e.core == 2).count() as u64);
+
+        // The whole-stream readers reject the stream outright.
+        let err = decode_frames(&bytes).expect_err("overrun stream must not decode");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let err = analyze_frames(&bytes, &AnalyzeOptions::default())
+            .expect_err("overrun stream must not analyze");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 }
 
