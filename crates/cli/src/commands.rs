@@ -6,9 +6,9 @@ use btrace_baselines::{Bbq, PerCoreDropNewest, PerCoreOverwrite, PerThread};
 use btrace_core::sink::CollectedEvent;
 use btrace_core::{BTrace, Backing, Config, FaultPlan};
 use btrace_persist::{
-    analyze_frames, analyze_frames_with, encode_stream, AnalyzeOptions, Backpressure,
-    FileFrameSink, FrameSink, JsonlExporter, NullFrameSink, ParallelAnalysis, PipelineConfig,
-    Predicate, PrometheusExporter, Query, StreamPipeline, TraceDump, TraceStore,
+    analyze_frames, analyze_frames_with, AnalyzeOptions, Backpressure, FileFrameSink, FrameSink,
+    JsonlExporter, NullFrameSink, ParallelAnalysis, PipelineConfig, Predicate, PrometheusExporter,
+    Query, StreamPipeline, TraceDump, TraceStore,
 };
 use btrace_replay::{scenarios, ReplayConfig, ReplayReport, Replayer};
 use btrace_telemetry::{
@@ -196,28 +196,15 @@ pub fn replay(scenario: &str, tracer: &str, scale: f64, threads: usize) -> i32 {
 
 /// `btrace analyze`
 pub fn analyze(file: &str, threads: usize, fragments: usize, map: bool) -> i32 {
-    let bytes = match std::fs::read(file) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: cannot read {file}: {e}");
-            return 1;
-        }
-    };
-    // A BTSF frame stream is analyzed in place; a .btd dump is re-framed
-    // on the fly so both formats flow through the same fragment pipeline.
-    let frames = if bytes.starts_with(b"BTSF") {
-        bytes
-    } else {
-        match TraceDump::read_from(Path::new(file)) {
-            Ok(dump) => encode_stream(dump.events(), 512),
-            Err(e) => {
-                eprintln!("error: {file} is neither a BTSF stream nor a trace dump: {e}");
-                return 1;
-            }
-        }
-    };
+    let Some(store) = open_store(file) else { return 1 };
+    // The analyzer is strict; the store's scan already names any damage.
+    if let Some(defect) = store.defects().first() {
+        eprintln!("error: {file}: {defect}");
+        return 1;
+    }
+    let frames = store.bytes();
     let mut opts = AnalyzeOptions { threads, fragments, ..AnalyzeOptions::default() };
-    let mut out = match analyze_frames(&frames, &opts) {
+    let mut out = match analyze_frames(frames, &opts) {
         Ok(out) => out,
         Err(e) => {
             eprintln!("error: {e}");
@@ -229,7 +216,7 @@ pub fn analyze(file: &str, threads: usize, fragments: usize, map: bool) -> i32 {
         // fragment splitting and merge order are identical both times.
         let window = out.state.last_stamp - out.state.first_stamp + 1;
         opts.gap_map = Some(GapMapOptions { window, width: 72 });
-        out = match analyze_frames(&frames, &opts) {
+        out = match analyze_frames(frames, &opts) {
             Ok(out) => out,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -242,7 +229,7 @@ pub fn analyze(file: &str, threads: usize, fragments: usize, map: bool) -> i32 {
 }
 
 fn print_parallel_analysis(out: &ParallelAnalysis) {
-    println!("frames              {} ({} legacy, footer-less)", out.frames, out.legacy_frames);
+    println!("frames              {}", out.frames);
     println!("fragments           {} on {} thread(s)", out.work.len(), out.threads);
     let total_events: u64 = out.work.iter().map(|w| w.events).sum();
     if !out.work.is_empty() && total_events > 0 {
@@ -276,6 +263,13 @@ fn print_parallel_analysis(out: &ParallelAnalysis) {
         println!("retention gap map (old -> new):");
         println!("|{map}|");
     }
+}
+
+/// Opens a `.btsf` stream or a `.btd` dump in place, through one mmap.
+fn open_store(file: &str) -> Option<TraceStore> {
+    TraceStore::open(Path::new(file))
+        .inspect_err(|e| eprintln!("error: cannot open {file}: {e}"))
+        .ok()
 }
 
 /// Resolves a `--category` argument: a catalog label (`sched`), or a raw
@@ -319,33 +313,7 @@ pub fn query(
         }
     };
     let predicate = Predicate { since, until, cores: cores.to_vec(), category };
-    // A BTSF frame stream opens through the mmap-backed store directly; a
-    // .btd dump is re-framed in memory so both formats answer queries.
-    let head = {
-        let mut magic = [0u8; 4];
-        use std::io::Read;
-        std::fs::File::open(file).and_then(|mut f| f.read_exact(&mut magic)).map(|()| magic)
-    };
-    let store = match head {
-        Ok(magic) if &magic == b"BTSF" => match TraceStore::open(Path::new(file)) {
-            Ok(store) => store,
-            Err(e) => {
-                eprintln!("error: cannot open {file}: {e}");
-                return 1;
-            }
-        },
-        Ok(_) => match TraceDump::read_from(Path::new(file)) {
-            Ok(dump) => TraceStore::from_bytes(encode_stream(dump.events(), 512)),
-            Err(e) => {
-                eprintln!("error: {file} is neither a BTSF stream nor a trace dump: {e}");
-                return 1;
-            }
-        },
-        Err(e) => {
-            eprintln!("error: cannot read {file}: {e}");
-            return 1;
-        }
-    };
+    let Some(store) = open_store(file) else { return 1 };
     let mut q = Query::new(predicate.clone());
     let mut report = q.run(&store);
     if map && !report.state.is_empty() {

@@ -1,24 +1,31 @@
-//! The on-disk dump format.
+//! The on-disk dump format: a short checksummed label header followed by
+//! a BTSF stream.
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! magic   "BTDUMP01"                      8 bytes
-//! label   u16 length + bytes
-//! count   u64
-//! events  count × { stamp: u64, core: u16, tid: u32,
-//!                   payload_len: u32, payload bytes }
-//! crc     u64 (FNV-1a over everything before it)
+//! magic   "BTDUMP02"                      8 bytes
+//! label   u16 length + UTF-8 bytes (cut to 65 535 bytes at a char boundary)
+//! count   u64 events in the frames below
+//! crc     u64 (FNV-1a over magic..count)
+//! frames  revision-2 BTSF frames of 512 events, seq from 0
 //! ```
+//!
+//! The frame section is an ordinary BTSF stream, so a dump opens in place
+//! through [`TraceStore`](crate::TraceStore), which skips a valid header.
 
+use crate::fragment::write_stream;
+use crate::stream::{fnv, visit_frames, EventRef};
 use btrace_core::sink::{FullEvent, TraceSink};
 use std::error::Error;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"BTDUMP01";
+const MAGIC: &[u8; 8] = b"BTDUMP02";
+/// Events per frame in the dump's frame section.
+const EVENTS_PER_FRAME: usize = 512;
 
 /// A self-contained snapshot of a drained trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,7 +62,9 @@ impl TraceDump {
         self.events
     }
 
-    /// Serializes to `path` (atomically: write + rename).
+    /// Serializes to `path` (atomically: write + rename), one frame at a
+    /// time. A label longer than 65 535 bytes is cut at the last char
+    /// boundary before that limit.
     ///
     /// # Errors
     ///
@@ -63,64 +72,85 @@ impl TraceDump {
     pub fn write_to(&self, path: &Path) -> Result<(), DumpError> {
         let tmp = path.with_extension("tmp");
         {
-            let mut w = Crc64Writer::new(BufWriter::new(File::create(&tmp)?));
-            w.write_all(MAGIC)?;
-            write_str(&mut w, &self.label)?;
-            w.write_all(&(self.events.len() as u64).to_le_bytes())?;
-            for e in &self.events {
-                w.write_all(&e.stamp.to_le_bytes())?;
-                w.write_all(&e.core.to_le_bytes())?;
-                w.write_all(&e.tid.to_le_bytes())?;
-                w.write_all(&(e.payload.len() as u32).to_le_bytes())?;
-                w.write_all(&e.payload)?;
-            }
-            let crc = w.crc();
-            w.write_all(&crc.to_le_bytes())?;
-            w.into_inner().flush()?;
+            let mut w = BufWriter::new(File::create(&tmp)?);
+            w.write_all(&encode_header(&self.label, self.events.len() as u64))?;
+            write_stream(&mut w, &self.events, EVENTS_PER_FRAME)?;
+            w.flush()?;
         }
         std::fs::rename(&tmp, path)?;
         Ok(())
     }
 
-    /// Deserializes from `path`, verifying magic and checksum.
+    /// Deserializes from `path`: verifies the header checksum, then every
+    /// frame, then that the frame seqs run from 0 without a gap and that
+    /// the frames hold exactly the header's event count (which catches a
+    /// file cut at a frame boundary).
     ///
     /// # Errors
     ///
     /// [`DumpError::Format`] on a corrupted or foreign file; I/O errors
     /// propagate.
     pub fn read_from(path: &Path) -> Result<Self, DumpError> {
-        let mut r = Crc64Reader::new(BufReader::new(File::open(path)?));
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(DumpError::Format("bad magic"));
+        let bytes = std::fs::read(path)?;
+        let header = parse_header(&bytes)?;
+        let mut events = Vec::with_capacity(header.events.min(1 << 20) as usize);
+        let mut next_seq = 0u64;
+        let mut contiguous = true;
+        visit_frames(&bytes[header.len..], |seq, frame| {
+            contiguous &= seq == next_seq;
+            next_seq += 1;
+            events.extend(frame.iter().map(EventRef::to_owned));
+        })
+        .map_err(DumpError::Format)?;
+        if !contiguous {
+            return Err(DumpError::Format("frame seqs are not contiguous from 0"));
         }
-        let label = read_str(&mut r)?;
-        let count = read_u64(&mut r)?;
-        // Sanity bound so a corrupted count cannot trigger a huge allocation.
-        if count > 1 << 32 {
-            return Err(DumpError::Format("implausible event count"));
+        if events.len() as u64 != header.events {
+            return Err(DumpError::Format("frames do not hold the header's event count"));
         }
-        let mut events = Vec::with_capacity(count.min(1 << 20) as usize);
-        for _ in 0..count {
-            let stamp = read_u64(&mut r)?;
-            let core = read_u16(&mut r)?;
-            let tid = read_u32(&mut r)?;
-            let payload_len = read_u32(&mut r)? as usize;
-            if payload_len > 1 << 24 {
-                return Err(DumpError::Format("implausible payload length"));
-            }
-            let mut payload = vec![0u8; payload_len];
-            r.read_exact(&mut payload)?;
-            events.push(FullEvent { stamp, core, tid, payload });
-        }
-        let computed = r.crc();
-        let stored = read_u64(&mut r)?;
-        if computed != stored {
-            return Err(DumpError::Format("checksum mismatch"));
-        }
-        Ok(Self { label, events })
+        Ok(Self { label: header.label.to_string(), events })
     }
+}
+
+/// A parsed, checksum-verified dump header.
+#[derive(Debug)]
+pub(crate) struct Header<'a> {
+    pub(crate) label: &'a str,
+    /// Events the frame section holds.
+    pub(crate) events: u64,
+    /// Header length in bytes: the frame section starts here.
+    pub(crate) len: usize,
+}
+
+fn encode_header(label: &str, events: u64) -> Vec<u8> {
+    let label = &label[..label.floor_char_boundary(u16::MAX as usize)];
+    let mut header = MAGIC.to_vec();
+    header.extend_from_slice(&(label.len() as u16).to_le_bytes());
+    header.extend_from_slice(label.as_bytes());
+    header.extend_from_slice(&events.to_le_bytes());
+    let crc = fnv(&header);
+    header.extend_from_slice(&crc.to_le_bytes());
+    header
+}
+
+/// Parses the dump header at the start of `bytes` — the one parser behind
+/// [`TraceDump::read_from`] and the [`TraceStore`](crate::TraceStore) scan.
+pub(crate) fn parse_header(bytes: &[u8]) -> Result<Header<'_>, DumpError> {
+    if !bytes.starts_with(MAGIC) {
+        return Err(DumpError::Format("bad magic"));
+    }
+    let truncated = || DumpError::Format("truncated header");
+    let label_len = bytes.get(8..10).ok_or_else(truncated)?;
+    let len = 10 + u16::from_le_bytes([label_len[0], label_len[1]]) as usize + 16;
+    let header = bytes.get(..len).ok_or_else(truncated)?;
+    let crc = u64::from_le_bytes(header[len - 8..].try_into().expect("8 bytes"));
+    if fnv(&header[..len - 8]) != crc {
+        return Err(DumpError::Format("header checksum mismatch"));
+    }
+    let label = std::str::from_utf8(&header[10..len - 16])
+        .map_err(|_| DumpError::Format("label is not utf-8"))?;
+    let events = u64::from_le_bytes(header[len - 16..len - 8].try_into().expect("8 bytes"));
+    Ok(Header { label, events, len })
 }
 
 /// Failure to read or write a dump.
@@ -155,95 +185,6 @@ impl From<io::Error> for DumpError {
     fn from(e: io::Error) -> Self {
         DumpError::Io(e)
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-struct Crc64Writer<W> {
-    inner: W,
-    crc: u64,
-}
-
-impl<W: Write> Crc64Writer<W> {
-    fn new(inner: W) -> Self {
-        Self { inner, crc: FNV_OFFSET }
-    }
-    fn crc(&self) -> u64 {
-        self.crc
-    }
-    fn into_inner(self) -> W {
-        self.inner
-    }
-}
-
-impl<W: Write> Write for Crc64Writer<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        for &b in &buf[..n] {
-            self.crc = (self.crc ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        Ok(n)
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-struct Crc64Reader<R> {
-    inner: R,
-    crc: u64,
-}
-
-impl<R: Read> Crc64Reader<R> {
-    fn new(inner: R) -> Self {
-        Self { inner, crc: FNV_OFFSET }
-    }
-    fn crc(&self) -> u64 {
-        self.crc
-    }
-}
-
-impl<R: Read> Read for Crc64Reader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        for &b in &buf[..n] {
-            self.crc = (self.crc ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        Ok(n)
-    }
-}
-
-fn write_str<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
-    let bytes = s.as_bytes();
-    let len = bytes.len().min(u16::MAX as usize);
-    w.write_all(&(len as u16).to_le_bytes())?;
-    w.write_all(&bytes[..len])
-}
-
-fn read_str<R: Read>(r: &mut R) -> Result<String, DumpError> {
-    let len = read_u16(r)? as usize;
-    let mut bytes = vec![0u8; len];
-    r.read_exact(&mut bytes)?;
-    String::from_utf8(bytes).map_err(|_| DumpError::Format("label is not utf-8"))
-}
-
-fn read_u16<R: Read>(r: &mut R) -> io::Result<u16> {
-    let mut b = [0u8; 2];
-    r.read_exact(&mut b)?;
-    Ok(u16::from_le_bytes(b))
-}
-
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
 }
 
 #[cfg(test)]
@@ -303,6 +244,63 @@ mod tests {
         match TraceDump::read_from(&path) {
             Err(DumpError::Format(_)) => {}
             other => panic!("corruption must be detected, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn long_multibyte_label_is_cut_at_a_char_boundary() {
+        let dir = tmpdir("utf8-label");
+        let path = dir.join("l.btd");
+        // 80 000 bytes: the 65 535-byte limit falls inside an `é`.
+        TraceDump::from_events(&"é".repeat(40_000), sample_events(3))
+            .write_to(&path)
+            .expect("write");
+        let restored = TraceDump::read_from(&path).expect("read");
+        assert_eq!(restored.label(), "é".repeat(32_767));
+        assert_eq!(restored.events(), sample_events(3));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn cut_at_a_frame_boundary_is_a_format_error() {
+        let dir = tmpdir("frame-cut");
+        let path = dir.join("t.btd");
+        TraceDump::from_events("x", sample_events(1500)).write_to(&path).expect("write");
+        let bytes = std::fs::read(&path).expect("read file");
+        // Drop the last of the three frames: every remaining frame is whole
+        // and checksummed, so only the header's event count catches it.
+        let header = parse_header(&bytes).expect("valid header").len;
+        let frames = crate::scan_frames(&bytes[header..]).expect("frames scan");
+        assert_eq!(frames.len(), 3);
+        std::fs::write(&path, &bytes[..header + frames[2].offset]).expect("rewrite");
+        match TraceDump::read_from(&path) {
+            Err(DumpError::Format(_)) => {}
+            other => panic!("truncation must be detected, got {other:?}"),
+        }
+        // The tolerant store still reads both frames, and names the cut.
+        let store = crate::TraceStore::open(&path).expect("open");
+        assert_eq!(store.total_events(), 1024);
+        assert_eq!(store.defects().len(), 1);
+        assert_eq!(store.defects()[0].kind, crate::DefectKind::Truncated);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn header_bit_flip_is_a_format_error() {
+        let dir = tmpdir("header-flip");
+        let path = dir.join("h.btd");
+        TraceDump::from_events("boot-anr", sample_events(20)).write_to(&path).expect("write");
+        let clean = std::fs::read(&path).expect("read file");
+        let header = parse_header(&clean).expect("valid header").len;
+        for at in 8..header {
+            let mut bytes = clean.clone();
+            bytes[at] ^= 0x10;
+            std::fs::write(&path, &bytes).expect("rewrite");
+            match TraceDump::read_from(&path) {
+                Err(DumpError::Format(_)) => {}
+                other => panic!("flip at byte {at} must be detected, got {other:?}"),
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -2,20 +2,24 @@
 //! into self-describing [`FragmentContext`]s that replay and analysis can
 //! process independently on a worker pool.
 //!
-//! Splitting is **O(frames)**, not O(events): the per-frame index footer
-//! written by [`encode_frame`](crate::encode_frame) sits at a fixed offset
-//! from each frame's end, so the scanner reads frame headers and footers
-//! without decoding a single event. Footer-less legacy frames still scan
-//! (their header carries seq and count at fixed offsets); only the
-//! stamp/bitmap seed fields degrade to "unknown" for them.
+//! Splitting is **O(frames)**, not O(events): every frame carries its
+//! header fields and its index footer at fixed offsets (see
+//! [`encode_frame`](crate::encode_frame)), so one probe per frame —
+//! [`probe_frame`], shared with the tolerant [`TraceStore`] scan — reads
+//! them without decoding a single event.
+//!
+//! [`TraceStore`]: crate::TraceStore
 
-use std::io;
+use std::io::{self, Write};
 use std::ops::Range;
 
 use btrace_core::sink::FullEvent;
 
-use crate::stream::{FOOTER_BYTES, FOOTER_MAGIC};
-use crate::{decode_frames, StreamFrame};
+use crate::store::DefectKind;
+use crate::stream::{
+    bad_data, FOOTER_BYTES, FOOTER_MAGIC, FRAME_FLAG_COMPRESSED, FRAME_MAGIC, MIN_FRAME_BYTES,
+};
+use crate::{decode_frames, encode_frame, StreamFrame};
 
 /// The decoded per-frame index footer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +37,9 @@ pub struct FrameIndex {
     pub payload_bytes: u64,
 }
 
-/// One frame's location and cheap metadata, from [`scan_frames`].
+/// One frame's location and cheap metadata: an entry of the
+/// [`scan_frames`] result and of the [`TraceStore`](crate::TraceStore)
+/// directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct FrameInfo {
@@ -43,99 +49,79 @@ pub struct FrameInfo {
     pub len: usize,
     /// Frame sequence number.
     pub seq: u64,
-    /// Event count from the frame header (version flag masked off).
+    /// Event count from the frame header (revision flag masked off).
     pub events: u32,
-    /// Whether the event section is delta/varint compressed (revision 2,
-    /// flagged by [`FRAME_FLAG_COMPRESSED`](crate::stream) in the header).
-    pub compressed: bool,
-    /// Index footer, when the frame carries one.
-    pub index: Option<FrameIndex>,
+    /// The frame's index footer.
+    pub index: FrameIndex,
 }
 
-fn bad(reason: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, reason.to_string())
+/// Reads the directory entry of the frame at `offset` from its fixed
+/// offsets: magic, length, revision flag, and the index footer, which must
+/// be present and agree with the header count. No event is decoded and the
+/// checksum is not verified; readers verify both when they decode.
+pub(crate) fn probe_frame(
+    bytes: &[u8],
+    offset: usize,
+) -> Result<FrameInfo, (DefectKind, &'static str)> {
+    let rest = &bytes[offset..];
+    if rest.len() < 8 {
+        return Err((DefectKind::Truncated, "file ends inside a frame header"));
+    }
+    if &rest[..4] != FRAME_MAGIC {
+        return Err((DefectKind::BadMagic, "bad frame magic"));
+    }
+    let len = 8 + u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes")) as usize;
+    if len < MIN_FRAME_BYTES {
+        return Err((DefectKind::Truncated, "frame shorter than its fixed fields"));
+    }
+    if rest.len() < len {
+        return Err((DefectKind::Truncated, "length header points past end of file"));
+    }
+    let seq = u64::from_le_bytes(rest[8..16].try_into().expect("8 bytes"));
+    let raw_count = u32::from_le_bytes(rest[16..20].try_into().expect("4 bytes"));
+    if raw_count & FRAME_FLAG_COMPRESSED == 0 {
+        return Err((DefectKind::UnknownRevision, "frame lacks the revision-2 flag"));
+    }
+    let events = raw_count & !FRAME_FLAG_COMPRESSED;
+    let footer = &rest[len - 8 - FOOTER_BYTES..len - 8];
+    if &footer[..4] != FOOTER_MAGIC {
+        return Err((DefectKind::FooterMismatch, "frame lacks its index footer"));
+    }
+    let index = FrameIndex {
+        min_stamp: u64::from_le_bytes(footer[4..12].try_into().expect("8 bytes")),
+        max_stamp: u64::from_le_bytes(footer[12..20].try_into().expect("8 bytes")),
+        core_bitmap: u64::from_le_bytes(footer[20..28].try_into().expect("8 bytes")),
+        event_count: u32::from_le_bytes(footer[28..32].try_into().expect("4 bytes")),
+        payload_bytes: u64::from_le_bytes(footer[32..40].try_into().expect("8 bytes")),
+    };
+    if index.event_count != events {
+        return Err((DefectKind::FooterMismatch, "frame footer count mismatch"));
+    }
+    Ok(FrameInfo { offset, len, seq, events, index })
 }
 
-/// Scans a BTSF stream in O(frames): frame boundaries from the length
-/// headers, seq/count from their fixed header offsets, and the index footer
-/// from its fixed tail offset. No event is decoded and no checksum is
+/// Scans a BTSF stream in O(frames): the strict twin of the tolerant
+/// [`TraceStore`](crate::TraceStore) scan, reading each frame's header and
+/// footer through the same probe. No event is decoded and no checksum is
 /// verified — fragments re-verify their own bytes when they decode.
 ///
 /// # Errors
 ///
-/// [`io::ErrorKind::InvalidData`] on bad magic or a length header pointing
-/// outside the stream (structural corruption visible without decoding).
+/// [`io::ErrorKind::InvalidData`] at the first frame that fails the probe
+/// (bad magic, truncation, another revision, a missing or lying footer).
 pub fn scan_frames(bytes: &[u8]) -> io::Result<Vec<FrameInfo>> {
     let mut infos = Vec::new();
     let mut offset = 0usize;
     while offset < bytes.len() {
-        let rest = &bytes[offset..];
-        if rest.len() < 8 || &rest[..4] != crate::stream::FRAME_MAGIC {
-            return Err(bad("bad frame magic"));
-        }
-        let body_len = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes")) as usize;
-        if rest.len() < 8 + body_len || body_len < 20 {
-            return Err(bad("truncated frame"));
-        }
-        let len = 8 + body_len;
-        let seq = u64::from_le_bytes(rest[8..16].try_into().expect("8 bytes"));
-        let raw_count = u32::from_le_bytes(rest[16..20].try_into().expect("4 bytes"));
-        let compressed = raw_count & crate::stream::FRAME_FLAG_COMPRESSED != 0;
-        let events = raw_count & !crate::stream::FRAME_FLAG_COMPRESSED;
-        let index = probe_footer(&rest[..len], events, compressed);
-        infos.push(FrameInfo { offset, len, seq, events, compressed, index });
-        offset += len;
+        let info = probe_frame(bytes, offset).map_err(|(_, detail)| bad_data(detail))?;
+        offset += info.len;
+        infos.push(info);
     }
     Ok(infos)
 }
 
-/// Parses the index footer at its fixed tail offset, validating it against
-/// the frame header (magic, event count, and — for plain frames — the
-/// body-length arithmetic `12 + 18·count + payload_bytes + footer + crc ==
-/// body_len`). Returns `None` for legacy footer-less frames.
-pub(crate) fn probe_footer(
-    frame: &[u8],
-    header_count: u32,
-    compressed: bool,
-) -> Option<FrameIndex> {
-    // magic(4) + body_len(4) + seq(8) + count(4) + footer + crc(8)
-    if frame.len() < 8 + 12 + FOOTER_BYTES + 8 {
-        return None;
-    }
-    let footer = &frame[frame.len() - 8 - FOOTER_BYTES..frame.len() - 8];
-    if &footer[..4] != FOOTER_MAGIC {
-        return None;
-    }
-    let min_stamp = u64::from_le_bytes(footer[4..12].try_into().expect("8 bytes"));
-    let max_stamp = u64::from_le_bytes(footer[12..20].try_into().expect("8 bytes"));
-    let core_bitmap = u64::from_le_bytes(footer[20..28].try_into().expect("8 bytes"));
-    let event_count = u32::from_le_bytes(footer[28..32].try_into().expect("4 bytes"));
-    let payload_bytes = u64::from_le_bytes(footer[32..40].try_into().expect("8 bytes"));
-    if event_count != header_count {
-        return None;
-    }
-    // A legacy frame whose last event bytes merely *look* like a footer
-    // cannot also satisfy the length equation, because the pseudo-footer's
-    // 40 bytes would then be counted twice. Compressed frames have no fixed
-    // per-event width for such an equation — and need none: the version bit
-    // only exists in revision-2 writers, which always emit a real footer, so
-    // the tail 40 bytes are unambiguous.
-    if !compressed {
-        let expected_len =
-            8 + 12 + 18 * event_count as usize + payload_bytes as usize + FOOTER_BYTES + 8;
-        if expected_len != frame.len() {
-            return None;
-        }
-    }
-    Some(FrameIndex { min_stamp, max_stamp, core_bitmap, event_count, payload_bytes })
-}
-
 /// What the frame index promises lies **before** a fragment — the fragment's
 /// seeded entry state for the boundary hand-off check.
-///
-/// `events_before` and `frames_before` are always exact (frame headers carry
-/// counts even without footers). The stamp/bitmap/byte fields are `None`
-/// when any preceding frame lacks a footer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct FragmentSeed {
@@ -143,12 +129,12 @@ pub struct FragmentSeed {
     pub frames_before: usize,
     /// Events in all preceding fragments.
     pub events_before: u64,
-    /// Raw payload bytes in all preceding fragments, if indexed.
-    pub payload_bytes_before: Option<u64>,
-    /// Largest stamp in all preceding fragments, if indexed and non-empty.
+    /// Raw payload bytes in all preceding fragments.
+    pub payload_bytes_before: u64,
+    /// Largest stamp in all preceding fragments, if any event precedes.
     pub max_stamp_before: Option<u64>,
-    /// Folded core bitmap of all preceding fragments, if indexed.
-    pub core_bitmap_before: Option<u64>,
+    /// Folded core bitmap of all preceding fragments.
+    pub core_bitmap_before: u64,
 }
 
 /// A self-describing slice of a BTSF stream: the frame range, its byte
@@ -168,8 +154,8 @@ pub struct FragmentContext {
     pub bytes: Range<usize>,
     /// Events in this fragment (from frame headers).
     pub events: u64,
-    /// Raw payload bytes in this fragment, if every frame is indexed.
-    pub payload_bytes: Option<u64>,
+    /// Raw payload bytes in this fragment.
+    pub payload_bytes: u64,
     /// Seeded entry state from the index of everything before.
     pub seed: FragmentSeed,
 }
@@ -192,120 +178,70 @@ impl FragmentContext {
 pub fn split_fragments(infos: &[FrameInfo], parts: usize) -> Vec<FragmentContext> {
     let parts = parts.max(1);
     let total_events: u64 = infos.iter().map(|f| f.events as u64).sum();
-    let mut fragments = Vec::new();
+    let mut fragments: Vec<FragmentContext> = Vec::new();
     let mut frame_at = 0usize;
-    let mut events_done = 0u64;
-    let mut seed_payload = Some(0u64);
-    let mut seed_max_stamp: Option<u64> = None;
-    let mut seed_bitmap = Some(0u64);
-    let mut seed_known = true; // all frames so far carried footers
+    // Everything before `frame_at`, folded from the frame footers.
+    let mut before = FragmentSeed::default();
     for part in 0..parts {
         if frame_at >= infos.len() {
             break;
         }
         // Ideal cumulative share after this part; the boundary is the first
-        // frame end at or past it.
+        // frame end at or past it. The last part absorbs any remainder.
         let target = total_events * (part as u64 + 1) / parts as u64;
         let start = frame_at;
-        let seed = FragmentSeed {
-            frames_before: start,
-            events_before: events_done,
-            payload_bytes_before: seed_payload,
-            max_stamp_before: seed_max_stamp,
-            core_bitmap_before: seed_bitmap,
-        };
-        let mut events = 0u64;
-        let mut payload = Some(0u64);
-        while frame_at < infos.len() && (events_done < target || frame_at == start) {
-            let info = &infos[frame_at];
-            events += info.events as u64;
-            events_done += info.events as u64;
-            match info.index {
-                Some(idx) => {
-                    payload = payload.map(|p| p + idx.payload_bytes);
-                    if idx.event_count > 0 {
-                        seed_max_stamp =
-                            Some(seed_max_stamp.map_or(idx.max_stamp, |m| m.max(idx.max_stamp)));
-                    }
-                    seed_bitmap = seed_bitmap.map(|b| b | idx.core_bitmap);
-                }
-                None => {
-                    payload = None;
-                    seed_known = false;
-                }
+        let seed = FragmentSeed { frames_before: start, ..before };
+        while frame_at < infos.len()
+            && (before.events_before < target || frame_at == start || part + 1 == parts)
+        {
+            let idx = &infos[frame_at].index;
+            before.events_before += idx.event_count as u64;
+            before.payload_bytes_before += idx.payload_bytes;
+            before.core_bitmap_before |= idx.core_bitmap;
+            if idx.event_count > 0 {
+                before.max_stamp_before =
+                    Some(before.max_stamp_before.map_or(idx.max_stamp, |m| m.max(idx.max_stamp)));
             }
             frame_at += 1;
         }
-        if !seed_known {
-            seed_payload = None;
-            seed_max_stamp = None;
-            seed_bitmap = None;
-        } else {
-            seed_payload = seed_payload.and_then(|p| payload.map(|q| p + q));
-        }
-        let byte_start = infos[start].offset;
-        let byte_end = infos[frame_at - 1].offset + infos[frame_at - 1].len;
+        let last = &infos[frame_at - 1];
         fragments.push(FragmentContext {
-            index: part,
+            index: fragments.len(),
             frames: start..frame_at,
-            bytes: byte_start..byte_end,
-            events,
-            payload_bytes: payload,
+            bytes: infos[start].offset..last.offset + last.len,
+            events: before.events_before - seed.events_before,
+            payload_bytes: before.payload_bytes_before - seed.payload_bytes_before,
             seed,
         });
-    }
-    // Re-number in case trailing parts came up empty.
-    for (i, frag) in fragments.iter_mut().enumerate() {
-        frag.index = i;
-    }
-    // The last fragment must absorb any remainder (only possible when the
-    // loop's target arithmetic exhausted parts early on heavily skewed
-    // frames).
-    if let Some(last) = fragments.last_mut() {
-        if last.frames.end < infos.len() {
-            for info in &infos[last.frames.end..] {
-                last.events += info.events as u64;
-                match info.index {
-                    Some(idx) => {
-                        last.payload_bytes = last.payload_bytes.map(|p| p + idx.payload_bytes);
-                    }
-                    None => last.payload_bytes = None,
-                }
-            }
-            let tail = infos.last().expect("non-empty");
-            last.frames.end = infos.len();
-            last.bytes.end = tail.offset + tail.len;
-        }
     }
     fragments
 }
 
-/// Encodes events into a concatenated BTSF stream of `events_per_frame`
-/// frames (seq starting at 0) — the bridge from `.btd` dumps and in-memory
-/// drains into the fragment pipeline.
-pub fn encode_stream(events: &[FullEvent], events_per_frame: usize) -> Vec<u8> {
-    encode_stream_with(events, events_per_frame, crate::FrameEncoding::Plain)
-}
-
-/// [`encode_stream`] with an explicit frame encoding (see
-/// [`encode_frame_with`](crate::encode_frame_with)).
-pub fn encode_stream_with(
+/// Writes `events` as a BTSF stream of `events_per_frame`-event frames
+/// (seq starting at 0), one frame at a time.
+pub(crate) fn write_stream(
+    w: &mut impl Write,
     events: &[FullEvent],
     events_per_frame: usize,
-    encoding: crate::FrameEncoding,
-) -> Vec<u8> {
-    let per = events_per_frame.max(1);
-    let mut out = Vec::new();
-    for (seq, chunk) in events.chunks(per).enumerate() {
-        out.extend_from_slice(&crate::encode_frame_with(seq as u64, chunk, encoding));
+) -> io::Result<()> {
+    for (seq, chunk) in events.chunks(events_per_frame.max(1)).enumerate() {
+        w.write_all(&encode_frame(seq as u64, chunk))?;
     }
+    Ok(())
+}
+
+/// Encodes events into a concatenated BTSF stream of `events_per_frame`
+/// frames (seq starting at 0) — the bridge from in-memory drains into the
+/// fragment pipeline.
+pub fn encode_stream(events: &[FullEvent], events_per_frame: usize) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_stream(&mut out, events, events_per_frame).expect("writing to a Vec cannot fail");
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode_frame;
 
     fn ev(stamp: u64, core: u16, payload: usize) -> FullEvent {
         FullEvent { stamp, core, tid: 100 + core as u32, payload: vec![0x5A; payload] }
@@ -331,51 +267,18 @@ mod tests {
         assert_eq!(infos.len(), 3);
         assert_eq!(infos[0].seq, 0);
         assert_eq!(infos[0].events, 5);
-        let idx = infos[0].index.expect("footer present");
+        let idx = infos[0].index;
         assert_eq!(idx.min_stamp, 0);
         assert_eq!(idx.max_stamp, 4);
         assert_eq!(idx.core_bitmap, 0b11);
         assert_eq!(idx.payload_bytes, (10..15).sum::<usize>() as u64);
-        let empty = infos[1].index.expect("footer present");
+        let empty = infos[1].index;
         assert_eq!(empty.event_count, 0);
         assert_eq!(empty.min_stamp, u64::MAX);
-        assert_eq!(infos[2].index.unwrap().core_bitmap, 0b1000);
+        assert_eq!(infos[2].index.core_bitmap, 0b1000);
         // Byte ranges tile the stream exactly.
         assert_eq!(infos[0].offset, 0);
         assert_eq!(infos[2].offset + infos[2].len, bytes.len());
-    }
-
-    #[test]
-    fn scan_accepts_legacy_footerless_frames() {
-        // Hand-build a footer-less frame exactly as the old encoder did.
-        let events = [ev(7, 1, 16), ev(8, 1, 16)];
-        let mut body = Vec::new();
-        body.extend_from_slice(&3u64.to_le_bytes());
-        body.extend_from_slice(&(events.len() as u32).to_le_bytes());
-        for e in &events {
-            body.extend_from_slice(&e.stamp.to_le_bytes());
-            body.extend_from_slice(&e.core.to_le_bytes());
-            body.extend_from_slice(&e.tid.to_le_bytes());
-            body.extend_from_slice(&(e.payload.len() as u32).to_le_bytes());
-            body.extend_from_slice(&e.payload);
-        }
-        let mut frame = Vec::new();
-        frame.extend_from_slice(b"BTSF");
-        frame.extend_from_slice(&((body.len() + 8) as u32).to_le_bytes());
-        frame.extend_from_slice(&body);
-        let crc = frame
-            .iter()
-            .fold(0xcbf2_9ce4_8422_2325u64, |c, &b| (c ^ b as u64).wrapping_mul(0x100_0000_01b3));
-        frame.extend_from_slice(&crc.to_le_bytes());
-
-        let infos = scan_frames(&frame).unwrap();
-        assert_eq!(infos.len(), 1);
-        assert_eq!(infos[0].seq, 3);
-        assert_eq!(infos[0].events, 2);
-        assert!(infos[0].index.is_none(), "legacy frame has no footer");
-        // And the legacy frame still fully decodes.
-        let decoded = decode_frames(&frame).unwrap();
-        assert_eq!(decoded[0].events, events);
     }
 
     #[test]
@@ -396,8 +299,8 @@ mod tests {
         assert_eq!(frags[2].seed.events_before, 120);
         assert_eq!(frags[2].seed.frames_before, 6);
         assert_eq!(frags[2].seed.max_stamp_before, Some(119));
-        assert_eq!(frags[2].seed.core_bitmap_before, Some(0b1111));
-        assert_eq!(frags[2].seed.payload_bytes_before, Some(120 * 12));
+        assert_eq!(frags[2].seed.core_bitmap_before, 0b1111);
+        assert_eq!(frags[2].seed.payload_bytes_before, 120 * 12);
         // Fragments tile the stream contiguously.
         assert_eq!(frags[0].bytes.start, 0);
         for w in frags.windows(2) {

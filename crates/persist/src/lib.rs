@@ -3,11 +3,13 @@
 //! Smartphones trace into memory and *dump on suspicious symptoms* (§2.1):
 //! a daemon collector writes the ring buffer out when an anomaly detector
 //! fires, instead of persisting every event (which costs energy, flash
-//! lifetime, and write bandwidth). This crate provides that pipeline:
+//! lifetime, and write bandwidth). This crate provides that pipeline over
+//! **one on-disk format**, BTSF: checksummed frames of delta/varint encoded
+//! events, each ending in an index footer (see [`encode_frame`]).
 //!
-//! * [`TraceDump`] — a self-contained snapshot of a drained trace with a
-//!   compact binary file format ([`TraceDump::write_to`] /
-//!   [`TraceDump::read_from`]); no external format dependency.
+//! * [`TraceDump`] — a self-contained snapshot of a drained trace; its
+//!   `.btd` file is a short checksummed label header followed by a BTSF
+//!   stream ([`TraceDump::write_to`] / [`TraceDump::read_from`]).
 //! * [`Collector`] — the daemon: watches a trigger, drains the tracer on
 //!   each firing, and keeps a bounded ring of the most recent dumps on
 //!   disk (rotation), like the beta-release collectors of §6.
@@ -16,6 +18,10 @@
 //!   [`StreamConsumer`](btrace_core::StreamConsumer), with configurable
 //!   backpressure ([`Backpressure::Block`] vs
 //!   [`Backpressure::DropAndCount`]) and per-stage telemetry gauges.
+//! * [`TraceStore`], [`Query`] and [`analyze_frames`] — the read side: a
+//!   `.btsf` stream or a `.btd` dump opens in place through one mmap, its
+//!   footers prune frames a predicate cannot match, and damaged frames
+//!   become typed [`FrameDefect`]s instead of errors.
 //!
 //! ```rust
 //! use btrace_core::{BTrace, Config};
@@ -33,6 +39,9 @@
 //! dump.write_to(&path)?;
 //! let restored = TraceDump::read_from(&path)?;
 //! assert_eq!(restored.events()[0].payload, b"suspicious event");
+//! // The same file answers queries in place.
+//! let report = btrace_persist::Query::default().run(&btrace_persist::TraceStore::open(&path)?);
+//! assert_eq!(report.matched_events, 1);
 //! # std::fs::remove_dir_all(&dir).ok();
 //! # Ok(())
 //! # }
@@ -54,14 +63,14 @@ pub use collector::{Collector, CollectorConfig};
 pub use dump::{DumpError, TraceDump};
 pub use export::{read_jsonl, JsonlExporter, PrometheusExporter, RetryPolicy};
 pub use fragment::{
-    encode_stream, encode_stream_with, scan_frames, split_fragments, FragmentContext, FragmentSeed,
-    FrameIndex, FrameInfo,
+    encode_stream, scan_frames, split_fragments, FragmentContext, FragmentSeed, FrameIndex,
+    FrameInfo,
 };
 pub use parallel::{
     analyze_frames, analyze_frames_with, AnalyzeOptions, FragmentWork, ParallelAnalysis,
 };
 pub use query::{Predicate, Query, QueryOptions, QueryReport};
-pub use store::{DefectKind, FrameDefect, StoreFrame, TraceStore};
+pub use store::{DefectKind, FrameDefect, TraceStore};
 pub use stream::{
     decode_frames, encode_frame, encode_frame_with, read_frames, Backpressure, EventRef,
     FileFrameSink, FrameEncoding, FrameSink, NullFrameSink, PipelineConfig, PipelineStats,

@@ -20,7 +20,7 @@ use btrace_replay::{check_handoff, BoundaryDefect, BoundaryExpectation, TraceSta
 
 use crate::fragment::{scan_frames, split_fragments, FragmentContext};
 use crate::query::Predicate;
-use crate::stream::visit_frames;
+use crate::stream::{bad_data, visit_frames};
 
 /// Tuning for [`analyze_frames`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,8 +83,6 @@ pub struct ParallelAnalysis {
     pub threads: usize,
     /// Frames scanned.
     pub frames: usize,
-    /// Frames without an index footer (legacy).
-    pub legacy_frames: usize,
     /// Fragments skipped because no frame footer could match the predicate
     /// (always 0 for an unrestricted analysis).
     pub fragments_pruned: usize,
@@ -132,7 +130,6 @@ pub fn analyze_frames_with(
     predicate: Option<&Predicate>,
 ) -> io::Result<ParallelAnalysis> {
     let infos = scan_frames(bytes)?;
-    let legacy_frames = infos.iter().filter(|f| f.index.is_none()).count();
     let threads = opts.threads.max(1);
     let parts = if opts.fragments == 0 { threads } else { opts.fragments };
     let mut fragments = split_fragments(&infos, parts);
@@ -140,17 +137,17 @@ pub fn analyze_frames_with(
     if let Some(pred) = predicate {
         // A fragment survives if ANY of its frames may hold a match; the
         // footer test is conservative, so no matching event is ever lost.
-        fragments.retain(|frag| infos[frag.frames.clone()].iter().any(|f| pred.admits_info(f)));
+        fragments
+            .retain(|frag| infos[frag.frames.clone()].iter().any(|f| pred.admits_index(&f.index)));
     }
     let fragments_pruned = unpruned - fragments.len();
 
     // The gap map window must be anchored before the map phase; the frame
-    // index supplies the newest stamp in O(frames) when every frame carries
-    // a footer. Without full indexing — or under a predicate, where the
-    // footer-anchored newest may be filtered out — the map is rendered
+    // index supplies the newest stamp in O(frames). Under a predicate, where
+    // the footer-anchored newest may be filtered out, the map is rendered
     // after the merge from the (identical) merged stamp set.
-    let indexed_newest: Option<u64> = if legacy_frames == 0 && predicate.is_none() {
-        infos.iter().filter(|f| f.events > 0).filter_map(|f| f.index).map(|i| i.max_stamp).max()
+    let indexed_newest: Option<u64> = if predicate.is_none() {
+        infos.iter().filter(|f| f.events > 0).map(|f| f.index.max_stamp).max()
     } else {
         None
     };
@@ -221,7 +218,6 @@ pub fn analyze_frames_with(
         work,
         threads,
         frames: infos.len(),
-        legacy_frames,
         fragments_pruned,
         newest_stamp,
     })
@@ -251,7 +247,8 @@ fn map_fragment(
             });
             state.record(e.core, e.tid, e.stamp, e.payload.len() as u64);
         }
-    })?;
+    })
+    .map_err(bad_data)?;
     let trace = TracePartial::map(&events);
     let gap = gap.map(|(gopts, newest)| GapMapPartial::map(trace.metrics.stamps(), newest, gopts));
     Ok(FragmentPartial {
@@ -372,49 +369,47 @@ mod tests {
 
     #[test]
     fn predicate_pruning_matches_the_store_query_path() {
-        use crate::{FrameEncoding, Query, QueryOptions, TraceStore};
+        use crate::{Query, QueryOptions, TraceStore};
         let evs = events(2500);
-        for encoding in [FrameEncoding::Plain, FrameEncoding::Compressed] {
-            let stream = crate::fragment::encode_stream_with(&evs, 100, encoding);
-            let predicate = Predicate {
-                since: Some(400),
-                until: Some(1700),
-                cores: vec![0, 2, 5],
-                ..Default::default()
-            };
-            let gap = GapMapOptions { window: 1000, width: 30 };
-            let opts = AnalyzeOptions {
-                threads: 3,
-                fragments: 8,
+        let stream = encode_stream(&evs, 100);
+        let predicate = Predicate {
+            since: Some(400),
+            until: Some(1700),
+            cores: vec![0, 2, 5],
+            ..Default::default()
+        };
+        let gap = GapMapOptions { window: 1000, width: 30 };
+        let opts = AnalyzeOptions {
+            threads: 3,
+            fragments: 8,
+            capacity_bytes: 1 << 16,
+            gap_map: Some(gap),
+            ..Default::default()
+        };
+        let pruned = analyze_frames_with(&stream, &opts, Some(&predicate)).unwrap();
+        assert!(pruned.fragments_pruned > 0, "time slice must prune whole fragments");
+        assert!(pruned.defects.is_empty(), "hand-off check is skipped under a predicate");
+
+        let store = TraceStore::from_bytes(stream);
+        let q = Query {
+            predicate: predicate.clone(),
+            options: QueryOptions {
                 capacity_bytes: 1 << 16,
                 gap_map: Some(gap),
                 ..Default::default()
-            };
-            let pruned = analyze_frames_with(&stream, &opts, Some(&predicate)).unwrap();
-            assert!(pruned.fragments_pruned > 0, "time slice must prune whole fragments");
-            assert!(pruned.defects.is_empty(), "hand-off check is skipped under a predicate");
+            },
+        };
+        let report = q.run(&store);
+        assert_eq!(pruned.analysis, report.analysis);
+        assert_eq!(pruned.state, report.state);
+        assert_eq!(pruned.gap_map, report.gap_map);
+        assert_eq!(pruned.newest_stamp, report.newest_stamp);
 
-            let store = TraceStore::from_bytes(stream);
-            let q = Query {
-                predicate: predicate.clone(),
-                options: QueryOptions {
-                    capacity_bytes: 1 << 16,
-                    gap_map: Some(gap),
-                    ..Default::default()
-                },
-            };
-            let report = q.run(&store);
-            assert_eq!(pruned.analysis, report.analysis);
-            assert_eq!(pruned.state, report.state);
-            assert_eq!(pruned.gap_map, report.gap_map);
-            assert_eq!(pruned.newest_stamp, report.newest_stamp);
-
-            // And both equal the linear full-decode-then-filter oracle.
-            let matched: Vec<FullEvent> =
-                evs.iter().filter(|e| predicate.admits_event(e)).cloned().collect();
-            let c = collected(&matched);
-            assert_eq!(pruned.analysis, TracePartial::map(&c).finish(1 << 16, 8));
-        }
+        // And both equal the linear full-decode-then-filter oracle.
+        let matched: Vec<FullEvent> =
+            evs.iter().filter(|e| predicate.admits_event(e)).cloned().collect();
+        let c = collected(&matched);
+        assert_eq!(pruned.analysis, TracePartial::map(&c).finish(1 << 16, 8));
     }
 
     #[test]

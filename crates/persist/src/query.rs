@@ -5,8 +5,7 @@
 //!
 //! 1. **Prune** against the frame directory: a frame whose `FIDX` footer
 //!    proves its stamp range or core bitmap cannot intersect the predicate
-//!    is never decoded. Footer-less legacy frames cannot be pruned and are
-//!    always decoded. Category predicates prune nothing at the frame level
+//!    is never decoded. Category predicates prune nothing at the frame level
 //!    (footers carry no category information) — they filter per event after
 //!    decode.
 //! 2. **Filter + fold**: each surviving frame is validated (checksummed)
@@ -28,8 +27,8 @@ use btrace_core::event::encoded_len;
 use btrace_core::sink::{CollectedEvent, FullEvent};
 use btrace_replay::TraceState;
 
-use crate::fragment::{FrameIndex, FrameInfo};
-use crate::store::{FrameDefect, StoreFrame, TraceStore};
+use crate::fragment::FrameIndex;
+use crate::store::{FrameDefect, TraceStore};
 use crate::stream::EventRef;
 
 /// What a query is looking for. `Default` matches every event.
@@ -60,10 +59,8 @@ impl Predicate {
 
     /// Frame-level admission from an index footer alone: conservative, may
     /// admit frames that hold no matching event, but never rejects a frame
-    /// that does. `None` (a legacy footer-less frame) always admits — such
-    /// frames must be decoded to be judged.
-    pub fn admits_index(&self, index: Option<&FrameIndex>) -> bool {
-        let Some(idx) = index else { return true };
+    /// that does.
+    pub fn admits_index(&self, idx: &FrameIndex) -> bool {
         if idx.event_count == 0 {
             return false;
         }
@@ -72,17 +69,6 @@ impl Predicate {
             return false;
         }
         idx.core_bitmap & self.core_bitmap() != 0
-    }
-
-    /// Whether a directory entry's frame may hold matching events.
-    pub fn admits_frame(&self, frame: &StoreFrame) -> bool {
-        self.admits_index(frame.index.as_ref())
-    }
-
-    /// Whether a scanned frame may hold matching events (the fragment-path
-    /// twin of [`Predicate::admits_frame`]).
-    pub fn admits_info(&self, info: &FrameInfo) -> bool {
-        self.admits_index(info.index.as_ref())
     }
 
     /// Exact event-level match, judged where the event's bytes live.
@@ -178,7 +164,7 @@ impl Query {
             .frames()
             .iter()
             .enumerate()
-            .filter(|(_, f)| self.predicate.admits_frame(f))
+            .filter(|(_, f)| self.predicate.admits_index(&f.index))
             .map(|(i, _)| i)
             .collect()
     }
@@ -243,43 +229,38 @@ impl Query {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fragment::encode_stream_with;
-    use crate::FrameEncoding;
+    use crate::encode_stream;
 
     fn ev(stamp: u64, core: u16, tid: u32) -> FullEvent {
         FullEvent { stamp, core, tid, payload: vec![0xAB; 8 + (stamp % 9) as usize] }
     }
 
-    fn store(encoding: FrameEncoding) -> TraceStore {
+    fn store() -> TraceStore {
         let events: Vec<FullEvent> = (0..400).map(|s| ev(s, (s % 4) as u16, 7)).collect();
-        TraceStore::from_bytes(encode_stream_with(&events, 40, encoding))
+        TraceStore::from_bytes(encode_stream(&events, 40))
     }
 
     #[test]
     fn time_predicate_prunes_and_filters_exactly() {
-        for encoding in [FrameEncoding::Plain, FrameEncoding::Compressed] {
-            let store = store(encoding);
-            let q = Query {
-                predicate: Predicate { since: Some(100), until: Some(179), ..Default::default() },
-                options: QueryOptions { collect_events: true, ..Default::default() },
-            };
-            let report = q.run(&store);
-            assert_eq!(report.matched_events, 80);
-            assert_eq!(report.events.len(), 80);
-            assert!(report.events.iter().all(|e| (100..=179).contains(&e.stamp)));
-            // Stamps 0..400 in frames of 40: only frames [2..5) overlap.
-            assert_eq!(report.frames_decoded, 3);
-            assert_eq!(report.frames_pruned, 7);
-            assert!(report.defects.is_empty());
-        }
+        let q = Query {
+            predicate: Predicate { since: Some(100), until: Some(179), ..Default::default() },
+            options: QueryOptions { collect_events: true, ..Default::default() },
+        };
+        let report = q.run(&store());
+        assert_eq!(report.matched_events, 80);
+        assert_eq!(report.events.len(), 80);
+        assert!(report.events.iter().all(|e| (100..=179).contains(&e.stamp)));
+        // Stamps 0..400 in frames of 40: only frames [2..5) overlap.
+        assert_eq!(report.frames_decoded, 3);
+        assert_eq!(report.frames_pruned, 7);
+        assert!(report.defects.is_empty());
     }
 
     #[test]
     fn core_predicate_uses_the_folded_bitmap() {
         let events: Vec<FullEvent> =
             (0..100).map(|s| ev(s, if s < 50 { 0 } else { 9 }, 7)).collect();
-        let store =
-            TraceStore::from_bytes(encode_stream_with(&events, 25, FrameEncoding::Compressed));
+        let store = TraceStore::from_bytes(encode_stream(&events, 25));
         let q = Query {
             predicate: Predicate { cores: vec![9], ..Default::default() },
             options: QueryOptions { collect_events: true, ..Default::default() },
@@ -307,8 +288,7 @@ mod tests {
             };
             events.push(FullEvent { stamp: s, core: 0, tid: 1, payload });
         }
-        let store =
-            TraceStore::from_bytes(encode_stream_with(&events, 20, FrameEncoding::Compressed));
+        let store = TraceStore::from_bytes(encode_stream(&events, 20));
         let q = Query {
             predicate: Predicate { category: Some(Category::SCHED), ..Default::default() },
             options: QueryOptions { collect_events: true, ..Default::default() },
@@ -320,7 +300,7 @@ mod tests {
 
     #[test]
     fn query_is_identical_to_linear_filter_oracle() {
-        let store = store(FrameEncoding::Compressed);
+        let store = store();
         let predicate = Predicate {
             since: Some(33),
             until: Some(321),
@@ -354,11 +334,7 @@ mod tests {
 
     #[test]
     fn unconstrained_query_still_skips_empty_frames() {
-        let mut bytes = encode_stream_with(
-            &(0..10).map(|s| ev(s, 0, 1)).collect::<Vec<_>>(),
-            5,
-            FrameEncoding::Plain,
-        );
+        let mut bytes = encode_stream(&(0..10).map(|s| ev(s, 0, 1)).collect::<Vec<_>>(), 5);
         bytes.extend_from_slice(&crate::encode_frame(2, &[]));
         let store = TraceStore::from_bytes(bytes);
         let report = Query::default().run(&store);

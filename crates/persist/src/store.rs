@@ -1,22 +1,24 @@
-//! Random-access trace store over BTSF files.
+//! Random-access trace store over BTSF streams and `.btd` dumps.
 //!
-//! [`TraceStore`] opens a frame file through a read-only memory map
-//! ([`btrace_vmem::FileMap`]) and builds a **frame directory** in O(frames):
-//! offsets, lengths, header fields, and the `FIDX` footer of every frame —
-//! no event is decoded and no checksum verified until a query actually
-//! touches a frame. The directory is what lets predicates prune: a frame
-//! whose footer proves it cannot contribute is never faulted in.
+//! [`TraceStore`] opens a file through a read-only memory map
+//! ([`btrace_vmem::FileMap`]), skips a valid `.btd` label header if there
+//! is one, and builds a **frame directory** in O(frames): offsets, lengths,
+//! header fields, and the `FIDX` footer of every frame — no event is
+//! decoded and no checksum verified until a query actually touches a
+//! frame. The directory is what lets predicates prune: a frame whose footer
+//! proves it cannot contribute is never faulted in.
 //!
 //! Corruption is a *per-frame* fact here, never a process-wide one:
 //!
 //! * structural damage (bad magic, a length header pointing outside the
-//!   file, a truncated tail) is recorded as a [`FrameDefect`] during the
-//!   directory scan, and the scanner resyncs on the next checksummed frame
-//!   so intact frames beyond the damage stay queryable;
-//! * content damage (checksum mismatch, body overrun, footer lies) is
-//!   caught when [`TraceStore::decode_frame_refs`] verifies the frame,
-//!   again as a typed defect for that frame only; a frame's events are
-//!   handed out only after the whole frame validated.
+//!   file, a truncated tail, a frame of another revision, a missing or
+//!   lying footer, a damaged dump header) is recorded as a [`FrameDefect`]
+//!   during the directory scan, and the scanner resyncs on the next
+//!   checksummed frame so intact frames beyond the damage stay queryable;
+//! * content damage (checksum mismatch, body overrun) is caught when
+//!   [`TraceStore::decode_frame_refs`] verifies the frame, again as a typed
+//!   defect for that frame only; a frame's events are handed out only
+//!   after the whole frame validated.
 //!
 //! Nothing in this module panics on hostile bytes — the corruption battery
 //! in `tests/query.rs` flips bits everywhere and asserts exactly that.
@@ -27,8 +29,9 @@ use std::path::Path;
 use btrace_core::sink::FullEvent;
 use btrace_vmem::FileMap;
 
-use crate::fragment::FrameIndex;
-use crate::stream::{fnv, validate_frame, EventRef, FRAME_FLAG_COMPRESSED, FRAME_MAGIC};
+use crate::dump::parse_header;
+use crate::fragment::{probe_frame, FrameInfo};
+use crate::stream::{fnv, validate_frame, EventRef, FRAME_MAGIC};
 
 /// What kind of damage a [`FrameDefect`] reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,13 +44,15 @@ pub enum DefectKind {
     Truncated,
     /// The frame's FNV checksum does not cover its bytes.
     ChecksumMismatch,
-    /// The declared events do not tile the body (overrun or trailing junk
-    /// that is not a footer).
+    /// The declared events do not tile the event section (overrun, or junk
+    /// between the last event and the footer).
     BodyOverrun,
-    /// The footer disagrees with the frame (count mismatch, bad magic at
-    /// the footer offset of a revision-2 frame, or a missing mandatory
-    /// footer).
+    /// The index footer is missing (bad magic at the footer offset) or
+    /// its count disagrees with the header.
     FooterMismatch,
+    /// The header lacks the revision-2 flag: the frame comes from an older
+    /// or foreign writer and is never decoded.
+    UnknownRevision,
 }
 
 /// One frame's damage report. Produced either by the directory scan
@@ -76,30 +81,13 @@ impl std::fmt::Display for FrameDefect {
     }
 }
 
-/// One directory entry: where a frame lives and what its header and footer
-/// promise, gathered without decoding events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct StoreFrame {
-    /// Byte offset of the frame start.
-    pub offset: usize,
-    /// Whole frame length (magic through crc).
-    pub len: usize,
-    /// Frame sequence number.
-    pub seq: u64,
-    /// Event count (version flag masked off).
-    pub events: u32,
-    /// Whether the event section is delta/varint compressed (revision 2).
-    pub compressed: bool,
-    /// Index footer, when present and self-consistent.
-    pub index: Option<FrameIndex>,
-}
-
 /// Random-access, defect-tolerant reader over one BTSF artifact.
 #[derive(Debug)]
 pub struct TraceStore {
     map: FileMap,
-    frames: Vec<StoreFrame>,
+    /// Where the frames start: past a valid `.btd` header, else 0.
+    start: usize,
+    frames: Vec<FrameInfo>,
     defects: Vec<FrameDefect>,
 }
 
@@ -116,24 +104,37 @@ impl TraceStore {
         Ok(Self::from_map(FileMap::open(path.as_ref())?))
     }
 
-    /// Builds a store over an in-memory stream (tests, re-framed `.btd`
-    /// dumps).
+    /// Builds a store over in-memory file bytes.
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
         Self::from_map(FileMap::from_vec(bytes))
     }
 
     fn from_map(map: FileMap) -> Self {
-        let (frames, defects) = scan_directory(map.bytes());
-        Self { map, frames, defects }
+        let header = parse_header(map.bytes()).ok();
+        let start = header.as_ref().map_or(0, |h| h.len);
+        let (frames, mut defects) = scan_directory(&map.bytes()[start..]);
+        // Per-frame checks cannot see a dump cut at a frame boundary; the
+        // header's event count can.
+        let found: u64 = frames.iter().map(|f| f.events as u64).sum();
+        if let Some(h) = header.filter(|h| defects.is_empty() && h.events != found) {
+            defects.push(FrameDefect {
+                frame: frames.len(),
+                offset: map.len() - start,
+                kind: DefectKind::Truncated,
+                detail: format!("dump header promises {} events, frames hold {found}", h.events),
+            });
+        }
+        Self { map, start, frames, defects }
     }
 
-    /// The underlying file bytes.
+    /// The frame stream: the file bytes after a `.btd` header, if any.
+    /// Directory and defect offsets index into this slice.
     pub fn bytes(&self) -> &[u8] {
-        self.map.bytes()
+        &self.map.bytes()[self.start..]
     }
 
     /// The frame directory, in file order.
-    pub fn frames(&self) -> &[StoreFrame] {
+    pub fn frames(&self) -> &[FrameInfo] {
         &self.frames
     }
 
@@ -163,8 +164,8 @@ impl TraceStore {
         out: &mut Vec<EventRef<'a>>,
     ) -> Result<(), FrameDefect> {
         let entry = &self.frames[idx];
-        let frame = &self.map.bytes()[entry.offset..entry.offset + entry.len];
-        validate_frame(frame, out).map(|_| ()).map_err(|(kind, detail)| FrameDefect {
+        let frame = &self.bytes()[entry.offset..entry.offset + entry.len];
+        validate_frame(frame, out).map_err(|(kind, detail)| FrameDefect {
             frame: idx,
             offset: entry.offset,
             kind,
@@ -186,7 +187,7 @@ impl TraceStore {
 
 /// Tolerant O(frames) directory scan: structural damage is recorded and
 /// skipped by resyncing on the next frame whose checksum proves it real.
-fn scan_directory(bytes: &[u8]) -> (Vec<StoreFrame>, Vec<FrameDefect>) {
+fn scan_directory(bytes: &[u8]) -> (Vec<FrameInfo>, Vec<FrameDefect>) {
     let mut frames = Vec::new();
     let mut defects = Vec::new();
     let mut offset = 0usize;
@@ -214,32 +215,6 @@ fn scan_directory(bytes: &[u8]) -> (Vec<StoreFrame>, Vec<FrameDefect>) {
     (frames, defects)
 }
 
-/// Reads one frame's directory entry at `offset`, structurally validating
-/// the header (magic + length) but not the contents.
-fn probe_frame(bytes: &[u8], offset: usize) -> Result<StoreFrame, (DefectKind, &'static str)> {
-    let rest = &bytes[offset..];
-    if rest.len() < 8 {
-        return Err((DefectKind::Truncated, "file ends inside a frame header"));
-    }
-    if &rest[..4] != FRAME_MAGIC {
-        return Err((DefectKind::BadMagic, "bad frame magic"));
-    }
-    let body_len = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes")) as usize;
-    if body_len < 20 {
-        return Err((DefectKind::Truncated, "frame shorter than its fixed fields"));
-    }
-    if rest.len() < 8 + body_len {
-        return Err((DefectKind::Truncated, "length header points past end of file"));
-    }
-    let len = 8 + body_len;
-    let seq = u64::from_le_bytes(rest[8..16].try_into().expect("8 bytes"));
-    let raw_count = u32::from_le_bytes(rest[16..20].try_into().expect("4 bytes"));
-    let compressed = raw_count & FRAME_FLAG_COMPRESSED != 0;
-    let events = raw_count & !FRAME_FLAG_COMPRESSED;
-    let index = crate::fragment::probe_footer(&rest[..len], events, compressed);
-    Ok(StoreFrame { offset, len, seq, events, compressed, index })
-}
-
 /// Finds the next plausible frame start at or after `from`: a `BTSF` magic
 /// whose frame is structurally whole *and* passes its checksum (so random
 /// magic bytes inside a corrupt region cannot fake a resync point).
@@ -264,39 +239,35 @@ fn resync(bytes: &[u8], from: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fragment::encode_stream_with;
-    use crate::FrameEncoding;
+    use crate::encode_stream;
 
     fn ev(stamp: u64, core: u16, payload: usize) -> FullEvent {
         FullEvent { stamp, core, tid: 40 + core as u32, payload: vec![0xEE; payload] }
     }
 
-    fn sample_stream(encoding: FrameEncoding) -> Vec<u8> {
+    fn sample_stream() -> Vec<u8> {
         let events: Vec<FullEvent> = (0..120).map(|s| ev(s, (s % 4) as u16, 9)).collect();
-        encode_stream_with(&events, 24, encoding)
+        encode_stream(&events, 24)
     }
 
     #[test]
     fn directory_matches_scan_on_healthy_streams() {
-        for encoding in [FrameEncoding::Plain, FrameEncoding::Compressed] {
-            let bytes = sample_stream(encoding);
-            let store = TraceStore::from_bytes(bytes.clone());
-            assert!(store.defects().is_empty());
-            assert_eq!(store.frames().len(), 5);
-            assert_eq!(store.total_events(), 120);
-            for (i, f) in store.frames().iter().enumerate() {
-                assert_eq!(f.seq, i as u64);
-                assert_eq!(f.compressed, encoding == FrameEncoding::Compressed);
-                assert!(f.index.is_some());
-                let events = store.decode_frame(i).expect("healthy frame decodes");
-                assert_eq!(events.len(), 24);
-            }
+        let bytes = sample_stream();
+        let store = TraceStore::from_bytes(bytes.clone());
+        assert!(store.defects().is_empty());
+        assert_eq!(store.frames(), crate::scan_frames(&bytes).unwrap());
+        assert_eq!(store.total_events(), 120);
+        for (i, f) in store.frames().iter().enumerate() {
+            assert_eq!(f.seq, i as u64);
+            assert_eq!(f.index.event_count, 24);
+            let events = store.decode_frame(i).expect("healthy frame decodes");
+            assert_eq!(events.len(), 24);
         }
     }
 
     #[test]
     fn body_corruption_is_one_frames_defect() {
-        let mut bytes = sample_stream(FrameEncoding::Compressed);
+        let mut bytes = sample_stream();
         let store = TraceStore::from_bytes(bytes.clone());
         let target = store.frames()[2];
         bytes[target.offset + 25] ^= 0xFF;
@@ -311,7 +282,7 @@ mod tests {
 
     #[test]
     fn length_corruption_resyncs_to_later_frames() {
-        let mut bytes = sample_stream(FrameEncoding::Plain);
+        let mut bytes = sample_stream();
         let clean = TraceStore::from_bytes(bytes.clone());
         let target = clean.frames()[1];
         // Wreck frame 1's length header: frames 2.. are only reachable by
@@ -326,50 +297,19 @@ mod tests {
 
     #[test]
     fn truncated_tail_is_a_defect_with_prefix_intact() {
-        let bytes = sample_stream(FrameEncoding::Compressed);
+        let bytes = sample_stream();
         let store = TraceStore::from_bytes(bytes[..bytes.len() - 10].to_vec());
         assert_eq!(store.frames().len(), 4);
         assert_eq!(store.defects().len(), 1);
         assert_eq!(store.defects()[0].kind, DefectKind::Truncated);
     }
 
-    /// A footer-less frame exactly as the pre-footer encoder wrote it.
-    fn legacy_frame(seq: u64, events: &[FullEvent]) -> Vec<u8> {
-        let mut frame = FRAME_MAGIC.to_vec();
-        let body_len = 12 + events.iter().map(|e| 18 + e.payload.len()).sum::<usize>() + 8;
-        frame.extend_from_slice(&(body_len as u32).to_le_bytes());
-        frame.extend_from_slice(&seq.to_le_bytes());
-        frame.extend_from_slice(&(events.len() as u32).to_le_bytes());
-        for e in events {
-            frame.extend_from_slice(&e.stamp.to_le_bytes());
-            frame.extend_from_slice(&e.core.to_le_bytes());
-            frame.extend_from_slice(&e.tid.to_le_bytes());
-            frame.extend_from_slice(&(e.payload.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&e.payload);
-        }
-        let crc = fnv(&frame);
-        frame.extend_from_slice(&crc.to_le_bytes());
-        frame
-    }
-
     #[test]
-    fn frame_refs_copy_out_to_the_owned_decode_on_every_revision() {
+    fn frame_refs_copy_out_to_the_owned_decode() {
         let events: Vec<FullEvent> =
             (0..90).map(|s| ev(s, (s % 3) as u16, (s % 17) as usize)).collect();
-        let mut bytes = legacy_frame(0, &events[..30]);
-        bytes.extend_from_slice(&crate::encode_frame_with(
-            1,
-            &events[30..60],
-            FrameEncoding::Plain,
-        ));
-        bytes.extend_from_slice(&crate::encode_frame_with(
-            2,
-            &events[60..],
-            FrameEncoding::Compressed,
-        ));
-        let store = TraceStore::from_bytes(bytes);
+        let store = TraceStore::from_bytes(encode_stream(&events, 30));
         assert!(store.defects().is_empty());
-        assert!(store.frames()[0].index.is_none(), "frame 0 is footer-less");
         // One scratch buffer across all three frames: each call replaces
         // the previous frame's events.
         let mut refs = Vec::new();

@@ -21,6 +21,7 @@
 //! renders them live).
 
 use crate::export::RetryPolicy;
+use crate::fragment::probe_frame;
 use crate::store::DefectKind;
 use btrace_core::sink::FullEvent;
 use btrace_core::BTrace;
@@ -71,9 +72,8 @@ pub struct PipelineConfig {
     /// Whether [`StreamPipeline::stop`] closes every core's current block
     /// and drains the remainder before shutting down.
     pub flush_on_stop: bool,
-    /// Event-section layout of emitted frames. Defaults to
-    /// [`FrameEncoding::Plain`] so existing consumers of the raw artifact
-    /// see the original byte layout unless compression is asked for.
+    /// Event-section layout of emitted frames; [`FrameEncoding`] has the
+    /// one value, so every pipeline writes revision-2 frames.
     pub encoding: FrameEncoding,
 }
 
@@ -88,7 +88,7 @@ impl Default for PipelineConfig {
             backpressure: Backpressure::Block,
             retry: RetryPolicy::default(),
             flush_on_stop: true,
-            encoding: FrameEncoding::Plain,
+            encoding: FrameEncoding::Compressed,
         }
     }
 }
@@ -172,11 +172,14 @@ pub(crate) const FOOTER_MAGIC: &[u8; 4] = b"FIDX";
 /// Encoded size of the index footer: magic + min/max stamp + core bitmap +
 /// event count + payload byte span.
 pub(crate) const FOOTER_BYTES: usize = 4 + 8 + 8 + 8 + 4 + 8;
-/// Frame-version bit: set in the header `count` field when the event section
-/// is delta/varint compressed (format revision 2). The real event count
-/// occupies the low 31 bits, which the decode cap (`1 << 20` events) keeps
-/// far away from the flag.
+/// Revision-2 flag: set in the header `count` field of every frame (the
+/// event section is delta/varint compressed). The real event count occupies
+/// the low 31 bits, which the decode cap (`1 << 20` events) keeps far away
+/// from the flag. A frame without it comes from an older or foreign writer
+/// and is never decoded.
 pub(crate) const FRAME_FLAG_COMPRESSED: u32 = 1 << 31;
+/// Smallest whole frame: magic + `body_len` + seq + count + footer + crc.
+pub(crate) const MIN_FRAME_BYTES: usize = 8 + 12 + FOOTER_BYTES + 8;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
@@ -184,17 +187,14 @@ pub(crate) fn fnv(bytes: &[u8]) -> u64 {
     bytes.iter().fold(FNV_OFFSET, |crc, &b| (crc ^ b as u64).wrapping_mul(FNV_PRIME))
 }
 
-/// How [`encode_frame_with`] lays out a frame's event section.
+/// The event-section layout of a frame. BTSF has one layout, so this has
+/// one value; it remains because [`PipelineConfig::encoding`] and
+/// [`encode_frame_with`] name it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FrameEncoding {
-    /// Fixed-width fields (the original BTSF revision); 18 bytes of
-    /// overhead per event. Every historical artifact decodes as this.
-    #[default]
-    Plain,
     /// Delta/varint event section (revision 2): zigzag-varint stamp deltas,
-    /// varint core/tid/payload-length. Flagged by
-    /// [`FRAME_FLAG_COMPRESSED`] in the header count; always carries an
-    /// index footer.
+    /// varint core/tid/payload-length, always followed by an index footer.
+    #[default]
     Compressed,
 }
 
@@ -221,21 +221,23 @@ fn unzigzag(z: u64) -> i64 {
     ((z >> 1) as i64) ^ -((z & 1) as i64)
 }
 
-/// Encodes one batch as a self-delimiting frame:
+/// Encodes one batch as a self-delimiting BTSF frame (revision 2):
 ///
 /// ```text
 /// magic "BTSF"   4 bytes
 /// body_len       u32 (everything after this field, crc included)
 /// seq            u64
-/// count          u32
-/// events         count × { stamp u64, core u16, tid u32,
-///                          payload_len u32, payload bytes }
+/// count          u32 (event count | 1 << 31, the revision-2 flag)
+/// events         count × { zigzag-varint(stamp − previous stamp),
+///                          varint(core), varint(tid),
+///                          varint(payload_len), payload bytes }
 /// footer         index footer (see below)
 /// crc            u64 (FNV-1a over magic..footer)
 /// ```
 ///
-/// The **index footer** summarizes the frame for O(frames) fragment
-/// splitting without decoding the events:
+/// The first stamp delta is taken from 0. The **index footer** summarizes
+/// the frame for O(frames) pruning and fragment splitting without decoding
+/// the events:
 ///
 /// ```text
 /// magic "FIDX"   4 bytes
@@ -247,57 +249,24 @@ fn unzigzag(z: u64) -> i64 {
 /// ```
 ///
 /// The footer sits at a fixed offset from the frame end, inside the
-/// crc-covered region. Frames written before the footer existed simply end
-/// their body at the last event; [`decode_frames`] accepts both.
+/// crc-covered region; every reader requires it.
 pub fn encode_frame(seq: u64, events: &[FullEvent]) -> Vec<u8> {
-    encode_frame_with(seq, events, FrameEncoding::Plain)
-}
-
-/// Like [`encode_frame`], but choosing the event-section layout.
-///
-/// With [`FrameEncoding::Compressed`] the events are written as (revision 2):
-///
-/// ```text
-/// per event: zigzag-varint(stamp − previous stamp)   (first delta from 0)
-///            varint(core)  varint(tid)  varint(payload_len)
-///            payload bytes
-/// ```
-///
-/// and [`FRAME_FLAG_COMPRESSED`] is set in the header count. Everything
-/// around the event section — magic, `body_len`, seq, index footer, crc —
-/// is byte-for-byte the plain layout, so both revisions decode through one
-/// path and may interleave freely within a file.
-pub fn encode_frame_with(seq: u64, events: &[FullEvent], encoding: FrameEncoding) -> Vec<u8> {
     let mut body = Vec::with_capacity(
         64 + FOOTER_BYTES + events.iter().map(|e| 18 + e.payload.len()).sum::<usize>(),
     );
     body.extend_from_slice(&seq.to_le_bytes());
-    let count_field = match encoding {
-        FrameEncoding::Plain => events.len() as u32,
-        FrameEncoding::Compressed => events.len() as u32 | FRAME_FLAG_COMPRESSED,
-    };
-    body.extend_from_slice(&count_field.to_le_bytes());
+    body.extend_from_slice(&(events.len() as u32 | FRAME_FLAG_COMPRESSED).to_le_bytes());
     let mut min_stamp = u64::MAX;
     let mut max_stamp = 0u64;
     let mut core_bitmap = 0u64;
     let mut payload_bytes = 0u64;
     let mut prev_stamp = 0u64;
     for e in events {
-        match encoding {
-            FrameEncoding::Plain => {
-                body.extend_from_slice(&e.stamp.to_le_bytes());
-                body.extend_from_slice(&e.core.to_le_bytes());
-                body.extend_from_slice(&e.tid.to_le_bytes());
-                body.extend_from_slice(&(e.payload.len() as u32).to_le_bytes());
-            }
-            FrameEncoding::Compressed => {
-                put_varint(&mut body, zigzag(e.stamp.wrapping_sub(prev_stamp) as i64));
-                prev_stamp = e.stamp;
-                put_varint(&mut body, e.core as u64);
-                put_varint(&mut body, e.tid as u64);
-                put_varint(&mut body, e.payload.len() as u64);
-            }
-        }
+        put_varint(&mut body, zigzag(e.stamp.wrapping_sub(prev_stamp) as i64));
+        prev_stamp = e.stamp;
+        put_varint(&mut body, e.core as u64);
+        put_varint(&mut body, e.tid as u64);
+        put_varint(&mut body, e.payload.len() as u64);
         body.extend_from_slice(&e.payload);
         min_stamp = min_stamp.min(e.stamp);
         max_stamp = max_stamp.max(e.stamp);
@@ -317,6 +286,13 @@ pub fn encode_frame_with(seq: u64, events: &[FullEvent], encoding: FrameEncoding
     let crc = fnv(&frame);
     frame.extend_from_slice(&crc.to_le_bytes());
     frame
+}
+
+/// [`encode_frame`] under the name that takes a [`FrameEncoding`]; with one
+/// encoding the two are the same function.
+pub fn encode_frame_with(seq: u64, events: &[FullEvent], encoding: FrameEncoding) -> Vec<u8> {
+    let FrameEncoding::Compressed = encoding;
+    encode_frame(seq, events)
 }
 
 /// One decoded frame.
@@ -363,7 +339,7 @@ impl<'a> From<&'a FullEvent> for EventRef<'a> {
     }
 }
 
-fn bad_data(reason: &str) -> io::Error {
+pub(crate) fn bad_data(reason: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, reason.to_string())
 }
 
@@ -395,135 +371,106 @@ fn read_varint(r: &mut &[u8]) -> Result<u64, &'static str> {
 }
 
 /// Decodes the event section of one frame body (`r` starts right after the
-/// header count and ends right before the footer/crc), shared by both frame
-/// revisions. `out` is cleared first and reused, so a caller decoding frame
-/// after frame allocates only while its scratch grows. On error `out` may
-/// hold a prefix of the section; [`validate_frame`] discards it.
+/// header count and ends right before the footer). `out` is cleared first
+/// and reused, so a caller decoding frame after frame allocates only while
+/// its scratch grows. On error `out` may hold a prefix of the section;
+/// [`validate_frame`] discards it.
 fn decode_event_refs<'a>(
     r: &mut &'a [u8],
     count: usize,
-    compressed: bool,
     out: &mut Vec<EventRef<'a>>,
 ) -> Result<(), &'static str> {
     out.clear();
     out.reserve(count.min(1 << 20));
     let mut prev_stamp = 0u64;
     for _ in 0..count {
-        let (stamp, core, tid, payload_len) = if compressed {
-            let stamp = prev_stamp.wrapping_add(unzigzag(read_varint(r)?) as u64);
-            prev_stamp = stamp;
-            let core =
-                u16::try_from(read_varint(r)?).map_err(|_| "compressed core out of range")?;
-            let tid = u32::try_from(read_varint(r)?).map_err(|_| "compressed tid out of range")?;
-            let payload_len = usize::try_from(read_varint(r)?)
-                .map_err(|_| "compressed payload length out of range")?;
-            (stamp, core, tid, payload_len)
-        } else {
-            let stamp = u64::from_le_bytes(take(r, 8)?.try_into().expect("8 bytes"));
-            let core = u16::from_le_bytes(take(r, 2)?.try_into().expect("2 bytes"));
-            let tid = u32::from_le_bytes(take(r, 4)?.try_into().expect("4 bytes"));
-            let payload_len = u32::from_le_bytes(take(r, 4)?.try_into().expect("4 bytes")) as usize;
-            (stamp, core, tid, payload_len)
-        };
+        let stamp = prev_stamp.wrapping_add(unzigzag(read_varint(r)?) as u64);
+        prev_stamp = stamp;
+        let core = u16::try_from(read_varint(r)?).map_err(|_| "compressed core out of range")?;
+        let tid = u32::try_from(read_varint(r)?).map_err(|_| "compressed tid out of range")?;
+        let payload_len = usize::try_from(read_varint(r)?)
+            .map_err(|_| "compressed payload length out of range")?;
         let payload = take(r, payload_len)?;
         out.push(EventRef { stamp, core, tid, payload });
     }
     Ok(())
 }
 
-/// The one frame validator both readers share. `frame` is a whole frame,
-/// magic through crc, whose length header has already been checked (so it
-/// is at least 28 bytes). Checks run in order — FNV-1a checksum, then the
-/// event section (no overrun), then the footer (mandatory on compressed
-/// frames, exactly one, count matching the header) — and `out` holds the
-/// frame's events only once all of them passed: on any failure it is left
-/// empty, so a defective frame contributes nothing. Returns the frame's
-/// seq.
+/// The one frame validator every reader shares. `frame` is a whole frame,
+/// magic through crc, that already passed [`probe_frame`] (length, revision
+/// flag and footer are sound). Checks run in order — FNV-1a checksum, then
+/// the event section, which must end exactly at the footer — and `out`
+/// holds the frame's events only once both passed: on any failure it is
+/// left empty, so a defective frame contributes nothing.
+///
+/// [`probe_frame`]: crate::fragment::probe_frame
 pub(crate) fn validate_frame<'a>(
     frame: &'a [u8],
     out: &mut Vec<EventRef<'a>>,
-) -> Result<u64, (DefectKind, &'static str)> {
+) -> Result<(), (DefectKind, &'static str)> {
     check_frame(frame, out).inspect_err(|_| out.clear())
 }
 
 fn check_frame<'a>(
     frame: &'a [u8],
     out: &mut Vec<EventRef<'a>>,
-) -> Result<u64, (DefectKind, &'static str)> {
+) -> Result<(), (DefectKind, &'static str)> {
     let len = frame.len();
     let crc_stored = u64::from_le_bytes(frame[len - 8..].try_into().expect("8 bytes"));
     if fnv(&frame[..len - 8]) != crc_stored {
         return Err((DefectKind::ChecksumMismatch, "frame checksum mismatch"));
     }
-    let seq = u64::from_le_bytes(frame[8..16].try_into().expect("8 bytes"));
-    let raw_count = u32::from_le_bytes(frame[16..20].try_into().expect("4 bytes"));
-    let compressed = raw_count & FRAME_FLAG_COMPRESSED != 0;
-    let count = raw_count & !FRAME_FLAG_COMPRESSED;
-    let mut r = &frame[20..len - 8];
-    decode_event_refs(&mut r, count as usize, compressed, out)
+    let count =
+        u32::from_le_bytes(frame[16..20].try_into().expect("4 bytes")) & !FRAME_FLAG_COMPRESSED;
+    let mut r = &frame[20..len - 8 - FOOTER_BYTES];
+    decode_event_refs(&mut r, count as usize, out)
         .map_err(|detail| (DefectKind::BodyOverrun, detail))?;
-    // Footer-bearing frames leave exactly one index footer after the
-    // events; footer-less frames (written before the footer existed) leave
-    // nothing. Compressed frames always carry a footer by construction.
-    // Anything else is corruption.
-    if compressed && r.is_empty() {
-        return Err((DefectKind::FooterMismatch, "compressed frame missing footer"));
-    }
     if !r.is_empty() {
-        if r.len() != FOOTER_BYTES || &r[..4] != FOOTER_MAGIC {
-            return Err((DefectKind::BodyOverrun, "frame body overrun"));
-        }
-        let footer_count = u32::from_le_bytes(r[28..32].try_into().expect("4 bytes"));
-        if footer_count != count {
-            return Err((DefectKind::FooterMismatch, "frame footer count mismatch"));
-        }
-    }
-    Ok(seq)
-}
-
-/// Walks every frame in `bytes`, handing each frame's seq and events to
-/// `visit` only after the frame validated (see [`validate_frame`]). The
-/// events borrow from `bytes` and live in one scratch buffer reused across
-/// frames, so a walk allocates nothing per event.
-///
-/// # Errors
-///
-/// [`io::ErrorKind::InvalidData`] at the first bad magic, truncation, or
-/// frame that fails validation; frames before it were already visited.
-pub(crate) fn visit_frames<'a>(
-    mut bytes: &'a [u8],
-    mut visit: impl FnMut(u64, &[EventRef<'a>]),
-) -> io::Result<()> {
-    let mut scratch = Vec::new();
-    while !bytes.is_empty() {
-        if bytes.len() < 8 || &bytes[..4] != FRAME_MAGIC {
-            return Err(bad_data("bad frame magic"));
-        }
-        let body_len = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) as usize;
-        if bytes.len() < 8 + body_len || body_len < 20 {
-            return Err(bad_data("truncated frame"));
-        }
-        let (frame, rest) = bytes.split_at(8 + body_len);
-        let seq = validate_frame(frame, &mut scratch).map_err(|(_, detail)| bad_data(detail))?;
-        visit(seq, &scratch);
-        bytes = rest;
+        return Err((DefectKind::BodyOverrun, "frame body overrun"));
     }
     Ok(())
 }
 
-/// Decodes every frame in `bytes` (the inverse of [`encode_frame`] /
-/// [`encode_frame_with`] — both revisions, freely interleaved) into owned
-/// events.
+/// Walks every frame in `bytes`, handing each frame's seq and events to
+/// `visit` only after the frame probed and validated (see
+/// [`validate_frame`]). The events borrow from `bytes` and live in one
+/// scratch buffer reused across frames, so a walk allocates nothing per
+/// event.
 ///
 /// # Errors
 ///
-/// [`io::ErrorKind::InvalidData`] on bad magic, truncation, or a frame that
-/// fails validation — a torn stream tail is corruption, not silence.
+/// What is wrong with the first frame that fails to probe or validate;
+/// frames before it were already visited.
+pub(crate) fn visit_frames<'a>(
+    bytes: &'a [u8],
+    mut visit: impl FnMut(u64, &[EventRef<'a>]),
+) -> Result<(), &'static str> {
+    let mut scratch = Vec::new();
+    let mut offset = 0usize;
+    while offset < bytes.len() {
+        let info = probe_frame(bytes, offset).map_err(|(_, detail)| detail)?;
+        let frame = &bytes[offset..offset + info.len];
+        validate_frame(frame, &mut scratch).map_err(|(_, detail)| detail)?;
+        visit(info.seq, &scratch);
+        offset += info.len;
+    }
+    Ok(())
+}
+
+/// Decodes every frame in `bytes` (the inverse of [`encode_frame`]) into
+/// owned events.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] on bad magic, truncation, a frame of
+/// another revision, or a frame that fails validation — a torn stream tail
+/// is corruption, not silence.
 pub fn decode_frames(bytes: &[u8]) -> io::Result<Vec<StreamFrame>> {
     let mut frames = Vec::new();
     visit_frames(bytes, |seq, events| {
         frames.push(StreamFrame { seq, events: events.iter().map(EventRef::to_owned).collect() });
-    })?;
+    })
+    .map_err(bad_data)?;
     Ok(frames)
 }
 
@@ -1082,7 +1029,7 @@ fn spawn_encode(inner: Arc<Inner>, config: PipelineConfig) -> std::thread::JoinH
                         let t0 = inner.recorder.now_ns();
                         inner.enter(2, spanned.span, t0.saturating_sub(spanned.enqueued_ns));
                         stage.in_items.fetch_add(spanned.item.len() as u64, Ordering::Relaxed);
-                        let frame = encode_frame_with(seq, &spanned.item, config.encoding);
+                        let frame = encode_frame(seq, &spanned.item);
                         seq += 1;
                         let enqueued_ns = inner.recorder.now_ns();
                         let pushed = inner.q_sink.push(

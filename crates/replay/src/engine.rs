@@ -424,9 +424,9 @@ pub fn derive_expectations(states: &[TraceState]) -> Vec<BoundaryExpectation> {
         out.push(BoundaryExpectation {
             fragment: i,
             events_before: prefix.events,
-            bytes_before: Some(prefix.bytes),
+            bytes_before: prefix.bytes,
             max_stamp_before: (!prefix.is_empty()).then_some(prefix.last_stamp),
-            core_bitmap_before: Some(prefix.core_bitmap),
+            core_bitmap_before: prefix.core_bitmap,
         });
         prefix = prefix.merge(state.clone());
     }

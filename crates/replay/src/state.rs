@@ -132,20 +132,20 @@ impl TraceState {
 }
 
 /// What a fragment's index-derived seed promises about the stream **before**
-/// the fragment starts. Fields the index cannot know (footer-less legacy
-/// frames) are `None` and simply not checked.
+/// the fragment starts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BoundaryExpectation {
     /// Fragment index this expectation seeds (0-based).
     pub fragment: usize,
     /// Events in all preceding fragments.
     pub events_before: u64,
-    /// Bytes in all preceding fragments (index accounting), if known.
-    pub bytes_before: Option<u64>,
-    /// Largest stamp in all preceding fragments, if known and non-empty.
+    /// Bytes in all preceding fragments (index accounting).
+    pub bytes_before: u64,
+    /// Largest stamp in all preceding fragments; `None` when no event
+    /// precedes (an empty prefix has no maximum).
     pub max_stamp_before: Option<u64>,
-    /// Folded core bitmap of all preceding fragments, if known.
-    pub core_bitmap_before: Option<u64>,
+    /// Folded core bitmap of all preceding fragments.
+    pub core_bitmap_before: u64,
 }
 
 /// One disagreement between a fragment's decoded exit state and the next
@@ -198,15 +198,13 @@ pub fn check_handoff(
                 found: prefix.events,
             });
         }
-        if let Some(bytes) = expect.bytes_before {
-            if bytes != prefix.bytes {
-                defects.push(BoundaryDefect {
-                    fragment: i,
-                    field: "bytes_before",
-                    expected: bytes,
-                    found: prefix.bytes,
-                });
-            }
+        if expect.bytes_before != prefix.bytes {
+            defects.push(BoundaryDefect {
+                fragment: i,
+                field: "bytes_before",
+                expected: expect.bytes_before,
+                found: prefix.bytes,
+            });
         }
         if let Some(max_stamp) = expect.max_stamp_before {
             if !prefix.is_empty() && max_stamp != prefix.last_stamp {
@@ -218,15 +216,13 @@ pub fn check_handoff(
                 });
             }
         }
-        if let Some(bitmap) = expect.core_bitmap_before {
-            if bitmap != prefix.core_bitmap {
-                defects.push(BoundaryDefect {
-                    fragment: i,
-                    field: "core_bitmap_before",
-                    expected: bitmap,
-                    found: prefix.core_bitmap,
-                });
-            }
+        if expect.core_bitmap_before != prefix.core_bitmap {
+            defects.push(BoundaryDefect {
+                fragment: i,
+                field: "core_bitmap_before",
+                expected: expect.core_bitmap_before,
+                found: prefix.core_bitmap,
+            });
         }
         if i < states.len() {
             prefix = prefix.merge(states[i].clone());
@@ -289,9 +285,9 @@ mod tests {
             BoundaryExpectation {
                 fragment: 1,
                 events_before: 80,
-                bytes_before: Some(states[0].bytes),
+                bytes_before: states[0].bytes,
                 max_stamp_before: Some(79),
-                core_bitmap_before: Some(states[0].core_bitmap),
+                core_bitmap_before: states[0].core_bitmap,
             },
         ];
         assert!(check_handoff(&states, &expectations).is_empty());
@@ -307,9 +303,9 @@ mod tests {
             BoundaryExpectation {
                 fragment: 1,
                 events_before: 81, // index lies by one event
-                bytes_before: None,
+                bytes_before: states[0].bytes,
                 max_stamp_before: Some(42), // and about the newest stamp
-                core_bitmap_before: None,
+                core_bitmap_before: states[0].core_bitmap,
             },
         ];
         let defects = check_handoff(&states, &expectations);

@@ -404,21 +404,28 @@ mod tests {
     fn many_readers_stress() {
         let domain = Domain::new();
         let stop = Arc::new(AtomicBool::new(false));
+        // Every reader is live before the first synchronize.
+        let start = Arc::new(std::sync::Barrier::new(5));
         let readers: Vec<_> = (0..4)
             .map(|_| {
                 let p = domain.register();
                 let stop = Arc::clone(&stop);
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
                     let mut pins = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    start.wait();
+                    loop {
                         let _g = p.pin();
                         pins += 1;
                         std::hint::spin_loop();
+                        if stop.load(Ordering::Relaxed) {
+                            return pins;
+                        }
                     }
-                    pins
                 })
             })
             .collect();
+        start.wait();
         for _ in 0..50 {
             domain.synchronize();
         }

@@ -17,9 +17,7 @@
 
 use btrace::atrace::{Atrace, Level, OwnedEvent, TraceEvent};
 use btrace::core::{BTrace, Config};
-use btrace::persist::{
-    analyze_frames, encode_stream, AnalyzeOptions, Collector, CollectorConfig, TraceDump,
-};
+use btrace::persist::{analyze_frames, AnalyzeOptions, Collector, CollectorConfig, TraceStore};
 use std::sync::Arc;
 
 const CORES: usize = 8;
@@ -87,13 +85,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dump_path = collector.trigger("frame-drops-after-throttle")?;
     println!("symptom detected; buffer dumped to {}", dump_path.display());
 
-    // Offline triage runs fragment-parallel: the dump is re-framed, split
-    // at frame boundaries, and analyzed as a map-reduce over 4 workers —
-    // bit-identical to the sequential readout, with the boundary hand-off
-    // check vouching that no fragment was lost between workers.
-    let frames = encode_stream(TraceDump::read_from(&dump_path)?.events(), 512);
-    let parallel = analyze_frames(&frames, &AnalyzeOptions { threads: 4, ..Default::default() })?;
-    let sequential = analyze_frames(&frames, &AnalyzeOptions::default())?;
+    // Offline triage runs fragment-parallel: the dump's frames are opened
+    // in place, split at frame boundaries, and analyzed as a map-reduce
+    // over 4 workers — bit-identical to the sequential readout, with the
+    // boundary hand-off check vouching that no fragment was lost between
+    // workers.
+    let store = TraceStore::open(&dump_path)?;
+    let frames = store.bytes();
+    let parallel = analyze_frames(frames, &AnalyzeOptions { threads: 4, ..Default::default() })?;
+    let sequential = analyze_frames(frames, &AnalyzeOptions::default())?;
     assert_eq!(parallel.analysis, sequential.analysis, "parallel triage must be bit-identical");
     assert!(parallel.defects.is_empty(), "healthy dump must hand off cleanly between fragments");
     println!(

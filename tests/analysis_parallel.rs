@@ -1,6 +1,6 @@
 //! Differential suite for the fragment-parallel analysis engine: the same
-//! seeded workload — fault storms, mid-run resizes, lapped streams, mixed
-//! legacy/footered frames — is analyzed sequentially (one fragment, one
+//! seeded workload — fault storms, mid-run resizes, lapped streams, empty
+//! frames — is analyzed sequentially (one fragment, one
 //! thread) and fragment-parallel at several thread/fragment shapes, and
 //! every readout must be **bit-identical**:
 //!
@@ -43,42 +43,9 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a, mirroring the frame codec — the suite hand-rolls footer-less
-/// legacy frames to keep the mixed-stream path honest.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
-/// Encodes a frame in the pre-footer layout: `seq | count | events | crc`.
-fn encode_legacy_frame(seq: u64, events: &[FullEvent]) -> Vec<u8> {
-    let mut body = Vec::new();
-    body.extend_from_slice(&seq.to_le_bytes());
-    body.extend_from_slice(&(events.len() as u32).to_le_bytes());
-    for e in events {
-        body.extend_from_slice(&e.stamp.to_le_bytes());
-        body.extend_from_slice(&e.core.to_le_bytes());
-        body.extend_from_slice(&e.tid.to_le_bytes());
-        body.extend_from_slice(&(e.payload.len() as u32).to_le_bytes());
-        body.extend_from_slice(&e.payload);
-    }
-    let mut frame = Vec::new();
-    frame.extend_from_slice(b"BTSF");
-    frame.extend_from_slice(&((body.len() + 8) as u32).to_le_bytes());
-    frame.extend_from_slice(&body);
-    let crc = fnv(&frame);
-    frame.extend_from_slice(&crc.to_le_bytes());
-    frame
-}
-
 /// Drives a fault-stormed, resizing, occasionally-lapped workload and
 /// frames whatever the stream delivers — exactly what `btrace stream
-/// --out` persists. Some frames are emitted in the legacy footer-less
-/// layout and some are empty, so splitting must survive both.
+/// --out` persists. Some frames are empty, so splitting must survive them.
 fn build_stream(seed: u64) -> Vec<u8> {
     let mut rng = seed;
     let n_ops = 2_000 + splitmix(&mut rng) % 2_000;
@@ -109,10 +76,8 @@ fn build_stream(seed: u64) -> Vec<u8> {
 
     let mut out = Vec::new();
     let mut seq = 0u64;
-    let emit = |events: Vec<FullEvent>, legacy: bool, out: &mut Vec<u8>, seq: &mut u64| {
-        let frame =
-            if legacy { encode_legacy_frame(*seq, &events) } else { encode_frame(*seq, &events) };
-        out.extend_from_slice(&frame);
+    let emit = |events: Vec<FullEvent>, out: &mut Vec<u8>, seq: &mut u64| {
+        out.extend_from_slice(&encode_frame(*seq, &events));
         *seq += 1;
     };
 
@@ -139,7 +104,6 @@ fn build_stream(seed: u64) -> Vec<u8> {
         next_poll -= 1;
         if next_poll == 0 {
             let batch = stream.poll();
-            let legacy = splitmix(&mut rng).is_multiple_of(3);
             if !batch.events.is_empty() || splitmix(&mut rng).is_multiple_of(13) {
                 let events: Vec<FullEvent> = batch
                     .events
@@ -151,7 +115,7 @@ fn build_stream(seed: u64) -> Vec<u8> {
                         payload: e.payload().to_vec(),
                     })
                     .collect();
-                emit(events, legacy, &mut out, &mut seq);
+                emit(events, &mut out, &mut seq);
             }
             next_poll = 1 + splitmix(&mut rng) % 200;
         }
@@ -168,7 +132,7 @@ fn build_stream(seed: u64) -> Vec<u8> {
             payload: e.payload().to_vec(),
         })
         .collect();
-    emit(events, false, &mut out, &mut seq);
+    emit(events, &mut out, &mut seq);
     out
 }
 

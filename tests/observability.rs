@@ -10,7 +10,7 @@
 
 use btrace::analysis::diagnose;
 use btrace::core::{BTrace, Backing, Config, FaultPlan};
-use btrace::persist::{Backpressure, NullFrameSink, PipelineConfig, StreamPipeline};
+use btrace::persist::{Backpressure, FrameSink, PipelineConfig, StreamPipeline};
 use btrace::telemetry::EventKind;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -74,14 +74,28 @@ fn every_injected_fault_appears_in_the_flight_recorder() {
     assert_eq!(fault_counts, expected, "fault events must carry cumulative counts");
 }
 
+/// A sink slower than the pipeline feeding it. Even with the pipeline
+/// threads starved by spinning producers, frames arrive every few tens of
+/// milliseconds; this sink takes one per 100 ms.
+struct StallingSink;
+
+impl FrameSink for StallingSink {
+    fn write_frame(&mut self, _frame: &[u8]) -> std::io::Result<()> {
+        std::thread::sleep(Duration::from_millis(100));
+        Ok(())
+    }
+}
+
 #[test]
 fn doctor_diagnoses_a_live_fault_storm() {
     let t = Arc::new(storm_tracer(0x5EED));
-    // A depth-1 shedding pipeline under spinning producers: loss is
-    // guaranteed to show up as recorder StageDrop events.
+    // A depth-1 shedding pipeline under spinning producers, draining into a
+    // sink that stalls on every frame: frames arrive faster than the sink
+    // takes them for the whole storm, so the encode stage sheds, and loss
+    // shows up as recorder StageDrop events after the sabotaged grow.
     let pipeline = StreamPipeline::spawn(
         Arc::clone(&t),
-        Box::new(NullFrameSink::default()),
+        Box::new(StallingSink),
         PipelineConfig {
             poll_interval: Duration::from_millis(1),
             queue_depth: 1,

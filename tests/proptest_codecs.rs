@@ -1,11 +1,9 @@
-//! Property tests for the serialization layers: the atrace event codec and
-//! the persist dump format.
+//! Property tests for the serialization layers: the atrace event codec,
+//! the BTSF frame codec, and the persist dump format.
 
 use btrace::atrace::{OwnedEvent, TraceEvent};
 use btrace::core::sink::FullEvent;
-use btrace::persist::{
-    decode_frames, encode_frame_with, scan_frames, split_fragments, FrameEncoding, TraceDump,
-};
+use btrace::persist::{decode_frames, encode_frame, scan_frames, split_fragments, TraceDump};
 use proptest::prelude::*;
 
 fn arb_trace_event() -> impl Strategy<Value = OwnedEvent> {
@@ -33,8 +31,7 @@ fn arb_trace_event() -> impl Strategy<Value = OwnedEvent> {
 }
 
 /// Raw events for the frame codecs: stamps are *unconstrained* (the delta
-/// codec must zigzag backwards jumps), payloads range from empty to
-/// well past a plain frame's per-event inline overhead.
+/// codec must zigzag backwards jumps), payloads range from empty to 2 KiB.
 fn arb_full_events(frames: usize) -> impl Strategy<Value = Vec<Vec<FullEvent>>> {
     let payload = prop_oneof![
         Just(Vec::new()),
@@ -101,7 +98,7 @@ proptest! {
 
     #[test]
     fn dump_roundtrips(
-        label in "[ -~]{0,40}",
+        label in "[ -~¡-ÿ€𝄞]{0,40}",
         raw in proptest::collection::vec(
             (any::<u64>(), any::<u16>(), any::<u32>(), proptest::collection::vec(any::<u8>(), 0..64)),
             0..100,
@@ -130,11 +127,7 @@ proptest! {
     ) {
         let mut bytes = Vec::new();
         for (i, events) in batches.iter().enumerate() {
-            bytes.extend_from_slice(&encode_frame_with(
-                u64::from(seq0) + i as u64,
-                events,
-                FrameEncoding::Compressed,
-            ));
+            bytes.extend_from_slice(&encode_frame(u64::from(seq0) + i as u64, events));
         }
         let frames = decode_frames(&bytes).expect("compressed stream decodes");
         prop_assert_eq!(frames.len(), batches.len());
@@ -145,45 +138,31 @@ proptest! {
         // original bytes, so the roundtrip is exact at the byte level too.
         let mut reencoded = Vec::new();
         for frame in &frames {
-            reencoded.extend_from_slice(&encode_frame_with(
-                frame.seq,
-                &frame.events,
-                FrameEncoding::Compressed,
-            ));
+            reencoded.extend_from_slice(&encode_frame(frame.seq, &frame.events));
         }
         prop_assert_eq!(reencoded, bytes);
     }
 
-    /// Mixed plain/compressed streams: `scan_frames` reports the version
-    /// bit per frame and tiles the byte stream exactly; `split_fragments`
+    /// `scan_frames` tiles the byte stream exactly; `split_fragments`
     /// partitions frames, bytes, and event counts without loss, and each
     /// fragment decodes to precisely its slice of the stream.
     #[test]
-    fn mixed_version_streams_scan_and_split_cleanly(
+    fn streams_scan_and_split_cleanly(
         batches in arb_full_events(8),
-        version_picks in proptest::collection::vec(any::<bool>(), 8..9),
         parts in 1usize..6,
     ) {
         let mut bytes = Vec::new();
-        let mut encodings = Vec::new();
         for (i, events) in batches.iter().enumerate() {
-            let encoding = if version_picks[i % version_picks.len()] {
-                FrameEncoding::Compressed
-            } else {
-                FrameEncoding::Plain
-            };
-            encodings.push(encoding);
-            bytes.extend_from_slice(&encode_frame_with(i as u64, events, encoding));
+            bytes.extend_from_slice(&encode_frame(i as u64, events));
         }
 
-        let infos = scan_frames(&bytes).expect("mixed stream scans");
+        let infos = scan_frames(&bytes).expect("stream scans");
         prop_assert_eq!(infos.len(), batches.len());
         let mut cursor = 0usize;
         for (i, info) in infos.iter().enumerate() {
             prop_assert_eq!(info.offset, cursor, "frames must tile the stream");
             prop_assert_eq!(info.seq, i as u64);
             prop_assert_eq!(info.events as usize, batches[i].len());
-            prop_assert_eq!(info.compressed, encodings[i] == FrameEncoding::Compressed);
             cursor += info.len;
         }
         prop_assert_eq!(cursor, bytes.len());
@@ -208,4 +187,25 @@ proptest! {
         let flat: Vec<FullEvent> = batches.into_iter().flatten().collect();
         prop_assert_eq!(decoded, flat);
     }
+}
+
+/// The frame layout is pinned: a fixed event list encodes to a known
+/// length and FNV-1a digest, so any byte-level change to the codec fails
+/// here first.
+#[test]
+fn frame_bytes_are_pinned() {
+    let events: Vec<FullEvent> = (0..40u64)
+        .map(|i| FullEvent {
+            stamp: 1_000 + i * i * 7 - (i % 3) * 5,
+            core: (i % 5) as u16 * 13,
+            tid: 4_000 + (i % 7) as u32 * 300,
+            payload: (0..(i % 11) as u8 * 3).map(|b| b ^ i as u8).collect(),
+        })
+        .collect();
+    let mut bytes = encode_frame(9, &events);
+    bytes.extend_from_slice(&encode_frame(10, &[]));
+    let digest = bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3));
+    assert_eq!((bytes.len(), digest), (929, 0x0be8_d322_c8c7_51f4));
 }

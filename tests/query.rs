@@ -1,10 +1,8 @@
 //! Conformance suite for the queryable trace store.
 //!
 //! **Oracle differential**: seeded workloads (fault storms, mid-run
-//! resizes, lapped streams) are dumped to BTSF with a *mixed* frame
-//! population — legacy footer-less, plain-footered, compressed, and empty
-//! frames in one file — and every generated predicate is resolved two
-//! ways:
+//! resizes, lapped streams) are dumped to BTSF, empty frames included, and
+//! every generated predicate is resolved two ways:
 //!
 //! * through [`TraceStore`] + [`Query`] (footer pruning, per-frame decode,
 //!   monoid partials), and
@@ -17,9 +15,10 @@
 //! replay line (`BTRACE_QUERY_SEED=<seed> cargo test --test query`).
 //!
 //! **Corruption battery**: bits are flipped in headers, bodies, footers,
-//! and length fields, and files are truncated mid-frame and mid-footer —
-//! every case must surface as a typed per-frame defect, intact frames must
-//! stay queryable, and nothing may panic.
+//! and length fields, files are truncated mid-frame and mid-footer, and
+//! frames of the retired fixed-width revision are spliced in — every case
+//! must surface as a typed per-frame defect, intact frames must stay
+//! queryable, and nothing may panic.
 
 use btrace::analysis::{gap_map, GapMapOptions, TracePartial};
 use btrace::atrace::{Category, TraceEvent};
@@ -27,9 +26,8 @@ use btrace::core::event::encoded_len;
 use btrace::core::sink::{CollectedEvent, FullEvent};
 use btrace::core::{BTrace, Backing, Config, TraceError};
 use btrace::persist::{
-    analyze_frames, analyze_frames_with, decode_frames, encode_frame, encode_frame_with,
-    AnalyzeOptions, DefectKind, FrameEncoding, Predicate, Query, QueryOptions, StoreFrame,
-    TraceStore,
+    analyze_frames, analyze_frames_with, decode_frames, encode_frame, AnalyzeOptions, Collector,
+    CollectorConfig, DefectKind, FrameInfo, Predicate, Query, QueryOptions, TraceDump, TraceStore,
 };
 use btrace::replay::TraceState;
 use btrace::vmem::FaultPlan;
@@ -50,8 +48,8 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a, mirroring the frame codec — the suite hand-rolls footer-less
-/// legacy frames to keep the mixed-population path honest.
+/// FNV-1a, mirroring the frame codec — the suite re-seals damaged frames
+/// and hand-rolls fixed-width ones behind valid checksums.
 fn fnv(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -59,27 +57,6 @@ fn fnv(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x100_0000_01b3);
     }
     hash
-}
-
-/// Encodes a frame in the pre-footer layout: `seq | count | events | crc`.
-fn encode_legacy_frame(seq: u64, events: &[FullEvent]) -> Vec<u8> {
-    let mut body = Vec::new();
-    body.extend_from_slice(&seq.to_le_bytes());
-    body.extend_from_slice(&(events.len() as u32).to_le_bytes());
-    for e in events {
-        body.extend_from_slice(&e.stamp.to_le_bytes());
-        body.extend_from_slice(&e.core.to_le_bytes());
-        body.extend_from_slice(&e.tid.to_le_bytes());
-        body.extend_from_slice(&(e.payload.len() as u32).to_le_bytes());
-        body.extend_from_slice(&e.payload);
-    }
-    let mut frame = Vec::new();
-    frame.extend_from_slice(b"BTSF");
-    frame.extend_from_slice(&((body.len() + 8) as u32).to_le_bytes());
-    frame.extend_from_slice(&body);
-    let crc = fnv(&frame);
-    frame.extend_from_slice(&crc.to_le_bytes());
-    frame
 }
 
 /// A seeded atrace payload — roughly half the workload carries decodable
@@ -116,9 +93,7 @@ fn payload_for(rng: &mut u64, stamp: u64) -> Vec<u8> {
 }
 
 /// Drives a fault-stormed, resizing, occasionally-lapped workload and
-/// frames whatever the stream delivers, rotating the frame layout through
-/// legacy / plain / compressed (plus the occasional empty frame) so one
-/// file carries every revision the store must read.
+/// frames whatever the stream delivers (plus the occasional empty frame).
 fn build_stream(seed: u64) -> Vec<u8> {
     let mut rng = seed;
     let n_ops = 2_000 + splitmix(&mut rng) % 2_000;
@@ -144,13 +119,8 @@ fn build_stream(seed: u64) -> Vec<u8> {
 
     let mut out = Vec::new();
     let mut seq = 0u64;
-    let mut emit = |events: Vec<FullEvent>, layout: u64, out: &mut Vec<u8>| {
-        let frame = match layout % 3 {
-            0 => encode_legacy_frame(seq, &events),
-            1 => encode_frame(seq, &events),
-            _ => encode_frame_with(seq, &events, FrameEncoding::Compressed),
-        };
-        out.extend_from_slice(&frame);
+    let mut emit = |events: Vec<FullEvent>, out: &mut Vec<u8>| {
+        out.extend_from_slice(&encode_frame(seq, &events));
         seq += 1;
     };
 
@@ -174,7 +144,6 @@ fn build_stream(seed: u64) -> Vec<u8> {
         next_poll -= 1;
         if next_poll == 0 {
             let batch = stream.poll();
-            let layout = splitmix(&mut rng);
             if !batch.events.is_empty() || splitmix(&mut rng).is_multiple_of(13) {
                 let events: Vec<FullEvent> = batch
                     .events
@@ -186,7 +155,7 @@ fn build_stream(seed: u64) -> Vec<u8> {
                         payload: e.payload().to_vec(),
                     })
                     .collect();
-                emit(events, layout, &mut out);
+                emit(events, &mut out);
             }
             next_poll = 1 + splitmix(&mut rng) % 200;
         }
@@ -203,7 +172,7 @@ fn build_stream(seed: u64) -> Vec<u8> {
             payload: e.payload().to_vec(),
         })
         .collect();
-    emit(events, 2, &mut out);
+    emit(events, &mut out);
     out
 }
 
@@ -447,17 +416,16 @@ fn battery_events(n: u64) -> Vec<FullEvent> {
         .collect()
 }
 
-/// A six-frame stream with known per-frame contents, alternating plain and
-/// compressed (frame 4 empty), so the battery knows exactly which events
-/// each surviving frame must still yield.
+/// A six-frame stream with known per-frame contents (frame 4 empty), so the
+/// battery knows exactly which events each surviving frame must still
+/// yield.
 fn battery_stream() -> (Vec<u8>, Vec<Vec<FullEvent>>) {
     let events = battery_events(100);
     let mut frames: Vec<Vec<FullEvent>> = events.chunks(20).map(<[FullEvent]>::to_vec).collect();
     frames.insert(4, Vec::new());
     let mut bytes = Vec::new();
     for (seq, frame) in frames.iter().enumerate() {
-        let encoding = if seq % 2 == 0 { FrameEncoding::Plain } else { FrameEncoding::Compressed };
-        bytes.extend_from_slice(&encode_frame_with(seq as u64, frame, encoding));
+        bytes.extend_from_slice(&encode_frame(seq as u64, frame));
     }
     (bytes, frames)
 }
@@ -607,26 +575,19 @@ fn truncation_anywhere_is_contained() {
 /// the checksum passes and only the event-section check can catch it.
 fn overrun_behind_valid_crc(
     bytes: &mut [u8],
-    frame: &StoreFrame,
+    frame: &FrameInfo,
     events: &[FullEvent],
     victim: usize,
-    encoding: FrameEncoding,
 ) {
     // The event sections of a frame and of its prefix agree byte for byte,
     // so the prefix encoding locates the victim's payload (footer 40 and
     // crc 8 bytes sit behind it).
-    let prefix = encode_frame_with(frame.seq, &events[..=victim], encoding);
+    let prefix = encode_frame(frame.seq, &events[..=victim]);
     let payload_at = frame.offset + prefix.len() - 48 - events[victim].payload.len();
     assert!(events[victim].payload.len() >= 3, "room for the widened varint");
-    match encoding {
-        // The u32 length right before the payload.
-        FrameEncoding::Plain => {
-            bytes[payload_at - 4..payload_at].copy_from_slice(&0x00FF_FFFFu32.to_le_bytes());
-        }
-        // The one-byte varint length becomes a four-byte 2^28 - 1 that
-        // swallows the payload's first three bytes.
-        _ => bytes[payload_at - 1..payload_at + 3].copy_from_slice(&[0xFF, 0xFF, 0xFF, 0x7F]),
-    }
+    // The one-byte varint length becomes a four-byte 2^28 - 1 that swallows
+    // the payload's first three bytes.
+    bytes[payload_at - 1..payload_at + 3].copy_from_slice(&[0xFF, 0xFF, 0xFF, 0x7F]);
     let end = frame.offset + frame.len - 8;
     let crc = fnv(&bytes[frame.offset..end]);
     bytes[end..end + 8].copy_from_slice(&crc.to_le_bytes());
@@ -636,11 +597,11 @@ fn overrun_behind_valid_crc(
 fn overrun_behind_a_valid_checksum_contributes_nothing() {
     let (clean, frames) = battery_stream();
     let directory = TraceStore::from_bytes(clean.clone()).frames().to_vec();
-    // Frame 0 is plain, frame 1 compressed; event 10 of 20 overruns, so
-    // ten events decode cleanly before the damage is found.
-    for (victim, encoding) in [(0usize, FrameEncoding::Plain), (1, FrameEncoding::Compressed)] {
+    // Event 10 of 20 overruns, so ten events decode cleanly before the
+    // damage is found.
+    for victim in [0usize, 1] {
         let mut bytes = clean.clone();
-        overrun_behind_valid_crc(&mut bytes, &directory[victim], &frames[victim], 10, encoding);
+        overrun_behind_valid_crc(&mut bytes, &directory[victim], &frames[victim], 10);
         let store = TraceStore::from_bytes(bytes.clone());
         assert!(store.defects().is_empty(), "structure is intact");
         assert_eq!(store.frames().len(), frames.len());
@@ -651,9 +612,9 @@ fn overrun_behind_a_valid_checksum_contributes_nothing() {
         store.decode_frame_refs(2, &mut refs).expect("frame 2 is intact");
         assert!(!refs.is_empty());
         let err = store.decode_frame_refs(victim, &mut refs).expect_err("overrun frame");
-        assert_eq!(err.kind, DefectKind::BodyOverrun, "{encoding:?}: {err}");
+        assert_eq!(err.kind, DefectKind::BodyOverrun, "frame {victim}: {err}");
         assert_eq!(err.frame, victim);
-        assert!(refs.is_empty(), "{encoding:?}: a defective frame must hand out no event");
+        assert!(refs.is_empty(), "frame {victim}: a defective frame must hand out no event");
 
         // The query reports the defect, counts none of the victim's events,
         // and every other frame still answers.
@@ -669,7 +630,7 @@ fn overrun_behind_a_valid_checksum_contributes_nothing() {
                 ..Default::default()
             };
             let report = q.run(&store);
-            assert_eq!(report.defects.len(), 1, "{encoding:?}: {:?}", report.defects);
+            assert_eq!(report.defects.len(), 1, "frame {victim}: {:?}", report.defects);
             assert_eq!(report.defects[0].kind, DefectKind::BodyOverrun);
             assert_eq!(report.matched_events, survivors.len() as u64);
             if collect_events {
@@ -679,7 +640,7 @@ fn overrun_behind_a_valid_checksum_contributes_nothing() {
             for e in &survivors {
                 state.record(e.core, e.tid, e.stamp, e.payload.len() as u64);
             }
-            assert_eq!(report.state, state, "{encoding:?}: the victim leaked into the state");
+            assert_eq!(report.state, state, "frame {victim}: the victim leaked into the state");
         }
         let core = Query::new(Predicate { cores: vec![2], ..Default::default() }).run(&store);
         assert_eq!(core.matched_events, survivors.iter().filter(|e| e.core == 2).count() as u64);
@@ -691,6 +652,119 @@ fn overrun_behind_a_valid_checksum_contributes_nothing() {
             .expect_err("overrun stream must not analyze");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
+}
+
+/// A frame in the retired fixed-width layout (revision 1): no revision
+/// flag in the count, 18 bytes of fields before each payload, optionally
+/// the index footer, and a valid crc.
+fn fixed_width_frame(seq: u64, events: &[FullEvent], footer: bool) -> Vec<u8> {
+    let mut frame = b"BTSF\0\0\0\0".to_vec();
+    frame.extend_from_slice(&seq.to_le_bytes());
+    frame.extend_from_slice(&(events.len() as u32).to_le_bytes());
+    for e in events {
+        frame.extend_from_slice(&e.stamp.to_le_bytes());
+        frame.extend_from_slice(&e.core.to_le_bytes());
+        frame.extend_from_slice(&e.tid.to_le_bytes());
+        frame.extend_from_slice(&(e.payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&e.payload);
+    }
+    if footer {
+        frame.extend_from_slice(b"FIDX");
+        frame.extend_from_slice(
+            &events.iter().map(|e| e.stamp).min().unwrap_or(u64::MAX).to_le_bytes(),
+        );
+        frame.extend_from_slice(&events.iter().map(|e| e.stamp).max().unwrap_or(0).to_le_bytes());
+        let bitmap = events.iter().fold(0u64, |b, e| b | 1 << (e.core as u64).min(63));
+        frame.extend_from_slice(&bitmap.to_le_bytes());
+        frame.extend_from_slice(&(events.len() as u32).to_le_bytes());
+        let payload: u64 = events.iter().map(|e| e.payload.len() as u64).sum();
+        frame.extend_from_slice(&payload.to_le_bytes());
+    }
+    // body_len counts everything after itself, the crc included.
+    let body_len = frame.len() as u32;
+    frame[4..8].copy_from_slice(&body_len.to_le_bytes());
+    let crc = fnv(&frame);
+    frame.extend_from_slice(&crc.to_le_bytes());
+    frame
+}
+
+#[test]
+fn fixed_width_frames_are_typed_defects_never_decoded() {
+    let (clean, frames) = battery_stream();
+    let directory = TraceStore::from_bytes(clean.clone()).frames().to_vec();
+    for footer in [false, true] {
+        // Frame 2 is replaced by the same events in the fixed-width layout.
+        let mut bytes = clean[..directory[2].offset].to_vec();
+        bytes.extend_from_slice(&fixed_width_frame(2, &frames[2], footer));
+        bytes.extend_from_slice(&clean[directory[3].offset..]);
+
+        let store = TraceStore::from_bytes(bytes.clone());
+        assert_eq!(store.defects().len(), 1, "footer {footer}: {:?}", store.defects());
+        assert_eq!(store.defects()[0].kind, DefectKind::UnknownRevision);
+        let seqs: Vec<u64> = store.frames().iter().map(|f| f.seq).collect();
+        assert_eq!(seqs, [0, 1, 3, 4, 5], "the store resyncs past the old frame");
+        let report = Query::new(Predicate::default()).run(&store);
+        let survivors = frames.iter().enumerate().filter(|&(seq, _)| seq != 2);
+        assert_eq!(report.matched_events, survivors.map(|(_, f)| f.len() as u64).sum::<u64>());
+        assert_eq!(report.defects[0].kind, DefectKind::UnknownRevision);
+
+        let err = decode_frames(&bytes).expect_err("old frame must not decode");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let err = analyze_frames(&bytes, &AnalyzeOptions::default())
+            .expect_err("old frame must not analyze");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+}
+
+/// A collector dump opens in place: the store skips its label header, and
+/// the query and analyzer over the frame section see exactly what
+/// `TraceDump::read_from` reads.
+#[test]
+fn collector_dump_opens_in_place_through_the_store() {
+    let tracer = std::sync::Arc::new(
+        BTrace::new(
+            Config::new(CORES).block_bytes(BLOCK).active_blocks(ACTIVE).buffer_bytes(8 * STRIDE),
+        )
+        .expect("valid configuration"),
+    );
+    let mut rng = 0x0D0_5EED_u64;
+    for stamp in 0..1_500u64 {
+        let core = (splitmix(&mut rng) as usize) % CORES;
+        let payload = payload_for(&mut rng, stamp);
+        tracer.producer(core).unwrap().record_with(stamp, core as u32, &payload).unwrap();
+    }
+    let dir = std::env::temp_dir().join(format!("btrace-query-dump-{}", std::process::id()));
+    let collector = Collector::new(std::sync::Arc::clone(&tracer), CollectorConfig::new(&dir))
+        .expect("collector");
+    let path = collector.trigger("anr").expect("dump written");
+
+    let dump = TraceDump::read_from(&path).expect("dump reads");
+    assert!(!dump.events().is_empty());
+    let store = TraceStore::open(&path).expect("dump opens");
+    assert!(store.defects().is_empty(), "{:?}", store.defects());
+    assert_eq!(store.total_events(), dump.events().len() as u64);
+
+    let report = Query {
+        options: QueryOptions { collect_events: true, ..Default::default() },
+        ..Default::default()
+    }
+    .run(&store);
+    assert!(report.defects.is_empty());
+    assert_eq!(report.events, dump.events());
+    let mut state = TraceState::empty();
+    for e in dump.events() {
+        state.record(e.core, e.tid, e.stamp, e.payload.len() as u64);
+    }
+    assert_eq!(report.state, state);
+    let whole = TracePartial::map(&collect(dump.events())).finish(0, 8);
+    assert_eq!(report.analysis, whole, "metrics and per-core counts");
+
+    let par = analyze_frames(store.bytes(), &AnalyzeOptions { threads: 2, ..Default::default() })
+        .expect("dump frames analyze");
+    assert!(par.defects.is_empty(), "{:?}", par.defects);
+    assert_eq!(par.state, state);
+    assert_eq!(par.analysis, whole);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
