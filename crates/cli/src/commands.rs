@@ -4,11 +4,11 @@ use btrace_analysis::{diagnose, gap_map, GapMapOptions, Table, TraceAnalysis, Tr
 use btrace_atrace::Category;
 use btrace_baselines::{Bbq, PerCoreDropNewest, PerCoreOverwrite, PerThread};
 use btrace_core::sink::CollectedEvent;
-use btrace_core::{BTrace, Backing, Config, FaultPlan};
+use btrace_core::{BTrace, Backing, Config, FaultPlan, RingSnapshot};
 use btrace_persist::{
-    analyze_frames, analyze_frames_with, AnalyzeOptions, Backpressure, FileFrameSink, FrameSink,
-    JsonlExporter, NullFrameSink, ParallelAnalysis, PipelineConfig, Predicate, PrometheusExporter,
-    Query, StreamPipeline, TraceDump, TraceStore,
+    analyze_frames, analyze_frames_with, write_snapshot, AnalyzeOptions, Backpressure,
+    FileFrameSink, FrameSink, JsonlExporter, NullFrameSink, ParallelAnalysis, PipelineConfig,
+    Predicate, PrometheusExporter, Query, StreamPipeline, TraceDump, TraceStore,
 };
 use btrace_replay::{scenarios, ReplayConfig, ReplayReport, Replayer};
 use btrace_telemetry::{
@@ -399,10 +399,11 @@ pub fn dump(scenario: &str, out: &str, scale: f64) -> i32 {
     };
     let config = ReplayConfig { scale, latency_sample_every: 0, ..ReplayConfig::table2() };
     Replayer::new(s, config).run(&tracer);
-    let dump = TraceDump::capture(scenario, &tracer);
-    match dump.write_to(Path::new(out)) {
+    let mut snapshot = RingSnapshot::new();
+    tracer.consumer().snapshot(&mut snapshot);
+    match write_snapshot(Path::new(out), scenario, &snapshot) {
         Ok(()) => {
-            println!("wrote {} events to {out}", dump.events().len());
+            println!("wrote {} events to {out}", snapshot.count());
             0
         }
         Err(e) => {

@@ -130,6 +130,22 @@ pub fn encoded_len(payload_len: usize) -> usize {
     (HEADER_BYTES + payload_len + ENTRY_ALIGN - 1) & !(ENTRY_ALIGN - 1)
 }
 
+/// A `Data` entry read in place from a block snapshot: header fields by
+/// value, payload borrowed from the snapshot bytes. What the entry walker
+/// hands its visitor, so a reader that only encodes or filters copies
+/// nothing per event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntryView<'a> {
+    /// Logic stamp assigned at record time.
+    pub stamp: u64,
+    /// Core the event was recorded on.
+    pub core: u8,
+    /// Producer thread id.
+    pub tid: u32,
+    /// The recorded payload bytes, borrowed from the snapshot.
+    pub payload: &'a [u8],
+}
+
 /// An owned trace event as returned by consumers.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Event {

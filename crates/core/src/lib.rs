@@ -70,9 +70,9 @@ mod telem;
 
 pub use buffer::BTrace;
 pub use config::Config;
-pub use consumer::{BlockCounts, Consumer, ReaderPin, Readout};
+pub use consumer::{BlockCounts, Consumer, ReaderPin, Readout, RingSnapshot};
 pub use error::TraceError;
-pub use event::Event;
+pub use event::{EntryView, Event};
 pub use producer::{Grant, Producer};
 pub use stats::{Degraded, Stats, TracerState};
 pub use stream::{DrainedBatch, ShardedStreamConsumer, StreamConsumer, StreamShard, StreamStats};

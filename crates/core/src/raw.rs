@@ -96,13 +96,22 @@ impl DataRegion {
     /// length, never read past the reserved capacity.
     pub(crate) fn load_bytes(&self, byte_off: usize, out: &mut Vec<u8>, len: usize) {
         out.clear();
+        self.append_bytes(byte_off, out, len);
+    }
+
+    /// Like [`Self::load_bytes`], but appends to `out` instead of
+    /// replacing its contents.
+    pub(crate) fn append_bytes(&self, byte_off: usize, out: &mut Vec<u8>, len: usize) {
         if len == 0 {
             return;
         }
         let words = len.div_ceil(8);
         out.reserve(words * 8);
         let base = self.word_run(byte_off, words);
-        let dst = out.as_mut_ptr();
+        let start = out.len();
+        // SAFETY: `reserve` above made room for `words * 8` bytes past
+        // `start`.
+        let dst = unsafe { out.as_mut_ptr().add(start) };
         for i in 0..words {
             // SAFETY: `base + i` is inside the run checked by `word_run`;
             // the destination writes land within the `words * 8` bytes
@@ -112,8 +121,9 @@ impl DataRegion {
                 (dst.add(i * 8) as *mut [u8; 8]).write_unaligned(w.to_le_bytes());
             }
         }
-        // SAFETY: the first `words * 8 >= len` bytes were just initialized.
-        unsafe { out.set_len(len) };
+        // SAFETY: the `words * 8 >= len` bytes past `start` were just
+        // initialized.
+        unsafe { out.set_len(start + len) };
     }
 }
 

@@ -172,7 +172,7 @@ fn read_incremental(
         return BlockState::Unavailable;
     }
 
-    let parsed_to = parse_from(scratch, from, gpos, &mut out.events);
+    let parsed_to = crate::consumer::push_events(scratch, from, gpos, &mut out.events);
     if open {
         open_map.insert(gpos, parsed_to);
         BlockState::Open
@@ -190,36 +190,6 @@ enum BlockState {
     Pending,
     /// Skipped, recycled, or never started for this sequence number.
     Unavailable,
-}
-
-/// Parses entries starting at `from`, returning the offset parsing stopped
-/// at (entry-aligned, for resumption).
-fn parse_from(snapshot: &[u8], from: usize, gpos: u64, out: &mut Vec<Event>) -> usize {
-    let mut off = from;
-    while off + 8 <= snapshot.len() {
-        let word0 = u64::from_le_bytes(snapshot[off..off + 8].try_into().expect("8 bytes"));
-        let word1 = if off + 16 <= snapshot.len() {
-            u64::from_le_bytes(snapshot[off + 8..off + 16].try_into().expect("8 bytes"))
-        } else {
-            0
-        };
-        let Some(header) = EntryHeader::decode([word0, word1]) else { return off };
-        let len = header.len as usize;
-        if len == 0 || off + len > snapshot.len() {
-            return off;
-        }
-        if header.kind == EntryKind::Data {
-            if let Some(payload_len) = header.payload_len() {
-                if off + HEADER_BYTES + payload_len <= snapshot.len() {
-                    let payload =
-                        snapshot[off + HEADER_BYTES..off + HEADER_BYTES + payload_len].to_vec();
-                    out.push(Event::new(header.stamp, header.core, header.tid, gpos, payload));
-                }
-            }
-        }
-        off += len;
-    }
-    off
 }
 
 impl std::fmt::Debug for TailReader {

@@ -617,3 +617,68 @@ fn same_seed_same_interleaving() {
     let y = fingerprint(scenario, 3, 400_000);
     assert_ne!(x, y, "different seeds should (virtually always) diverge");
 }
+
+/// Streaming hand-off under free interleaving: two cores record while a
+/// stream consumer polls. A producer can claim a sequence number and be
+/// preempted before it locks the block, while the other core claims the
+/// next ones; the stream must not resolve the unclaimed-looking block
+/// for good before its claimer has either locked or skipped it. The ring
+/// cannot wrap, so once the final flush ran, delivery is exact.
+#[test]
+fn stream_waits_out_a_preempted_claim() {
+    const N: u64 = 25;
+    let report = explore("stream_waits_out_a_preempted_claim", ModelConfig::default(), |sim| {
+        let t = BTrace::new(
+            Config::new(2)
+                .active_blocks(2)
+                .block_bytes(256)
+                .buffer_bytes(256 * 2 * 8) // ratio 8, N = 16: 50 records never wrap
+                .backing(Backing::Heap),
+        )
+        .unwrap();
+        let done = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let streamed = Arc::new(Mutex::new(BTreeSet::new()));
+        for core in 0..2u64 {
+            let p = t.producer(core as usize).unwrap();
+            let done = Arc::clone(&done);
+            sim.thread(move || {
+                for i in 0..N {
+                    p.record_with(core * 1000 + i, core as u32, PAYLOAD).unwrap();
+                }
+                done.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        {
+            let t = t.clone();
+            let done = Arc::clone(&done);
+            let streamed = Arc::clone(&streamed);
+            sim.thread(move || {
+                let mut stream = t.stream();
+                let mut seen = BTreeSet::new();
+                loop {
+                    let finished = done.load(Ordering::SeqCst) == 2;
+                    for e in stream.poll().events {
+                        assert!(seen.insert(e.stamp()), "stamp {} delivered twice", e.stamp());
+                    }
+                    if finished {
+                        break;
+                    }
+                    model_rt::yield_spin();
+                }
+                for e in stream.flush_close().events {
+                    assert!(seen.insert(e.stamp()), "stamp {} delivered twice", e.stamp());
+                }
+                *streamed.lock().unwrap() = seen;
+            });
+        }
+        sim.finally(move || {
+            let produced: BTreeSet<u64> =
+                (0..2).flat_map(|c| (0..N).map(move |i| c * 1000 + i)).collect();
+            let got = streamed.lock().unwrap().clone();
+            let missing: Vec<_> = produced.difference(&got).collect();
+            assert!(missing.is_empty(), "stream lost confirmed records {missing:?}");
+            check_counter_coherence(&t);
+        });
+    });
+    assert_coverage(report);
+}

@@ -1,12 +1,12 @@
 //! The collector daemon: dump-on-symptom with on-disk rotation (§2.1, §6).
 
-use crate::dump::{DumpError, TraceDump};
+use crate::dump::{write_snapshot, DumpError};
 use crate::export::RetryPolicy;
-use btrace_core::sink::TraceSink;
+use btrace_core::{BTrace, RingSnapshot};
 use btrace_telemetry::ExportIoStats;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Collector behaviour.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,7 +56,10 @@ impl CollectorConfig {
 ///
 /// Call [`Collector::trigger`] whenever an anomaly detector fires (ANR
 /// watchdog, frame-drop monitor, freeze daemon, §6); the current buffer
-/// contents are drained and persisted, and old dumps rotate out.
+/// contents are snapshotted and persisted, and old dumps rotate out.
+///
+/// The type parameter is always [`BTrace`]: the collector reads the ring
+/// through [`BTrace::consumer`].
 #[derive(Debug)]
 pub struct Collector<S> {
     sink: Arc<S>,
@@ -64,15 +67,18 @@ pub struct Collector<S> {
     seq: AtomicU64,
     io_retries: AtomicU64,
     io_drops: AtomicU64,
+    /// The ring snapshot every trigger fills and writes from, kept so its
+    /// buffer is reused from dump to dump.
+    snapshot: Mutex<RingSnapshot>,
 }
 
-impl<S: TraceSink> Collector<S> {
+impl Collector<BTrace> {
     /// Creates the collector, ensuring the dump directory exists.
     ///
     /// # Errors
     ///
     /// Propagates directory-creation failures.
-    pub fn new(sink: Arc<S>, config: CollectorConfig) -> Result<Self, DumpError> {
+    pub fn new(sink: Arc<BTrace>, config: CollectorConfig) -> Result<Self, DumpError> {
         std::fs::create_dir_all(&config.directory)?;
         Ok(Self {
             sink,
@@ -80,17 +86,22 @@ impl<S: TraceSink> Collector<S> {
             seq: AtomicU64::new(0),
             io_retries: AtomicU64::new(0),
             io_drops: AtomicU64::new(0),
+            snapshot: Mutex::new(RingSnapshot::new()),
         })
     }
 
-    /// Drains the tracer and persists a dump labelled `symptom`. Returns the
-    /// dump's path.
+    /// Snapshots the ring and persists a dump labelled `symptom`. Returns
+    /// the dump's path.
     ///
-    /// The dump write runs under the configured [`RetryPolicy`]; the drained
-    /// events live in memory until the write lands, so a transient sink
-    /// error loses nothing. A persistent one gives up after the budget —
-    /// that dump is lost (counted in [`io_stats`](Collector::io_stats)) but
-    /// the anomaly path is never wedged.
+    /// The ring is copied once, block by block, into the collector's
+    /// reused [`RingSnapshot`] ([`btrace_core::Consumer::snapshot`]), and
+    /// [`write_snapshot`] encodes the frames straight from it. The write
+    /// runs under the configured [`RetryPolicy`]; the ring snapshot stays
+    /// in memory until the write lands, and each retry re-encodes from it,
+    /// so a transient sink error loses nothing. A persistent one gives up
+    /// after the budget — that dump is lost (counted in
+    /// [`io_stats`](Collector::io_stats)) but the anomaly path is never
+    /// wedged. Concurrent triggers take turns on the snapshot.
     ///
     /// # Errors
     ///
@@ -98,15 +109,19 @@ impl<S: TraceSink> Collector<S> {
     /// exhausted.
     pub fn trigger(&self, symptom: &str) -> Result<PathBuf, DumpError> {
         let seq = self.seq.fetch_add(1, Ordering::SeqCst);
-        let dump = TraceDump::capture(symptom, self.sink.as_ref());
+        // Every trigger overwrites the whole snapshot, so one left behind
+        // by a panicking trigger is as good as an empty one.
+        let mut snapshot = self.snapshot.lock().unwrap_or_else(PoisonError::into_inner);
+        self.sink.consumer().snapshot(&mut snapshot);
         let path = self.config.directory.join(format!("{}-{seq:06}.btd", self.config.prefix));
         let mut io = ExportIoStats::default();
         let wrote = self.config.retry.run(&mut io, || {
-            dump.write_to(&path).map_err(|e| match e {
+            write_snapshot(&path, symptom, &snapshot).map_err(|e| match e {
                 DumpError::Io(io_err) => io_err,
                 other => std::io::Error::other(other.to_string()),
             })
         });
+        drop(snapshot);
         self.io_retries.fetch_add(io.retries, Ordering::Relaxed);
         self.io_drops.fetch_add(io.drops, Ordering::Relaxed);
         wrote?;
@@ -154,7 +169,8 @@ fn list_dumps(dir: &Path, prefix: &str) -> Vec<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btrace_core::{BTrace, Config};
+    use crate::TraceDump;
+    use btrace_core::Config;
 
     fn tracer() -> Arc<BTrace> {
         Arc::new(

@@ -15,8 +15,9 @@
 //! through [`TraceStore`](crate::TraceStore), which skips a valid header.
 
 use crate::fragment::write_stream;
-use crate::stream::{fnv, visit_frames, EventRef};
+use crate::stream::{fnv, visit_frames, EventRef, FrameWriter};
 use btrace_core::sink::{FullEvent, TraceSink};
+use btrace_core::RingSnapshot;
 use std::error::Error;
 use std::fmt;
 use std::fs::File;
@@ -70,15 +71,9 @@ impl TraceDump {
     ///
     /// Propagates I/O failures.
     pub fn write_to(&self, path: &Path) -> Result<(), DumpError> {
-        let tmp = path.with_extension("tmp");
-        {
-            let mut w = BufWriter::new(File::create(&tmp)?);
-            w.write_all(&encode_header(&self.label, self.events.len() as u64))?;
-            write_stream(&mut w, &self.events, EVENTS_PER_FRAME)?;
-            w.flush()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        write_atomically(path, &self.label, self.events.len() as u64, |w| {
+            write_stream(w, &self.events, EVENTS_PER_FRAME)
+        })
     }
 
     /// Deserializes from `path`: verifies the header checksum, then every
@@ -110,6 +105,57 @@ impl TraceDump {
         }
         Ok(Self { label: header.label.to_string(), events })
     }
+}
+
+/// Writes `snapshot` to `path` as a dump labelled `label` — the file
+/// [`TraceDump::capture`] + [`TraceDump::write_to`] would write for the same
+/// ring, byte for byte, without copying out a single event: the header
+/// takes the event count from [`RingSnapshot::count`], and one reused frame
+/// buffer encodes 512-event frames straight from the snapshot's borrowed
+/// entries. Atomic like [`TraceDump::write_to`] (write + rename), and it
+/// only reads the snapshot, so a failed write can be retried from it.
+///
+/// # Errors
+///
+/// Propagates I/O failures.
+pub fn write_snapshot(path: &Path, label: &str, snapshot: &RingSnapshot) -> Result<(), DumpError> {
+    write_atomically(path, label, snapshot.count() as u64, |w| {
+        let mut frame = FrameWriter::default();
+        let mut seq = 0;
+        frame.begin(seq);
+        snapshot.try_for_each(|e| {
+            frame.push(e.stamp, e.core.into(), e.tid, e.payload);
+            if frame.len() == EVENTS_PER_FRAME {
+                w.write_all(frame.finish())?;
+                seq += 1;
+                frame.begin(seq);
+            }
+            Ok::<(), io::Error>(())
+        })?;
+        if frame.len() > 0 {
+            w.write_all(frame.finish())?;
+        }
+        Ok(())
+    })
+}
+
+/// Writes the header for `events` events and then `frames` to `path.tmp`,
+/// and renames it onto `path` once everything is flushed.
+fn write_atomically(
+    path: &Path,
+    label: &str,
+    events: u64,
+    frames: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> Result<(), DumpError> {
+    let tmp = path.with_extension("tmp");
+    {
+        let mut w = BufWriter::new(File::create(&tmp)?);
+        w.write_all(&encode_header(label, events))?;
+        frames(&mut w)?;
+        w.flush()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    Ok(())
 }
 
 /// A parsed, checksum-verified dump header.

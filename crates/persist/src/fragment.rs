@@ -17,9 +17,10 @@ use btrace_core::sink::FullEvent;
 
 use crate::store::DefectKind;
 use crate::stream::{
-    bad_data, FOOTER_BYTES, FOOTER_MAGIC, FRAME_FLAG_COMPRESSED, FRAME_MAGIC, MIN_FRAME_BYTES,
+    bad_data, FrameWriter, FOOTER_BYTES, FOOTER_MAGIC, FRAME_FLAG_COMPRESSED, FRAME_MAGIC,
+    MIN_FRAME_BYTES,
 };
-use crate::{decode_frames, encode_frame, StreamFrame};
+use crate::{decode_frames, StreamFrame};
 
 /// The decoded per-frame index footer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,8 +225,9 @@ pub(crate) fn write_stream(
     events: &[FullEvent],
     events_per_frame: usize,
 ) -> io::Result<()> {
+    let mut frame = FrameWriter::default();
     for (seq, chunk) in events.chunks(events_per_frame.max(1)).enumerate() {
-        w.write_all(&encode_frame(seq as u64, chunk))?;
+        w.write_all(frame.encode(seq as u64, chunk))?;
     }
     Ok(())
 }
@@ -242,6 +244,7 @@ pub fn encode_stream(events: &[FullEvent], events_per_frame: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encode_frame;
 
     fn ev(stamp: u64, core: u16, payload: usize) -> FullEvent {
         FullEvent { stamp, core, tid: 100 + core as u32, payload: vec![0x5A; payload] }

@@ -7,12 +7,15 @@
 //! **one on-disk format**, BTSF: checksummed frames of delta/varint encoded
 //! events, each ending in an index footer (see [`encode_frame`]).
 //!
-//! * [`TraceDump`] — a self-contained snapshot of a drained trace; its
-//!   `.btd` file is a short checksummed label header followed by a BTSF
-//!   stream ([`TraceDump::write_to`] / [`TraceDump::read_from`]).
-//! * [`Collector`] — the daemon: watches a trigger, drains the tracer on
-//!   each firing, and keeps a bounded ring of the most recent dumps on
-//!   disk (rotation), like the beta-release collectors of §6.
+//! * [`Collector`] — the daemon: on each trigger it snapshots the ring
+//!   ([`btrace_core::Consumer::snapshot`]), writes the snapshot straight
+//!   into a `.btd` dump ([`write_snapshot`]), and keeps a bounded ring of
+//!   the most recent dumps on disk (rotation), like the beta-release
+//!   collectors of §6. A `.btd` file is a short checksummed label header
+//!   followed by a BTSF stream.
+//! * [`TraceDump`] — a dump as owned events in memory: read one back with
+//!   [`TraceDump::read_from`], or build and write one from events already
+//!   drained ([`TraceDump::capture`], [`TraceDump::write_to`]).
 //! * [`StreamPipeline`] — continuous export: a bounded
 //!   `drain → batch → encode → sink` pipeline over the incremental
 //!   [`StreamConsumer`](btrace_core::StreamConsumer), with configurable
@@ -25,19 +28,18 @@
 //!
 //! ```rust
 //! use btrace_core::{BTrace, Config};
-//! use btrace_core::sink::TraceSink;
-//! use btrace_persist::TraceDump;
+//! use btrace_persist::{Collector, CollectorConfig, TraceDump};
+//! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let tracer = BTrace::new(Config::new(1).buffer_bytes(256 << 10).active_blocks(16))?;
+//! let tracer = Arc::new(BTrace::new(Config::new(1).buffer_bytes(256 << 10).active_blocks(16))?);
 //! tracer.producer(0)?.record_with(1, 7, b"suspicious event")?;
 //!
-//! let dump = TraceDump::capture("anr-2026-07-05", &tracer);
 //! let dir = std::env::temp_dir().join("btrace-doc-dump");
-//! std::fs::create_dir_all(&dir)?;
-//! let path = dir.join("trace.btd");
-//! dump.write_to(&path)?;
+//! let collector = Collector::new(Arc::clone(&tracer), CollectorConfig::new(&dir))?;
+//! let path = collector.trigger("anr-2026-07-05")?;
 //! let restored = TraceDump::read_from(&path)?;
+//! assert_eq!(restored.label(), "anr-2026-07-05");
 //! assert_eq!(restored.events()[0].payload, b"suspicious event");
 //! // The same file answers queries in place.
 //! let report = btrace_persist::Query::default().run(&btrace_persist::TraceStore::open(&path)?);
@@ -60,7 +62,7 @@ mod store;
 mod stream;
 
 pub use collector::{Collector, CollectorConfig};
-pub use dump::{DumpError, TraceDump};
+pub use dump::{write_snapshot, DumpError, TraceDump};
 pub use export::{read_jsonl, JsonlExporter, PrometheusExporter, RetryPolicy};
 pub use fragment::{
     encode_stream, scan_frames, split_fragments, FragmentContext, FragmentSeed, FrameIndex,

@@ -251,41 +251,103 @@ fn unzigzag(z: u64) -> i64 {
 /// The footer sits at a fixed offset from the frame end, inside the
 /// crc-covered region; every reader requires it.
 pub fn encode_frame(seq: u64, events: &[FullEvent]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(
+    let mut frame = FrameWriter::with_capacity(
         64 + FOOTER_BYTES + events.iter().map(|e| 18 + e.payload.len()).sum::<usize>(),
     );
-    body.extend_from_slice(&seq.to_le_bytes());
-    body.extend_from_slice(&(events.len() as u32 | FRAME_FLAG_COMPRESSED).to_le_bytes());
-    let mut min_stamp = u64::MAX;
-    let mut max_stamp = 0u64;
-    let mut core_bitmap = 0u64;
-    let mut payload_bytes = 0u64;
-    let mut prev_stamp = 0u64;
-    for e in events {
-        put_varint(&mut body, zigzag(e.stamp.wrapping_sub(prev_stamp) as i64));
-        prev_stamp = e.stamp;
-        put_varint(&mut body, e.core as u64);
-        put_varint(&mut body, e.tid as u64);
-        put_varint(&mut body, e.payload.len() as u64);
-        body.extend_from_slice(&e.payload);
-        min_stamp = min_stamp.min(e.stamp);
-        max_stamp = max_stamp.max(e.stamp);
-        core_bitmap |= 1u64 << (e.core as u64).min(63);
-        payload_bytes += e.payload.len() as u64;
+    frame.encode(seq, events);
+    frame.buf
+}
+
+/// The one frame encoder: builds a revision-2 frame (layout at
+/// [`encode_frame`]) event by event in one buffer that is reused from frame
+/// to frame. The header's `body_len` and count word are written as
+/// placeholders by [`FrameWriter::begin`] and patched in place by
+/// [`FrameWriter::finish`], so no event is staged or copied twice.
+#[derive(Debug, Default)]
+pub(crate) struct FrameWriter {
+    buf: Vec<u8>,
+    count: u32,
+    prev_stamp: u64,
+    min_stamp: u64,
+    max_stamp: u64,
+    core_bitmap: u64,
+    payload_bytes: u64,
+}
+
+/// Offset of the `count` word: magic, `body_len`, seq.
+const COUNT_AT: usize = 4 + 4 + 8;
+
+impl FrameWriter {
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
+        Self { buf: Vec::with_capacity(bytes), ..Self::default() }
     }
-    body.extend_from_slice(FOOTER_MAGIC);
-    body.extend_from_slice(&min_stamp.to_le_bytes());
-    body.extend_from_slice(&max_stamp.to_le_bytes());
-    body.extend_from_slice(&core_bitmap.to_le_bytes());
-    body.extend_from_slice(&(events.len() as u32).to_le_bytes());
-    body.extend_from_slice(&payload_bytes.to_le_bytes());
-    let mut frame = Vec::with_capacity(body.len() + 16);
-    frame.extend_from_slice(FRAME_MAGIC);
-    frame.extend_from_slice(&((body.len() + 8) as u32).to_le_bytes());
-    frame.extend_from_slice(&body);
-    let crc = fnv(&frame);
-    frame.extend_from_slice(&crc.to_le_bytes());
-    frame
+
+    /// Starts frame `seq`, discarding whatever the buffer held.
+    pub(crate) fn begin(&mut self, seq: u64) {
+        self.buf.clear();
+        self.buf.extend_from_slice(FRAME_MAGIC);
+        self.buf.extend_from_slice(&[0; 4]); // body_len, patched by `finish`
+        self.buf.extend_from_slice(&seq.to_le_bytes());
+        self.buf.extend_from_slice(&[0; 4]); // count | flag, patched by `finish`
+        self.count = 0;
+        self.prev_stamp = 0;
+        self.min_stamp = u64::MAX;
+        self.max_stamp = 0;
+        self.core_bitmap = 0;
+        self.payload_bytes = 0;
+    }
+
+    /// Appends one event.
+    #[inline]
+    pub(crate) fn push(&mut self, stamp: u64, core: u16, tid: u32, payload: &[u8]) {
+        let buf = &mut self.buf;
+        put_varint(buf, zigzag(stamp.wrapping_sub(self.prev_stamp) as i64));
+        put_varint(buf, core as u64);
+        put_varint(buf, tid as u64);
+        put_varint(buf, payload.len() as u64);
+        buf.extend_from_slice(payload);
+        self.prev_stamp = stamp;
+        self.min_stamp = self.min_stamp.min(stamp);
+        self.max_stamp = self.max_stamp.max(stamp);
+        self.core_bitmap |= 1u64 << (core as u64).min(63);
+        self.payload_bytes += payload.len() as u64;
+        self.count += 1;
+    }
+
+    /// Events pushed since [`FrameWriter::begin`].
+    pub(crate) fn len(&self) -> usize {
+        self.count as usize
+    }
+
+    /// Encodes `events` as the whole of frame `seq` and returns its bytes.
+    pub(crate) fn encode(&mut self, seq: u64, events: &[FullEvent]) -> &[u8] {
+        self.begin(seq);
+        for e in events {
+            self.push(e.stamp, e.core, e.tid, &e.payload);
+        }
+        self.finish()
+    }
+
+    /// Seals the frame — footer, patched header, crc — and returns its
+    /// bytes, valid until the next [`FrameWriter::begin`].
+    pub(crate) fn finish(&mut self) -> &[u8] {
+        let buf = &mut self.buf;
+        buf.extend_from_slice(FOOTER_MAGIC);
+        buf.extend_from_slice(&self.min_stamp.to_le_bytes());
+        buf.extend_from_slice(&self.max_stamp.to_le_bytes());
+        buf.extend_from_slice(&self.core_bitmap.to_le_bytes());
+        buf.extend_from_slice(&self.count.to_le_bytes());
+        buf.extend_from_slice(&self.payload_bytes.to_le_bytes());
+        // `body_len` counts everything after its own field, crc included:
+        // `len - 8` bytes so far plus the 8-byte crc.
+        let body_len = buf.len() as u32;
+        buf[4..8].copy_from_slice(&body_len.to_le_bytes());
+        buf[COUNT_AT..COUNT_AT + 4]
+            .copy_from_slice(&(self.count | FRAME_FLAG_COMPRESSED).to_le_bytes());
+        let crc = fnv(buf);
+        buf.extend_from_slice(&crc.to_le_bytes());
+        buf
+    }
 }
 
 /// [`encode_frame`] under the name that takes a [`FrameEncoding`]; with one

@@ -209,3 +209,66 @@ fn frame_bytes_are_pinned() {
         .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3));
     assert_eq!((bytes.len(), digest), (929, 0x0be8_d322_c8c7_51f4));
 }
+
+/// A quiescent, wrapped three-core ring with uneven cores and payloads of
+/// 0 to 45 bytes, recorded from one thread so its layout is deterministic.
+/// It retains more than 1 024 events, so its dump spans several frames.
+fn seeded_ring() -> std::sync::Arc<btrace::core::BTrace> {
+    use btrace::core::{BTrace, Backing, Config};
+    let tracer = BTrace::new(
+        Config::new(3)
+            .active_blocks(6)
+            .block_bytes(512)
+            .buffer_bytes(512 * 96)
+            .backing(Backing::Heap),
+    )
+    .expect("valid configuration");
+    for i in 0..8_000u64 {
+        // Core 0 takes half of the events, cores 1 and 2 a quarter each.
+        let core = [0, 1, 0, 2][(i % 4) as usize];
+        let payload: Vec<u8> = (0..(i * 7 % 46) as u8).map(|b| b ^ i as u8).collect();
+        tracer.producer(core).unwrap().record_with(i * 3, 500 + core as u32, &payload).unwrap();
+    }
+    std::sync::Arc::new(tracer)
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The dump layout is pinned: `Collector::trigger` on a seeded ring writes
+/// a known length and FNV-1a digest, so any byte-level change to the dump
+/// path (walker, snapshot, frame encoder, header) fails here first.
+#[test]
+fn dump_bytes_are_pinned() {
+    use btrace::persist::{Collector, CollectorConfig};
+    let dir = std::env::temp_dir().join(format!("btrace-dump-pin-{}", std::process::id()));
+    let collector = Collector::new(seeded_ring(), CollectorConfig::new(&dir)).expect("collector");
+    let bytes = std::fs::read(collector.trigger("pinned").expect("dump written")).expect("read");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!((bytes.len(), fnv1a(&bytes)), (30_236, 0x9b06_bcd6_3f56_16d3));
+}
+
+/// On the same ring, the borrowed trigger path and the owned
+/// `TraceDump::capture` + `write_to` path write the same bytes.
+#[test]
+fn trigger_bytes_equal_owned_capture() {
+    use btrace::persist::{Collector, CollectorConfig};
+    let tracer = seeded_ring();
+    let dir = std::env::temp_dir().join(format!("btrace-dump-diff-{}", std::process::id()));
+    let collector = Collector::new(std::sync::Arc::clone(&tracer), CollectorConfig::new(&dir))
+        .expect("collector");
+    let triggered = std::fs::read(collector.trigger("same").expect("dump written")).expect("read");
+    let owned_path = dir.join("owned.btd");
+    TraceDump::capture("same", tracer.as_ref()).write_to(&owned_path).expect("owned write");
+    let owned = std::fs::read(&owned_path).expect("read");
+    let events = TraceDump::read_from(&owned_path).expect("dump reads").into_events();
+    std::fs::remove_dir_all(&dir).ok();
+    // The ring wrapped, and every core and the empty payload made it in.
+    assert!((1_025..8_000).contains(&events.len()), "{} events", events.len());
+    assert!((0..3).all(|c| events.iter().any(|e| e.core == c)));
+    assert!(events.iter().any(|e| e.payload.is_empty()));
+    assert_eq!(triggered, owned);
+}
