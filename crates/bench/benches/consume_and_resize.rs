@@ -17,6 +17,19 @@ fn prefilled() -> BTrace {
     tracer
 }
 
+/// The evaluation geometry at 4 resize strides, free to grow to 16;
+/// returns the tracer and its stride.
+fn resizable() -> (BTrace, usize) {
+    let active = 16 * CORES;
+    let stride = 4096 * active;
+    let config = Config::new(CORES)
+        .active_blocks(active)
+        .block_bytes(4096)
+        .buffer_bytes(4 * stride)
+        .max_bytes(16 * stride);
+    (BTrace::new(config).expect("valid"), stride)
+}
+
 fn bench_collect(c: &mut Criterion) {
     let tracer = prefilled();
     let mut consumer = tracer.consumer();
@@ -24,16 +37,7 @@ fn bench_collect(c: &mut Criterion) {
 }
 
 fn bench_resize_cycle(c: &mut Criterion) {
-    let active = 16 * CORES;
-    let stride = 4096 * active;
-    let tracer = BTrace::new(
-        Config::new(CORES)
-            .active_blocks(active)
-            .block_bytes(4096)
-            .buffer_bytes(4 * stride)
-            .max_bytes(16 * stride),
-    )
-    .expect("valid");
+    let (tracer, stride) = resizable();
     c.bench_function("resize_grow_shrink_cycle", |b| {
         b.iter(|| {
             tracer.resize_bytes(16 * stride).expect("grow");
@@ -45,16 +49,7 @@ fn bench_resize_cycle(c: &mut Criterion) {
 fn bench_record_under_resize(c: &mut Criterion) {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-    let active = 16 * CORES;
-    let stride = 4096 * active;
-    let tracer = BTrace::new(
-        Config::new(CORES)
-            .active_blocks(active)
-            .block_bytes(4096)
-            .buffer_bytes(4 * stride)
-            .max_bytes(16 * stride),
-    )
-    .expect("valid");
+    let (tracer, stride) = resizable();
     let stop = Arc::new(AtomicBool::new(false));
     let resizer = {
         let tracer = tracer.clone();

@@ -6,34 +6,33 @@
 use btrace_baselines::{Bbq, PerCoreDropNewest, PerCoreOverwrite, PerThread};
 use btrace_bench::harness::{btrace, CORES, LTTNG_SUBS, TOTAL_BYTES};
 use btrace_core::sink::TraceSink;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{
+    criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const PAYLOAD: &[u8] = b"sched: prev=1234 next=5678 flag";
 
+/// Times one `record` on core 0 per iteration.
+fn bench_record(group: &mut BenchmarkGroup<'_>, name: &str, sink: &impl TraceSink) {
+    let mut stamp = 0u64;
+    group.bench_function(BenchmarkId::from_parameter(name), |b| {
+        b.iter(|| {
+            stamp += 1;
+            sink.record(0, 1, stamp, PAYLOAD)
+        })
+    });
+}
+
 fn bench_uncontended(c: &mut Criterion) {
     let mut group = c.benchmark_group("record_uncontended");
     group.throughput(Throughput::Elements(1));
-
-    macro_rules! bench_sink {
-        ($name:literal, $sink:expr) => {
-            let sink = $sink;
-            let mut stamp = 0u64;
-            group.bench_function(BenchmarkId::from_parameter($name), |b| {
-                b.iter(|| {
-                    stamp += 1;
-                    sink.record(0, 1, stamp, PAYLOAD)
-                })
-            });
-        };
-    }
-
-    bench_sink!("BTrace", btrace());
-    bench_sink!("BBQ", Bbq::new(TOTAL_BYTES, 4096));
-    bench_sink!("ftrace", PerCoreOverwrite::new(CORES, TOTAL_BYTES));
-    bench_sink!("LTTng", PerCoreDropNewest::new(CORES, TOTAL_BYTES, LTTNG_SUBS));
-    bench_sink!("VTrace", PerThread::new(TOTAL_BYTES, 480));
+    bench_record(&mut group, "BTrace", &btrace());
+    bench_record(&mut group, "BBQ", &Bbq::new(TOTAL_BYTES, 4096));
+    bench_record(&mut group, "ftrace", &PerCoreOverwrite::new(CORES, TOTAL_BYTES));
+    bench_record(&mut group, "LTTng", &PerCoreDropNewest::new(CORES, TOTAL_BYTES, LTTNG_SUBS));
+    bench_record(&mut group, "VTrace", &PerThread::new(TOTAL_BYTES, 480));
     group.finish();
 }
 
@@ -62,24 +61,14 @@ fn bench_contended(c: &mut Criterion) {
         bg.join().expect("background producer");
     }
 
-    macro_rules! bench_contended_sink {
-        ($name:literal, $sink:expr) => {
-            with_background($sink, |sink| {
-                let mut stamp = 0u64;
-                group.bench_function(BenchmarkId::from_parameter($name), |b| {
-                    b.iter(|| {
-                        stamp += 1;
-                        sink.record(0, 1, stamp, PAYLOAD)
-                    })
-                });
-            });
-        };
-    }
-
-    bench_contended_sink!("BTrace", btrace());
-    bench_contended_sink!("BBQ", Bbq::new(TOTAL_BYTES, 4096));
-    bench_contended_sink!("ftrace", PerCoreOverwrite::new(CORES, TOTAL_BYTES));
-    bench_contended_sink!("LTTng", PerCoreDropNewest::new(CORES, TOTAL_BYTES, LTTNG_SUBS));
+    with_background(btrace(), |sink| bench_record(&mut group, "BTrace", sink));
+    with_background(Bbq::new(TOTAL_BYTES, 4096), |sink| bench_record(&mut group, "BBQ", sink));
+    with_background(PerCoreOverwrite::new(CORES, TOTAL_BYTES), |sink| {
+        bench_record(&mut group, "ftrace", sink)
+    });
+    with_background(PerCoreDropNewest::new(CORES, TOTAL_BYTES, LTTNG_SUBS), |sink| {
+        bench_record(&mut group, "LTTng", sink)
+    });
     group.finish();
 }
 

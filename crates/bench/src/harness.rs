@@ -1,10 +1,10 @@
-//! Shared harness for the table/figure binaries: construct the five
-//! tracers under the paper's §5 configuration and run replays.
+//! Shared harness for the `paper` binary's tables and figures: construct
+//! the five tracers under the paper's §5 configuration and run replays.
 
 use btrace_analysis::{analyze, LatencyStats, Metrics};
 use btrace_baselines::{Bbq, PerCoreDropNewest, PerCoreOverwrite, PerThread};
 use btrace_core::{BTrace, Config};
-use btrace_replay::{ReplayConfig, ReplayReport, Replayer, Scenario};
+use btrace_replay::{ReplayConfig, ReplayMode, ReplayReport, Replayer, Scenario};
 
 /// The evaluation buffer: 12 MB total, 4 KiB blocks, `A = 16 × C` (§5).
 pub const TOTAL_BYTES: usize = 12 << 20;
@@ -40,8 +40,6 @@ pub fn btrace() -> BTrace {
 pub struct Outcome {
     /// Tracer name.
     pub tracer: &'static str,
-    /// Scenario name.
-    pub scenario: &'static str,
     /// Retention metrics.
     pub metrics: Metrics,
     /// Latency summary (empty sample when sampling was off).
@@ -62,58 +60,47 @@ pub fn run_tracer(name: &str, scenario: &'static Scenario, config: &ReplayConfig
         "VTrace" => replayer.run(&PerThread::new(TOTAL_BYTES, expected_threads)),
         other => panic!("unknown tracer {other}"),
     };
-    outcome_of(static_name(name), scenario, report)
-}
-
-/// Wraps a finished report in an [`Outcome`].
-pub fn outcome_of(tracer: &'static str, scenario: &Scenario, report: ReplayReport) -> Outcome {
+    let tracer = TRACERS.into_iter().find(|&t| t == name).expect("matched above");
     let metrics = analyze(&report.retained, report.capacity_bytes);
     let latency = LatencyStats::from_samples(report.latencies_ns.clone());
-    Outcome { tracer, scenario: scenario.name, metrics, latency, report }
+    Outcome { tracer, metrics, latency, report }
 }
 
-/// Resolves the static name for a tracer string (the outcome carries a
-/// `'static` label).
-pub fn static_name(name: &str) -> &'static str {
-    TRACERS.iter().copied().find(|&t| t == name).unwrap_or("?")
-}
-
-/// Parses `--scale X` / `--mode core|thread` style CLI arguments shared by
-/// all figure binaries. Unknown arguments are ignored so binaries can layer
-/// their own.
-pub fn config_from_args(default_scale: f64) -> ReplayConfig {
-    let mut config =
-        ReplayConfig { scale: default_scale, latency_sample_every: 64, ..ReplayConfig::table2() };
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
+/// Parses the replay flags shared by the figures: `--scale X`,
+/// `--seed N` and `--mode core|thread`. An unknown flag, a flag without a
+/// value, a value that does not parse (or a scale that is not a positive
+/// number) and an unknown mode are errors.
+pub fn config_from_args<S: AsRef<str>>(
+    default_scale: f64,
+    args: &[S],
+) -> Result<ReplayConfig, String> {
+    let mut config = ReplayConfig { scale: default_scale, ..ReplayConfig::table2() };
+    let mut args = args.iter().map(AsRef::as_ref);
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag {
             "--scale" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    config.scale = v;
-                    i += 1;
+                config.scale = parse(flag, value()?)?;
+                if !(config.scale.is_finite() && config.scale > 0.0) {
+                    return Err(format!("--scale must be a positive number, got {}", config.scale));
                 }
             }
+            "--seed" => config.seed = parse(flag, value()?)?,
             "--mode" => {
-                if let Some(v) = args.get(i + 1) {
-                    config.mode = match v.as_str() {
-                        "core" => btrace_replay::ReplayMode::CoreLevel,
-                        _ => btrace_replay::ReplayMode::ThreadLevel,
-                    };
-                    i += 1;
+                config.mode = match value()? {
+                    "core" => ReplayMode::CoreLevel,
+                    "thread" => ReplayMode::ThreadLevel,
+                    other => return Err(format!("unknown mode {other} (expected core or thread)")),
                 }
             }
-            "--seed" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    config.seed = v;
-                    i += 1;
-                }
-            }
-            _ => {}
+            other => return Err(format!("unknown flag {other}")),
         }
-        i += 1;
     }
-    config
+    Ok(config)
+}
+
+fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("bad value {value} for {flag}"))
 }
 
 /// Geometric mean over per-scenario values (the Table 2 "G.M." column).
@@ -123,11 +110,6 @@ pub fn geomean_f64(values: &[f64]) -> f64 {
     }
     let sum: f64 = values.iter().map(|v| v.max(1e-12).ln()).sum();
     (sum / values.len() as f64).exp()
-}
-
-/// Formats bytes as MB with one decimal.
-pub fn mb(bytes: u64) -> String {
-    format!("{:.1}", bytes as f64 / (1 << 20) as f64)
 }
 
 #[cfg(test)]
@@ -155,8 +137,33 @@ mod tests {
         };
         for name in TRACERS {
             let outcome = run_tracer(name, scenario, &config);
-            assert_eq!(outcome.tracer, static_name(name));
+            assert_eq!(outcome.tracer, name);
             assert!(outcome.report.written > 0, "{name} wrote nothing");
+        }
+    }
+
+    #[test]
+    fn config_from_args_accepts_every_flag() {
+        let config =
+            config_from_args(0.25, &["--scale", "0.5", "--seed", "9", "--mode", "core"]).unwrap();
+        assert_eq!(config.scale, 0.5);
+        assert_eq!(config.seed, 9);
+        assert_eq!(config.mode, ReplayMode::CoreLevel);
+        let config = config_from_args::<&str>(0.25, &[]).unwrap();
+        assert_eq!((config.scale, config.mode), (0.25, ReplayMode::ThreadLevel));
+    }
+
+    #[test]
+    fn config_from_args_rejects_malformed_lines() {
+        for (args, error) in [
+            (&["--threads", "4"][..], "unknown flag --threads"),
+            (&["--scale"], "--scale needs a value"),
+            (&["--scale", "abc"], "bad value abc for --scale"),
+            (&["--scale", "-1"], "--scale must be a positive number, got -1"),
+            (&["--seed", "0.5"], "bad value 0.5 for --seed"),
+            (&["--mode", "cpu"], "unknown mode cpu (expected core or thread)"),
+        ] {
+            assert_eq!(config_from_args(0.25, args), Err(error.to_string()), "{args:?}");
         }
     }
 

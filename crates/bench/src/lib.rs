@@ -1,30 +1,13 @@
 //! # btrace-bench — regenerating the paper's tables and figures
 //!
-//! One binary per evaluation artifact; see `EXPERIMENTS.md` at the
-//! repository root for the mapping and for recorded results.
-//!
-//! | Artifact | Binary | What it prints |
-//! |----------|--------|----------------|
-//! | Table 2 | `table2` | latest fragment, loss rate, fragments, latency per tracer × workload |
-//! | Fig. 1 | `fig1` | retention gap maps (lock screen, shopping) |
-//! | Fig. 2 | `fig2` | per-category MB/core/min |
-//! | Fig. 3 | `fig3` | retainable seconds per trace level at a fixed buffer |
-//! | Fig. 4 | `fig4` | per-core rates across scenarios |
-//! | Fig. 6 | `fig6` | threads-per-core box statistics |
-//! | Fig. 10 | `fig10` | latest fragment vs. number of active blocks |
-//! | Fig. 11 | `fig11` | recording-latency CDFs |
-//! | §5.1/§3 ablations | `ablations` | block size and preemption sweeps |
-//!
-//! All binaries take `--scale <f64>` (fraction of the full 30-second
-//! workload; default is sized for CI-class machines), `--seed <u64>`, and
-//! where meaningful `--mode core|thread`.
-//!
-//! Criterion micro-benchmarks for the recording fast path live under
-//! `benches/`.
+//! The `paper` binary prints one evaluation artifact (Table 2, Figs. 1–6,
+//! 10 and 11, the ablations) per subcommand; `EXPERIMENTS.md` at the
+//! repository root maps each to the paper and records results. The
+//! criterion benches under `benches/` measure recording latency (Table 2's
+//! latency block) and consumption and resizing (§4.3/§4.4). End-to-end
+//! performance is measured by `perfbench/`, not here.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
 pub mod harness;
-
-pub use harness::{btrace, btrace_with_active, config_from_args, run_tracer, Outcome, TRACERS};

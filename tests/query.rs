@@ -14,6 +14,10 @@
 //! `analyze_frames_with` must agree with both. Failing seeds print a
 //! replay line (`BTRACE_QUERY_SEED=<seed> cargo test --test query`).
 //!
+//! **Compression and pruning**: on a seeded atrace-shaped corpus the
+//! compressed framing must stay >= 1.5x smaller than fixed-width framing,
+//! and a 10% time slice must decode < 25% of the frames.
+//!
 //! **Corruption battery**: bits are flipped in headers, bodies, footers,
 //! and length fields, files are truncated mid-frame and mid-footer, and
 //! frames of the retired fixed-width revision are spliced in — every case
@@ -26,8 +30,9 @@ use btrace::core::event::encoded_len;
 use btrace::core::sink::{CollectedEvent, FullEvent};
 use btrace::core::{BTrace, Backing, Config, TraceError};
 use btrace::persist::{
-    analyze_frames, analyze_frames_with, decode_frames, encode_frame, AnalyzeOptions, Collector,
-    CollectorConfig, DefectKind, FrameInfo, Predicate, Query, QueryOptions, TraceDump, TraceStore,
+    analyze_frames, analyze_frames_with, decode_frames, encode_frame, encode_stream,
+    AnalyzeOptions, Collector, CollectorConfig, DefectKind, FrameInfo, Predicate, Query,
+    QueryOptions, TraceDump, TraceStore,
 };
 use btrace::replay::TraceState;
 use btrace::vmem::FaultPlan;
@@ -398,6 +403,90 @@ fn fresh_seed_batch_matches_oracle() {
     // fewer in debug so the suite stays usable locally.
     let count = if cfg!(debug_assertions) { 25 } else { 200 };
     run_batch(base_seed() ^ 0x5_EED0_F5E8, count);
+}
+
+// ---------------------------------------------------------------------------
+// Compression and pruning on an atrace-shaped corpus
+// ---------------------------------------------------------------------------
+
+const CORPUS_EVENTS: usize = 64 * 1024;
+const CORPUS_FRAME_EVENTS: usize = 1024;
+
+/// A drain-shaped corpus: globally increasing stamps with jitter, core 0
+/// hot, and small atrace-encoded payloads (sched/irq/binder mix) — what a
+/// phone dumps, not fat blobs.
+fn atrace_corpus() -> Vec<FullEvent> {
+    let mut rng = 0x51u64;
+    let mut stamp = 0u64;
+    let mut buf = [0u8; btrace::atrace::MAX_ENCODED];
+    (0..CORPUS_EVENTS)
+        .map(|_| {
+            let r = splitmix(&mut rng);
+            stamp += 1 + (r & 15);
+            let core = if r & 1 == 0 { 0 } else { ((r >> 1) % 8) as u16 };
+            let tid = 100 + (r >> 16) as u32 % 32;
+            let ev = match (r >> 4) % 4 {
+                0 => TraceEvent::SchedSwitch { prev: tid, next: tid + 1, prio: (r >> 40) as u8 },
+                1 => TraceEvent::SchedWakeup { tid, cpu: core as u8 },
+                2 => TraceEvent::Irq { irq: (r >> 32) as u16 % 64, enter: r & 2 == 0 },
+                _ => TraceEvent::BinderTxn { from: tid, to: tid ^ 5, code: (r >> 24) as u32 % 99 },
+            };
+            let n = ev.encode(&mut buf);
+            FullEvent { stamp, core, tid, payload: buf[..n].to_vec() }
+        })
+        .collect()
+}
+
+/// The compressed framing must stay >= 1.5x smaller than the same events
+/// in fixed-width framing (computed: 18 bytes of fields per event plus the
+/// payload, and the 20-byte header, 40-byte footer and 8-byte checksum per
+/// frame), and a 10% time slice must decode < 25% of the frames. Every
+/// query must return exactly the source events its predicate admits.
+#[test]
+fn atrace_corpus_compresses_and_prunes() {
+    let events = atrace_corpus();
+    let span = events.last().expect("non-empty corpus").stamp;
+    let frames = events.len().div_ceil(CORPUS_FRAME_EVENTS);
+    let fixed_width =
+        frames * (20 + 40 + 8) + events.iter().map(|e| 18 + e.payload.len()).sum::<usize>();
+    let store = TraceStore::from_bytes(encode_stream(&events, CORPUS_FRAME_EVENTS));
+    assert!(store.defects().is_empty(), "{:?}", store.defects());
+    assert_eq!(store.frames().len(), frames);
+    let ratio = fixed_width as f64 / store.bytes().len() as f64;
+    assert!(ratio >= 1.5, "compressed framing only {ratio:.2}x smaller than fixed-width");
+
+    let slice = Predicate {
+        since: Some(span / 2),
+        until: Some(span / 2 + span / 10),
+        ..Default::default()
+    };
+    let sched_in_slice = Predicate {
+        since: Some(span / 4),
+        until: Some(span / 2),
+        category: Some(Category::SCHED),
+        ..Default::default()
+    };
+    let one_core = Predicate { cores: vec![3], ..Default::default() };
+    for (name, predicate) in [
+        ("slice", slice),
+        ("sched_in_slice", sched_in_slice),
+        ("one_core", one_core),
+        ("all", Predicate::default()),
+    ] {
+        let report = Query {
+            predicate: predicate.clone(),
+            options: QueryOptions { collect_events: true, ..Default::default() },
+        }
+        .run(&store);
+        assert!(report.defects.is_empty(), "{name}: {:?}", report.defects);
+        let oracle: Vec<FullEvent> =
+            events.iter().filter(|e| predicate.admits_event(e)).cloned().collect();
+        assert_eq!(report.events, oracle, "{name}: indexed query diverged from the oracle");
+        if name == "slice" {
+            let decoded = report.frames_decoded as f64 / report.frames_total as f64;
+            assert!(decoded < 0.25, "10% slice decoded {:.1}% of frames", decoded * 100.0);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
