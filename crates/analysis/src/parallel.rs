@@ -21,7 +21,7 @@
 //! resolution — the **smallest** stored byte count wins — because `min` is
 //! associative while "whichever an unstable sort left first" is not.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -114,33 +114,91 @@ pub fn tree_merge<P>(mut parts: Vec<P>, mut merge: impl FnMut(P, P) -> P) -> Opt
 /// Per-fragment partial for [`crate::analyze`]: the fragment's retained
 /// stamps, sorted and deduplicated, each carrying its stored byte count.
 ///
+/// Built by [`TracePartial::push`] as the events stream past. In stamp order
+/// (the common case: a stream's frames are written oldest first) a
+/// push is an append, and a repeated newest stamp keeps the smaller byte
+/// count in place. A stamp below the newest marks the partial for one sort +
+/// dedup, which runs before it is merged and which every observer (`finish`,
+/// `stamps`, `len`, `==`, `Debug`) sees already applied, so no caller can
+/// tell the two build orders apart.
+///
 /// Duplicate stamps resolve to the smallest byte count (see module docs).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct MetricsPartial {
-    /// Sorted by stamp, no duplicate stamps.
+    /// `(stamp, stored bytes)`; sorted by stamp with no duplicate stamps
+    /// unless `unsorted` is set.
     entries: Vec<(u64, u32)>,
+    /// A push arrived below the newest stamp: `entries` needs one sort +
+    /// dedup before anything reads it.
+    unsorted: bool,
 }
 
 impl MetricsPartial {
+    fn with_capacity(events: usize) -> Self {
+        Self { entries: Vec::with_capacity(events), unsorted: false }
+    }
+
     /// Maps one fragment's events to a partial.
     pub fn map(events: &[CollectedEvent]) -> Self {
-        let mut entries: Vec<(u64, u32)> =
-            events.iter().map(|e| (e.stamp, e.stored_bytes)).collect();
-        // Sorting by (stamp, bytes) puts the smallest byte count first in
-        // every equal-stamp run, so the first-wins dedup below implements
-        // the canonical min-bytes rule.
-        entries.sort_unstable();
-        entries.dedup_by_key(|&mut (stamp, _)| stamp);
-        Self { entries }
+        let mut partial = Self::with_capacity(events.len());
+        for e in events {
+            partial.push(e.stamp, e.stored_bytes);
+        }
+        partial.settle();
+        partial
+    }
+
+    /// Folds one event in: appends above the newest stamp, keeps the
+    /// smaller byte count on a repeat of it, and otherwise defers ordering
+    /// to one sort + dedup.
+    #[inline]
+    fn push(&mut self, stamp: u64, stored_bytes: u32) {
+        match self.entries.last_mut() {
+            Some(last) if stamp == last.0 => last.1 = last.1.min(stored_bytes),
+            Some(last) if stamp < last.0 => {
+                self.unsorted = true;
+                self.entries.push((stamp, stored_bytes));
+            }
+            _ => self.entries.push((stamp, stored_bytes)),
+        }
+    }
+
+    /// Runs the deferred sort + dedup now, in place (a no-op after in-order
+    /// pushes), so later reads borrow the entries instead of settling a
+    /// copy each.
+    pub fn settle(&mut self) {
+        if self.unsorted {
+            sort_dedup(&mut self.entries);
+            self.unsorted = false;
+        }
+    }
+
+    /// The sorted, deduplicated entries: borrowed when already settled,
+    /// a settled copy otherwise.
+    fn view(&self) -> Cow<'_, [(u64, u32)]> {
+        if self.unsorted {
+            let mut entries = self.entries.clone();
+            sort_dedup(&mut entries);
+            Cow::Owned(entries)
+        } else {
+            Cow::Borrowed(&self.entries)
+        }
     }
 
     /// Associative merge: sorted multiset union with min-bytes on stamp
-    /// collisions.
-    pub fn merge(self, other: Self) -> Self {
+    /// collisions. When every stamp of `other` is above `self`'s newest
+    /// (ordered fragments), the union is an append.
+    pub fn merge(mut self, mut other: Self) -> Self {
+        self.settle();
+        other.settle();
         if self.entries.is_empty() {
             return other;
         }
         if other.entries.is_empty() {
+            return self;
+        }
+        if self.entries.last().expect("non-empty").0 < other.entries[0].0 {
+            self.entries.extend_from_slice(&other.entries);
             return self;
         }
         let mut out = Vec::with_capacity(self.entries.len() + other.entries.len());
@@ -159,13 +217,13 @@ impl MetricsPartial {
         }
         out.extend(a);
         out.extend(b);
-        Self { entries: out }
+        Self { entries: out, unsorted: false }
     }
 
     /// Finishes the reduction into [`Metrics`]. Identical arithmetic to the
     /// historical sequential `analyze` (which now delegates here).
     pub fn finish(&self, capacity_bytes: usize) -> Metrics {
-        let sorted = &self.entries;
+        let sorted = &*self.view();
         if sorted.is_empty() {
             return Metrics::empty();
         }
@@ -205,17 +263,22 @@ impl MetricsPartial {
 
     /// The deduplicated retained stamps, sorted ascending.
     pub fn stamps(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.iter().map(|&(stamp, _)| stamp)
+        let view = self.view();
+        (0..view.len()).map(move |i| view[i].0)
     }
 
     /// Newest retained stamp, if any.
     pub fn newest(&self) -> Option<u64> {
-        self.entries.last().map(|&(stamp, _)| stamp)
+        if self.unsorted {
+            self.entries.iter().map(|&(stamp, _)| stamp).max()
+        } else {
+            self.entries.last().map(|&(stamp, _)| stamp)
+        }
     }
 
     /// Number of deduplicated retained events.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.view().len()
     }
 
     /// True when the partial holds no events.
@@ -224,16 +287,43 @@ impl MetricsPartial {
     }
 }
 
+/// Sorts by `(stamp, bytes)`, which puts the smallest byte count first in
+/// every equal-stamp run, so the first-wins dedup implements the canonical
+/// min-bytes rule.
+fn sort_dedup(entries: &mut Vec<(u64, u32)>) {
+    entries.sort_unstable();
+    entries.dedup_by_key(|&mut (stamp, _)| stamp);
+}
+
+impl PartialEq for MetricsPartial {
+    fn eq(&self, other: &Self) -> bool {
+        self.view() == other.view()
+    }
+}
+
+impl Eq for MetricsPartial {}
+
+impl std::fmt::Debug for MetricsPartial {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MetricsPartial").field("entries", &self.view()).finish()
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Breakdown monoid
 // ---------------------------------------------------------------------------
 
-/// Per-fragment partial for the per-core / per-thread breakdowns. Keys map
-/// to running [`GroupStats`]; merge is field-wise (`+`, `min`, `max`), all
-/// associative and commutative.
+/// Per-fragment partial for the per-core / per-thread breakdowns: running
+/// [`GroupStats`] in a vector sorted by key. Merge is field-wise (`+`,
+/// `min`, `max`), all associative and commutative.
+///
+/// A push finds its group directly when the table is dense up to the key
+/// (`groups[k].key == k`, which per-core tables always are once every core
+/// below the key has reported) and by binary search otherwise (thread ids).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GroupPartial {
-    groups: BTreeMap<u32, GroupStats>,
+    /// Sorted by key, one entry per key.
+    groups: Vec<GroupStats>,
 }
 
 impl GroupPartial {
@@ -248,52 +338,68 @@ impl GroupPartial {
     }
 
     fn map(events: &[CollectedEvent], key: impl Fn(&CollectedEvent) -> u32) -> Self {
-        let mut groups: BTreeMap<u32, GroupStats> = BTreeMap::new();
+        let mut partial = Self::default();
         for e in events {
-            let k = key(e);
-            let entry = groups.entry(k).or_insert(GroupStats {
-                key: k,
-                events: 0,
-                bytes: 0,
-                oldest: u64::MAX,
-                newest: 0,
-            });
-            entry.events += 1;
-            entry.bytes += e.stored_bytes as u64;
-            entry.oldest = entry.oldest.min(e.stamp);
-            entry.newest = entry.newest.max(e.stamp);
+            partial.push(key(e), e.stamp, e.stored_bytes);
         }
-        Self { groups }
+        partial
+    }
+
+    /// Folds one event into the group `key`.
+    #[inline]
+    fn push(&mut self, key: u32, stamp: u64, stored_bytes: u32) {
+        let i = match self.groups.get(key as usize) {
+            Some(g) if g.key == key => key as usize,
+            _ => match self.groups.binary_search_by_key(&key, |g| g.key) {
+                Ok(i) => i,
+                Err(i) => {
+                    let empty =
+                        GroupStats { key, events: 0, bytes: 0, oldest: u64::MAX, newest: 0 };
+                    self.groups.insert(i, empty);
+                    i
+                }
+            },
+        };
+        let g = &mut self.groups[i];
+        g.events += 1;
+        g.bytes += stored_bytes as u64;
+        g.oldest = g.oldest.min(stamp);
+        g.newest = g.newest.max(stamp);
     }
 
     /// Associative merge of two partials.
-    pub fn merge(mut self, other: Self) -> Self {
-        for (k, g) in other.groups {
-            match self.groups.entry(k) {
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    slot.insert(g);
-                }
-                std::collections::btree_map::Entry::Occupied(mut slot) => {
-                    let mine = slot.get_mut();
+    pub fn merge(self, other: Self) -> Self {
+        let mut out = Vec::with_capacity(self.groups.len() + other.groups.len());
+        let mut a = self.groups.into_iter().peekable();
+        let mut b = other.groups.into_iter().peekable();
+        while let (Some(ga), Some(gb)) = (a.peek(), b.peek()) {
+            match ga.key.cmp(&gb.key) {
+                std::cmp::Ordering::Less => out.push(a.next().expect("peeked")),
+                std::cmp::Ordering::Greater => out.push(b.next().expect("peeked")),
+                std::cmp::Ordering::Equal => {
+                    let (mut mine, g) = (a.next().expect("peeked"), b.next().expect("peeked"));
                     mine.events += g.events;
                     mine.bytes += g.bytes;
                     mine.oldest = mine.oldest.min(g.oldest);
                     mine.newest = mine.newest.max(g.newest);
+                    out.push(mine);
                 }
             }
         }
-        self
+        out.extend(a);
+        out.extend(b);
+        Self { groups: out }
     }
 
     /// Finishes into the [`crate::by_core`] ordering: ascending by key.
     pub fn finish_by_key(&self) -> Vec<GroupStats> {
-        self.groups.values().copied().collect()
+        self.groups.clone()
     }
 
     /// Finishes into the [`crate::by_thread`] ordering: descending by event
     /// count (ties broken by key), truncated to the `top` busiest groups.
     pub fn finish_hot(&self, top: usize) -> Vec<GroupStats> {
-        let mut all: Vec<GroupStats> = self.groups.values().copied().collect();
+        let mut all = self.groups.clone();
         all.sort_by(|a, b| b.events.cmp(&a.events).then(a.key.cmp(&b.key)));
         all.truncate(top);
         all
@@ -305,8 +411,8 @@ impl GroupPartial {
         if self.groups.len() < 2 {
             return None;
         }
-        let max = self.groups.values().map(|g| g.events).max()? as f64;
-        let min = self.groups.values().map(|g| g.events).min()?.max(1) as f64;
+        let max = self.groups.iter().map(|g| g.events).max()? as f64;
+        let min = self.groups.iter().map(|g| g.events).min()?.max(1) as f64;
         Some(max / min)
     }
 }
@@ -484,13 +590,28 @@ pub struct TracePartial {
 }
 
 impl TracePartial {
-    /// Maps one fragment's events.
+    /// An empty partial with room for `events` pushes.
+    pub fn with_capacity(events: usize) -> Self {
+        Self { metrics: MetricsPartial::with_capacity(events), ..Self::default() }
+    }
+
+    /// Maps one fragment's events: a fold of [`push`](Self::push).
     pub fn map(events: &[CollectedEvent]) -> Self {
-        Self {
-            metrics: MetricsPartial::map(events),
-            cores: GroupPartial::by_core(events),
-            threads: GroupPartial::by_thread(events),
+        let mut partial = Self::with_capacity(events.len());
+        for e in events {
+            partial.push(e.stamp, e.core, e.tid, e.stored_bytes);
         }
+        partial.metrics.settle();
+        partial
+    }
+
+    /// Folds one event into all three partials, straight from wherever its
+    /// fields live (a drained event, a borrowed frame event).
+    #[inline]
+    pub fn push(&mut self, stamp: u64, core: u16, tid: u32, stored_bytes: u32) {
+        self.metrics.push(stamp, stored_bytes);
+        self.cores.push(core as u32, stamp, stored_bytes);
+        self.threads.push(tid, stamp, stored_bytes);
     }
 
     /// Associative merge of two fragment partials.

@@ -11,11 +11,8 @@
 use std::io;
 use std::time::Instant;
 
-use btrace_analysis::{
-    fold_merge, map_reduce, GapMapOptions, GapMapPartial, TraceAnalysis, TracePartial,
-};
+use btrace_analysis::{fold_merge, map_reduce, GapMapOptions, TraceAnalysis, TracePartial};
 use btrace_core::event::encoded_len;
-use btrace_core::sink::CollectedEvent;
 use btrace_replay::{check_handoff, BoundaryDefect, BoundaryExpectation, TraceState};
 
 use crate::fragment::{scan_frames, split_fragments, FragmentContext};
@@ -94,7 +91,6 @@ pub struct ParallelAnalysis {
 struct FragmentPartial {
     trace: TracePartial,
     state: TraceState,
-    gap: Option<GapMapPartial>,
     work: FragmentWork,
 }
 
@@ -142,20 +138,8 @@ pub fn analyze_frames_with(
     }
     let fragments_pruned = unpruned - fragments.len();
 
-    // The gap map window must be anchored before the map phase; the frame
-    // index supplies the newest stamp in O(frames). Under a predicate, where
-    // the footer-anchored newest may be filtered out, the map is rendered
-    // after the merge from the (identical) merged stamp set.
-    let indexed_newest: Option<u64> = if predicate.is_none() {
-        infos.iter().filter(|f| f.events > 0).map(|f| f.index.max_stamp).max()
-    } else {
-        None
-    };
-    let parallel_gap = opts.gap_map.zip(indexed_newest);
-
-    let mapped: Vec<io::Result<FragmentPartial>> = map_reduce(&fragments, threads, |_, frag| {
-        map_fragment(frag, bytes, parallel_gap, predicate)
-    });
+    let mapped: Vec<io::Result<FragmentPartial>> =
+        map_reduce(&fragments, threads, |_, frag| map_fragment(frag, bytes, predicate));
     let mut partials = Vec::with_capacity(mapped.len());
     for m in mapped {
         partials.push(m?);
@@ -182,14 +166,10 @@ pub fn analyze_frames_with(
     let mut work = Vec::with_capacity(partials.len());
     let mut per_fragment_state = Vec::with_capacity(partials.len());
     let mut trace_parts = Vec::with_capacity(partials.len());
-    let mut gap_parts = Vec::with_capacity(partials.len());
     for p in partials {
         work.push(p.work);
         per_fragment_state.push(p.state);
         trace_parts.push(p.trace);
-        if let Some(g) = p.gap {
-            gap_parts.push(g);
-        }
     }
     let defects = if predicate.is_some() {
         Vec::new()
@@ -200,14 +180,12 @@ pub fn analyze_frames_with(
         fold_merge(per_fragment_state.clone(), TraceState::merge).unwrap_or_else(TraceState::empty);
     let merged = fold_merge(trace_parts, TracePartial::merge).unwrap_or_default();
     let newest_stamp = merged.metrics.newest();
-    let gap_map = match (opts.gap_map, gap_parts.is_empty()) {
-        (Some(_), false) => fold_merge(gap_parts, GapMapPartial::merge).map(|g| g.render()),
-        (Some(gopts), true) => newest_stamp.map(|newest| {
-            let stamps: Vec<u64> = merged.metrics.stamps().collect();
-            btrace_analysis::gap_map(&stamps, newest, gopts)
-        }),
-        (None, _) => None,
-    };
+    // Rendered from the merged stamp set, where a stamp that several
+    // fragments hold (a lapped stream) counts once.
+    let gap_map = opts.gap_map.zip(newest_stamp).map(|(gopts, newest)| {
+        let stamps: Vec<u64> = merged.metrics.stamps().collect();
+        btrace_analysis::gap_map(&stamps, newest, gopts)
+    });
     let analysis = merged.finish(opts.capacity_bytes, opts.top_threads);
     Ok(ParallelAnalysis {
         analysis,
@@ -226,11 +204,10 @@ pub fn analyze_frames_with(
 fn map_fragment(
     frag: &FragmentContext,
     stream: &[u8],
-    gap: Option<(GapMapOptions, u64)>,
     predicate: Option<&Predicate>,
 ) -> io::Result<FragmentPartial> {
     let t0 = Instant::now();
-    let mut events: Vec<CollectedEvent> = Vec::with_capacity(frag.events as usize);
+    let mut trace = TracePartial::with_capacity(frag.events as usize);
     let mut state = TraceState::empty();
     let mut frames = 0usize;
     visit_frames(&stream[frag.bytes.clone()], |_, decoded| {
@@ -239,29 +216,22 @@ fn map_fragment(
             if predicate.is_some_and(|pred| !pred.admits_ref(e)) {
                 continue;
             }
-            events.push(CollectedEvent {
-                stamp: e.stamp,
-                core: e.core,
-                tid: e.tid,
-                stored_bytes: encoded_len(e.payload.len()) as u32,
-            });
+            trace.push(e.stamp, e.core, e.tid, encoded_len(e.payload.len()) as u32);
             state.record(e.core, e.tid, e.stamp, e.payload.len() as u64);
         }
     })
     .map_err(bad_data)?;
-    let trace = TracePartial::map(&events);
-    let gap = gap.map(|(gopts, newest)| GapMapPartial::map(trace.metrics.stamps(), newest, gopts));
+    trace.metrics.settle();
     Ok(FragmentPartial {
         work: FragmentWork {
             fragment: frag.index,
             frames,
-            events: events.len() as u64,
+            events: state.events,
             bytes: (frag.bytes.end - frag.bytes.start) as u64,
             busy_ns: t0.elapsed().as_nanos() as u64,
         },
         trace,
         state,
-        gap,
     })
 }
 
@@ -269,7 +239,7 @@ fn map_fragment(
 mod tests {
     use super::*;
     use crate::fragment::encode_stream;
-    use btrace_core::sink::FullEvent;
+    use btrace_core::sink::{CollectedEvent, FullEvent};
 
     fn events(n: u64) -> Vec<FullEvent> {
         (0..n)

@@ -10,9 +10,10 @@
 //!    decode.
 //! 2. **Filter + fold**: each surviving frame is validated (checksummed)
 //!    and decoded in place as borrowed [`EventRef`]s, its events are
-//!    filtered by the *exact* predicate before anything is copied, and the
-//!    survivors feed the same monoid partial ([`TracePartial`]) the
-//!    fragment-parallel analyzer uses — so `btrace query` and a
+//!    filtered by the *exact* predicate, and each survivor is folded from
+//!    its borrowed fields ([`TracePartial::push`], [`TraceState::record`])
+//!    into the same monoid partial the fragment-parallel analyzer uses —
+//!    no event is copied on the way. So `btrace query` and a
 //!    predicate-pruned [`analyze_frames`](crate::analyze_frames) are one
 //!    execution path, and both are bit-identical to a linear
 //!    full-decode-then-filter oracle by the monoid's
@@ -24,7 +25,7 @@
 use btrace_analysis::{GapMapOptions, TraceAnalysis, TracePartial};
 use btrace_atrace::{Category, OwnedEvent};
 use btrace_core::event::encoded_len;
-use btrace_core::sink::{CollectedEvent, FullEvent};
+use btrace_core::sink::FullEvent;
 use btrace_replay::TraceState;
 
 use crate::fragment::FrameIndex;
@@ -172,16 +173,19 @@ impl Query {
     /// Resolves the query against `store`.
     ///
     /// Each planned frame is validated and decoded in place into one reused
-    /// scratch buffer; the predicate judges every event there, and only a
-    /// match is copied — its mapping fields always, its payload only when
-    /// [`QueryOptions::collect_events`] is set. All matches are mapped once
-    /// at the end, which by the monoid law equals merging per-frame
-    /// partials.
+    /// scratch buffer; the predicate judges every event there, and a match
+    /// is folded straight from its borrowed fields into the report's
+    /// [`TracePartial`] and [`TraceState`] — nothing is copied unless
+    /// [`QueryOptions::collect_events`] asks for the payloads. By the monoid
+    /// law the one fold equals merging per-frame partials.
     pub fn run(&self, store: &TraceStore) -> QueryReport {
         let plan = self.plan(store);
         let mut defects = store.defects().to_vec();
         let mut events = Vec::new();
-        let mut collected = Vec::new();
+        // The planned frames' footers bound the matches: one reservation,
+        // no growth copies (unused capacity is never touched).
+        let bound: usize = plan.iter().map(|&i| store.frames()[i].index.event_count as usize).sum();
+        let mut partial = TracePartial::with_capacity(bound);
         let mut state = TraceState::empty();
         let mut scratch = Vec::new();
         for &idx in &plan {
@@ -190,30 +194,25 @@ impl Query {
                 continue;
             }
             for e in scratch.iter().filter(|e| self.predicate.admits_ref(e)) {
-                collected.push(CollectedEvent {
-                    stamp: e.stamp,
-                    core: e.core,
-                    tid: e.tid,
-                    stored_bytes: encoded_len(e.payload.len()) as u32,
-                });
+                partial.push(e.stamp, e.core, e.tid, encoded_len(e.payload.len()) as u32);
                 state.record(e.core, e.tid, e.stamp, e.payload.len() as u64);
                 if self.options.collect_events {
                     events.push(e.to_owned());
                 }
             }
         }
-        let merged = TracePartial::map(&collected);
-        let newest_stamp = merged.metrics.newest();
+        partial.metrics.settle();
+        let newest_stamp = partial.metrics.newest();
         let gap_map = self.options.gap_map.and_then(|gopts| {
             newest_stamp.map(|newest| {
-                let stamps: Vec<u64> = merged.metrics.stamps().collect();
+                let stamps: Vec<u64> = partial.metrics.stamps().collect();
                 btrace_analysis::gap_map(&stamps, newest, gopts)
             })
         });
-        let analysis = merged.finish(self.options.capacity_bytes, self.options.top_threads);
+        let analysis = partial.finish(self.options.capacity_bytes, self.options.top_threads);
         QueryReport {
             events,
-            matched_events: collected.len() as u64,
+            matched_events: state.events,
             analysis,
             state,
             gap_map,
@@ -230,6 +229,7 @@ impl Query {
 mod tests {
     use super::*;
     use crate::encode_stream;
+    use btrace_core::sink::CollectedEvent;
 
     fn ev(stamp: u64, core: u16, tid: u32) -> FullEvent {
         FullEvent { stamp, core, tid, payload: vec![0xAB; 8 + (stamp % 9) as usize] }

@@ -14,8 +14,6 @@
 //! lies before it). Any mismatch means the index and the decoded bytes
 //! disagree — a trace defect to report, never a panic.
 
-use std::collections::BTreeSet;
-
 use btrace_core::sink::CollectedEvent;
 
 /// Per-core replay cursor inside a [`TraceState`].
@@ -71,8 +69,8 @@ pub struct TraceState {
     /// Folded 64-bit core bitmap (bit `min(core, 63)`), matching the frame
     /// index footer's encoding.
     pub core_bitmap: u64,
-    /// Distinct producing threads observed.
-    pub tids: BTreeSet<u32>,
+    /// Distinct producing threads observed, sorted ascending.
+    pub tids: Vec<u32>,
 }
 
 impl TraceState {
@@ -96,7 +94,9 @@ impl TraceState {
         self.first_stamp = self.first_stamp.min(stamp);
         self.last_stamp = self.last_stamp.max(stamp);
         self.core_bitmap |= 1u64 << (core as u64).min(63);
-        self.tids.insert(tid);
+        if let Err(i) = self.tids.binary_search(&tid) {
+            self.tids.insert(i, tid);
+        }
     }
 
     /// Maps one fragment of drained events (stored-byte accounting).
@@ -122,6 +122,8 @@ impl TraceState {
         self.last_stamp = self.last_stamp.max(other.last_stamp);
         self.core_bitmap |= other.core_bitmap;
         self.tids.extend(other.tids);
+        self.tids.sort_unstable();
+        self.tids.dedup();
         self
     }
 

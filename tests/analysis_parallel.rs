@@ -26,6 +26,8 @@ use btrace::persist::{analyze_frames, decode_frames, encode_frame, AnalyzeOption
 use btrace::vmem::FaultPlan;
 use proptest::prelude::*;
 
+mod oracle;
+
 const CORES: usize = 4;
 const BLOCK: usize = 256;
 const ACTIVE: usize = 8;
@@ -321,5 +323,60 @@ proptest! {
         prop_assert_eq!(&out.analysis, &reference.analysis);
         prop_assert_eq!(&out.state, &reference.state);
         prop_assert!(out.defects.is_empty());
+    }
+
+    /// Partials built by `push` — whole and per fragment, then merged —
+    /// equal the independent collect-sort-dedup reference on in-order,
+    /// reversed, shuffled and unordered input. Stamps are drawn from a
+    /// narrow range so most arrive more than once with different byte
+    /// counts, and the in-order shape puts those repeats next to each
+    /// other, where `push` resolves them in place.
+    #[test]
+    fn push_fold_matches_independent_oracle(
+        raw in proptest::collection::vec((0u64..150, 0u16..8, 0u32..40, 8u8..40), 1..300),
+        shape in 0u8..4,
+        shuffle_seed in 0u64..u64::MAX,
+        cuts in proptest::collection::vec(0usize..300, 0..6),
+    ) {
+        let mut events = collected(&raw);
+        match shape {
+            0 => events.sort_by_key(|e| e.stamp),
+            1 => events.sort_by_key(|e| std::cmp::Reverse(e.stamp)),
+            2 => {
+                let mut rng = shuffle_seed;
+                for i in (1..events.len()).rev() {
+                    events.swap(i, (splitmix(&mut rng) % (i as u64 + 1)) as usize);
+                }
+            }
+            _ => {}
+        }
+        let expect = oracle::oracle(&events, 1 << 12, 8);
+        let stamps: Vec<u64> = oracle::retained(&events).iter().map(|&(s, _)| s).collect();
+        let push_all = |events: &[CollectedEvent]| {
+            let mut p = TracePartial::default();
+            for e in events {
+                p.push(e.stamp, e.core, e.tid, e.stored_bytes);
+            }
+            p
+        };
+
+        let whole = push_all(&events);
+        prop_assert_eq!(oracle::readout(&whole.finish(1 << 12, 8)), expect.clone());
+        prop_assert_eq!(whole.metrics.stamps().collect::<Vec<u64>>(), stamps.clone());
+        prop_assert_eq!(whole.metrics.newest(), stamps.last().copied());
+        prop_assert_eq!(whole.metrics.len(), stamps.len());
+        prop_assert_eq!(&whole, &TracePartial::map(&events));
+
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (events.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut parts = Vec::new();
+        let mut start = 0;
+        for cut in cuts.into_iter().chain([events.len()]) {
+            parts.push(push_all(&events[start..cut.max(start)]));
+            start = cut.max(start);
+        }
+        let merged = fold_merge(parts, TracePartial::merge).expect("at least one part");
+        prop_assert_eq!(oracle::readout(&merged.finish(1 << 12, 8)), expect);
+        prop_assert_eq!(merged.metrics.stamps().collect::<Vec<u64>>(), stamps);
     }
 }

@@ -37,6 +37,8 @@ use btrace::persist::{
 use btrace::replay::TraceState;
 use btrace::vmem::FaultPlan;
 
+mod oracle;
+
 const CORES: usize = 4;
 const BLOCK: usize = 256;
 const ACTIVE: usize = 8;
@@ -411,6 +413,81 @@ fn fresh_seed_batch_matches_oracle() {
 
 const CORPUS_EVENTS: usize = 64 * 1024;
 const CORPUS_FRAME_EVENTS: usize = 1024;
+
+/// Three laps over overlapping stamp ranges, written newest lap first:
+/// frames run out of stamp order (one frame even steps backwards inside),
+/// and each later lap repeats stamps of another with other payload sizes.
+fn lapped_events() -> Vec<FullEvent> {
+    let laps = [(1_000u64..1_600, 0usize), (0..700, 5), (650..1_100, 11)];
+    laps.into_iter()
+        .flat_map(|(stamps, shift)| {
+            stamps.filter(|s| s % 17 != 3).map(move |s| FullEvent {
+                stamp: s,
+                core: ((s as usize + shift) % 5) as u16,
+                tid: 300 + (s % 7) as u32,
+                payload: vec![0x5A; 8 + (s as usize + shift) % 30],
+            })
+        })
+        .collect()
+}
+
+#[test]
+fn lapped_stream_matches_independent_oracle() {
+    let events = lapped_events();
+    let bytes = encode_stream(&events, 64);
+    let store = TraceStore::from_bytes(bytes.clone());
+    let gopts = GapMapOptions { window: 1_200, width: 40 };
+    let restricted = Predicate {
+        since: Some(600),
+        until: Some(1_250),
+        cores: vec![0, 2, 3],
+        ..Default::default()
+    };
+    for predicate in [Predicate::default(), restricted] {
+        let matched: Vec<FullEvent> =
+            events.iter().filter(|e| predicate.admits_event(e)).cloned().collect();
+        let matched = collect(&matched);
+        let expect = oracle::oracle(&matched, 1 << 14, 8);
+        let stamps: Vec<u64> = oracle::retained(&matched).iter().map(|&(s, _)| s).collect();
+        let newest = stamps.last().copied();
+        let expect_gap = newest.map(|n| gap_map(&stamps, n, gopts));
+        assert!(stamps.len() < matched.len(), "the laps must repeat stamps");
+
+        let q = Query {
+            predicate: predicate.clone(),
+            options: QueryOptions {
+                capacity_bytes: 1 << 14,
+                gap_map: Some(gopts),
+                ..Default::default()
+            },
+        };
+        let report = q.run(&store);
+        assert!(report.defects.is_empty());
+        assert_eq!(report.matched_events, matched.len() as u64);
+        assert_eq!(oracle::readout(&report.analysis), expect, "{predicate:?}: query");
+        assert_eq!(report.gap_map, expect_gap, "{predicate:?}: query gap map");
+        assert_eq!(report.newest_stamp, newest, "{predicate:?}: query newest");
+
+        for (threads, fragments) in [(1, 0), (3, 5)] {
+            let opts = AnalyzeOptions {
+                threads,
+                fragments,
+                capacity_bytes: 1 << 14,
+                gap_map: Some(gopts),
+                ..Default::default()
+            };
+            // Unrestricted, the boundary hand-off check runs too.
+            let restriction = (predicate != Predicate::default()).then_some(&predicate);
+            let out = analyze_frames_with(&bytes, &opts, restriction).expect("decodes");
+            let what = format!("{predicate:?}: analyze_frames at {threads} threads");
+            assert!(out.defects.is_empty(), "{what}: {:?}", out.defects);
+            assert_eq!(oracle::readout(&out.analysis), expect, "{what}");
+            assert_eq!(out.gap_map, expect_gap, "{what}: gap map");
+            assert_eq!(out.newest_stamp, newest, "{what}: newest");
+            assert_eq!(out.state, report.state, "{what}: state");
+        }
+    }
+}
 
 /// A drain-shaped corpus: globally increasing stamps with jitter, core 0
 /// hot, and small atrace-encoded payloads (sched/irq/binder mix) — what a
