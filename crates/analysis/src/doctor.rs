@@ -349,7 +349,9 @@ pub fn diagnose(
                 title: format!("sticky degradation bits set: {}", degraded::describe(sticky)),
                 evidence: vec![format!(
                     "commit_failures={} resize_fallbacks={} lock_recoveries={}",
-                    snap.commit_failures, snap.resize_fallbacks, snap.lock_recoveries
+                    snap.stats.commit_failures,
+                    snap.stats.resize_fallbacks,
+                    snap.stats.lock_recoveries
                 )],
             });
         } else if snap.degraded_bits != 0 {
@@ -362,10 +364,10 @@ pub fn diagnose(
                 evidence: Vec::new(),
             });
         }
-        if snap.skips > 0 {
+        if snap.stats.skips > 0 {
             findings.push(Finding {
                 severity: Severity::Warning,
-                title: format!("{} block skip(s) recorded by the tracer", snap.skips),
+                title: format!("{} block skip(s) recorded by the tracer", snap.stats.skips),
                 evidence: vec![format!(
                     "skip rate {:.4}, mean occupancy {:.1}%",
                     snap.skip_rate,
@@ -625,8 +627,7 @@ mod tests {
     fn snapshot_and_dump_evidence_are_graded() {
         let snap = HealthSnapshot {
             degraded_bits: degraded::COMMIT_FAILED,
-            commit_failures: 4,
-            skips: 12,
+            stats: btrace_telemetry::Stats { commit_failures: 4, skips: 12, ..Default::default() },
             ..HealthSnapshot::default()
         };
         let mut dump = Metrics::empty();

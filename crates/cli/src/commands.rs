@@ -11,13 +11,28 @@ use btrace_persist::{
     Predicate, PrometheusExporter, Query, StreamPipeline, TraceDump, TraceStore,
 };
 use btrace_replay::{scenarios, ReplayConfig, ReplayReport, Replayer};
+use btrace_telemetry::fields::{Field, Record};
+use btrace_telemetry::json::Json;
 use btrace_telemetry::{
-    degraded, ControllerConfig, ControllerThread, EventKind, Exporter, FlightRecorder,
-    HealthSnapshot, ResizeTarget, Sampler, SamplerConfig,
+    degraded, ControllerConfig, ControllerThread, CoreHealth, EventKind, Exporter, FlightRecorder,
+    HealthSnapshot, LatencySummary, ResizeTarget, Sampler, SamplerConfig, StageHealth, Stats,
 };
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Unwraps a result, or prints its error and makes the command exit 1.
+macro_rules! or_exit {
+    ($result:expr) => {
+        match $result {
+            Ok(value) => value,
+            Err(e) => {
+                eprintln!("error: {e}");
+                return 1;
+            }
+        }
+    };
+}
 
 const CORES: usize = 12;
 const TOTAL: usize = 12 << 20;
@@ -47,15 +62,9 @@ pub fn scenarios() -> i32 {
 
 /// `btrace demo`
 pub fn demo() -> i32 {
-    let tracer = match BTrace::new(
+    let tracer = or_exit!(BTrace::new(
         Config::new(4).active_blocks(64).block_bytes(BLOCK).buffer_bytes(1 << 20),
-    ) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+    ));
     std::thread::scope(|scope| {
         for core in 0..4 {
             let producer = tracer.producer(core).expect("core in range");
@@ -204,25 +213,13 @@ pub fn analyze(file: &str, threads: usize, fragments: usize, map: bool) -> i32 {
     }
     let frames = store.bytes();
     let mut opts = AnalyzeOptions { threads, fragments, ..AnalyzeOptions::default() };
-    let mut out = match analyze_frames(frames, &opts) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+    let mut out = or_exit!(analyze_frames(frames, &opts));
     if map && !out.state.is_empty() {
         // Second pass with the window sized to the observed stamp range;
         // fragment splitting and merge order are identical both times.
         let window = out.state.last_stamp - out.state.first_stamp + 1;
         opts.gap_map = Some(GapMapOptions { window, width: 72 });
-        out = match analyze_frames(frames, &opts) {
-            Ok(out) => out,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        };
+        out = or_exit!(analyze_frames(frames, &opts));
     }
     print_parallel_analysis(&out);
     i32::from(!out.defects.is_empty())
@@ -305,13 +302,7 @@ pub fn query(
     map: bool,
     json: bool,
 ) -> i32 {
-    let category = match category.map(parse_category).transpose() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+    let category = or_exit!(category.map(parse_category).transpose());
     let predicate = Predicate { since, until, cores: cores.to_vec(), category };
     let Some(store) = open_store(file) else { return 1 };
     let mut q = Query::new(predicate.clone());
@@ -384,15 +375,9 @@ pub fn query(
 
 /// `btrace dump`
 pub fn dump(scenario: &str, out: &str, scale: f64) -> i32 {
-    let tracer = match BTrace::new(
+    let tracer = or_exit!(BTrace::new(
         Config::new(CORES).active_blocks(16 * CORES).block_bytes(BLOCK).buffer_bytes(TOTAL),
-    ) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+    ));
     let Some(s) = scenarios::by_name(scenario) else {
         eprintln!("error: unknown scenario {scenario}");
         return 1;
@@ -429,9 +414,25 @@ fn file_exporters(
     Ok(exporters)
 }
 
-/// Runs a 4-core synthetic load against `tracer` for `duration_ms`,
-/// draining periodically so the consumer path shows up in the snapshot.
-fn run_synthetic_load(tracer: &BTrace, duration_ms: u64) {
+/// How each synthetic producer paces itself.
+#[derive(Debug, Clone, Copy)]
+enum Pace {
+    /// Flat out, yielding the CPU every `n` records.
+    YieldEvery(u64),
+    /// Flat out (yielding every 2048 records) until the instant, then one
+    /// record per 5 ms: a launch spike followed by a drip.
+    SpikeUntil(Instant),
+}
+
+/// Runs `body` on the calling thread while one producer per core records
+/// `payload` into `tracer` at `pace`; the producers stop when `body`
+/// returns. Stamps are `core * 10^9 + i` and tids cycle through 0..17.
+fn with_synthetic_load<R>(
+    tracer: &BTrace,
+    payload: &[u8],
+    pace: Pace,
+    body: impl FnOnce() -> R,
+) -> R {
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         for core in 0..tracer.cores() {
@@ -441,27 +442,53 @@ fn run_synthetic_load(tracer: &BTrace, duration_ms: u64) {
                 let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     producer
-                        .record_with(
-                            core as u64 * 1_000_000_000 + i,
-                            i as u32 % 17,
-                            b"stat: synthetic event",
-                        )
+                        .record_with(core as u64 * 1_000_000_000 + i, i as u32 % 17, payload)
                         .expect("payload fits");
                     i += 1;
-                    if i.is_multiple_of(4096) {
-                        std::thread::yield_now();
+                    match pace {
+                        Pace::SpikeUntil(t) if Instant::now() >= t => {
+                            std::thread::sleep(Duration::from_millis(5));
+                        }
+                        Pace::SpikeUntil(_) if i.is_multiple_of(2048) => std::thread::yield_now(),
+                        Pace::YieldEvery(n) if i.is_multiple_of(n) => std::thread::yield_now(),
+                        _ => {}
                     }
                 }
             });
         }
+        let out = body();
+        stop.store(true, Ordering::Relaxed);
+        out
+    })
+}
+
+/// Runs a 4-core synthetic load on a fresh telemetry tracer for
+/// `duration_ms`, draining periodically so the consumer path shows up in
+/// the snapshots, while a sampler feeds the `--jsonl`/`--prom` exporters
+/// and `extra` every `period_ms`. Returns the tracer and the stopped
+/// sampler.
+fn sampled_load(
+    duration_ms: u64,
+    period_ms: u64,
+    jsonl: Option<&str>,
+    prom: Option<&str>,
+    extra: Option<Box<dyn Exporter>>,
+) -> Result<(BTrace, Sampler), String> {
+    let tracer = telemetry_tracer()?;
+    let mut exporters = file_exporters(jsonl, prom)?;
+    exporters.extend(extra);
+    let period = Duration::from_millis(period_ms);
+    let mut sampler = Sampler::spawn(tracer.clone(), exporters, SamplerConfig { period });
+    with_synthetic_load(&tracer, b"stat: synthetic event", Pace::YieldEvery(4096), || {
         let mut consumer = tracer.consumer();
-        let deadline = std::time::Instant::now() + Duration::from_millis(duration_ms);
-        while std::time::Instant::now() < deadline {
+        let deadline = Instant::now() + Duration::from_millis(duration_ms);
+        while Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(50.min(duration_ms / 4 + 1)));
             let _ = consumer.collect();
         }
-        stop.store(true, Ordering::Relaxed);
     });
+    sampler.stop();
+    Ok((tracer, sampler))
 }
 
 fn telemetry_tracer() -> Result<BTrace, String> {
@@ -521,10 +548,9 @@ fn print_health_table(snap: &HealthSnapshot) {
         snap.active_blocks,
         snap.effectivity_bound
     );
-    println!(
-        "counters: {} records, {} advances, {} closes, {} skips, {} repairs, {} resizes",
-        snap.records, snap.advances, snap.closes, snap.skips, snap.straggler_repairs, snap.resizes
-    );
+    let counters: Vec<String> =
+        scalar_fields::<Stats>().map(|f| format!("{} {}", (f.get)(&snap.stats), f.name)).collect();
+    println!("counters: {}", counters.join(", "));
     println!(
         "effectivity: {:.4} observed vs {:.4} bound; skip rate {:.4}; occupancy {:.2}; {} open blocks",
         snap.effectivity_observed, snap.effectivity_bound, snap.skip_rate, snap.mean_occupancy, snap.open_blocks
@@ -538,67 +564,46 @@ fn print_health_table(snap: &HealthSnapshot) {
             snap.rates.advances_per_sec
         );
     }
-    let mut table = Table::new(vec![
-        "Path".into(),
-        "Samples".into(),
-        "Mean ns".into(),
-        "p50".into(),
-        "p90".into(),
-        "p99".into(),
-        "p999".into(),
-        "Max".into(),
-    ]);
+    let mut table = Table::new([vec!["path".into()], field_names::<LatencySummary>()].concat());
     for (name, l) in [
         ("record (sampled)", &snap.record_latency),
         ("advance", &snap.advance_latency),
         ("drain", &snap.drain_latency),
     ] {
-        table.row(vec![
-            name.into(),
-            l.count.to_string(),
-            format!("{:.0}", l.mean_ns),
-            l.p50.to_string(),
-            l.p90.to_string(),
-            l.p99.to_string(),
-            l.p999.to_string(),
-            l.max.to_string(),
-        ]);
+        table.row([vec![name.into()], field_cells(l)].concat());
     }
     println!("{}", table.render());
-    let mut table = Table::new(vec!["Core".into(), "Records".into(), "KiB".into()]);
+    let mut table = Table::new(field_names::<CoreHealth>());
     for core in &snap.per_core {
-        table.row(vec![
-            format!("C{}", core.core),
-            core.records.to_string(),
-            (core.recorded_bytes / 1024).to_string(),
-        ]);
+        table.row(field_cells(core));
     }
     println!("{}", table.render());
 }
 
+/// The scalar fields of a record, in table order (nested records and
+/// lists are left out): the columns of the CLI's health tables.
+fn scalar_fields<R: Record>() -> impl Iterator<Item = &'static Field<R>> {
+    R::FIELDS.iter().filter(|f| !matches!((f.get)(&R::default()), Json::Obj(_) | Json::Arr(_)))
+}
+
+fn field_names<R: Record>() -> Vec<String> {
+    scalar_fields::<R>().map(|f| f.name.to_string()).collect()
+}
+
+/// One table row: each scalar field of `r`, fractions rounded.
+fn field_cells<R: Record>(r: &R) -> Vec<String> {
+    let cell = |f: &Field<R>| match (f.get)(r) {
+        Json::Num(n) if n.contains('.') => format!("{:.0}", n.parse::<f64>().unwrap_or(0.0)),
+        Json::Str(s) => s,
+        v => v.render(),
+    };
+    scalar_fields::<R>().map(cell).collect()
+}
+
 /// `btrace stat`
 pub fn stat(json: bool, duration_ms: u64, jsonl: Option<&str>, prom: Option<&str>) -> i32 {
-    let tracer = match telemetry_tracer() {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    let exporters = match file_exporters(jsonl, prom) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    let mut sampler = Sampler::spawn(
-        tracer.clone(),
-        exporters,
-        SamplerConfig { period: Duration::from_millis((duration_ms / 4).clamp(50, 1000)) },
-    );
-    run_synthetic_load(&tracer, duration_ms);
-    sampler.stop();
+    let period_ms = (duration_ms / 4).clamp(50, 1000);
+    let (tracer, sampler) = or_exit!(sampled_load(duration_ms, period_ms, jsonl, prom, None));
     // The final report reflects the finished workload; rate/sequence
     // context comes from the sampler's last periodic snapshot.
     let mut snap = tracer.health_snapshot();
@@ -633,11 +638,11 @@ impl Exporter for WatchExporter {
             "{:>4} {:>6} {:>12} {:>12.0} {:>9.2} {:>9} {:>6} {:>8.4} {:>8.4} {:>6} {:>6} {:>7} {:>8} {}",
             s.seq,
             s.age_ms,
-            s.records,
+            s.stats.records,
             s.rates.records_per_sec,
             s.rates.bytes_per_sec / (1 << 20) as f64,
-            s.advances,
-            s.skips,
+            s.stats.advances,
+            s.stats.skips,
             s.effectivity_observed,
             s.mean_occupancy,
             s.record_latency.p50,
@@ -652,20 +657,6 @@ impl Exporter for WatchExporter {
 
 /// `btrace watch`
 pub fn watch(period_ms: u64, duration_ms: u64, jsonl: Option<&str>, prom: Option<&str>) -> i32 {
-    let tracer = match telemetry_tracer() {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    let mut exporters = match file_exporters(jsonl, prom) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
     println!(
         "{:>4} {:>6} {:>12} {:>12} {:>9} {:>9} {:>6} {:>8} {:>8} {:>6} {:>6} {:>7} {:>8} state",
         "seq",
@@ -682,14 +673,8 @@ pub fn watch(period_ms: u64, duration_ms: u64, jsonl: Option<&str>, prom: Option
         "p999",
         "stages"
     );
-    exporters.push(Box::new(WatchExporter));
-    let mut sampler = Sampler::spawn(
-        tracer.clone(),
-        exporters,
-        SamplerConfig { period: Duration::from_millis(period_ms) },
-    );
-    run_synthetic_load(&tracer, duration_ms);
-    sampler.stop();
+    let watch = Some(Box::new(WatchExporter) as Box<dyn Exporter>);
+    let sampler = or_exit!(sampled_load(duration_ms, period_ms, jsonl, prom, watch)).1;
     let errors = sampler.export_errors();
     if errors > 0 {
         eprintln!("warning: {errors} export errors");
@@ -726,13 +711,11 @@ pub fn stream(
     };
     // Auto-sized streams start small and let the controller earn the
     // bytes; fixed-size streams keep the classic 4 MiB geometry.
-    let tracer = match if auto_size.is_some() { resizable_tracer() } else { telemetry_tracer() } {
-        Ok(t) => std::sync::Arc::new(t),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+    let tracer = std::sync::Arc::new(or_exit!(if auto_size.is_some() {
+        resizable_tracer()
+    } else {
+        telemetry_tracer()
+    }));
     let controller = auto_size.map(|auto| spawn_controller(&tracer, auto));
     let sink: Box<dyn FrameSink> = match out {
         Some(path) => match FileFrameSink::create(path) {
@@ -753,36 +736,15 @@ pub fn stream(
     };
     let pipeline = StreamPipeline::spawn(std::sync::Arc::clone(&tracer), sink, config);
 
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for core in 0..tracer.cores() {
-            let producer = tracer.producer(core).expect("core in range");
-            let stop = &stop;
-            scope.spawn(move || {
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    producer
-                        .record_with(
-                            core as u64 * 1_000_000_000 + i,
-                            i as u32 % 17,
-                            b"stream: synthetic event",
-                        )
-                        .expect("payload fits");
-                    i += 1;
-                    if i.is_multiple_of(2048) {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-        }
+    with_synthetic_load(&tracer, b"stream: synthetic event", Pace::YieldEvery(2048), || {
         if !json {
             println!(
                 "{:>8} {:>12} {:>10} {:>10} {:>9} {:>8}",
                 "drained", "drained/s", "frames", "MiB out", "missed", "dropped"
             );
         }
-        let deadline = std::time::Instant::now() + Duration::from_millis(duration_ms);
-        while std::time::Instant::now() < deadline {
+        let deadline = Instant::now() + Duration::from_millis(duration_ms);
+        while Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(200.min(duration_ms / 2 + 1)));
             if !json {
                 let s = pipeline.stats();
@@ -797,7 +759,6 @@ pub fn stream(
                 );
             }
         }
-        stop.store(true, Ordering::Relaxed);
     });
     let stats = pipeline.stop();
     if let Some(mut ctrl) = controller {
@@ -823,23 +784,9 @@ pub fn stream(
         snap.stream_stages = stats.stages.clone();
         println!("{}", snap.to_json());
     } else {
-        let mut table = Table::new(vec![
-            "Stage".into(),
-            "Depth".into(),
-            "Cap".into(),
-            "In".into(),
-            "Out".into(),
-            "Dropped".into(),
-        ]);
+        let mut table = Table::new(field_names::<StageHealth>());
         for s in &stats.stages {
-            table.row(vec![
-                s.stage.clone(),
-                s.depth.to_string(),
-                s.capacity.to_string(),
-                s.in_items.to_string(),
-                s.out_items.to_string(),
-                s.dropped.to_string(),
-            ]);
+            table.row(field_cells(s));
         }
         println!("{}", table.render());
         println!(
@@ -867,51 +814,21 @@ pub fn stream(
 /// controller reacts, and the command prints every decision it took plus
 /// the capacity it settled on. Nothing outlives the run.
 pub fn tune(duration_ms: u64, budget: Option<u64>, target_loss_ppm: u64, json: bool) -> i32 {
-    let tracer = match resizable_tracer() {
-        Ok(t) => std::sync::Arc::new(t),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+    let tracer = std::sync::Arc::new(or_exit!(resizable_tracer()));
     let start_bytes = tracer.capacity_bytes();
     let mut controller = spawn_controller(&tracer, AutoSize { budget, target_loss_ppm });
 
     // Phase 1 (first half): every core spins flat out — the launch-spike
     // shape that should force grows. Phase 2 (second half): a slow drip
     // that should let the retention-ranked shrink reclaim bytes.
-    let stop = AtomicBool::new(false);
-    let spike_until = std::time::Instant::now() + Duration::from_millis(duration_ms / 2);
-    let deadline = std::time::Instant::now() + Duration::from_millis(duration_ms);
-    std::thread::scope(|scope| {
-        for core in 0..tracer.cores() {
-            let producer = tracer.producer(core).expect("core in range");
-            let stop = &stop;
-            scope.spawn(move || {
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    producer
-                        .record_with(
-                            core as u64 * 1_000_000_000 + i,
-                            i as u32 % 17,
-                            b"tune: synthetic event",
-                        )
-                        .expect("payload fits");
-                    i += 1;
-                    if std::time::Instant::now() >= spike_until {
-                        std::thread::sleep(Duration::from_millis(5));
-                    } else if i.is_multiple_of(2048) {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-        }
+    let spike_until = Instant::now() + Duration::from_millis(duration_ms / 2);
+    let deadline = Instant::now() + Duration::from_millis(duration_ms);
+    with_synthetic_load(&tracer, b"tune: synthetic event", Pace::SpikeUntil(spike_until), || {
         let mut consumer = tracer.consumer();
-        while std::time::Instant::now() < deadline {
+        while Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(20));
             let _ = consumer.collect();
         }
-        stop.store(true, Ordering::Relaxed);
     });
     controller.stop();
 
@@ -919,7 +836,6 @@ pub fn tune(duration_ms: u64, budget: Option<u64>, target_loss_ppm: u64, json: b
     let snap = tracer.health_snapshot();
     let recommended = tracer.capacity_bytes();
     if json {
-        use btrace_telemetry::json::Json;
         let obj = Json::Obj(vec![
             ("recommended_bytes".into(), Json::from_u64(recommended as u64)),
             ("start_bytes".into(), Json::from_u64(start_bytes as u64)),
@@ -932,7 +848,7 @@ pub fn tune(duration_ms: u64, budget: Option<u64>, target_loss_ppm: u64, json: b
             ("resize_failures".into(), Json::from_u64(stats.failures.load(Ordering::Relaxed))),
             ("budget_clamps".into(), Json::from_u64(stats.budget_clamps.load(Ordering::Relaxed))),
             ("stale_skips".into(), Json::from_u64(stats.stale_skips.load(Ordering::Relaxed))),
-            ("skips".into(), Json::from_u64(snap.skips)),
+            ("skips".into(), Json::from_u64(snap.stats.skips)),
         ]);
         println!("{}", obj.render());
     } else {
@@ -1002,13 +918,7 @@ pub fn doctor(fault_seed: u64, duration_ms: u64, json: bool) -> i32 {
         config =
             config.fault_plan(FaultPlan::new(fault_seed).commit_failure_rate(1.0).arm_after_ops(1));
     }
-    let tracer = match BTrace::new(config) {
-        Ok(t) => std::sync::Arc::new(t),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+    let tracer = std::sync::Arc::new(or_exit!(BTrace::new(config)));
     // A depth-1 shedding pipeline: under four spinning producers its
     // queues overflow, so loss shows up as recorder StageDrop events, not
     // just counter drift.
@@ -1038,34 +948,12 @@ pub fn doctor(fault_seed: u64, duration_ms: u64, json: bool) -> i32 {
         Duration::from_millis(duration_ms.clamp(200, 2000) / 20),
     );
 
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for core in 0..tracer.cores() {
-            let producer = tracer.producer(core).expect("core in range");
-            let stop = &stop;
-            scope.spawn(move || {
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    producer
-                        .record_with(
-                            core as u64 * 1_000_000_000 + i,
-                            i as u32 % 17,
-                            b"doctor: fault storm",
-                        )
-                        .expect("payload fits");
-                    i += 1;
-                    if i.is_multiple_of(2048) {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-        }
+    with_synthetic_load(&tracer, b"doctor: fault storm", Pace::YieldEvery(2048), || {
         // Halfway in, attempt a grow. With the fault plan armed this is
         // the injected incident: commit faults → retries → fallback.
         std::thread::sleep(Duration::from_millis(duration_ms / 2));
         let _ = BTrace::resize_bytes(&tracer, 4 * DOCTOR_STRIDE);
         std::thread::sleep(Duration::from_millis(duration_ms - duration_ms / 2));
-        stop.store(true, Ordering::Relaxed);
     });
     controller.stop();
     let pstats = pipeline.stop();
@@ -1114,13 +1002,7 @@ fn print_new_events(recorder: &FlightRecorder, seen: &mut [u64], json: bool) -> 
 /// and prints the flight recorder's timeline (control-plane transitions
 /// plus per-stage span events), optionally tailing it live.
 pub fn events(duration_ms: u64, follow: bool, json: bool) -> i32 {
-    let tracer = match telemetry_tracer() {
-        Ok(t) => std::sync::Arc::new(t),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+    let tracer = std::sync::Arc::new(or_exit!(telemetry_tracer()));
     let recorder = tracer.flight_recorder();
     let mut seen = vec![0u64; recorder.shards()];
     let pipeline = StreamPipeline::spawn(
@@ -1128,36 +1010,14 @@ pub fn events(duration_ms: u64, follow: bool, json: bool) -> i32 {
         Box::new(NullFrameSink::default()),
         PipelineConfig::default(),
     );
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for core in 0..tracer.cores() {
-            let producer = tracer.producer(core).expect("core in range");
-            let stop = &stop;
-            scope.spawn(move || {
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    producer
-                        .record_with(
-                            core as u64 * 1_000_000_000 + i,
-                            i as u32 % 17,
-                            b"events: synthetic event",
-                        )
-                        .expect("payload fits");
-                    i += 1;
-                    if i.is_multiple_of(4096) {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-        }
-        let deadline = std::time::Instant::now() + Duration::from_millis(duration_ms);
-        while std::time::Instant::now() < deadline {
+    with_synthetic_load(&tracer, b"events: synthetic event", Pace::YieldEvery(4096), || {
+        let deadline = Instant::now() + Duration::from_millis(duration_ms);
+        while Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(50.min(duration_ms / 4 + 1)));
             if follow {
                 print_new_events(&recorder, &mut seen, json);
             }
         }
-        stop.store(true, Ordering::Relaxed);
     });
     pipeline.stop();
     let printed = print_new_events(&recorder, &mut seen, json);
@@ -1169,13 +1029,7 @@ pub fn events(duration_ms: u64, follow: bool, json: bool) -> i32 {
 
 /// `btrace inspect`
 pub fn inspect(file: &str, map: bool) -> i32 {
-    let dump = match TraceDump::read_from(Path::new(file)) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+    let dump = or_exit!(TraceDump::read_from(Path::new(file)));
     println!("dump {file:?}: label {:?}, {} events\n", dump.label(), dump.events().len());
     let events: Vec<CollectedEvent> = dump
         .events()

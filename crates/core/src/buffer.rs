@@ -8,8 +8,9 @@ use crate::layout::{map_gpos, RatioHistory};
 use crate::meta::{Alloc, Close, MetaBlock};
 use crate::packed::{RatioPos, RndPos};
 use crate::raw::DataRegion;
-use crate::stats::{Counters, Stats};
+use crate::stats::Counters;
 use crate::sync::{Arc, AtomicU64, AtomicUsize, Mutex, Ordering};
+use btrace_telemetry::Stats;
 use crossbeam_utils::CachePadded;
 
 /// Largest single dummy entry (bounded by the 16-bit length field).
@@ -482,11 +483,12 @@ impl BTrace {
     }
 
     /// Returns a block-granularity streaming consumer: each
-    /// [`poll`](crate::StreamConsumer::poll) hands off only blocks closed
+    /// [`poll`](crate::StreamShard::poll) hands off only blocks closed
     /// since the previous poll, so every delivered batch is final and can
-    /// be encoded and shipped immediately.
-    pub fn stream(&self) -> crate::StreamConsumer {
-        crate::StreamConsumer::new(Arc::clone(&self.shared))
+    /// be encoded and shipped immediately. It is the stride-1
+    /// [`StreamShard`](crate::StreamShard), owning every block sequence.
+    pub fn stream(&self) -> crate::StreamShard {
+        crate::StreamShard::new(Arc::clone(&self.shared), 0, 1)
     }
 
     /// Returns a streaming consumer split into `shards` disjoint stripes

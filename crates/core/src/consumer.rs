@@ -195,7 +195,7 @@ pub struct ReaderPin<'a> {
 
 /// Closes every core's current block by dummy-filling its remaining space
 /// (§4.3's destructive cut), shared by [`Consumer::collect_and_close`] and
-/// [`StreamConsumer::flush_close`](crate::stream::StreamConsumer::flush_close).
+/// [`StreamShard::flush_close`](crate::stream::StreamShard::flush_close).
 pub(crate) fn close_current_blocks(shared: &Shared) {
     let cap = shared.cap();
     for core in 0..shared.cfg.cores {

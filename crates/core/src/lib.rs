@@ -74,8 +74,7 @@ pub use consumer::{BlockCounts, Consumer, ReaderPin, Readout, RingSnapshot};
 pub use error::TraceError;
 pub use event::{EntryView, Event};
 pub use producer::{Grant, Producer};
-pub use stats::{Degraded, Stats, TracerState};
-pub use stream::{DrainedBatch, ShardedStreamConsumer, StreamConsumer, StreamShard, StreamStats};
+pub use stream::{DrainedBatch, ShardedStreamConsumer, StreamShard, StreamStats};
 #[cfg(feature = "model")]
 pub use sync::model_rt;
 pub use tail::{Polled, TailReader};
@@ -83,4 +82,7 @@ pub use tail::{Polled, TailReader};
 // Re-exported so downstream crates can configure memory backing and
 // fault injection without depending on the substrate crate directly.
 pub use btrace_smr::DomainStats;
+// The counter set and the degradation state are defined once, in the
+// telemetry crate, and surface here under their historical names.
+pub use btrace_telemetry::{degraded, Degraded, Stats, TracerState};
 pub use btrace_vmem::{Backing, FaultPlan, FaultStats};

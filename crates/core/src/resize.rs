@@ -22,8 +22,8 @@ use crate::buffer::{extent_bytes, BTrace, Shared};
 use crate::error::TraceError;
 use crate::meta::Close;
 use crate::packed::RatioPos;
-use crate::stats::degraded;
 use crate::sync::Ordering;
+use btrace_telemetry::degraded;
 use std::time::{Duration, Instant};
 
 /// How long a shrink waits for producers holding unconfirmed grants before
@@ -594,7 +594,7 @@ mod tests {
         match t.state() {
             TracerState::Degraded(d) => {
                 assert!(d.commit_failed);
-                assert_eq!(d.resize_fallbacks, 1);
+                assert_eq!(d.stats.resize_fallbacks, 1);
             }
             TracerState::Healthy => panic!("fallback must surface as Degraded"),
         }

@@ -1,5 +1,7 @@
-//! Diagnostic counters for the mechanisms the paper ablates: closing,
-//! skipping, dummy filling, and straggler repair.
+//! The atomic counters behind [`Stats`]: the mechanisms the paper
+//! ablates — closing, skipping, dummy filling, and straggler repair. The
+//! `Stats` record itself, the degradation bits and [`TracerState`] are
+//! defined once, in `btrace-telemetry`, and re-exported from this crate.
 //!
 //! The per-record counters (`records`, `recorded_bytes`) are kept per core
 //! on padded cache lines — a single global counter would add cross-core
@@ -7,6 +9,7 @@
 //! *packed into one word* so the fast path pays exactly one relaxed
 //! fetch-and-add per record instead of two.
 
+use btrace_telemetry::{Stats, TracerState};
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -67,7 +70,7 @@ impl HotCounters {
 }
 
 /// Internal atomic counters.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Counters {
     per_core: Box<[CachePadded<HotCounters>]>,
     pub dummy_bytes: AtomicU64,
@@ -79,48 +82,27 @@ pub(crate) struct Counters {
     pub commit_failures: AtomicU64,
     pub resize_fallbacks: AtomicU64,
     pub lock_recoveries: AtomicU64,
-    /// Live degradation condition, a bitset of [`degraded`] flags. Not a
-    /// counter: set when a failure edge fires, and `RECLAIM_DEFERRED`
-    /// clears again once the deferred reclaim finally lands.
+    /// Live degradation condition, a bitset of
+    /// [`degraded`](btrace_telemetry::degraded) flags. Not a counter: set
+    /// when a failure edge fires, and `RECLAIM_DEFERRED` clears again once
+    /// the deferred reclaim finally lands.
     pub degraded: AtomicU64,
-}
-
-/// Bit assignments for [`Counters::degraded`].
-pub(crate) mod degraded {
-    /// A backing commit kept failing after retries; the last grow fell back
-    /// to its pre-resize geometry.
-    pub const COMMIT_FAILED: u64 = 1 << 0;
-    /// A shrink completed logically but its decommit kept failing; physical
-    /// reclaim is deferred to a later resize.
-    pub const RECLAIM_DEFERRED: u64 = 1 << 1;
-    /// The resize lock was found poisoned by a panicked caller and was
-    /// recovered (geometry re-validated).
-    pub const LOCK_RECOVERED: u64 = 1 << 2;
 }
 
 impl Counters {
     pub(crate) fn new(cores: usize) -> Self {
         Self {
             per_core: (0..cores).map(|_| CachePadded::new(HotCounters::default())).collect(),
-            dummy_bytes: AtomicU64::new(0),
-            advances: AtomicU64::new(0),
-            closes: AtomicU64::new(0),
-            skips: AtomicU64::new(0),
-            straggler_repairs: AtomicU64::new(0),
-            resizes: AtomicU64::new(0),
-            commit_failures: AtomicU64::new(0),
-            resize_fallbacks: AtomicU64::new(0),
-            lock_recoveries: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
+            ..Self::default()
         }
     }
 
-    /// Raises a [`degraded`] condition flag.
+    /// Raises a degradation condition flag.
     pub(crate) fn set_degraded(&self, bit: u64) {
         self.degraded.fetch_or(bit, Ordering::Relaxed);
     }
 
-    /// Clears a [`degraded`] condition flag (the condition healed).
+    /// Clears a degradation condition flag (the condition healed).
     pub(crate) fn clear_degraded(&self, bit: u64) {
         self.degraded.fetch_and(!bit, Ordering::Relaxed);
     }
@@ -181,133 +163,14 @@ impl Counters {
 
     /// Builds the typed degradation state from the flag bits and counters.
     pub(crate) fn state(&self) -> TracerState {
-        let bits = self.degraded_bits();
-        if bits == 0 {
-            return TracerState::Healthy;
-        }
-        let s = self.snapshot();
-        TracerState::Degraded(Degraded {
-            commit_failed: bits & degraded::COMMIT_FAILED != 0,
-            reclaim_deferred: bits & degraded::RECLAIM_DEFERRED != 0,
-            lock_recovered: bits & degraded::LOCK_RECOVERED != 0,
-            commit_failures: s.commit_failures,
-            resize_fallbacks: s.resize_fallbacks,
-            lock_recoveries: s.lock_recoveries,
-        })
-    }
-}
-
-/// A point-in-time snapshot of the tracer's diagnostic counters.
-///
-/// Obtained from [`BTrace::stats`](crate::BTrace::stats). All counts are
-/// cumulative since construction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct Stats {
-    /// Successfully recorded events.
-    pub records: u64,
-    /// Payload bytes recorded (on-buffer encoded size).
-    pub recorded_bytes: u64,
-    /// Bytes spent on dummy filler (tail fills, closes, repairs).
-    pub dummy_bytes: u64,
-    /// Block advancements (slow-path executions).
-    pub advances: u64,
-    /// Blocks closed while only partially filled (§3.2).
-    pub closes: u64,
-    /// Blocks skipped to preserve availability (§3.4).
-    pub skips: u64,
-    /// Straggler allocations repaired after landing in a newer round.
-    pub straggler_repairs: u64,
-    /// Completed resize operations.
-    pub resizes: u64,
-    /// Backing commit/decommit attempts that failed (each retry counts).
-    pub commit_failures: u64,
-    /// Resizes abandoned after exhausting commit retries, falling back to
-    /// the pre-resize geometry.
-    pub resize_fallbacks: u64,
-    /// Poisoned resize locks recovered instead of propagating the panic.
-    pub lock_recoveries: u64,
-}
-
-impl Stats {
-    /// Fraction of written bytes wasted on dummy filler; 0.0 when nothing
-    /// has been written.
-    pub fn dummy_fraction(&self) -> f64 {
-        let total = self.recorded_bytes + self.dummy_bytes;
-        if total == 0 {
-            0.0
-        } else {
-            self.dummy_bytes as f64 / total as f64
-        }
-    }
-
-    /// Observed effectivity ratio: the fraction of written bytes that
-    /// carried real payload, the quantity the paper bounds by `1 − A/N`
-    /// (§3.2). Complement of [`dummy_fraction`](Stats::dummy_fraction);
-    /// 1.0 when nothing has been written (no waste yet).
-    pub fn effectivity_ratio(&self) -> f64 {
-        1.0 - self.dummy_fraction()
-    }
-
-    /// Skips per advance: how often the slow path found its candidate
-    /// block still pinned by unconfirmed writes and skipped it (§3.4).
-    /// 0.0 when no advance has run.
-    pub fn skip_rate(&self) -> f64 {
-        if self.advances == 0 {
-            0.0
-        } else {
-            self.skips as f64 / self.advances as f64
-        }
-    }
-}
-
-/// Detail of a [`TracerState::Degraded`] report: which conditions are live
-/// and the exact failure counters behind them.
-///
-/// The tracer *never* stops recording while degraded — producers keep
-/// writing into the surviving blocks (§3.3's never-block guarantee extends
-/// to resource-acquisition failure). Degradation means a resize could not
-/// fully take effect or a reclaim is pending.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct Degraded {
-    /// A backing commit kept failing after retries; the last grow fell back
-    /// to its pre-resize geometry.
-    pub commit_failed: bool,
-    /// A shrink completed logically but physical reclaim is deferred; a
-    /// later resize retries the decommit. Clears once reclaim lands.
-    pub reclaim_deferred: bool,
-    /// A resize caller panicked and poisoned the resize lock; the lock was
-    /// recovered and the geometry re-validated.
-    pub lock_recovered: bool,
-    /// Total failed commit/decommit attempts (retries included).
-    pub commit_failures: u64,
-    /// Resizes that fell back to their pre-resize geometry.
-    pub resize_fallbacks: u64,
-    /// Poisoned-lock recoveries performed.
-    pub lock_recoveries: u64,
-}
-
-/// Current health of the tracer, from [`BTrace::state`](crate::BTrace::state).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum TracerState {
-    /// Every resource-acquisition edge has behaved so far.
-    Healthy,
-    /// A failure edge fired; recording continues on surviving blocks.
-    Degraded(Degraded),
-}
-
-impl TracerState {
-    /// Whether any degradation condition is live.
-    pub fn is_degraded(&self) -> bool {
-        matches!(self, TracerState::Degraded(_))
+        TracerState::from_bits(self.degraded_bits(), &self.snapshot())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btrace_telemetry::degraded;
 
     #[test]
     fn degraded_state_reflects_flags_and_counters() {
@@ -320,8 +183,8 @@ mod tests {
             TracerState::Degraded(d) => {
                 assert!(d.commit_failed);
                 assert!(!d.reclaim_deferred);
-                assert_eq!(d.commit_failures, 1);
-                assert_eq!(d.resize_fallbacks, 1);
+                assert_eq!(d.stats.commit_failures, 1);
+                assert_eq!(d.stats.resize_fallbacks, 1);
             }
             TracerState::Healthy => panic!("flag set, must be degraded"),
         }
@@ -330,23 +193,6 @@ mod tests {
         c.clear_degraded(degraded::RECLAIM_DEFERRED);
         c.clear_degraded(degraded::COMMIT_FAILED);
         assert_eq!(c.state(), TracerState::Healthy);
-    }
-
-    /// The telemetry crate republishes the degradation bit assignments so
-    /// exporters and the doctor can label `HealthSnapshot::degraded_bits`
-    /// without depending on core. The two copies must never drift.
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn degraded_bits_match_telemetry_taxonomy() {
-        assert_eq!(degraded::COMMIT_FAILED, btrace_telemetry::degraded::COMMIT_FAILED);
-        assert_eq!(degraded::RECLAIM_DEFERRED, btrace_telemetry::degraded::RECLAIM_DEFERRED);
-        assert_eq!(degraded::LOCK_RECOVERED, btrace_telemetry::degraded::LOCK_RECOVERED);
-        let known: u64 = btrace_telemetry::degraded::ALL.iter().map(|i| i.bit).sum();
-        assert_eq!(
-            known,
-            degraded::COMMIT_FAILED | degraded::RECLAIM_DEFERRED | degraded::LOCK_RECOVERED,
-            "every core bit must be labeled in telemetry"
-        );
     }
 
     #[test]
@@ -378,27 +224,5 @@ mod tests {
         let s = c.snapshot();
         assert_eq!(s.records, (1 << 31) + 2);
         assert_eq!(s.recorded_bytes, (1u64 << 33) + 24);
-    }
-
-    #[test]
-    fn dummy_fraction_handles_zero() {
-        assert_eq!(Stats::default().dummy_fraction(), 0.0);
-        let s = Stats { recorded_bytes: 300, dummy_bytes: 100, ..Stats::default() };
-        assert!((s.dummy_fraction() - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn effectivity_ratio_complements_dummy_fraction() {
-        assert_eq!(Stats::default().effectivity_ratio(), 1.0);
-        let s = Stats { recorded_bytes: 300, dummy_bytes: 100, ..Stats::default() };
-        assert!((s.effectivity_ratio() - 0.75).abs() < 1e-9);
-        assert!((s.effectivity_ratio() + s.dummy_fraction() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn skip_rate_handles_zero_advances() {
-        assert_eq!(Stats::default().skip_rate(), 0.0);
-        let s = Stats { advances: 40, skips: 10, ..Stats::default() };
-        assert!((s.skip_rate() - 0.25).abs() < 1e-9);
     }
 }

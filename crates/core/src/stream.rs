@@ -2,8 +2,8 @@
 //! consumer behind the `drain → batch → encode → sink` pipeline in
 //! `btrace-persist`.
 //!
-//! A [`StreamConsumer`] tracks the last-drained global block sequence and,
-//! on each [`poll`](StreamConsumer::poll), hands off only blocks that have
+//! A [`StreamShard`] tracks the last-drained global block sequence and,
+//! on each [`poll`](StreamShard::poll), hands off only blocks that have
 //! **closed** since the previous poll. Unlike [`TailReader`](crate::TailReader)
 //! (which also returns partial prefixes of still-open blocks), the streaming
 //! consumer treats the closed block as its unit of delivery — the natural
@@ -65,7 +65,7 @@ impl DrainedBatch {
     }
 }
 
-/// Cumulative accounting across every poll of one [`StreamConsumer`].
+/// Cumulative accounting across every poll of one [`StreamShard`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct StreamStats {
@@ -95,7 +95,13 @@ pub struct StreamStats {
 /// consumer; the union across stripes is therefore exactly the
 /// single-consumer stream set.
 ///
-/// A [`StreamConsumer`] is the `stride == 1` special case.
+/// [`BTrace::stream`](crate::BTrace::stream) returns the `stride == 1`
+/// shard, which owns the whole sequence space.
+///
+/// Like every consumer, each poll pins the tracer's reclamation domain so
+/// a concurrent shrink cannot decommit memory mid-read (§4.4), and reads
+/// speculatively: snapshot, re-validate the block header, discard on
+/// mismatch.
 pub struct StreamShard {
     shared: Arc<Shared>,
     participant: btrace_smr::Participant,
@@ -262,49 +268,6 @@ fn close_open_window(shared: &Shared, participant: &btrace_smr::Participant) {
     }
 }
 
-/// An incremental block-granularity consumer. Create via
-/// [`BTrace::stream`](crate::BTrace::stream).
-///
-/// Like every consumer, each poll pins the tracer's reclamation domain so
-/// a concurrent shrink cannot decommit memory mid-read (§4.4), and reads
-/// speculatively: snapshot, re-validate the block header, discard on
-/// mismatch.
-///
-/// Internally this is a [`StreamShard`] that owns the whole sequence
-/// space (stripe `0 mod 1`).
-pub struct StreamConsumer {
-    inner: StreamShard,
-}
-
-impl StreamConsumer {
-    pub(crate) fn new(shared: Arc<Shared>) -> Self {
-        Self { inner: StreamShard::new(shared, 0, 1) }
-    }
-
-    /// Returns the events of every block that closed since the previous
-    /// poll, oldest block first. See [`StreamShard::poll`].
-    pub fn poll(&mut self) -> DrainedBatch {
-        self.inner.poll()
-    }
-
-    /// Closes every open block in the readable window, then polls,
-    /// delivering everything recorded so far. See
-    /// [`StreamShard::flush_close`].
-    pub fn flush_close(&mut self) -> DrainedBatch {
-        self.inner.flush_close()
-    }
-
-    /// First global block sequence not yet resolved by this stream.
-    pub fn position(&self) -> u64 {
-        self.inner.position()
-    }
-
-    /// Cumulative accounting across every poll so far.
-    pub fn stats(&self) -> StreamStats {
-        self.inner.stats()
-    }
-}
-
 /// A streaming consumer split into `K` disjoint stripes of the global
 /// block-sequence space, for multi-threaded draining. Create via
 /// [`BTrace::stream_sharded`](crate::BTrace::stream_sharded).
@@ -313,7 +276,7 @@ impl StreamConsumer {
 /// `≡ i (mod K)`. Because block resolution is keyed on the sequence
 /// number alone and the `Confirmed` fence hands each closed block off
 /// exactly once, the stripes deliver **disjoint** sets whose union is
-/// exactly what a single [`StreamConsumer`] would deliver.
+/// exactly what the single stride-1 [`StreamShard`] would deliver.
 ///
 /// Poll the stripes from one thread via [`poll_all`](Self::poll_all), or
 /// split them across threads with [`into_shards`](Self::into_shards) —
@@ -499,16 +462,6 @@ impl std::fmt::Debug for StreamShard {
             .field("cursor", &self.cursor)
             .field("out_of_order", &self.delivered.len())
             .field("stats", &self.stats)
-            .finish()
-    }
-}
-
-impl std::fmt::Debug for StreamConsumer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamConsumer")
-            .field("cursor", &self.inner.cursor)
-            .field("out_of_order", &self.inner.delivered.len())
-            .field("stats", &self.inner.stats)
             .finish()
     }
 }

@@ -198,17 +198,7 @@ pub(crate) fn health_snapshot(shared: &Shared) -> HealthSnapshot {
         committed_bytes: shared.committed_extent.load(std::sync::atomic::Ordering::Acquire) as u64,
         open_blocks,
         mean_occupancy,
-        records: stats.records,
-        recorded_bytes: stats.recorded_bytes,
-        dummy_bytes: stats.dummy_bytes,
-        advances: stats.advances,
-        closes: stats.closes,
-        skips: stats.skips,
-        straggler_repairs: stats.straggler_repairs,
-        resizes: stats.resizes,
-        commit_failures: stats.commit_failures,
-        resize_fallbacks: stats.resize_fallbacks,
-        lock_recoveries: stats.lock_recoveries,
+        stats,
         degraded_bits: shared.counters.degraded_bits(),
         // Export I/O counters live with the exporters; the Sampler fills
         // them in when it owns the export loop.

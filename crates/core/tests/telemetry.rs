@@ -70,7 +70,7 @@ fn health_snapshot_reports_per_core_counts_and_latencies() {
     }
     let snap = t.health_snapshot();
     assert_eq!(snap.cores, 2);
-    assert_eq!(snap.records, 4000);
+    assert_eq!(snap.stats.records, 4000);
     assert_eq!(snap.per_core.len(), 2);
     assert_eq!(snap.per_core.iter().map(|c| c.records).sum::<u64>(), 4000);
     assert_eq!(snap.per_core[0].records, 2000);
@@ -81,8 +81,8 @@ fn health_snapshot_reports_per_core_counts_and_latencies() {
     assert!(snap.record_latency.p99 <= snap.record_latency.p999);
     assert!(snap.record_latency.p999 <= snap.record_latency.max);
     // 4000 * ~32B spills many 4 KiB blocks: the slow path must have run.
-    assert!(snap.advances > 0);
-    assert!(snap.advance_latency.count == snap.advances);
+    assert!(snap.stats.advances > 0);
+    assert!(snap.advance_latency.count == snap.stats.advances);
     // Effectivity: observed within [0,1], bound is exactly 1 - A/N.
     assert!((0.0..=1.0).contains(&snap.effectivity_observed));
     let expected_bound = 1.0 - snap.active_blocks as f64 / snap.capacity_blocks as f64;
@@ -208,7 +208,7 @@ fn sampler_exports_jsonl_that_parses_back() {
     let mut prev_seq = None;
     for line in lines.iter() {
         let snap = HealthSnapshot::from_json(line).expect("exported line must parse");
-        assert_eq!(snap.records, 1000);
+        assert_eq!(snap.stats.records, 1000);
         assert_eq!(snap.per_core.len(), 1);
         assert!(snap.unix_ms > 0, "sampler must stamp wall-clock time");
         if let Some(prev) = prev_seq {

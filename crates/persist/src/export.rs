@@ -210,7 +210,7 @@ impl Exporter for PrometheusExporter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btrace_telemetry::CoreHealth;
+    use btrace_telemetry::{CoreHealth, Stats};
 
     fn scratch_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("btrace-export-{name}-{}", std::process::id()));
@@ -221,7 +221,7 @@ mod tests {
     fn snapshot(seq: u64) -> HealthSnapshot {
         HealthSnapshot {
             seq,
-            records: 1000 * seq,
+            stats: Stats { records: 1000 * seq, ..Stats::default() },
             cores: 1,
             per_core: vec![CoreHealth { core: 0, records: 1000 * seq, recorded_bytes: 0 }],
             ..HealthSnapshot::default()

@@ -18,7 +18,7 @@
 //!   drained ([`TraceDump::capture`], [`TraceDump::write_to`]).
 //! * [`StreamPipeline`] — continuous export: a bounded
 //!   `drain → batch → encode → sink` pipeline over the incremental
-//!   [`StreamConsumer`](btrace_core::StreamConsumer), with configurable
+//!   [`StreamShard`](btrace_core::StreamShard), with configurable
 //!   backpressure ([`Backpressure::Block`] vs
 //!   [`Backpressure::DropAndCount`]) and per-stage telemetry gauges.
 //! * [`TraceStore`], [`Query`] and [`analyze_frames`] — the read side: a

@@ -1,7 +1,7 @@
 //! The streaming drain pipeline: `drain → batch → encode → sink`.
 //!
 //! Continuous export of a live tracer, built on the block-granularity
-//! [`StreamConsumer`](btrace_core::StreamConsumer): a drain thread polls
+//! [`StreamShard`](btrace_core::StreamShard): a drain thread polls
 //! closed blocks, a batch thread folds events into bounded batches, an
 //! encode thread serializes each batch into a checksummed frame, and a
 //! sink thread writes frames under the same bounded [`RetryPolicy`] the

@@ -38,9 +38,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use crate::degraded;
 use crate::recorder::{EventKind, FlightRecorder};
 use crate::sampler::SnapshotSource;
-use crate::snapshot::{degraded, HealthSnapshot};
+use crate::snapshot::HealthSnapshot;
 
 /// Something whose buffer the controller can resize. `btrace-core`
 /// implements this for `BTrace` behind its `telemetry` feature.
@@ -321,11 +322,11 @@ impl Controller {
 
         let (d_skips, d_closes, d_bytes, d_fallbacks, d_commit_failures) = match &self.last {
             Some(prev) => (
-                snap.skips.saturating_sub(prev.skips),
-                snap.closes.saturating_sub(prev.closes),
-                snap.recorded_bytes.saturating_sub(prev.recorded_bytes),
-                snap.resize_fallbacks.saturating_sub(prev.resize_fallbacks),
-                snap.commit_failures.saturating_sub(prev.commit_failures),
+                snap.stats.skips.saturating_sub(prev.stats.skips),
+                snap.stats.closes.saturating_sub(prev.stats.closes),
+                snap.stats.recorded_bytes.saturating_sub(prev.stats.recorded_bytes),
+                snap.stats.resize_fallbacks.saturating_sub(prev.stats.resize_fallbacks),
+                snap.stats.commit_failures.saturating_sub(prev.stats.commit_failures),
             ),
             None => (0, 0, 0, 0, 0),
         };
@@ -561,6 +562,7 @@ impl Drop for ControllerThread {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Stats;
 
     /// A fake buffer: remembers its size, can be told to fail resizes.
     struct FakeTarget {
@@ -606,9 +608,12 @@ mod tests {
         HealthSnapshot {
             seq,
             age_ms: 10,
-            skips: seq * skips,
-            closes: seq * closes,
-            recorded_bytes: seq * closes * 4096,
+            stats: Stats {
+                skips: seq * skips,
+                closes: seq * closes,
+                recorded_bytes: seq * closes * 4096,
+                ..Stats::default()
+            },
             mean_occupancy: occupancy,
             effectivity_observed: 1.0,
             effectivity_bound: 0.9,
@@ -810,8 +815,7 @@ mod tests {
             fn health_snapshot(&self) -> HealthSnapshot {
                 let n = self.1.fetch_add(1, Relaxed);
                 HealthSnapshot {
-                    skips: n * 10,
-                    closes: n * 10,
+                    stats: Stats { skips: n * 10, closes: n * 10, ..Stats::default() },
                     mean_occupancy: 0.9,
                     ..HealthSnapshot::default()
                 }

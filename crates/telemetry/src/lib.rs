@@ -9,10 +9,16 @@
 //! * [`Histogram`] / [`ShardedHistogram`] — HDR-style log-linear latency
 //!   histograms: one atomic fetch-add per recorded value, bounded ~6%
 //!   relative error, per-core shards to keep recording contention-free.
-//! * [`HealthSnapshot`] — a point-in-time health report: per-core record
-//!   counts, cumulative mechanism counters, buffer gauges (capacity,
+//! * [`Stats`], [`degraded`] and [`TracerState`] — the tracer's one
+//!   counter set and degradation state. `btrace-core` fills them and
+//!   re-exports them under the same names; nothing else redefines them.
+//! * [`HealthSnapshot`] — a point-in-time health report: the embedded
+//!   [`Stats`], per-core record counts, buffer gauges (capacity,
 //!   committed bytes, occupancy), the observed effectivity ratio next to
 //!   the paper's `1 − A/N` bound, and latency summaries.
+//! * [`fields`] — one field table per exported record. The JSONL
+//!   encoder, the strict decoder (its errors name the field) and the
+//!   Prometheus renderer are walks over those tables.
 //! * [`Sampler`] — a background thread that periodically snapshots a
 //!   [`SnapshotSource`], derives rate-windowed deltas, and feeds pluggable
 //!   [`Exporter`]s (JSONL and Prometheus text formats ship in
@@ -23,8 +29,9 @@
 //!   exponential back-off, and retention-ranked shrinking.
 //!
 //! The crate is dependency-light and tracer-agnostic: `btrace-core`
-//! implements [`SnapshotSource`] behind its `telemetry` feature (on by
-//! default, compiled out cleanly when disabled).
+//! always uses its counter types, and implements [`SnapshotSource`]
+//! behind its `telemetry` feature (on by default, compiled out cleanly
+//! when disabled).
 //!
 //! ```rust
 //! use btrace_telemetry::{Histogram, HealthSnapshot};
@@ -46,12 +53,15 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
+#[macro_use]
+pub mod fields;
 mod controller;
 mod hist;
 pub mod json;
 mod recorder;
 mod sampler;
 mod snapshot;
+mod stats;
 
 pub use controller::{
     Controller, ControllerConfig, ControllerStats, ControllerThread, Decision, IdleReason,
@@ -63,5 +73,5 @@ pub use recorder::{
     STAGE_SHARDS,
 };
 pub use sampler::{ExportIoStats, Exporter, Sampler, SamplerConfig, SnapshotSource};
-pub use snapshot::degraded;
 pub use snapshot::{CoreHealth, HealthSnapshot, LatencySummary, Rates, StageHealth};
+pub use stats::{degraded, Degraded, Stats, TracerState};

@@ -210,10 +210,10 @@ fn fill_rates(snap: &mut HealthSnapshot, prev: &HealthSnapshot, window: Duration
     }
     let per_sec = |now: u64, before: u64| now.saturating_sub(before) as f64 / secs;
     snap.rates.window_secs = secs;
-    snap.rates.records_per_sec = per_sec(snap.records, prev.records);
-    snap.rates.bytes_per_sec = per_sec(snap.recorded_bytes, prev.recorded_bytes);
-    snap.rates.advances_per_sec = per_sec(snap.advances, prev.advances);
-    snap.rates.skips_per_sec = per_sec(snap.skips, prev.skips);
+    snap.rates.records_per_sec = per_sec(snap.stats.records, prev.stats.records);
+    snap.rates.bytes_per_sec = per_sec(snap.stats.recorded_bytes, prev.stats.recorded_bytes);
+    snap.rates.advances_per_sec = per_sec(snap.stats.advances, prev.stats.advances);
+    snap.rates.skips_per_sec = per_sec(snap.stats.skips, prev.stats.skips);
 }
 
 #[cfg(test)]
@@ -227,7 +227,10 @@ mod tests {
     impl SnapshotSource for FakeSource {
         fn health_snapshot(&self) -> HealthSnapshot {
             HealthSnapshot {
-                records: self.records.fetch_add(1000, Relaxed),
+                stats: crate::Stats {
+                    records: self.records.fetch_add(1000, Relaxed),
+                    ..crate::Stats::default()
+                },
                 ..HealthSnapshot::default()
             }
         }

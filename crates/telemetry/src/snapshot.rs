@@ -6,616 +6,196 @@
 //! breakdowns, latency summaries from the histograms, and the observed
 //! effectivity ratio side by side with the paper's `1 − A/N` bound.
 //! Snapshots serialize to single-line JSON (for JSONL streams) and to
-//! Prometheus text exposition format, and parse back losslessly.
+//! Prometheus text exposition format, and parse back losslessly. Each
+//! record here has one field table ([`Record`]); both formats and the
+//! strict decoder are walks over those tables.
 
-use crate::json::{Json, ParseError};
+use crate::fields::{self, families, labelled, DecodeError, Prom};
+use crate::Stats;
 
-/// The tracer's degradation bits, as carried in
-/// [`HealthSnapshot::degraded_bits`].
-///
-/// The constants mirror `btrace-core`'s internal `TracerState` bitset
-/// (a cross-crate test in core keeps them in sync). Each bit is either
-/// **sticky** — it records that a degradation happened and stays set for
-/// the life of the tracer — or **self-healing** — it reflects an ongoing
-/// condition and clears when the condition resolves.
-pub mod degraded {
-    /// A backing commit failed permanently; capacity may be below target.
-    /// Sticky.
-    pub const COMMIT_FAILED: u64 = 1 << 0;
-    /// Memory reclamation after a shrink was deferred; physical footprint
-    /// temporarily exceeds the logical capacity. Self-healing.
-    pub const RECLAIM_DEFERRED: u64 = 1 << 1;
-    /// The resize lock was recovered from a poisoned state. Sticky.
-    pub const LOCK_RECOVERED: u64 = 1 << 2;
-
-    /// Description of one degradation bit.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct BitInfo {
-        /// The bit value.
-        pub bit: u64,
-        /// Stable snake_case name.
-        pub name: &'static str,
-        /// `true` if the bit never clears once set.
-        pub sticky: bool,
-    }
-
-    /// Every known degradation bit, in bit order.
-    pub const ALL: [BitInfo; 3] = [
-        BitInfo { bit: COMMIT_FAILED, name: "commit_failed", sticky: true },
-        BitInfo { bit: RECLAIM_DEFERRED, name: "reclaim_deferred", sticky: false },
-        BitInfo { bit: LOCK_RECOVERED, name: "lock_recovered", sticky: true },
-    ];
-
-    /// Renders a bitset as a compact label, e.g.
-    /// `commit_failed!+reclaim_deferred` (`!` marks sticky bits), or
-    /// `ok` when no bits are set.
-    pub fn describe(bits: u64) -> String {
-        if bits == 0 {
-            return "ok".to_string();
-        }
-        let mut parts: Vec<String> = ALL
-            .iter()
-            .filter(|info| bits & info.bit != 0)
-            .map(|info| if info.sticky { format!("{}!", info.name) } else { info.name.to_string() })
-            .collect();
-        let known: u64 = ALL.iter().map(|i| i.bit).sum();
-        if bits & !known != 0 {
-            parts.push(format!("{:#x}", bits & !known));
-        }
-        parts.join("+")
+record! {
+    /// Condensed latency distribution (nanoseconds), produced by
+    /// [`crate::HistogramSnapshot::summary`].
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    pub struct LatencySummary {
+        /// Number of timed samples (for sampled paths this is less than the
+        /// operation count).
+        pub count: u64,
+        /// Mean latency in nanoseconds.
+        pub mean_ns: f64,
+        /// 50th-percentile latency (ns, bucket upper bound).
+        pub p50: u64,
+        /// 90th-percentile latency (ns).
+        pub p90: u64,
+        /// 99th-percentile latency (ns).
+        pub p99: u64,
+        /// 99.9th-percentile latency (ns).
+        pub p999: u64,
+        /// Maximum observed latency (ns, bucket upper bound).
+        pub max: u64,
     }
 }
 
-/// Condensed latency distribution (nanoseconds), produced by
-/// [`crate::HistogramSnapshot::summary`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LatencySummary {
-    /// Number of timed samples (for sampled paths this is less than the
-    /// operation count).
-    pub count: u64,
-    /// Mean latency in nanoseconds.
-    pub mean_ns: f64,
-    /// 50th-percentile latency (ns, bucket upper bound).
-    pub p50: u64,
-    /// 90th-percentile latency (ns).
-    pub p90: u64,
-    /// 99th-percentile latency (ns).
-    pub p99: u64,
-    /// 99.9th-percentile latency (ns).
-    pub p999: u64,
-    /// Maximum observed latency (ns, bucket upper bound).
-    pub max: u64,
-}
-
-impl LatencySummary {
-    fn to_json(self) -> Json {
-        Json::Obj(vec![
-            ("count".into(), Json::from_u64(self.count)),
-            ("mean_ns".into(), Json::from_f64(self.mean_ns)),
-            ("p50".into(), Json::from_u64(self.p50)),
-            ("p90".into(), Json::from_u64(self.p90)),
-            ("p99".into(), Json::from_u64(self.p99)),
-            ("p999".into(), Json::from_u64(self.p999)),
-            ("max".into(), Json::from_u64(self.max)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Option<Self> {
-        Some(Self {
-            count: v.get("count")?.as_u64()?,
-            mean_ns: v.get("mean_ns")?.as_f64()?,
-            p50: v.get("p50")?.as_u64()?,
-            p90: v.get("p90")?.as_u64()?,
-            p99: v.get("p99")?.as_u64()?,
-            p999: v.get("p999")?.as_u64()?,
-            max: v.get("max")?.as_u64()?,
-        })
+record! {
+    /// Per-core slice of the health report.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct CoreHealth {
+        /// Core (shard) index.
+        pub core: usize,
+        /// Entries recorded from this core.
+        pub records: u64 = Prom::Counter("core_records_total", "Entries recorded per core."),
+        /// Payload bytes recorded from this core.
+        pub recorded_bytes: u64,
     }
 }
 
-/// Per-core slice of the health report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CoreHealth {
-    /// Core (shard) index.
-    pub core: usize,
-    /// Entries recorded from this core.
-    pub records: u64,
-    /// Payload bytes recorded from this core.
-    pub recorded_bytes: u64,
-}
-
-impl CoreHealth {
-    fn to_json(self) -> Json {
-        Json::Obj(vec![
-            ("core".into(), Json::from_u64(self.core as u64)),
-            ("records".into(), Json::from_u64(self.records)),
-            ("recorded_bytes".into(), Json::from_u64(self.recorded_bytes)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Option<Self> {
-        Some(Self {
-            core: v.get("core")?.as_usize()?,
-            records: v.get("records")?.as_u64()?,
-            recorded_bytes: v.get("recorded_bytes")?.as_u64()?,
-        })
-    }
-}
-
-/// Per-stage gauges of a streaming drain pipeline (`drain → batch →
-/// encode → sink`), attached to snapshots while a stream session runs.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct StageHealth {
-    /// Stage name (`drain`, `batch`, `encode`, `sink`).
-    pub stage: String,
-    /// Items currently queued at the stage's inlet.
-    pub depth: usize,
-    /// Bound of the stage's inlet queue (0 for the unqueued first stage).
-    pub capacity: usize,
-    /// Items accepted by the stage so far.
-    pub in_items: u64,
-    /// Items the stage has handed downstream.
-    pub out_items: u64,
-    /// Items dropped at this stage by the backpressure policy.
-    pub dropped: u64,
-    /// Per-item stage processing latency (span-timed, ns).
-    pub latency: LatencySummary,
-    /// Time items spent waiting in the stage's inlet queue (ns).
-    pub queue_wait: LatencySummary,
-}
-
-impl StageHealth {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("stage".into(), Json::Str(self.stage.clone())),
-            ("depth".into(), Json::from_u64(self.depth as u64)),
-            ("capacity".into(), Json::from_u64(self.capacity as u64)),
-            ("in_items".into(), Json::from_u64(self.in_items)),
-            ("out_items".into(), Json::from_u64(self.out_items)),
-            ("dropped".into(), Json::from_u64(self.dropped)),
-            ("latency".into(), self.latency.to_json()),
-            ("queue_wait".into(), self.queue_wait.to_json()),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Option<Self> {
-        // `latency`/`queue_wait` are absent on lines written before span
-        // instrumentation; decode those as empty summaries.
-        let summary = |key: &str| match v.get(key) {
-            Some(obj) => LatencySummary::from_json(obj),
-            None => Some(LatencySummary::default()),
-        };
-        Some(Self {
-            stage: v.get("stage")?.as_str()?.to_string(),
-            depth: v.get("depth")?.as_usize()?,
-            capacity: v.get("capacity")?.as_usize()?,
-            in_items: v.get("in_items")?.as_u64()?,
-            out_items: v.get("out_items")?.as_u64()?,
-            dropped: v.get("dropped")?.as_u64()?,
-            latency: summary("latency")?,
-            queue_wait: summary("queue_wait")?,
-        })
+record! {
+    /// Per-stage gauges of a streaming drain pipeline (`drain → batch →
+    /// encode → sink`), attached to snapshots while a stream session runs.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct StageHealth {
+        /// Stage name (`drain`, `batch`, `encode`, `sink`).
+        pub stage: String,
+        /// Items currently queued at the stage's inlet.
+        pub depth: usize = Prom::Gauge("stream_stage_depth", "Items queued at the stage inlet."),
+        /// Bound of the stage's inlet queue (0 for the unqueued first stage).
+        pub capacity: usize,
+        /// Items accepted by the stage so far.
+        pub in_items: u64 = Prom::Counter("stream_stage_in_total", "Items accepted by the stage."),
+        /// Items the stage has handed downstream.
+        pub out_items: u64 = Prom::Counter("stream_stage_out_total", "Items handed downstream."),
+        /// Items dropped at this stage by the backpressure policy.
+        pub dropped: u64 =
+            Prom::Counter("stream_stage_dropped_total", "Items dropped by backpressure."),
+        /// Per-item stage processing latency (span-timed, ns).
+        pub latency: LatencySummary = Prom::Summary(
+            "stream_stage_latency_ns",
+            "Per-item stage latency quantiles (span-timed, ns).",
+        ),
+        /// Time items spent waiting in the stage's inlet queue (ns).
+        pub queue_wait: LatencySummary = Prom::Summary(
+            "stream_stage_queue_wait_ns",
+            "Inlet queue wait quantiles (span-timed, ns).",
+        ),
     }
 }
 
-/// Rate-windowed deltas between consecutive sampler snapshots. All zeros
-/// on a raw (non-sampler) snapshot or the first sample of a run.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Rates {
-    /// Width of the measurement window in seconds (0 when unavailable).
-    pub window_secs: f64,
-    /// Entries recorded per second over the window.
-    pub records_per_sec: f64,
-    /// Payload bytes recorded per second over the window.
-    pub bytes_per_sec: f64,
-    /// Block advances (slow-path entries) per second over the window.
-    pub advances_per_sec: f64,
-    /// Block skips per second over the window.
-    pub skips_per_sec: f64,
-}
-
-impl Rates {
-    fn to_json(self) -> Json {
-        Json::Obj(vec![
-            ("window_secs".into(), Json::from_f64(self.window_secs)),
-            ("records_per_sec".into(), Json::from_f64(self.records_per_sec)),
-            ("bytes_per_sec".into(), Json::from_f64(self.bytes_per_sec)),
-            ("advances_per_sec".into(), Json::from_f64(self.advances_per_sec)),
-            ("skips_per_sec".into(), Json::from_f64(self.skips_per_sec)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Option<Self> {
-        Some(Self {
-            window_secs: v.get("window_secs")?.as_f64()?,
-            records_per_sec: v.get("records_per_sec")?.as_f64()?,
-            bytes_per_sec: v.get("bytes_per_sec")?.as_f64()?,
-            advances_per_sec: v.get("advances_per_sec")?.as_f64()?,
-            skips_per_sec: v.get("skips_per_sec")?.as_f64()?,
-        })
+record! {
+    /// Rate-windowed deltas between consecutive sampler snapshots. All zeros
+    /// on a raw (non-sampler) snapshot or the first sample of a run.
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    pub struct Rates {
+        /// Width of the measurement window in seconds (0 when unavailable).
+        pub window_secs: f64,
+        /// Entries recorded per second over the window.
+        pub records_per_sec: f64 =
+            Prom::Gauge("records_per_sec", "Record rate over the sample window."),
+        /// Payload bytes recorded per second over the window.
+        pub bytes_per_sec: f64 = Prom::Gauge("bytes_per_sec", "Byte rate over the sample window."),
+        /// Block advances (slow-path entries) per second over the window.
+        pub advances_per_sec: f64,
+        /// Block skips per second over the window.
+        pub skips_per_sec: f64,
     }
 }
 
-/// A point-in-time health report for one tracer instance.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct HealthSnapshot {
-    /// Monotone sequence number assigned by the sampler (0 for raw
-    /// snapshots).
-    pub seq: u64,
-    /// Wall-clock capture time, milliseconds since the Unix epoch (0 for
-    /// raw snapshots).
-    pub unix_ms: u64,
-    /// Realized sampling gap in milliseconds: time elapsed between the
-    /// previous sampler capture and this one (0 for raw snapshots and the
-    /// first sample of a run). Condvar pacing can oversleep under host
-    /// load, so this is the honest age of the *window* the snapshot
-    /// covers — consumers acting on snapshots (the adaptive-sizing
-    /// controller, `btrace watch`) compare it against the configured
-    /// period to detect stale input instead of trusting the schedule.
-    pub age_ms: u64,
-    /// Producer cores / counter shards.
-    pub cores: usize,
-    /// Total data blocks `N`.
-    pub capacity_blocks: usize,
-    /// Active metadata blocks `A`.
-    pub active_blocks: usize,
-    /// Bytes per data block.
-    pub block_bytes: usize,
-    /// Total buffer capacity in bytes.
-    pub capacity_bytes: usize,
-    /// High-water mark of physically committed buffer bytes.
-    pub committed_bytes: u64,
-    /// Active metadata rounds whose block is not yet full.
-    pub open_blocks: usize,
-    /// Mean confirmed fraction of the active metadata rounds, `[0, 1]`.
-    pub mean_occupancy: f64,
-    /// Cumulative entries recorded.
-    pub records: u64,
-    /// Cumulative payload bytes recorded.
-    pub recorded_bytes: u64,
-    /// Cumulative bytes lost to dummy (abandoned) entries.
-    pub dummy_bytes: u64,
-    /// Cumulative slow-path advances (§3.2).
-    pub advances: u64,
-    /// Cumulative block closes.
-    pub closes: u64,
-    /// Cumulative block skips (§3.4).
-    pub skips: u64,
-    /// Cumulative straggler repairs.
-    pub straggler_repairs: u64,
-    /// Cumulative buffer resizes.
-    pub resizes: u64,
-    /// Cumulative failed backing commit/decommit attempts (retries count).
-    pub commit_failures: u64,
-    /// Resizes that fell back to their pre-resize geometry.
-    pub resize_fallbacks: u64,
-    /// Poisoned resize locks recovered.
-    pub lock_recoveries: u64,
-    /// Current `TracerState` degradation bitset (see [`degraded`]).
-    pub degraded_bits: u64,
-    /// Exporter I/O retries performed (filled by the sampler).
-    pub export_retries: u64,
-    /// Snapshots dropped after exhausting exporter retries (sampler).
-    pub export_drops: u64,
-    /// Observed effectivity: recorded bytes over recorded + dummy bytes.
-    pub effectivity_observed: f64,
-    /// The paper's effectivity bound `1 − A/N`.
-    pub effectivity_bound: f64,
-    /// Skips per advance (how often the slow path found a stuck block).
-    pub skip_rate: f64,
-    /// Per-core record counts and bytes.
-    pub per_core: Vec<CoreHealth>,
-    /// Fast-path record latency (sampled).
-    pub record_latency: LatencySummary,
-    /// Slow-path advance/close/skip latency.
-    pub advance_latency: LatencySummary,
-    /// Consumer drain latency.
-    pub drain_latency: LatencySummary,
-    /// Rate-windowed deltas (filled by the sampler).
-    pub rates: Rates,
-    /// Streaming pipeline stage gauges (empty when no stream session is
-    /// attached).
-    pub stream_stages: Vec<StageHealth>,
+record! {
+    /// A point-in-time health report for one tracer instance.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct HealthSnapshot {
+        /// Monotone sequence number assigned by the sampler (0 for raw
+        /// snapshots).
+        pub seq: u64,
+        /// Wall-clock capture time, milliseconds since the Unix epoch (0 for
+        /// raw snapshots).
+        pub unix_ms: u64,
+        /// Realized sampling gap in milliseconds: time elapsed between the
+        /// previous sampler capture and this one (0 for raw snapshots and the
+        /// first sample of a run). Condvar pacing can oversleep under host
+        /// load, so this is the honest age of the *window* the snapshot
+        /// covers — consumers acting on snapshots (the adaptive-sizing
+        /// controller, `btrace watch`) compare it against the configured
+        /// period to detect stale input instead of trusting the schedule.
+        pub age_ms: u64,
+        /// Producer cores / counter shards.
+        pub cores: usize,
+        /// Total data blocks `N`.
+        pub capacity_blocks: usize = Prom::Gauge("capacity_blocks", "Total data blocks N."),
+        /// Active metadata blocks `A`.
+        pub active_blocks: usize = Prom::Gauge("active_blocks", "Active metadata blocks A."),
+        /// Bytes per data block.
+        pub block_bytes: usize,
+        /// Total buffer capacity in bytes.
+        pub capacity_bytes: usize = Prom::Gauge("capacity_bytes", "Buffer capacity in bytes."),
+        /// High-water mark of physically committed buffer bytes.
+        pub committed_bytes: u64 = Prom::Gauge("committed_bytes", "Committed buffer bytes."),
+        /// Active metadata rounds whose block is not yet full.
+        pub open_blocks: usize = Prom::Gauge("open_blocks", "Active rounds not yet full."),
+        /// Mean confirmed fraction of the active metadata rounds, `[0, 1]`.
+        pub mean_occupancy: f64 =
+            Prom::Gauge("mean_occupancy", "Mean confirmed fraction of active rounds."),
+        /// The tracer's cumulative counters, written inline: their JSON keys
+        /// sit at the top level of the snapshot object.
+        pub stats: Stats = Prom::Flat(families::<Stats>),
+        /// Current `TracerState` degradation bitset (see [`degraded`](crate::degraded)).
+        pub degraded_bits: u64 =
+            Prom::Bits("degraded_bits", "TracerState degradation bitset (0 = healthy)."),
+        /// Exporter I/O retries performed (filled by the sampler).
+        pub export_retries: u64 = Prom::Counter("export_retries_total", "Exporter I/O retries."),
+        /// Snapshots dropped after exhausting exporter retries (sampler).
+        pub export_drops: u64 =
+            Prom::Counter("export_drops_total", "Snapshots dropped after exporter retries."),
+        /// Observed effectivity: recorded bytes over recorded + dummy bytes.
+        pub effectivity_observed: f64 =
+            Prom::Gauge("effectivity_observed", "Observed effectivity ratio."),
+        /// The paper's effectivity bound `1 − A/N`.
+        pub effectivity_bound: f64 = Prom::Gauge("effectivity_bound", "Paper bound 1 - A/N."),
+        /// Skips per advance (how often the slow path found a stuck block).
+        pub skip_rate: f64 = Prom::Gauge("skip_rate", "Skips per advance."),
+        /// Per-core record counts and bytes.
+        pub per_core: Vec<CoreHealth> = Prom::List(labelled::<CoreHealth>),
+        /// Fast-path record latency (sampled).
+        pub record_latency: LatencySummary =
+            Prom::Summary("record_latency_ns", "record latency quantiles (sampled, ns)."),
+        /// Slow-path advance/close/skip latency.
+        pub advance_latency: LatencySummary =
+            Prom::Summary("advance_latency_ns", "advance latency quantiles (sampled, ns)."),
+        /// Consumer drain latency.
+        pub drain_latency: LatencySummary =
+            Prom::Summary("drain_latency_ns", "drain latency quantiles (sampled, ns)."),
+        /// Rate-windowed deltas (filled by the sampler).
+        pub rates: Rates = Prom::Inline(families::<Rates>),
+        /// Streaming pipeline stage gauges (empty when no stream session is
+        /// attached).
+        pub stream_stages: Vec<StageHealth> = Prom::List(labelled::<StageHealth>),
+    }
 }
 
 impl HealthSnapshot {
     /// Serializes to a single-line JSON object (one JSONL record).
     pub fn to_json(&self) -> String {
-        Json::Obj(vec![
-            ("seq".into(), Json::from_u64(self.seq)),
-            ("unix_ms".into(), Json::from_u64(self.unix_ms)),
-            ("age_ms".into(), Json::from_u64(self.age_ms)),
-            ("cores".into(), Json::from_u64(self.cores as u64)),
-            ("capacity_blocks".into(), Json::from_u64(self.capacity_blocks as u64)),
-            ("active_blocks".into(), Json::from_u64(self.active_blocks as u64)),
-            ("block_bytes".into(), Json::from_u64(self.block_bytes as u64)),
-            ("capacity_bytes".into(), Json::from_u64(self.capacity_bytes as u64)),
-            ("committed_bytes".into(), Json::from_u64(self.committed_bytes)),
-            ("open_blocks".into(), Json::from_u64(self.open_blocks as u64)),
-            ("mean_occupancy".into(), Json::from_f64(self.mean_occupancy)),
-            ("records".into(), Json::from_u64(self.records)),
-            ("recorded_bytes".into(), Json::from_u64(self.recorded_bytes)),
-            ("dummy_bytes".into(), Json::from_u64(self.dummy_bytes)),
-            ("advances".into(), Json::from_u64(self.advances)),
-            ("closes".into(), Json::from_u64(self.closes)),
-            ("skips".into(), Json::from_u64(self.skips)),
-            ("straggler_repairs".into(), Json::from_u64(self.straggler_repairs)),
-            ("resizes".into(), Json::from_u64(self.resizes)),
-            ("commit_failures".into(), Json::from_u64(self.commit_failures)),
-            ("resize_fallbacks".into(), Json::from_u64(self.resize_fallbacks)),
-            ("lock_recoveries".into(), Json::from_u64(self.lock_recoveries)),
-            ("degraded_bits".into(), Json::from_u64(self.degraded_bits)),
-            ("export_retries".into(), Json::from_u64(self.export_retries)),
-            ("export_drops".into(), Json::from_u64(self.export_drops)),
-            ("effectivity_observed".into(), Json::from_f64(self.effectivity_observed)),
-            ("effectivity_bound".into(), Json::from_f64(self.effectivity_bound)),
-            ("skip_rate".into(), Json::from_f64(self.skip_rate)),
-            ("per_core".into(), Json::Arr(self.per_core.iter().map(|c| c.to_json()).collect())),
-            ("record_latency".into(), self.record_latency.to_json()),
-            ("advance_latency".into(), self.advance_latency.to_json()),
-            ("drain_latency".into(), self.drain_latency.to_json()),
-            ("rates".into(), self.rates.to_json()),
-            (
-                "stream_stages".into(),
-                Json::Arr(self.stream_stages.iter().map(|s| s.to_json()).collect()),
-            ),
-        ])
-        .render()
+        fields::to_json(self).render()
     }
 
     /// Parses a snapshot previously produced by
-    /// [`to_json`](HealthSnapshot::to_json).
-    pub fn from_json(text: &str) -> Result<HealthSnapshot, ParseError> {
-        let v = Json::parse(text)?;
-        Self::decode(&v).ok_or(ParseError { pos: 0, reason: "missing or mistyped field" })
-    }
-
-    fn decode(v: &Json) -> Option<HealthSnapshot> {
-        Some(HealthSnapshot {
-            seq: v.get("seq")?.as_u64()?,
-            unix_ms: v.get("unix_ms")?.as_u64()?,
-            // Absent on snapshots written before the sampler stamped its
-            // realized gap; decode those as "age unknown" (0).
-            age_ms: match v.get("age_ms") {
-                Some(age) => age.as_u64()?,
-                None => 0,
-            },
-            cores: v.get("cores")?.as_usize()?,
-            capacity_blocks: v.get("capacity_blocks")?.as_usize()?,
-            active_blocks: v.get("active_blocks")?.as_usize()?,
-            block_bytes: v.get("block_bytes")?.as_usize()?,
-            capacity_bytes: v.get("capacity_bytes")?.as_usize()?,
-            committed_bytes: v.get("committed_bytes")?.as_u64()?,
-            open_blocks: v.get("open_blocks")?.as_usize()?,
-            mean_occupancy: v.get("mean_occupancy")?.as_f64()?,
-            records: v.get("records")?.as_u64()?,
-            recorded_bytes: v.get("recorded_bytes")?.as_u64()?,
-            dummy_bytes: v.get("dummy_bytes")?.as_u64()?,
-            advances: v.get("advances")?.as_u64()?,
-            closes: v.get("closes")?.as_u64()?,
-            skips: v.get("skips")?.as_u64()?,
-            straggler_repairs: v.get("straggler_repairs")?.as_u64()?,
-            resizes: v.get("resizes")?.as_u64()?,
-            commit_failures: v.get("commit_failures")?.as_u64()?,
-            resize_fallbacks: v.get("resize_fallbacks")?.as_u64()?,
-            lock_recoveries: v.get("lock_recoveries")?.as_u64()?,
-            // Absent on snapshots written before state bits were exported.
-            degraded_bits: match v.get("degraded_bits") {
-                Some(bits) => bits.as_u64()?,
-                None => 0,
-            },
-            export_retries: v.get("export_retries")?.as_u64()?,
-            export_drops: v.get("export_drops")?.as_u64()?,
-            effectivity_observed: v.get("effectivity_observed")?.as_f64()?,
-            effectivity_bound: v.get("effectivity_bound")?.as_f64()?,
-            skip_rate: v.get("skip_rate")?.as_f64()?,
-            per_core: v
-                .get("per_core")?
-                .as_arr()?
-                .iter()
-                .map(CoreHealth::from_json)
-                .collect::<Option<Vec<_>>>()?,
-            record_latency: LatencySummary::from_json(v.get("record_latency")?)?,
-            advance_latency: LatencySummary::from_json(v.get("advance_latency")?)?,
-            drain_latency: LatencySummary::from_json(v.get("drain_latency")?)?,
-            rates: Rates::from_json(v.get("rates")?)?,
-            // Absent on snapshots written before streaming existed: decode
-            // those as "no stream session" rather than rejecting the line.
-            stream_stages: match v.get("stream_stages") {
-                Some(arr) => {
-                    arr.as_arr()?.iter().map(StageHealth::from_json).collect::<Option<Vec<_>>>()?
-                }
-                None => Vec::new(),
-            },
-        })
+    /// [`to_json`](HealthSnapshot::to_json). Every field must be present
+    /// with its type; the error names the first field that is not.
+    pub fn from_json(text: &str) -> Result<HealthSnapshot, DecodeError> {
+        fields::decode(text)
     }
 
     /// Renders the snapshot in Prometheus text exposition format
     /// (metric families with `# HELP`/`# TYPE` headers, suitable for a
     /// node-exporter textfile collector or a `/metrics` endpoint).
     pub fn to_prometheus(&self) -> String {
-        fn family(out: &mut String, kind: &str, name: &str, help: &str, value: &str) {
-            out.push_str(&format!(
-                "# HELP btrace_{name} {help}\n# TYPE btrace_{name} {kind}\nbtrace_{name} {value}\n"
-            ));
-        }
-        let mut out = String::new();
-        for (name, help, value) in [
-            ("records_total", "Entries recorded.", self.records),
-            ("recorded_bytes_total", "Payload bytes recorded.", self.recorded_bytes),
-            ("dummy_bytes_total", "Bytes lost to dummy entries.", self.dummy_bytes),
-            ("advances_total", "Slow-path block advances.", self.advances),
-            ("closes_total", "Blocks closed.", self.closes),
-            ("skips_total", "Blocks skipped.", self.skips),
-            ("straggler_repairs_total", "Straggler repairs.", self.straggler_repairs),
-            ("resizes_total", "Buffer resizes.", self.resizes),
-            ("commit_failures_total", "Failed backing commit attempts.", self.commit_failures),
-            (
-                "resize_fallbacks_total",
-                "Resizes fallen back to old geometry.",
-                self.resize_fallbacks,
-            ),
-            ("lock_recoveries_total", "Poisoned resize locks recovered.", self.lock_recoveries),
-            ("export_retries_total", "Exporter I/O retries.", self.export_retries),
-            ("export_drops_total", "Snapshots dropped after exporter retries.", self.export_drops),
-        ] {
-            family(&mut out, "counter", name, help, &value.to_string());
-        }
-        for (name, help, value) in [
-            ("capacity_blocks", "Total data blocks N.", self.capacity_blocks.to_string()),
-            ("active_blocks", "Active metadata blocks A.", self.active_blocks.to_string()),
-            ("capacity_bytes", "Buffer capacity in bytes.", self.capacity_bytes.to_string()),
-            ("committed_bytes", "Committed buffer bytes.", self.committed_bytes.to_string()),
-            ("open_blocks", "Active rounds not yet full.", self.open_blocks.to_string()),
-            (
-                "mean_occupancy",
-                "Mean confirmed fraction of active rounds.",
-                fmt_f64(self.mean_occupancy),
-            ),
-            (
-                "effectivity_observed",
-                "Observed effectivity ratio.",
-                fmt_f64(self.effectivity_observed),
-            ),
-            ("effectivity_bound", "Paper bound 1 - A/N.", fmt_f64(self.effectivity_bound)),
-            ("skip_rate", "Skips per advance.", fmt_f64(self.skip_rate)),
-            (
-                "records_per_sec",
-                "Record rate over the sample window.",
-                fmt_f64(self.rates.records_per_sec),
-            ),
-            (
-                "bytes_per_sec",
-                "Byte rate over the sample window.",
-                fmt_f64(self.rates.bytes_per_sec),
-            ),
-        ] {
-            family(&mut out, "gauge", name, help, &value);
-        }
-
-        family(
-            &mut out,
-            "gauge",
-            "degraded_bits",
-            "TracerState degradation bitset (0 = healthy).",
-            &self.degraded_bits.to_string(),
-        );
-        out.push_str("# HELP btrace_degraded TracerState degradation bits (1 = set).\n");
-        out.push_str("# TYPE btrace_degraded gauge\n");
-        for info in degraded::ALL {
-            out.push_str(&format!(
-                "btrace_degraded{{bit=\"{}\",sticky=\"{}\"}} {}\n",
-                info.name,
-                info.sticky,
-                u64::from(self.degraded_bits & info.bit != 0)
-            ));
-        }
-
-        out.push_str("# HELP btrace_core_records_total Entries recorded per core.\n");
-        out.push_str("# TYPE btrace_core_records_total counter\n");
-        for core in &self.per_core {
-            out.push_str(&format!(
-                "btrace_core_records_total{{core=\"{}\"}} {}\n",
-                core.core, core.records
-            ));
-        }
-
-        if !self.stream_stages.is_empty() {
-            for (name, kind, help, pick) in [
-                (
-                    "stream_stage_depth",
-                    "gauge",
-                    "Items queued at the stage inlet.",
-                    (|s: &StageHealth| s.depth as u64) as fn(&StageHealth) -> u64,
-                ),
-                ("stream_stage_in_total", "counter", "Items accepted by the stage.", |s| {
-                    s.in_items
-                }),
-                ("stream_stage_out_total", "counter", "Items handed downstream.", |s| s.out_items),
-                ("stream_stage_dropped_total", "counter", "Items dropped by backpressure.", |s| {
-                    s.dropped
-                }),
-            ] {
-                out.push_str(&format!(
-                    "# HELP btrace_{name} {help}\n# TYPE btrace_{name} {kind}\n"
-                ));
-                for stage in &self.stream_stages {
-                    out.push_str(&format!(
-                        "btrace_{name}{{stage=\"{}\"}} {}\n",
-                        stage.stage,
-                        pick(stage)
-                    ));
-                }
-            }
-            for (name, help, pick) in [
-                (
-                    "stream_stage_latency_ns",
-                    "Per-item stage latency quantiles (span-timed, ns).",
-                    (|s: &StageHealth| &s.latency) as fn(&StageHealth) -> &LatencySummary,
-                ),
-                (
-                    "stream_stage_queue_wait_ns",
-                    "Inlet queue wait quantiles (span-timed, ns).",
-                    |s| &s.queue_wait,
-                ),
-            ] {
-                out.push_str(&format!(
-                    "# HELP btrace_{name} {help}\n# TYPE btrace_{name} summary\n"
-                ));
-                for stage in &self.stream_stages {
-                    let summary = pick(stage);
-                    for (q, v) in [("0.5", summary.p50), ("0.99", summary.p99)] {
-                        out.push_str(&format!(
-                            "btrace_{name}{{stage=\"{}\",quantile=\"{q}\"}} {v}\n",
-                            stage.stage
-                        ));
-                    }
-                    out.push_str(&format!(
-                        "btrace_{name}_count{{stage=\"{}\"}} {}\n",
-                        stage.stage, summary.count
-                    ));
-                }
-            }
-        }
-
-        for (path, summary) in [
-            ("record", &self.record_latency),
-            ("advance", &self.advance_latency),
-            ("drain", &self.drain_latency),
-        ] {
-            out.push_str(&format!(
-                "# HELP btrace_{path}_latency_ns {path} latency quantiles (sampled, ns).\n\
-                 # TYPE btrace_{path}_latency_ns summary\n"
-            ));
-            for (q, v) in [
-                ("0.5", summary.p50),
-                ("0.9", summary.p90),
-                ("0.99", summary.p99),
-                ("0.999", summary.p999),
-            ] {
-                out.push_str(&format!("btrace_{path}_latency_ns{{quantile=\"{q}\"}} {v}\n"));
-            }
-            out.push_str(&format!("btrace_{path}_latency_ns_count {}\n", summary.count));
-            out.push_str(&format!(
-                "btrace_{path}_latency_ns_sum {}\n",
-                fmt_f64(summary.mean_ns * summary.count as f64)
-            ));
-        }
-        out
-    }
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "0".to_string()
+        fields::to_prometheus(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::degraded;
 
     fn sample() -> HealthSnapshot {
         HealthSnapshot {
@@ -630,17 +210,19 @@ mod tests {
             committed_bytes: 1 << 20,
             open_blocks: 150,
             mean_occupancy: 0.42,
-            records: (1 << 53) + 17, // exercise > f64-exact integers
-            recorded_bytes: 999,
-            dummy_bytes: 1,
-            advances: 10,
-            closes: 9,
-            skips: 1,
-            straggler_repairs: 0,
-            resizes: 2,
-            commit_failures: 5,
-            resize_fallbacks: 1,
-            lock_recoveries: 1,
+            stats: Stats {
+                records: (1 << 53) + 17, // exercise > f64-exact integers
+                recorded_bytes: 999,
+                dummy_bytes: 1,
+                advances: 10,
+                closes: 9,
+                skips: 1,
+                straggler_repairs: 0,
+                resizes: 2,
+                commit_failures: 5,
+                resize_fallbacks: 1,
+                lock_recoveries: 1,
+            },
             degraded_bits: degraded::COMMIT_FAILED | degraded::RECLAIM_DEFERRED,
             export_retries: 3,
             export_drops: 1,
@@ -718,6 +300,15 @@ mod tests {
         assert_eq!(parsed, snap);
     }
 
+    /// The exact bytes of both export formats, pinned against golden files
+    /// so that no refactor of the serialisers can move a byte unnoticed.
+    #[test]
+    fn wire_format_is_pinned() {
+        let snap = sample();
+        assert_eq!(format!("{}\n", snap.to_json()), include_str!("../testdata/sample.json"));
+        assert_eq!(snap.to_prometheus(), include_str!("../testdata/sample.prom"));
+    }
+
     #[test]
     fn default_round_trips_too() {
         let snap = HealthSnapshot::default();
@@ -725,60 +316,24 @@ mod tests {
     }
 
     #[test]
-    fn pre_streaming_snapshots_still_decode() {
-        // A JSONL line written before `stream_stages` existed must parse
-        // as "no stream session attached".
-        let old = HealthSnapshot {
-            stream_stages: vec![StageHealth { stage: "sink".into(), ..StageHealth::default() }],
-            ..HealthSnapshot::default()
-        };
-        let line = old.to_json();
-        let key_at = line.find(",\"stream_stages\"").unwrap();
-        let trimmed = format!("{}}}", &line[..key_at]);
-        let parsed = HealthSnapshot::from_json(&trimmed).unwrap();
-        assert!(parsed.stream_stages.is_empty());
-    }
+    fn decode_errors_name_the_field() {
+        let line = sample().to_json();
+        let mistyped = line.replace("\"skips\":1,", "\"skips\":\"x\",");
+        let err = HealthSnapshot::from_json(&mistyped).unwrap_err();
+        assert_eq!(err, DecodeError::Mistyped("skips".into()));
+        assert!(err.to_string().contains("skips"), "{err}");
 
-    #[test]
-    fn pre_observability_snapshots_still_decode() {
-        // Lines written before `degraded_bits` and the stage latency
-        // summaries existed must still parse, with the new fields at
-        // their defaults.
-        let line = "{\"seq\":0,\"unix_ms\":0,\"cores\":1,\"capacity_blocks\":1,\
-            \"active_blocks\":1,\"block_bytes\":1,\"capacity_bytes\":1,\
-            \"committed_bytes\":0,\"open_blocks\":0,\"mean_occupancy\":0.0,\
-            \"records\":0,\"recorded_bytes\":0,\"dummy_bytes\":0,\"advances\":0,\
-            \"closes\":0,\"skips\":0,\"straggler_repairs\":0,\"resizes\":0,\
-            \"commit_failures\":0,\"resize_fallbacks\":0,\"lock_recoveries\":0,\
-            \"export_retries\":0,\"export_drops\":0,\"effectivity_observed\":0.0,\
-            \"effectivity_bound\":0.0,\"skip_rate\":0.0,\"per_core\":[],\
-            \"record_latency\":{\"count\":0,\"mean_ns\":0.0,\"p50\":0,\"p90\":0,\
-            \"p99\":0,\"p999\":0,\"max\":0},\
-            \"advance_latency\":{\"count\":0,\"mean_ns\":0.0,\"p50\":0,\"p90\":0,\
-            \"p99\":0,\"p999\":0,\"max\":0},\
-            \"drain_latency\":{\"count\":0,\"mean_ns\":0.0,\"p50\":0,\"p90\":0,\
-            \"p99\":0,\"p999\":0,\"max\":0},\
-            \"rates\":{\"window_secs\":0.0,\"records_per_sec\":0.0,\
-            \"bytes_per_sec\":0.0,\"advances_per_sec\":0.0,\"skips_per_sec\":0.0},\
-            \"stream_stages\":[{\"stage\":\"sink\",\"depth\":0,\"capacity\":0,\
-            \"in_items\":7,\"out_items\":7,\"dropped\":0}]}";
-        let parsed = HealthSnapshot::from_json(line).unwrap();
-        assert_eq!(parsed.degraded_bits, 0);
-        assert_eq!(parsed.age_ms, 0, "pre-age lines decode as age-unknown");
-        assert_eq!(parsed.stream_stages[0].in_items, 7);
-        assert_eq!(parsed.stream_stages[0].latency, LatencySummary::default());
-        assert_eq!(parsed.stream_stages[0].queue_wait, LatencySummary::default());
-    }
+        let key_at = line.find(",\"rates\"").unwrap();
+        let stages_at = line.find(",\"stream_stages\"").unwrap();
+        let missing = format!("{}{}", &line[..key_at], &line[stages_at..]);
+        let err = HealthSnapshot::from_json(&missing).unwrap_err();
+        assert_eq!(err.field(), Some("rates"));
+        assert!(err.to_string().contains("rates"), "{err}");
 
-    #[test]
-    fn degraded_describe_marks_sticky_bits() {
-        assert_eq!(degraded::describe(0), "ok");
-        assert_eq!(degraded::describe(degraded::COMMIT_FAILED), "commit_failed!");
-        assert_eq!(
-            degraded::describe(degraded::COMMIT_FAILED | degraded::RECLAIM_DEFERRED),
-            "commit_failed!+reclaim_deferred"
-        );
-        assert!(degraded::describe(1 << 40).contains("0x"), "unknown bits stay visible");
+        let nested = line.replace("\"in_items\":41", "\"in_items\":-1");
+        let err = HealthSnapshot::from_json(&nested).unwrap_err();
+        assert_eq!(err.field(), Some("stream_stages[1].in_items"));
+        assert_eq!(HealthSnapshot::from_json("{").unwrap_err().field(), None);
     }
 
     #[test]
