@@ -1,92 +1,11 @@
-//! `btrace` — the command-line companion tool.
-//!
-//! ```text
-//! btrace scenarios                      list the built-in replay workloads
-//! btrace demo                           quick synthetic demo on this machine
-//! btrace replay --scenario eShop-2 --tracer BTrace [--scale 0.1]
-//! btrace dump --scenario Video-1 --out trace.btd [--scale 0.1]
-//! btrace inspect trace.btd [--map]
-//! btrace analyze frames.btsf --threads 4 [--fragments 16] [--map]
-//! btrace query frames.btsf --since 1000 --until 9000 --core 2 [--category sched]
-//! btrace stream --duration-ms 2000 [--out frames.btsf] [--policy block|drop]
-//! ```
+//! `btrace` — the command-line companion tool; `btrace help` lists the
+//! commands and their flags.
 
-mod args;
-mod commands;
+use std::io::{stderr, stdout};
+use std::process::ExitCode;
 
-use args::Command;
-
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args::parse(&args) {
-        Ok(Command::Scenarios) => commands::scenarios(),
-        Ok(Command::Demo) => commands::demo(),
-        Ok(Command::Replay { scenario, tracer, scale, threads }) => {
-            commands::replay(&scenario, &tracer, scale, threads)
-        }
-        Ok(Command::Dump { scenario, out, scale }) => commands::dump(&scenario, &out, scale),
-        Ok(Command::Inspect { file, map }) => commands::inspect(&file, map),
-        Ok(Command::Analyze { file, threads, fragments, map }) => {
-            commands::analyze(&file, threads, fragments, map)
-        }
-        Ok(Command::Query { file, since, until, cores, category, threads, metrics, map, json }) => {
-            commands::query(
-                &file,
-                since,
-                until,
-                &cores,
-                category.as_deref(),
-                threads,
-                metrics,
-                map,
-                json,
-            )
-        }
-        Ok(Command::Stat { json, duration_ms, jsonl, prom }) => {
-            commands::stat(json, duration_ms, jsonl.as_deref(), prom.as_deref())
-        }
-        Ok(Command::Watch { period_ms, duration_ms, jsonl, prom }) => {
-            commands::watch(period_ms, duration_ms, jsonl.as_deref(), prom.as_deref())
-        }
-        Ok(Command::Stream {
-            duration_ms,
-            out,
-            block,
-            batch_events,
-            queue_depth,
-            drain_threads,
-            auto_size,
-            budget,
-            target_loss_ppm,
-            json,
-        }) => commands::stream(
-            duration_ms,
-            out.as_deref(),
-            block,
-            batch_events,
-            queue_depth,
-            drain_threads,
-            auto_size.then_some(commands::AutoSize { budget, target_loss_ppm }),
-            json,
-        ),
-        Ok(Command::Tune { duration_ms, budget, target_loss_ppm, json }) => {
-            commands::tune(duration_ms, budget, target_loss_ppm, json)
-        }
-        Ok(Command::Doctor { fault_seed, duration_ms, json }) => {
-            commands::doctor(fault_seed, duration_ms, json)
-        }
-        Ok(Command::Events { duration_ms, follow, json }) => {
-            commands::events(duration_ms, follow, json)
-        }
-        Ok(Command::Help) => {
-            print!("{}", args::USAGE);
-            0
-        }
-        Err(message) => {
-            eprintln!("error: {message}\n");
-            eprint!("{}", args::USAGE);
-            2
-        }
-    };
-    std::process::exit(code);
+    let code = btrace_cli::run(&args, &mut stdout().lock(), &mut stderr().lock());
+    ExitCode::from(code as u8)
 }

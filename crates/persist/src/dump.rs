@@ -333,6 +333,34 @@ mod tests {
     }
 
     #[test]
+    fn reordered_frames_are_a_store_defect() {
+        let dir = tmpdir("frame-swap");
+        let path = dir.join("t.btd");
+        TraceDump::from_events("x", sample_events(1500)).write_to(&path).expect("write");
+        let bytes = std::fs::read(&path).expect("read file");
+        // Swap the first two frames: each stays whole and checksummed, and
+        // the event count still matches; only the seqs give it away.
+        let header = parse_header(&bytes).expect("valid header").len;
+        let frames = crate::scan_frames(&bytes[header..]).expect("frames scan");
+        let [a, b] = [frames[0].offset, frames[1].offset].map(|o| header + o);
+        let c = b + frames[1].len;
+        let swapped = [&bytes[..a], &bytes[b..c], &bytes[a..b], &bytes[c..]].concat();
+        std::fs::write(&path, &swapped).expect("rewrite");
+        match TraceDump::read_from(&path) {
+            Err(DumpError::Format(_)) => {}
+            other => panic!("reordering must be detected, got {other:?}"),
+        }
+        let store = crate::TraceStore::open(&path).expect("open");
+        assert_eq!(store.defects().len(), 1);
+        assert_eq!(store.defects()[0].kind, crate::DefectKind::OutOfOrder);
+        assert_eq!(store.defects()[0].frame, 0);
+        // The query over it reports the defect, as `query` and `analyze` do.
+        let report = crate::Query::default().run(&store);
+        assert_eq!(report.defects.len(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn header_bit_flip_is_a_format_error() {
         let dir = tmpdir("header-flip");
         let path = dir.join("h.btd");

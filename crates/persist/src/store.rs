@@ -53,6 +53,9 @@ pub enum DefectKind {
     /// The header lacks the revision-2 flag: the frame comes from an older
     /// or foreign writer and is never decoded.
     UnknownRevision,
+    /// A `.btd` dump's frame seqs do not run 0..n in file order: frames
+    /// were moved or duplicated after the dump was written.
+    OutOfOrder,
 }
 
 /// One frame's damage report. Produced either by the directory scan
@@ -113,16 +116,29 @@ impl TraceStore {
         let header = parse_header(map.bytes()).ok();
         let start = header.as_ref().map_or(0, |h| h.len);
         let (frames, mut defects) = scan_directory(&map.bytes()[start..]);
-        // Per-frame checks cannot see a dump cut at a frame boundary; the
-        // header's event count can.
-        let found: u64 = frames.iter().map(|f| f.events as u64).sum();
-        if let Some(h) = header.filter(|h| defects.is_empty() && h.events != found) {
-            defects.push(FrameDefect {
-                frame: frames.len(),
-                offset: map.len() - start,
-                kind: DefectKind::Truncated,
-                detail: format!("dump header promises {} events, frames hold {found}", h.events),
-            });
+        // Per-frame checks cannot see a dump cut at a frame boundary, or
+        // frames moved within it; the header's event count and the seqs a
+        // dump is written with (0..n, in order) can.
+        if let Some(h) = header.filter(|_| defects.is_empty()) {
+            let found: u64 = frames.iter().map(|f| f.events as u64).sum();
+            if let Some((i, f)) = frames.iter().enumerate().find(|(i, f)| f.seq != *i as u64) {
+                defects.push(FrameDefect {
+                    frame: i,
+                    offset: f.offset,
+                    kind: DefectKind::OutOfOrder,
+                    detail: format!("dump frame seqs are not contiguous from 0: seq {}", f.seq),
+                });
+            } else if h.events != found {
+                defects.push(FrameDefect {
+                    frame: frames.len(),
+                    offset: map.len() - start,
+                    kind: DefectKind::Truncated,
+                    detail: format!(
+                        "dump header promises {} events, frames hold {found}",
+                        h.events
+                    ),
+                });
+            }
         }
         Self { map, start, frames, defects }
     }
@@ -131,6 +147,12 @@ impl TraceStore {
     /// Directory and defect offsets index into this slice.
     pub fn bytes(&self) -> &[u8] {
         &self.map.bytes()[self.start..]
+    }
+
+    /// The label of a `.btd` dump's header; `None` for a bare frame stream
+    /// (or a dump whose header is damaged, which is then a defect).
+    pub fn label(&self) -> Option<&str> {
+        parse_header(self.map.bytes()).ok().map(|h| h.label)
     }
 
     /// The frame directory, in file order.
