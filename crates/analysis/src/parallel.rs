@@ -599,19 +599,21 @@ impl TracePartial {
     pub fn map(events: &[CollectedEvent]) -> Self {
         let mut partial = Self::with_capacity(events.len());
         for e in events {
-            partial.push(e.stamp, e.core, e.tid, e.stored_bytes);
+            partial.push(*e);
         }
         partial.metrics.settle();
         partial
     }
 
-    /// Folds one event into all three partials, straight from wherever its
-    /// fields live (a drained event, a borrowed frame event).
+    /// Folds one event into all three partials (a drained event, or a
+    /// borrowed one through [`EventView::collected`]).
+    ///
+    /// [`EventView::collected`]: btrace_core::EventView::collected
     #[inline]
-    pub fn push(&mut self, stamp: u64, core: u16, tid: u32, stored_bytes: u32) {
-        self.metrics.push(stamp, stored_bytes);
-        self.cores.push(core as u32, stamp, stored_bytes);
-        self.threads.push(tid, stamp, stored_bytes);
+    pub fn push(&mut self, e: CollectedEvent) {
+        self.metrics.push(e.stamp, e.stored_bytes);
+        self.cores.push(e.core as u32, e.stamp, e.stored_bytes);
+        self.threads.push(e.tid, e.stamp, e.stored_bytes);
     }
 
     /// Associative merge of two fragment partials.

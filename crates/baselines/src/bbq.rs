@@ -9,8 +9,8 @@
 //! block that still has unconfirmed writes, producers **block** until the
 //! straggler finishes (Table 1: "Blocking").
 
-use crate::wordbuf::WordBuf;
-use btrace_core::event::{encoded_len, EntryHeader, EntryKind, HEADER_BYTES};
+use crate::wordbuf::{Drained, WordBuf};
+use btrace_core::event::encoded_len;
 use btrace_core::sink::{Begin, CollectedEvent, FullEvent, SinkGrant, TraceSink};
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,6 +93,30 @@ impl Bbq {
         self.inner.blocks.len() as u64
     }
 
+    /// The events of every fully confirmed block, oldest block first — the
+    /// one selection loop behind `drain` and `drain_full`.
+    fn drain_confirmed<T: Drained>(&self) -> Vec<T> {
+        let inner = &self.inner;
+        let cap = inner.block_bytes;
+        let head = inner.head.load(Ordering::Acquire);
+        let n = self.nblocks();
+        let mut out = Vec::new();
+        for seq in head.saturating_sub(n - 1)..=head {
+            let block = &inner.blocks[(seq % n) as usize];
+            let (crnd, cpos) = unpack(block.confirmed.load(Ordering::Acquire));
+            let (arnd, apos) = unpack(block.allocated.load(Ordering::Acquire));
+            if crnd != seq as u32 || arnd != seq as u32 {
+                continue; // recycled or never reached
+            }
+            let watermark = apos.min(cap);
+            if cpos != watermark {
+                continue; // unconfirmed writes outstanding
+            }
+            block.buf.read_entries(0..watermark as usize, &mut out);
+        }
+        out
+    }
+
     /// Allocates `need` bytes, advancing (and blocking on stragglers) as
     /// required. Returns `(seq, block index, offset)`.
     fn allocate(&self, need: u32) -> (u64, usize, u32) {
@@ -143,17 +167,7 @@ impl Bbq {
             let chunk = remaining.min(u16::MAX as u32 & !7);
             let chunk =
                 if remaining - chunk != 0 && remaining - chunk < 8 { chunk - 8 } else { chunk };
-            let header = EntryHeader {
-                len: chunk as u16,
-                kind: EntryKind::Dummy,
-                pad: 0,
-                core: 0,
-                tid: 0,
-                stamp: 0,
-            };
-            let words = header.encode();
-            let take = if chunk >= HEADER_BYTES as u32 { 2 } else { 1 };
-            self.inner.blocks[idx].buf.store_words(off as usize, &words[..take]);
+            self.inner.blocks[idx].buf.write_dummy(off as usize, chunk as usize);
             off += chunk;
             remaining -= chunk;
         }
@@ -233,18 +247,9 @@ pub struct BbqGrant {
 impl SinkGrant for BbqGrant {
     fn commit(mut self, stamp: u64, tid: u32, payload: &[u8]) {
         debug_assert_eq!(payload.len(), self.payload_len as usize);
-        let pad = self.len as usize - HEADER_BYTES - payload.len();
-        let header = EntryHeader {
-            len: self.len as u16,
-            kind: EntryKind::Data,
-            pad: pad as u8,
-            core: self.core as u8,
-            tid,
-            stamp,
-        };
         let block = &self.queue.inner.blocks[self.idx];
-        block.buf.store_words(self.offset as usize, &header.encode());
-        block.buf.store_bytes(self.offset as usize + HEADER_BYTES, payload);
+        let (at, len, core) = (self.offset as usize, self.len as usize, self.core.into());
+        block.buf.write_data(at, len, core, tid, stamp, payload);
         block.confirmed.fetch_add(self.len as u64, Ordering::AcqRel);
         self.committed = true;
     }
@@ -298,18 +303,8 @@ impl TraceSink for Bbq {
             return RecordOutcome::Dropped;
         }
         let (_seq, idx, offset) = self.allocate(need);
-        let pad = need as usize - HEADER_BYTES - payload.len();
-        let header = EntryHeader {
-            len: need as u16,
-            kind: EntryKind::Data,
-            pad: pad as u8,
-            core: core as u8,
-            tid,
-            stamp,
-        };
         let block = &self.inner.blocks[idx];
-        block.buf.store_words(offset as usize, &header.encode());
-        block.buf.store_bytes(offset as usize + HEADER_BYTES, payload);
+        block.buf.write_data(offset as usize, need as usize, core, tid, stamp, payload);
         block.confirmed.fetch_add(need as u64, Ordering::AcqRel);
         RecordOutcome::Recorded
     }
@@ -325,98 +320,15 @@ impl TraceSink for Bbq {
     }
 
     fn drain(&self) -> Vec<CollectedEvent> {
-        let inner = &self.inner;
-        let cap = inner.block_bytes;
-        let head = inner.head.load(Ordering::Acquire);
-        let n = self.nblocks();
-        let mut out = Vec::new();
-        for seq in head.saturating_sub(n - 1)..=head {
-            let idx = (seq % n) as usize;
-            let block = &inner.blocks[idx];
-            let (crnd, cpos) = unpack(block.confirmed.load(Ordering::Acquire));
-            let (arnd, apos) = unpack(block.allocated.load(Ordering::Acquire));
-            if crnd != seq as u32 || arnd != seq as u32 {
-                continue; // recycled or never reached
-            }
-            let watermark = apos.min(cap);
-            if cpos != watermark {
-                continue; // unconfirmed writes outstanding
-            }
-            parse_block(&block.buf, watermark as usize, &mut out);
-        }
-        out
+        self.drain_confirmed()
     }
 
     fn drain_full(&self) -> Vec<FullEvent> {
-        let inner = &self.inner;
-        let cap = inner.block_bytes;
-        let head = inner.head.load(Ordering::Acquire);
-        let n = self.nblocks();
-        let mut out = Vec::new();
-        for seq in head.saturating_sub(n - 1)..=head {
-            let idx = (seq % n) as usize;
-            let block = &inner.blocks[idx];
-            let (crnd, cpos) = unpack(block.confirmed.load(Ordering::Acquire));
-            let (arnd, apos) = unpack(block.allocated.load(Ordering::Acquire));
-            if crnd != seq as u32 || arnd != seq as u32 {
-                continue;
-            }
-            let watermark = apos.min(cap);
-            if cpos != watermark {
-                continue;
-            }
-            parse_block_full(&block.buf, watermark as usize, &mut out);
-        }
-        out
+        self.drain_confirmed()
     }
 
     fn capacity_bytes(&self) -> usize {
         self.inner.total_bytes
-    }
-}
-
-fn parse_block_full(buf: &WordBuf, watermark: usize, out: &mut Vec<FullEvent>) {
-    let mut off = 0usize;
-    while off + 8 <= watermark {
-        let mut words = [0u64; 2];
-        let take = if watermark - off >= HEADER_BYTES { 2 } else { 1 };
-        buf.load_words(off, &mut words[..take]);
-        let Some(header) = EntryHeader::decode(words) else { return };
-        if off + header.len as usize > watermark {
-            return;
-        }
-        if header.kind == EntryKind::Data {
-            let payload_len = header.payload_len().unwrap_or(0);
-            out.push(FullEvent {
-                stamp: header.stamp,
-                core: header.core as u16,
-                tid: header.tid,
-                payload: buf.load_bytes(off + HEADER_BYTES, payload_len),
-            });
-        }
-        off += header.len as usize;
-    }
-}
-
-fn parse_block(buf: &WordBuf, watermark: usize, out: &mut Vec<CollectedEvent>) {
-    let mut off = 0usize;
-    while off + 8 <= watermark {
-        let mut words = [0u64; 2];
-        let take = if watermark - off >= HEADER_BYTES { 2 } else { 1 };
-        buf.load_words(off, &mut words[..take]);
-        let Some(header) = EntryHeader::decode(words) else { return };
-        if off + header.len as usize > watermark {
-            return;
-        }
-        if header.kind == EntryKind::Data {
-            out.push(CollectedEvent {
-                stamp: header.stamp,
-                core: header.core as u16,
-                tid: header.tid,
-                stored_bytes: header.len as u32,
-            });
-        }
-        off += header.len as usize;
     }
 }
 

@@ -33,3 +33,30 @@ pub use bbq::Bbq;
 pub use lttng::PerCoreDropNewest;
 pub use percore::PerCoreOverwrite;
 pub use perthread::PerThread;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use btrace_core::sink::TraceSink;
+
+    /// `drain` and `drain_full` walk the same entries: the payload-free
+    /// drain is the full drain's events without their payloads, in the
+    /// same order, on every tracer and after wrap-around.
+    #[test]
+    fn drain_is_drain_full_without_payloads() {
+        fn check(sink: &impl TraceSink) {
+            for i in 0..400u64 {
+                let payload: Vec<u8> = (0..(i * 7 % 41) as u8).collect();
+                sink.record((i % 3) as usize, 10 + (i % 5) as u32, i, &payload);
+            }
+            let full = sink.drain_full();
+            assert!(full.len() > 10, "{}: the drain holds events", sink.name());
+            let collected: Vec<_> = full.iter().map(|e| e.view().collected()).collect();
+            assert_eq!(sink.drain(), collected, "{}", sink.name());
+        }
+        check(&Bbq::new(4096, 256));
+        check(&PerCoreOverwrite::new(3, 4096));
+        check(&PerCoreDropNewest::new(3, 4096, 4));
+        check(&PerThread::new(8192, 5));
+    }
+}

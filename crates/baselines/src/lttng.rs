@@ -12,8 +12,8 @@
 //! into the heavy newest-data loss of Table 2.
 
 use crate::bbq::{pack, unpack};
-use crate::wordbuf::WordBuf;
-use btrace_core::event::{encoded_len, EntryHeader, EntryKind, HEADER_BYTES};
+use crate::wordbuf::{Drained, WordBuf};
+use btrace_core::event::encoded_len;
 use btrace_core::sink::{Begin, CollectedEvent, FullEvent, SinkGrant, TraceSink};
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,6 +98,28 @@ impl PerCoreDropNewest {
     /// uncommitted reservation.
     pub fn dropped(&self) -> u64 {
         self.inner.dropped.load(Ordering::Relaxed)
+    }
+
+    /// The events of every fully committed sub-buffer, in stamp order — the
+    /// one selection loop behind `drain` and `drain_full`.
+    fn drain_committed<T: Drained>(&self) -> Vec<T> {
+        let mut out = Vec::new();
+        let cap = self.inner.sub_bytes;
+        for ring in &self.inner.cores {
+            let nsubs = ring.subs.len() as u64;
+            let head = ring.seq.load(Ordering::Acquire);
+            for seq in head.saturating_sub(nsubs - 1)..=head {
+                let sub = &ring.subs[(seq % nsubs) as usize];
+                let (crnd, cpos) = unpack(sub.confirmed.load(Ordering::Acquire));
+                let (arnd, apos) = unpack(sub.allocated.load(Ordering::Acquire));
+                if crnd != seq as u32 || arnd != seq as u32 || cpos != apos.min(cap) {
+                    continue; // recycled, never reached, or uncommitted
+                }
+                sub.buf.read_entries(0..apos.min(cap) as usize, &mut out);
+            }
+        }
+        out.sort_by_key(T::stamp);
+        out
     }
 
     /// Attempts to reserve `need` bytes on `core`. `None` means the event
@@ -194,18 +216,8 @@ pub struct LttngGrant {
 impl SinkGrant for LttngGrant {
     fn commit(mut self, stamp: u64, tid: u32, payload: &[u8]) {
         debug_assert_eq!(payload.len(), self.payload_len as usize);
-        let pad = self.len as usize - HEADER_BYTES - payload.len();
-        let header = EntryHeader {
-            len: self.len as u16,
-            kind: EntryKind::Data,
-            pad: pad as u8,
-            core: self.core as u8,
-            tid,
-            stamp,
-        };
         let sub = &self.tracer.inner.cores[self.core].subs[self.idx];
-        sub.buf.store_words(self.offset as usize, &header.encode());
-        sub.buf.store_bytes(self.offset as usize + HEADER_BYTES, payload);
+        sub.buf.write_data(self.offset as usize, self.len as usize, self.core, tid, stamp, payload);
         sub.confirmed.fetch_add(self.len as u64, Ordering::AcqRel);
         self.committed = true;
     }
@@ -215,15 +227,7 @@ impl Drop for LttngGrant {
     fn drop(&mut self) {
         if !self.committed {
             let sub = &self.tracer.inner.cores[self.core].subs[self.idx];
-            let header = EntryHeader {
-                len: self.len as u16,
-                kind: EntryKind::Dummy,
-                pad: 0,
-                core: 0,
-                tid: 0,
-                stamp: 0,
-            };
-            sub.buf.store_words(self.offset as usize, &header.encode());
+            sub.buf.write_dummy(self.offset as usize, self.len as usize);
             sub.confirmed.fetch_add(self.len as u64, Ordering::AcqRel);
         }
     }
@@ -270,109 +274,22 @@ impl TraceSink for PerCoreDropNewest {
         let Some((idx, _seq, offset)) = self.reserve(core, need) else {
             return RecordOutcome::Dropped;
         };
-        let pad = need as usize - HEADER_BYTES - payload.len();
-        let header = EntryHeader {
-            len: need as u16,
-            kind: EntryKind::Data,
-            pad: pad as u8,
-            core: core as u8,
-            tid,
-            stamp,
-        };
         let sub = &self.inner.cores[core].subs[idx];
-        sub.buf.store_words(offset as usize, &header.encode());
-        sub.buf.store_bytes(offset as usize + HEADER_BYTES, payload);
+        sub.buf.write_data(offset as usize, need as usize, core, tid, stamp, payload);
         sub.confirmed.fetch_add(need as u64, Ordering::AcqRel);
         RecordOutcome::Recorded
     }
 
     fn drain(&self) -> Vec<CollectedEvent> {
-        let mut out = Vec::new();
-        let cap = self.inner.sub_bytes;
-        for ring in &self.inner.cores {
-            let nsubs = ring.subs.len() as u64;
-            let head = ring.seq.load(Ordering::Acquire);
-            for seq in head.saturating_sub(nsubs - 1)..=head {
-                let sub = &ring.subs[(seq % nsubs) as usize];
-                let (crnd, cpos) = unpack(sub.confirmed.load(Ordering::Acquire));
-                let (arnd, apos) = unpack(sub.allocated.load(Ordering::Acquire));
-                if crnd != seq as u32 || arnd != seq as u32 || cpos != apos.min(cap) {
-                    continue; // recycled, never reached, or uncommitted
-                }
-                parse_sub(&sub.buf, apos.min(cap) as usize, &mut out);
-            }
-        }
-        out.sort_by_key(|e| e.stamp);
-        out
+        self.drain_committed()
     }
 
     fn drain_full(&self) -> Vec<FullEvent> {
-        let mut out = Vec::new();
-        let cap = self.inner.sub_bytes;
-        for ring in &self.inner.cores {
-            let nsubs = ring.subs.len() as u64;
-            let head = ring.seq.load(Ordering::Acquire);
-            for seq in head.saturating_sub(nsubs - 1)..=head {
-                let sub = &ring.subs[(seq % nsubs) as usize];
-                let (crnd, cpos) = unpack(sub.confirmed.load(Ordering::Acquire));
-                let (arnd, apos) = unpack(sub.allocated.load(Ordering::Acquire));
-                if crnd != seq as u32 || arnd != seq as u32 || cpos != apos.min(cap) {
-                    continue;
-                }
-                parse_sub_full(&sub.buf, apos.min(cap) as usize, &mut out);
-            }
-        }
-        out.sort_by_key(|e| e.stamp);
-        out
+        self.drain_committed()
     }
 
     fn capacity_bytes(&self) -> usize {
         self.inner.total_bytes
-    }
-}
-
-fn parse_sub_full(buf: &WordBuf, watermark: usize, out: &mut Vec<FullEvent>) {
-    let mut off = 0usize;
-    while off + 8 <= watermark {
-        let mut words = [0u64; 2];
-        let take = if watermark - off >= HEADER_BYTES { 2 } else { 1 };
-        buf.load_words(off, &mut words[..take]);
-        let Some(header) = EntryHeader::decode(words) else { return };
-        if off + header.len as usize > watermark {
-            return;
-        }
-        if header.kind == EntryKind::Data {
-            let payload_len = header.payload_len().unwrap_or(0);
-            out.push(FullEvent {
-                stamp: header.stamp,
-                core: header.core as u16,
-                tid: header.tid,
-                payload: buf.load_bytes(off + HEADER_BYTES, payload_len),
-            });
-        }
-        off += header.len as usize;
-    }
-}
-
-fn parse_sub(buf: &WordBuf, watermark: usize, out: &mut Vec<CollectedEvent>) {
-    let mut off = 0usize;
-    while off + 8 <= watermark {
-        let mut words = [0u64; 2];
-        let take = if watermark - off >= HEADER_BYTES { 2 } else { 1 };
-        buf.load_words(off, &mut words[..take]);
-        let Some(header) = EntryHeader::decode(words) else { return };
-        if off + header.len as usize > watermark {
-            return;
-        }
-        if header.kind == EntryKind::Data {
-            out.push(CollectedEvent {
-                stamp: header.stamp,
-                core: header.core as u16,
-                tid: header.tid,
-                stored_bytes: header.len as u32,
-            });
-        }
-        off += header.len as usize;
     }
 }
 

@@ -11,7 +11,7 @@
 //! across cores, which is exactly the `1/C` utilization pathology of
 //! Table 1.
 
-use crate::ring::OverwriteRing;
+use crate::ring::{drain_rings, OverwriteRing};
 use btrace_core::sink::{Begin, CollectedEvent, FullEvent, SinkGrant, TraceSink};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -110,21 +110,11 @@ impl TraceSink for PerCoreOverwrite {
     }
 
     fn drain(&self) -> Vec<CollectedEvent> {
-        let mut out = Vec::new();
-        for ring in self.rings.iter() {
-            out.extend(ring.lock().drain());
-        }
-        out.sort_by_key(|e| e.stamp);
-        out
+        drain_rings(self.rings.iter())
     }
 
     fn drain_full(&self) -> Vec<FullEvent> {
-        let mut out = Vec::new();
-        for ring in self.rings.iter() {
-            out.extend(ring.lock().drain_full());
-        }
-        out.sort_by_key(|e| e.stamp);
-        out
+        drain_rings(self.rings.iter())
     }
 
     fn capacity_bytes(&self) -> usize {

@@ -11,9 +11,9 @@
 //! (a per-core mutex standing in for ftrace's preemption-disabled section,
 //! or per-thread exclusivity in the VTrace model).
 
-use crate::wordbuf::WordBuf;
+use crate::wordbuf::{Drained, WordBuf};
 use btrace_core::event::{encoded_len, EntryHeader, EntryKind, HEADER_BYTES};
-use btrace_core::sink::{CollectedEvent, FullEvent};
+use parking_lot::Mutex;
 
 #[derive(Debug)]
 pub(crate) struct OverwriteRing {
@@ -58,33 +58,13 @@ impl OverwriteRing {
             let room = self.cap - at;
             if room >= need {
                 self.make_room(need as u64);
-                let pad = need - HEADER_BYTES - payload.len();
-                let header = EntryHeader {
-                    len: need as u16,
-                    kind: EntryKind::Data,
-                    pad: pad as u8,
-                    core: core as u8,
-                    tid,
-                    stamp,
-                };
-                self.buf.store_words(at, &header.encode());
-                self.buf.store_bytes(at + HEADER_BYTES, payload);
+                self.buf.write_data(at, need, core.into(), tid, stamp, payload);
                 self.head += need as u64;
                 return;
             }
             // Pad out the wrap tail with a dummy, then retry at offset 0.
             self.make_room(room as u64);
-            let header = EntryHeader {
-                len: room as u16,
-                kind: EntryKind::Dummy,
-                pad: 0,
-                core: 0,
-                tid: 0,
-                stamp: 0,
-            };
-            let words = header.encode();
-            let take = if room >= HEADER_BYTES { 2 } else { 1 };
-            self.buf.store_words(at, &words[..take]);
+            self.buf.write_dummy(at, room);
             self.head += room as u64;
         }
     }
@@ -105,57 +85,43 @@ impl OverwriteRing {
         }
     }
 
-    /// Returns the retained events with payloads, oldest first.
-    pub(crate) fn drain_full(&self) -> Vec<FullEvent> {
-        let mut out = Vec::new();
-        let mut pos = self.tail;
-        while pos < self.head {
-            let at = (pos % self.cap as u64) as usize;
-            let mut words = [0u64; 2];
-            let take = if self.cap - at >= HEADER_BYTES { 2 } else { 1 };
-            self.buf.load_words(at, &mut words[..take]);
-            let Some(header) = EntryHeader::decode(words) else { break };
-            if header.kind == EntryKind::Data {
-                let payload_len = header.payload_len().unwrap_or(0);
-                out.push(FullEvent {
-                    stamp: header.stamp,
-                    core: header.core as u16,
-                    tid: header.tid,
-                    payload: self.buf.load_bytes(at + HEADER_BYTES, payload_len),
-                });
-            }
-            pos += header.len as u64;
+    /// Appends the retained events to `out`, oldest first. Entries never
+    /// straddle the wrap point, so the retained bytes are at most two
+    /// physical ranges, each starting and ending on an entry boundary.
+    pub(crate) fn drain_into<T: Drained>(&self, out: &mut Vec<T>) {
+        let start = (self.tail % self.cap as u64) as usize;
+        let end = start + (self.head - self.tail) as usize;
+        self.buf.read_entries(start..end.min(self.cap), out);
+        if end > self.cap {
+            self.buf.read_entries(0..end - self.cap, out);
         }
-        out
     }
+}
 
-    /// Returns the retained events, oldest first.
-    pub(crate) fn drain(&self) -> Vec<CollectedEvent> {
-        let mut out = Vec::new();
-        let mut pos = self.tail;
-        while pos < self.head {
-            let at = (pos % self.cap as u64) as usize;
-            let mut words = [0u64; 2];
-            let take = if self.cap - at >= HEADER_BYTES { 2 } else { 1 };
-            self.buf.load_words(at, &mut words[..take]);
-            let Some(header) = EntryHeader::decode(words) else { break };
-            if header.kind == EntryKind::Data {
-                out.push(CollectedEvent {
-                    stamp: header.stamp,
-                    core: header.core as u16,
-                    tid: header.tid,
-                    stored_bytes: header.len as u32,
-                });
-            }
-            pos += header.len as u64;
-        }
-        out
+/// Every ring's retained events, in stamp order: the drain of the per-core
+/// and per-thread baselines.
+pub(crate) fn drain_rings<'a, T: Drained>(
+    rings: impl IntoIterator<Item = &'a Mutex<OverwriteRing>>,
+) -> Vec<T> {
+    let mut out = Vec::new();
+    for ring in rings {
+        ring.lock().drain_into(&mut out);
     }
+    out.sort_by_key(T::stamp);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use btrace_core::sink::CollectedEvent;
+
+    fn drain(r: &OverwriteRing) -> Vec<CollectedEvent> {
+        let mut out = Vec::new();
+        r.drain_into(&mut out);
+        out
+    }
 
     #[test]
     fn write_and_drain_in_order() {
@@ -163,7 +129,7 @@ mod tests {
         for i in 0..10u64 {
             r.write(i, 1, 2, b"payload");
         }
-        let out = r.drain();
+        let out = drain(&r);
         assert_eq!(out.len(), 10);
         assert_eq!(out[0].stamp, 0);
         assert_eq!(out[9].stamp, 9);
@@ -179,7 +145,7 @@ mod tests {
         for i in 0..100u64 {
             r.write(i, 0, 0, b"12345678");
         }
-        let out = r.drain();
+        let out = drain(&r);
         assert!(!out.is_empty());
         assert_eq!(out.last().unwrap().stamp, 99, "newest must be retained");
         // Retained stamps are a contiguous suffix.
@@ -196,7 +162,7 @@ mod tests {
         for (i, p) in payloads.iter().enumerate() {
             r.write(i as u64, 0, 0, p);
         }
-        let out = r.drain();
+        let out = drain(&r);
         assert_eq!(out.last().unwrap().stamp, 49);
         for w in out.windows(2) {
             assert_eq!(w[1].stamp, w[0].stamp + 1);

@@ -1,8 +1,56 @@
 //! A heap word buffer with relaxed-atomic access, the baselines' analogue
 //! of `btrace-core`'s data region: concurrent mixed access stays defined
 //! behaviour, and ordering is established by each tracer's own counters.
+//! It also holds the baselines' entry codec: one writer per entry kind
+//! ([`WordBuf::write_data`], [`WordBuf::write_dummy`]) and one walk
+//! ([`WordBuf::read_entries`]).
 
+use btrace_core::event::{EntryHeader, EntryKind, HEADER_BYTES};
+use btrace_core::sink::{CollectedEvent, FullEvent};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// What a baseline drain builds from one `Data` entry: a
+/// [`CollectedEvent`] from the header alone, or a [`FullEvent`] that also
+/// loads the payload. Each tracer's drain loop is generic over it, so
+/// `drain` and `drain_full` share one block selection and one walk.
+pub(crate) trait Drained {
+    /// Builds the event from the entry at `at`, whose header is `header`.
+    fn read(buf: &WordBuf, at: usize, header: &EntryHeader) -> Self;
+    /// The event's logic stamp, for drains that return stamp order.
+    fn stamp(&self) -> u64;
+}
+
+impl Drained for CollectedEvent {
+    fn read(_: &WordBuf, _: usize, header: &EntryHeader) -> Self {
+        CollectedEvent {
+            stamp: header.stamp,
+            core: header.core.into(),
+            tid: header.tid,
+            stored_bytes: header.len.into(),
+        }
+    }
+
+    fn stamp(&self) -> u64 {
+        self.stamp
+    }
+}
+
+impl Drained for FullEvent {
+    fn read(buf: &WordBuf, at: usize, header: &EntryHeader) -> Self {
+        let payload_len = header.payload_len().unwrap_or(0);
+        FullEvent {
+            stamp: header.stamp,
+            core: header.core.into(),
+            tid: header.tid,
+            payload: buf.load_bytes(at + HEADER_BYTES, payload_len),
+        }
+    }
+
+    fn stamp(&self) -> u64 {
+        self.stamp
+    }
+}
 
 pub(crate) struct WordBuf {
     words: Box<[AtomicU64]>,
@@ -45,6 +93,65 @@ impl WordBuf {
             idx += 1;
         }
         out
+    }
+
+    /// Writes a `Data` entry of `len` bytes (header, `payload`, zero
+    /// padding) at the entry-aligned `at`.
+    pub(crate) fn write_data(
+        &self,
+        at: usize,
+        len: usize,
+        core: usize,
+        tid: u32,
+        stamp: u64,
+        payload: &[u8],
+    ) {
+        let header = EntryHeader {
+            len: len as u16,
+            kind: EntryKind::Data,
+            pad: (len - HEADER_BYTES - payload.len()) as u8,
+            core: core as u8,
+            tid,
+            stamp,
+        };
+        self.store_words(at, &header.encode());
+        self.store_bytes(at + HEADER_BYTES, payload);
+    }
+
+    /// Writes a `Dummy` entry covering `len` bytes at the entry-aligned
+    /// `at`; a filler shorter than a header stores only its first word.
+    pub(crate) fn write_dummy(&self, at: usize, len: usize) {
+        let header = EntryHeader {
+            len: len as u16,
+            kind: EntryKind::Dummy,
+            pad: 0,
+            core: 0,
+            tid: 0,
+            stamp: 0,
+        };
+        let words = header.encode();
+        self.store_words(at, &words[..if len >= HEADER_BYTES { 2 } else { 1 }]);
+    }
+
+    /// The baselines' one entry walk: appends every `Data` entry in the
+    /// entry-aligned byte range `range` to `out`, in buffer order, and
+    /// stops at the first entry that does not decode or runs past
+    /// `range.end`.
+    pub(crate) fn read_entries<T: Drained>(&self, range: Range<usize>, out: &mut Vec<T>) {
+        let mut off = range.start;
+        while off + 8 <= range.end {
+            let mut words = [0u64; 2];
+            let take = if range.end - off >= HEADER_BYTES { 2 } else { 1 };
+            self.load_words(off, &mut words[..take]);
+            let Some(header) = EntryHeader::decode(words) else { return };
+            if off + header.len as usize > range.end {
+                return;
+            }
+            if header.kind == EntryKind::Data {
+                out.push(T::read(self, off, &header));
+            }
+            off += header.len as usize;
+        }
     }
 
     pub(crate) fn store_bytes(&self, byte_off: usize, bytes: &[u8]) {

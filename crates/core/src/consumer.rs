@@ -8,7 +8,7 @@
 //! re-check, abandon" loop.
 
 use crate::buffer::Shared;
-use crate::event::{EntryHeader, EntryKind, EntryView, Event, HEADER_BYTES};
+use crate::event::{encoded_len, EntryHeader, EntryKind, EventView, FullEvent, HEADER_BYTES};
 use crate::sync::{Arc, Ordering};
 use std::convert::Infallible;
 
@@ -33,7 +33,7 @@ pub struct BlockCounts {
 #[non_exhaustive]
 pub struct Readout {
     /// Events in buffer order (ascending block sequence, then offset).
-    pub events: Vec<Event>,
+    pub events: Vec<FullEvent>,
     /// Per-block accounting of the scan.
     pub blocks: BlockCounts,
 }
@@ -41,7 +41,7 @@ pub struct Readout {
 impl Readout {
     /// Sum of on-buffer bytes of all returned events.
     pub fn stored_bytes(&self) -> usize {
-        self.events.iter().map(Event::stored_bytes).sum()
+        self.events.iter().map(|e| encoded_len(e.payload.len())).sum()
     }
 }
 
@@ -49,7 +49,7 @@ impl Readout {
 /// into one byte buffer that is reused across snapshots.
 ///
 /// Where [`Consumer::collect`] copies every event out into its own
-/// [`Event`], a snapshot keeps the block bytes as read and visits its
+/// [`FullEvent`], a snapshot keeps the block bytes as read and visits its
 /// events in place ([`RingSnapshot::try_for_each`]), so a reader that only
 /// encodes them — the symptom dump — allocates nothing per event.
 #[derive(Default)]
@@ -87,9 +87,9 @@ impl RingSnapshot {
     /// # Errors
     ///
     /// The first error `f` returns.
-    pub fn try_for_each<E>(
-        &self,
-        mut f: impl FnMut(EntryView<'_>) -> Result<(), E>,
+    pub fn try_for_each<'a, E>(
+        &'a self,
+        mut f: impl FnMut(EventView<'a>) -> Result<(), E>,
     ) -> Result<(), E> {
         let mut start = 0;
         for &end in &self.ends {
@@ -134,7 +134,7 @@ impl Consumer {
         scan(shared, participant, |shared, gpos| {
             scratch.clear();
             if read_block(shared, scratch, gpos, &mut readout.blocks) {
-                push_events(scratch, HEADER_BYTES, gpos, &mut readout.events);
+                push_events(scratch, HEADER_BYTES, &mut readout.events);
             }
         });
         readout
@@ -346,10 +346,10 @@ impl std::fmt::Debug for Consumer {
 /// entries behind such an entry are not visited, because its length can
 /// no longer be trusted to find them.
 #[inline]
-pub(crate) fn try_for_each_entry<E>(
-    snapshot: &[u8],
+pub(crate) fn try_for_each_entry<'a, E>(
+    snapshot: &'a [u8],
     from: usize,
-    mut f: impl FnMut(EntryView<'_>) -> Result<(), E>,
+    mut f: impl FnMut(EventView<'a>) -> Result<(), E>,
 ) -> Result<usize, E> {
     let mut off = from;
     while off + 8 <= snapshot.len() {
@@ -368,9 +368,9 @@ pub(crate) fn try_for_each_entry<E>(
             // `payload_len <= len - HEADER_BYTES`, so the payload lies
             // inside the `off + len` bytes checked above.
             let Some(payload_len) = header.payload_len() else { break };
-            f(EntryView {
+            f(EventView {
                 stamp: header.stamp,
-                core: header.core,
+                core: header.core.into(),
                 tid: header.tid,
                 payload: &snapshot[off + HEADER_BYTES..off + HEADER_BYTES + payload_len],
             })?;
@@ -383,10 +383,10 @@ pub(crate) fn try_for_each_entry<E>(
 /// [`try_for_each_entry`] with an infallible visitor. Returns the offset
 /// the walk stopped at and the number of entries visited.
 #[inline]
-pub(crate) fn for_each_entry(
-    snapshot: &[u8],
+pub(crate) fn for_each_entry<'a>(
+    snapshot: &'a [u8],
     from: usize,
-    mut f: impl FnMut(EntryView<'_>),
+    mut f: impl FnMut(EventView<'a>),
 ) -> (usize, usize) {
     let mut visited = 0;
     let walked = try_for_each_entry(snapshot, from, |e| {
@@ -400,28 +400,25 @@ pub(crate) fn for_each_entry(
     }
 }
 
-/// Appends the `Data` entries of a validated snapshot of block `gpos` to
-/// `out` as owned [`Event`]s — the output of the owned readers
-/// ([`Consumer::collect`], the streaming shards, the tail reader). Returns
-/// the offset the walk stopped at.
-pub(crate) fn push_events(snapshot: &[u8], from: usize, gpos: u64, out: &mut Vec<Event>) -> usize {
-    for_each_entry(snapshot, from, |e| {
-        out.push(Event::new(e.stamp, e.core, e.tid, gpos, e.payload.to_vec()));
-    })
-    .0
+/// Appends the `Data` entries of a validated block snapshot to `out` as
+/// [`FullEvent`]s — the output of the owned readers ([`Consumer::collect`],
+/// the streaming shards, the tail reader). Returns the offset the walk
+/// stopped at.
+pub(crate) fn push_events(snapshot: &[u8], from: usize, out: &mut Vec<FullEvent>) -> usize {
+    for_each_entry(snapshot, from, |e| out.push(e.to_owned())).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::{push_events, RingSnapshot};
-    use crate::event::{EntryHeader, EntryKind, Event, HEADER_BYTES};
+    use crate::event::{EntryHeader, EntryKind, FullEvent, HEADER_BYTES};
     use crate::{BTrace, Config};
     use btrace_vmem::Backing;
     use proptest::prelude::*;
 
     /// The entry walk `Consumer::collect` used before the shared walker,
     /// kept verbatim as the oracle the walker must match.
-    fn parse_entries(snapshot: &[u8], gpos: u64, out: &mut Vec<Event>) {
+    fn parse_entries(snapshot: &[u8], out: &mut Vec<FullEvent>) {
         let mut off = HEADER_BYTES; // skip the block header
         while off + 8 <= snapshot.len() {
             let word0 = u64::from_le_bytes(snapshot[off..off + 8].try_into().expect("slice of 8"));
@@ -442,7 +439,12 @@ mod tests {
                 }
                 let payload =
                     snapshot[off + HEADER_BYTES..off + HEADER_BYTES + payload_len].to_vec();
-                out.push(Event::new(header.stamp, header.core, header.tid, gpos, payload));
+                out.push(FullEvent {
+                    stamp: header.stamp,
+                    core: header.core.into(),
+                    tid: header.tid,
+                    payload,
+                });
             }
             off += len;
         }
@@ -507,8 +509,8 @@ mod tests {
         assert!(blocks.len() > 4, "the ring holds several readable blocks");
         for (gpos, block) in blocks {
             let (mut walked, mut oracle) = (Vec::new(), Vec::new());
-            let stop = push_events(block, HEADER_BYTES, gpos, &mut walked);
-            parse_entries(block, gpos, &mut oracle);
+            let stop = push_events(block, HEADER_BYTES, &mut walked);
+            parse_entries(block, &mut oracle);
             assert_eq!(walked, oracle, "block {gpos}");
             assert_eq!(stop, block.len(), "a valid block is walked to its end");
         }
@@ -529,8 +531,8 @@ mod tests {
         let tail = [good.clone(), bad, good].concat();
         let block = block_with_tail(7, &tail);
         let mut walked = Vec::new();
-        let stop = push_events(&block, HEADER_BYTES, 7, &mut walked);
-        let stamps: Vec<u64> = walked.iter().map(Event::stamp).collect();
+        let stop = push_events(&block, HEADER_BYTES, &mut walked);
+        let stamps: Vec<u64> = walked.iter().map(|e| e.stamp).collect();
         assert_eq!(stamps, [1], "the walk ends at the bad entry, not past it");
         assert_eq!(stop, HEADER_BYTES + 24, "and reports where it stopped");
     }
@@ -547,17 +549,12 @@ mod tests {
         assert_eq!(snap.count(), collected.events.len());
         let mut visited = Vec::new();
         snap.try_for_each(|e| {
-            visited.push((e.stamp, e.core as usize, e.tid, e.payload.to_vec()));
+            visited.push(e.to_owned());
             Ok::<(), ()>(())
         })
         .unwrap();
-        let expected: Vec<_> = collected
-            .events
-            .iter()
-            .map(|e| (e.stamp(), e.core(), e.tid(), e.payload().to_vec()))
-            .collect();
-        assert_eq!(visited, expected);
-        assert!(visited.iter().any(|e| e.3.is_empty()), "empty payloads are events too");
+        assert_eq!(visited, collected.events);
+        assert!(visited.iter().any(|e| e.payload.is_empty()), "empty payloads are events too");
     }
 
     #[test]
@@ -596,8 +593,8 @@ mod tests {
         fn walker_survives_garbage(tail in proptest::collection::vec(any::<u8>(), 0..512)) {
             let block = block_with_tail(7, &tail);
             let (mut walked, mut oracle) = (Vec::new(), Vec::new());
-            push_events(&block, HEADER_BYTES, 7, &mut walked);
-            parse_entries(&block, 7, &mut oracle);
+            push_events(&block, HEADER_BYTES, &mut walked);
+            parse_entries(&block, &mut oracle);
             prop_assert_eq!(walked, oracle);
         }
 
@@ -609,11 +606,11 @@ mod tests {
             let t = busy_ring();
             let mut snap = RingSnapshot::new();
             t.consumer().snapshot(&mut snap);
-            for (gpos, block) in blocks(&snap) {
+            for (_, block) in blocks(&snap) {
                 let torn = &block[..cut.min(block.len())];
                 let (mut walked, mut oracle) = (Vec::new(), Vec::new());
-                let stop = push_events(torn, HEADER_BYTES, gpos, &mut walked);
-                parse_entries(torn, gpos, &mut oracle);
+                let stop = push_events(torn, HEADER_BYTES, &mut walked);
+                parse_entries(torn, &mut oracle);
                 prop_assert!(stop <= torn.len().max(HEADER_BYTES));
                 prop_assert_eq!(walked, oracle);
             }
@@ -647,7 +644,7 @@ mod tests {
             p.record_with(i, 0, &i.to_le_bytes()).unwrap();
         }
         let out = t.consumer().collect();
-        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp()).collect();
+        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp).collect();
         let mut sorted = stamps.clone();
         sorted.sort_unstable();
         assert_eq!(stamps, sorted, "single-producer events must be ordered");
@@ -663,7 +660,7 @@ mod tests {
             p.record_with(i, 0, b"sixteen-byte-pay").unwrap();
         }
         let out = t.consumer().collect();
-        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp()).collect();
+        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp).collect();
         assert!(!stamps.is_empty());
         assert_eq!(*stamps.last().unwrap(), 499, "newest event must be retained");
         // All retained events are a suffix (continuous trace, no interior gaps).
@@ -700,13 +697,22 @@ mod tests {
         for i in 5..10u64 {
             p.record_with(i, 0, b"epoch-two").unwrap();
         }
-        let second = consumer.collect();
-        // The second readout still sees old blocks (non-destructive read of
-        // retained data), but the new events live in strictly newer blocks.
-        let first_max_gpos = first.events.iter().map(|e| e.gpos()).max().unwrap();
-        let new_min_gpos =
-            second.events.iter().filter(|e| e.stamp() >= 5).map(|e| e.gpos()).min().unwrap();
-        assert!(new_min_gpos > first_max_gpos, "closed blocks must not receive new events");
+        // The ring still holds the old blocks (non-destructive read of
+        // retained data), but the new events live in strictly newer blocks:
+        // walk the snapshot block by block and find which epochs each holds.
+        let mut snap = RingSnapshot::new();
+        consumer.snapshot(&mut snap);
+        let epochs: Vec<(u64, bool, bool)> = blocks(&snap)
+            .into_iter()
+            .map(|(gpos, block)| {
+                let mut walked = Vec::new();
+                push_events(block, HEADER_BYTES, &mut walked);
+                (gpos, walked.iter().any(|e| e.stamp < 5), walked.iter().any(|e| e.stamp >= 5))
+            })
+            .collect();
+        let old_max = epochs.iter().filter(|b| b.1).map(|b| b.0).max().unwrap();
+        let new_min = epochs.iter().filter(|b| b.2).map(|b| b.0).min().unwrap();
+        assert!(new_min > old_max, "closed blocks must not receive new events");
     }
 
     #[test]
@@ -731,7 +737,7 @@ mod tests {
         }
         // Everything still works and the newest events are present.
         let out = t.consumer().collect();
-        assert!(out.events.iter().any(|e| e.stamp() % 10_000 == 1999));
+        assert!(out.events.iter().any(|e| e.stamp % 10_000 == 1999));
     }
 
     #[test]
@@ -762,10 +768,10 @@ mod tests {
         for _ in 0..200 {
             let out = consumer.collect();
             for e in &out.events {
-                let s = e.stamp().to_le_bytes();
-                assert_eq!(&e.payload()[..8], s);
-                assert_eq!(&e.payload()[8..16], s);
-                assert_eq!(&e.payload()[16..24], s);
+                let s = e.stamp.to_le_bytes();
+                assert_eq!(&e.payload[..8], s);
+                assert_eq!(&e.payload[8..16], s);
+                assert_eq!(&e.payload[16..24], s);
             }
         }
         stop.store(true, Ordering::Relaxed);

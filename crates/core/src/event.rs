@@ -1,4 +1,6 @@
-//! On-buffer entry encoding and the owned [`Event`] type consumers return.
+//! On-buffer entry encoding and the event model: the borrowed
+//! [`EventView`], the owned [`FullEvent`] and the payload-free
+//! [`CollectedEvent`].
 //!
 //! Every entry in a data block is a multiple of 8 bytes and starts with a
 //! 16-byte header (two `u64` words):
@@ -22,8 +24,6 @@
 //!   they expect.
 //! * [`EntryKind::Skip`] — a block header variant marking a sacrificed block
 //!   (§3.4); consumers discard the whole block.
-
-use std::fmt;
 
 /// Size in bytes of an entry header (two `u64` words).
 pub const HEADER_BYTES: usize = 16;
@@ -130,87 +130,88 @@ pub fn encoded_len(payload_len: usize) -> usize {
     (HEADER_BYTES + payload_len + ENTRY_ALIGN - 1) & !(ENTRY_ALIGN - 1)
 }
 
-/// A `Data` entry read in place from a block snapshot: header fields by
-/// value, payload borrowed from the snapshot bytes. What the entry walker
-/// hands its visitor, so a reader that only encodes or filters copies
-/// nothing per event.
+/// One trace event, borrowed from wherever its bytes live: a ring
+/// snapshot (the entry walker behind [`RingSnapshot::try_for_each`]) or a
+/// frame (the BTSF decoder). Header fields by value, payload borrowed, so
+/// a reader that only filters, folds or re-encodes copies nothing per
+/// event. The two conversions out of the view are [`EventView::to_owned`]
+/// and [`EventView::collected`].
+///
+/// [`RingSnapshot::try_for_each`]: crate::RingSnapshot::try_for_each
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EntryView<'a> {
+pub struct EventView<'a> {
     /// Logic stamp assigned at record time.
     pub stamp: u64,
     /// Core the event was recorded on.
-    pub core: u8,
+    pub core: u16,
     /// Producer thread id.
     pub tid: u32,
-    /// The recorded payload bytes, borrowed from the snapshot.
+    /// The recorded payload bytes, borrowed.
     pub payload: &'a [u8],
 }
 
-/// An owned trace event as returned by consumers.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Event {
-    stamp: u64,
-    core: u8,
-    tid: u32,
-    gpos: u64,
-    payload: Vec<u8>,
-}
-
-impl Event {
-    pub(crate) fn new(stamp: u64, core: u8, tid: u32, gpos: u64, payload: Vec<u8>) -> Self {
-        Self { stamp, core, tid, gpos, payload }
+impl EventView<'_> {
+    /// Copies the event out, payload included.
+    pub fn to_owned(&self) -> FullEvent {
+        FullEvent {
+            stamp: self.stamp,
+            core: self.core,
+            tid: self.tid,
+            payload: self.payload.to_vec(),
+        }
     }
 
+    /// The event's identifying metadata and on-buffer footprint, without
+    /// the payload.
+    #[inline]
+    pub fn collected(&self) -> CollectedEvent {
+        CollectedEvent {
+            stamp: self.stamp,
+            core: self.core,
+            tid: self.tid,
+            stored_bytes: encoded_len(self.payload.len()) as u32,
+        }
+    }
+}
+
+/// An owned trace event, payload included: what the owned readers
+/// ([`Consumer::collect`], the streaming shards, the tail reader,
+/// [`TraceSink::drain_full`]) return and the frame encoder takes.
+///
+/// [`Consumer::collect`]: crate::Consumer::collect
+/// [`TraceSink::drain_full`]: crate::sink::TraceSink::drain_full
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FullEvent {
     /// Logic stamp assigned at record time.
-    pub fn stamp(&self) -> u64 {
-        self.stamp
-    }
-
+    pub stamp: u64,
     /// Core the event was recorded on.
-    pub fn core(&self) -> usize {
-        self.core as usize
-    }
-
+    pub core: u16,
     /// Producer thread id.
-    pub fn tid(&self) -> u32 {
-        self.tid
-    }
-
-    /// Global sequence number of the block the event was read from. Events
-    /// from larger `gpos` are newer in buffer order.
-    pub fn gpos(&self) -> u64 {
-        self.gpos
-    }
-
+    pub tid: u32,
     /// The recorded payload bytes.
-    pub fn payload(&self) -> &[u8] {
-        &self.payload
-    }
+    pub payload: Vec<u8>,
+}
 
-    /// Consumes the event, returning the payload buffer without copying —
-    /// the hand-off used by the streaming drain path, where re-copying
-    /// every payload per batch would double the export cost.
-    pub fn into_payload(self) -> Vec<u8> {
-        self.payload
-    }
-
-    /// On-buffer footprint of this event in bytes (header + payload,
-    /// rounded to the entry alignment).
-    pub fn stored_bytes(&self) -> usize {
-        encoded_len(self.payload.len())
+impl FullEvent {
+    /// Borrows the event as a view.
+    pub fn view(&self) -> EventView<'_> {
+        EventView { stamp: self.stamp, core: self.core, tid: self.tid, payload: &self.payload }
     }
 }
 
-impl fmt::Debug for Event {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Event")
-            .field("stamp", &self.stamp)
-            .field("core", &self.core)
-            .field("tid", &self.tid)
-            .field("gpos", &self.gpos)
-            .field("payload_len", &self.payload.len())
-            .finish()
-    }
+/// An event as drained for analysis: just the identifying metadata, not the
+/// payload (the evaluation only needs stamps and sizes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CollectedEvent {
+    /// The unique, monotonically increasing logic stamp assigned at record
+    /// time (§5 replaying setup).
+    pub stamp: u64,
+    /// Core the event was recorded on.
+    pub core: u16,
+    /// Producer thread id.
+    pub tid: u32,
+    /// On-buffer footprint in bytes.
+    pub stored_bytes: u32,
 }
 
 #[cfg(test)]
@@ -254,14 +255,13 @@ mod tests {
     }
 
     #[test]
-    fn event_accessors() {
-        let e = Event::new(7, 3, 99, 12, vec![1, 2, 3]);
-        assert_eq!(e.stamp(), 7);
-        assert_eq!(e.core(), 3);
-        assert_eq!(e.tid(), 99);
-        assert_eq!(e.gpos(), 12);
-        assert_eq!(e.payload(), &[1, 2, 3]);
-        assert_eq!(e.stored_bytes(), 24);
-        assert!(!format!("{e:?}").is_empty());
+    fn view_converts_both_ways() {
+        let owned = FullEvent { stamp: 7, core: 3, tid: 99, payload: vec![1, 2, 3] };
+        let view = owned.view();
+        assert_eq!(view.to_owned(), owned);
+        assert_eq!(
+            view.collected(),
+            CollectedEvent { stamp: 7, core: 3, tid: 99, stored_bytes: 24 }
+        );
     }
 }

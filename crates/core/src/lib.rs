@@ -39,7 +39,7 @@
 //!
 //! // Consumers read speculatively and never block producers.
 //! let readout = tracer.consumer().collect();
-//! assert_eq!(readout.events[0].payload(), b"sched: switch prev=7 next=9");
+//! assert_eq!(readout.events[0].payload, b"sched: switch prev=7 next=9");
 //! # Ok(())
 //! # }
 //! ```
@@ -72,7 +72,7 @@ pub use buffer::BTrace;
 pub use config::Config;
 pub use consumer::{BlockCounts, Consumer, ReaderPin, Readout, RingSnapshot};
 pub use error::TraceError;
-pub use event::{EntryView, Event};
+pub use event::{CollectedEvent, EventView, FullEvent};
 pub use producer::{Grant, Producer};
 pub use stream::{DrainedBatch, ShardedStreamConsumer, StreamShard, StreamStats};
 #[cfg(feature = "model")]

@@ -666,11 +666,11 @@ mod tests {
         p.record_with(1, 7, b"hello").unwrap();
         p.record_with(2, 7, b"world!").unwrap();
         let out = t.consumer().collect();
-        let payloads: Vec<_> = out.events.iter().map(|e| e.payload().to_vec()).collect();
+        let payloads: Vec<_> = out.events.iter().map(|e| e.payload.to_vec()).collect();
         assert_eq!(payloads, vec![b"hello".to_vec(), b"world!".to_vec()]);
-        assert_eq!(out.events[0].stamp(), 1);
-        assert_eq!(out.events[0].tid(), 7);
-        assert_eq!(out.events[0].core(), 0);
+        assert_eq!(out.events[0].stamp, 1);
+        assert_eq!(out.events[0].tid, 7);
+        assert_eq!(out.events[0].core, 0);
     }
 
     #[test]
@@ -689,7 +689,7 @@ mod tests {
         p.record(&payload).unwrap();
         let out = t.consumer().collect();
         assert_eq!(out.events.len(), 1);
-        assert_eq!(out.events[0].payload(), &payload[..]);
+        assert_eq!(out.events[0].payload, &payload[..]);
     }
 
     #[test]
@@ -702,8 +702,8 @@ mod tests {
         g.commit(9, 3, b"abcd").unwrap();
         let out = t.consumer().collect();
         assert_eq!(out.events.len(), 1);
-        assert_eq!(out.events[0].stamp(), 9);
-        assert_eq!(out.events[0].payload(), b"abcd");
+        assert_eq!(out.events[0].stamp, 9);
+        assert_eq!(out.events[0].payload, b"abcd");
     }
 
     #[test]
@@ -727,7 +727,7 @@ mod tests {
         p.record_with(5, 0, b"next").unwrap();
         let out = t.consumer().collect();
         assert_eq!(out.events.len(), 1, "dummy must not surface as an event");
-        assert_eq!(out.events[0].stamp(), 5);
+        assert_eq!(out.events[0].stamp, 5);
         assert!(t.stats().dummy_bytes >= 48);
     }
 
@@ -740,7 +740,7 @@ mod tests {
         g2.commit(2, 1, b"g2").unwrap(); // T1 confirms before T0 (Fig. 8b)
         g1.commit(1, 0, b"g1").unwrap();
         let out = t.consumer().collect();
-        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp()).collect();
+        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp).collect();
         assert_eq!(stamps, vec![1, 2], "buffer order follows allocation order");
     }
 
@@ -771,12 +771,12 @@ mod tests {
         assert!(t.stats().advances >= 2, "run must cross blocks");
         let out = t.consumer().collect();
         assert!(!out.events.is_empty());
-        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp()).collect();
+        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp).collect();
         let mut sorted = stamps.clone();
         sorted.sort_unstable();
         assert_eq!(stamps, sorted, "single-producer buffer order must follow stamps");
         for e in &out.events {
-            assert_eq!(e.payload(), b"cache-payload-16");
+            assert_eq!(e.payload, b"cache-payload-16");
         }
     }
 
@@ -798,14 +798,14 @@ mod tests {
         p0.record_with(1, 0, b"after-recycle").unwrap();
         assert!(t.stats().straggler_repairs >= 1, "stale cached round must be repaired");
         let out = t.consumer().collect();
-        assert!(out.events.iter().any(|e| e.payload() == b"after-recycle"));
+        assert!(out.events.iter().any(|e| e.payload == b"after-recycle"));
         for e in &out.events {
             assert!(
-                e.payload() == b"after-recycle"
-                    || e.payload() == b"prime-cache!"
-                    || e.payload() == b"flood-payload-entry",
+                e.payload == b"after-recycle"
+                    || e.payload == b"prime-cache!"
+                    || e.payload == b"flood-payload-entry",
                 "torn event: {:?}",
-                e.payload()
+                e.payload
             );
         }
     }
@@ -836,14 +836,14 @@ mod tests {
         // surviving event is byte-intact and the newest is retained.
         for e in &out.events {
             assert!(
-                e.payload() == b"pre-resize"
-                    || e.payload() == b"post-grow-entry!"
-                    || e.payload() == b"post-shrink-entry",
+                e.payload == b"pre-resize"
+                    || e.payload == b"post-grow-entry!"
+                    || e.payload == b"post-shrink-entry",
                 "torn event after resize: {:?}",
-                e.payload()
+                e.payload
             );
         }
-        assert_eq!(out.events.last().unwrap().stamp(), 49);
+        assert_eq!(out.events.last().unwrap().stamp, 49);
     }
 
     #[test]
@@ -858,7 +858,7 @@ mod tests {
         assert_eq!(t.consumer().collect().events.len(), 0, "unflushed run must stay hidden");
         p.flush_confirms();
         let out = t.consumer().collect();
-        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp()).collect();
+        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp).collect();
         assert_eq!(stamps, vec![1, 2], "the covering confirm publishes the whole run");
     }
 
@@ -878,7 +878,7 @@ mod tests {
         assert!(visible >= 80, "closed blocks must be published by boundary flushes: {visible}");
         p.flush_confirms();
         let out = t.consumer().collect();
-        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp()).collect();
+        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp).collect();
         let expected: Vec<u64> = (0..100).collect();
         assert_eq!(stamps, expected, "flush publishes the tail; nothing lost or reordered");
     }
@@ -892,7 +892,7 @@ mod tests {
         drop(p);
         let out = t.consumer().collect();
         assert_eq!(out.events.len(), 1);
-        assert_eq!(out.events[0].stamp(), 7);
+        assert_eq!(out.events[0].stamp, 7);
     }
 
     #[test]
@@ -938,9 +938,9 @@ mod tests {
         let out = t.consumer().collect();
         assert!(!out.events.is_empty());
         for e in &out.events {
-            assert_eq!(e.payload(), b"wrap-the-buffer!", "torn event at stamp {}", e.stamp());
+            assert_eq!(e.payload, b"wrap-the-buffer!", "torn event at stamp {}", e.stamp);
         }
-        assert_eq!(out.events.last().unwrap().stamp(), 1_999, "newest record retained");
+        assert_eq!(out.events.last().unwrap().stamp, 1_999, "newest record retained");
     }
 
     proptest::proptest! {
@@ -952,7 +952,7 @@ mod tests {
             p.record_with(7, 3, &payload).unwrap();
             let out = t.consumer().collect();
             proptest::prop_assert_eq!(out.events.len(), 1);
-            proptest::prop_assert_eq!(out.events[0].payload(), &payload[..]);
+            proptest::prop_assert_eq!(out.events[0].payload, &payload[..]);
         }
     }
 
@@ -977,8 +977,8 @@ mod tests {
         assert!(!out.events.is_empty());
         // Every surviving event must be intact (stamp within the ranges we wrote).
         for e in &out.events {
-            assert!(e.stamp() % 1000 < 500, "corrupt stamp {}", e.stamp());
-            assert_eq!(e.payload(), b"0123456789abcdef");
+            assert!(e.stamp % 1000 < 500, "corrupt stamp {}", e.stamp);
+            assert_eq!(e.payload, b"0123456789abcdef");
         }
     }
 }

@@ -453,7 +453,7 @@ mod tests {
             p.record_with(i, 0, b"after-grow!").unwrap();
         }
         let out = t.consumer().collect();
-        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp()).collect();
+        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp).collect();
         for i in 0..20 {
             assert!(stamps.contains(&i), "stamp {i} lost across grow: {stamps:?}");
         }
@@ -486,7 +486,7 @@ mod tests {
         }
         p.flush_confirms();
         let out = t.consumer().collect();
-        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp()).collect();
+        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp).collect();
         for i in 0..10 {
             assert!(stamps.contains(&i), "stamp {i} lost across coalesced resize: {stamps:?}");
         }
@@ -504,7 +504,7 @@ mod tests {
             p.record_with(i, 0, b"some trace entry payload").unwrap();
         }
         let out = t.consumer().collect();
-        assert_eq!(out.events.last().unwrap().stamp(), 399);
+        assert_eq!(out.events.last().unwrap().stamp, 399);
         // Everything readable lives within the shrunken capacity.
         assert!(out.stored_bytes() <= t.capacity_bytes());
     }
@@ -681,7 +681,7 @@ mod tests {
         let out = t.consumer().collect();
         assert!(!out.events.is_empty());
         for e in &out.events {
-            assert_eq!(e.payload(), b"payload-under-resize");
+            assert_eq!(e.payload, b"payload-under-resize");
         }
     }
 }

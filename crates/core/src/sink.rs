@@ -30,34 +30,8 @@ pub enum Begin<G> {
     Dropped,
 }
 
-/// An event as drained for analysis: just the identifying metadata, not the
-/// payload (the evaluation only needs stamps and sizes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CollectedEvent {
-    /// The unique, monotonically increasing logic stamp assigned at record
-    /// time (§5 replaying setup).
-    pub stamp: u64,
-    /// Core the event was recorded on.
-    pub core: u16,
-    /// Producer thread id.
-    pub tid: u32,
-    /// On-buffer footprint in bytes.
-    pub stored_bytes: u32,
-}
-
-/// A drained event including its payload bytes, for consumers that decode
-/// tracepoint contents (e.g. the `btrace-atrace` front-end).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FullEvent {
-    /// Logic stamp assigned at record time.
-    pub stamp: u64,
-    /// Core the event was recorded on.
-    pub core: u16,
-    /// Producer thread id.
-    pub tid: u32,
-    /// The recorded payload bytes.
-    pub payload: Vec<u8>,
-}
+// The drained event types live with the rest of the event model.
+pub use crate::event::{CollectedEvent, FullEvent};
 
 /// An in-flight reservation produced by [`TraceSink::try_begin`].
 pub trait SinkGrant: Send {
@@ -178,34 +152,11 @@ impl TraceSink for BTrace {
 
     fn drain(&self) -> Vec<CollectedEvent> {
         let mut consumer = Consumer::new(std::sync::Arc::clone(&self.shared));
-        consumer
-            .collect()
-            .events
-            .iter()
-            .map(|e| CollectedEvent {
-                stamp: e.stamp(),
-                core: e.core() as u16,
-                tid: e.tid(),
-                stored_bytes: e.stored_bytes() as u32,
-            })
-            .collect()
+        consumer.collect().events.iter().map(|e| e.view().collected()).collect()
     }
 
     fn drain_full(&self) -> Vec<FullEvent> {
-        let mut consumer = Consumer::new(std::sync::Arc::clone(&self.shared));
-        consumer
-            .collect()
-            .events
-            .into_iter()
-            .map(|e| FullEvent {
-                stamp: e.stamp(),
-                core: e.core() as u16,
-                tid: e.tid(),
-                // Move the payload out instead of re-copying it: the drain
-                // already owns the buffer.
-                payload: e.into_payload(),
-            })
-            .collect()
+        Consumer::new(std::sync::Arc::clone(&self.shared)).collect().events
     }
 
     fn capacity_bytes(&self) -> usize {

@@ -37,7 +37,7 @@
 
 use crate::buffer::Shared;
 use crate::consumer::BlockCounts;
-use crate::event::{EntryHeader, EntryKind, Event, HEADER_BYTES};
+use crate::event::{EntryHeader, EntryKind, FullEvent, HEADER_BYTES};
 use crate::sync::{Arc, Ordering};
 use std::collections::BTreeSet;
 
@@ -47,7 +47,7 @@ use std::collections::BTreeSet;
 pub struct DrainedBatch {
     /// Events from blocks that closed since the previous poll, in buffer
     /// order (ascending block sequence, then offset).
-    pub events: Vec<Event>,
+    pub events: Vec<FullEvent>,
     /// Per-block accounting of this poll's scan.
     pub blocks: BlockCounts,
     /// Blocks that were overwritten before the stream reached them. A
@@ -61,7 +61,7 @@ pub struct DrainedBatch {
 impl DrainedBatch {
     /// Sum of on-buffer bytes of the returned events.
     pub fn stored_bytes(&self) -> usize {
-        self.events.iter().map(Event::stored_bytes).sum()
+        self.events.iter().map(|e| crate::event::encoded_len(e.payload.len())).sum()
     }
 }
 
@@ -448,7 +448,7 @@ fn read_closed(
             out.blocks.torn += 1;
             return Handoff::Resolved;
         }
-        crate::consumer::push_events(scratch, HEADER_BYTES, gpos, &mut out.events);
+        crate::consumer::push_events(scratch, HEADER_BYTES, &mut out.events);
         out.blocks.readable += 1;
         return Handoff::Resolved;
     }
@@ -501,7 +501,7 @@ mod tests {
         }
         let batch = s.poll();
         assert!(!batch.events.is_empty());
-        assert_eq!(batch.events[0].stamp(), 0, "closed block arrives whole, oldest first");
+        assert_eq!(batch.events[0].stamp, 0, "closed block arrives whole, oldest first");
     }
 
     #[test]
@@ -513,10 +513,10 @@ mod tests {
         for i in 0..300u64 {
             p.record_with(i, 0, b"a-sixteen-byte-p").unwrap();
             if i % 13 == 0 {
-                seen.extend(s.poll().events.into_iter().map(|e| e.stamp()));
+                seen.extend(s.poll().events.into_iter().map(|e| e.stamp));
             }
         }
-        seen.extend(s.flush_close().events.into_iter().map(|e| e.stamp()));
+        seen.extend(s.flush_close().events.into_iter().map(|e| e.stamp));
         let mut dedup = seen.clone();
         dedup.sort_unstable();
         dedup.dedup();
@@ -535,7 +535,7 @@ mod tests {
             p1.record_with(100 + i, 0, b"core1").unwrap();
         }
         let batch = s.flush_close();
-        let mut stamps: Vec<u64> = batch.events.iter().map(|e| e.stamp()).collect();
+        let mut stamps: Vec<u64> = batch.events.iter().map(|e| e.stamp).collect();
         stamps.sort_unstable();
         let expected: Vec<u64> = (0..10).chain(100..110).collect();
         assert_eq!(stamps, expected);
@@ -552,7 +552,7 @@ mod tests {
         }
         let batch = s.poll();
         assert!(batch.missed_blocks > 0, "a lapped stream must report misses");
-        let stamps: Vec<u64> = batch.events.iter().map(|e| e.stamp()).collect();
+        let stamps: Vec<u64> = batch.events.iter().map(|e| e.stamp).collect();
         for w in stamps.windows(2) {
             assert!(w[1] > w[0], "stream must stay ordered");
         }
@@ -561,7 +561,7 @@ mod tests {
             p.record_with(i, 0, b"wrap-the-buffer!").unwrap();
         }
         let next = s.flush_close();
-        assert_eq!(next.events.last().unwrap().stamp(), 2_039);
+        assert_eq!(next.events.last().unwrap().stamp, 2_039);
     }
 
     #[test]
@@ -581,13 +581,13 @@ mod tests {
         }
         let batch = s.poll();
         assert!(
-            batch.events.iter().any(|e| e.core() == 1),
+            batch.events.iter().any(|e| e.core == 1),
             "closed blocks stream past an older open one"
         );
-        assert!(batch.events.iter().all(|e| e.core() == 1), "the open block is withheld");
+        assert!(batch.events.iter().all(|e| e.core == 1), "the open block is withheld");
         // Flush closes core 0's straggler block too.
         let rest = s.flush_close();
-        assert!(rest.events.iter().any(|e| e.stamp() == 0));
+        assert!(rest.events.iter().any(|e| e.stamp == 0));
     }
 
     #[test]
@@ -612,10 +612,10 @@ mod tests {
                 _ => {}
             }
             if i % 17 == 0 {
-                seen.extend(s.poll().events.into_iter().map(|e| e.stamp()));
+                seen.extend(s.poll().events.into_iter().map(|e| e.stamp));
             }
         }
-        seen.extend(s.flush_close().events.into_iter().map(|e| e.stamp()));
+        seen.extend(s.flush_close().events.into_iter().map(|e| e.stamp));
         let mut dedup = seen.clone();
         dedup.sort_unstable();
         dedup.dedup();
@@ -635,15 +635,15 @@ mod tests {
             for i in 0..300u64 {
                 p.record_with(i, 0, b"a-sixteen-byte-p").unwrap();
                 if i % 13 == 0 {
-                    single_seen.extend(single.poll().events.into_iter().map(|e| e.stamp()));
+                    single_seen.extend(single.poll().events.into_iter().map(|e| e.stamp));
                     for (s, seen) in sharded.shards_mut().iter_mut().zip(&mut shard_seen) {
-                        seen.extend(s.poll().events.into_iter().map(|e| e.stamp()));
+                        seen.extend(s.poll().events.into_iter().map(|e| e.stamp));
                     }
                 }
             }
-            single_seen.extend(single.flush_close().events.into_iter().map(|e| e.stamp()));
+            single_seen.extend(single.flush_close().events.into_iter().map(|e| e.stamp));
             for (s, seen) in sharded.shards_mut().iter_mut().zip(&mut shard_seen) {
-                seen.extend(s.flush_close().events.into_iter().map(|e| e.stamp()));
+                seen.extend(s.flush_close().events.into_iter().map(|e| e.stamp));
             }
             // Stripes are pairwise disjoint...
             let mut union: Vec<u64> = shard_seen.iter().flatten().copied().collect();
@@ -692,7 +692,7 @@ mod tests {
                         let batch = shard.poll();
                         lost_blocks +=
                             batch.missed_blocks + batch.blocks.recycled + batch.blocks.torn;
-                        seen.extend(batch.events.into_iter().map(|e| e.stamp()));
+                        seen.extend(batch.events.into_iter().map(|e| e.stamp));
                         std::thread::yield_now();
                     }
                     (shard, seen, lost_blocks)
@@ -708,7 +708,7 @@ mod tests {
             let (mut shard, mut seen, lost) = d.join().unwrap();
             let last = shard.flush_close();
             lost_blocks += lost + last.missed_blocks + last.blocks.recycled + last.blocks.torn;
-            seen.extend(last.events.into_iter().map(|e| e.stamp()));
+            seen.extend(last.events.into_iter().map(|e| e.stamp));
             all.extend(seen);
         }
         let total = all.len();

@@ -8,7 +8,7 @@
 //! unread blocks, which is reported as `missed`).
 
 use crate::buffer::Shared;
-use crate::event::{EntryHeader, EntryKind, Event, HEADER_BYTES};
+use crate::event::{EntryHeader, EntryKind, FullEvent, HEADER_BYTES};
 use crate::sync::{Arc, Ordering};
 use std::collections::HashMap;
 
@@ -17,7 +17,7 @@ use std::collections::HashMap;
 #[non_exhaustive]
 pub struct Polled {
     /// Events not returned by any previous poll, in buffer order.
-    pub events: Vec<Event>,
+    pub events: Vec<FullEvent>,
     /// Blocks that were overwritten before this reader reached them. A
     /// tailing daemon that cannot keep up loses oldest-first, exactly like
     /// the underlying buffer.
@@ -172,7 +172,7 @@ fn read_incremental(
         return BlockState::Unavailable;
     }
 
-    let parsed_to = crate::consumer::push_events(scratch, from, gpos, &mut out.events);
+    let parsed_to = crate::consumer::push_events(scratch, from, &mut out.events);
     if open {
         open_map.insert(gpos, parsed_to);
         BlockState::Open
@@ -230,7 +230,7 @@ mod tests {
         p.record_with(2, 0, b"three").unwrap();
         let third = tail.poll();
         assert_eq!(third.events.len(), 1);
-        assert_eq!(third.events[0].stamp(), 2);
+        assert_eq!(third.events[0].stamp, 2);
     }
 
     #[test]
@@ -242,10 +242,10 @@ mod tests {
         for i in 0..120u64 {
             p.record_with(i, 0, b"a-sixteen-byte-p").unwrap();
             if i % 7 == 0 {
-                seen.extend(tail.poll().events.into_iter().map(|e| e.stamp()));
+                seen.extend(tail.poll().events.into_iter().map(|e| e.stamp));
             }
         }
-        seen.extend(tail.poll().events.into_iter().map(|e| e.stamp()));
+        seen.extend(tail.poll().events.into_iter().map(|e| e.stamp));
         // Every event exactly once, in order.
         assert_eq!(seen, (0..120).collect::<Vec<_>>());
     }
@@ -260,7 +260,7 @@ mod tests {
         }
         let polled = tail.poll();
         assert!(polled.missed_blocks > 0, "a lapped reader must report misses");
-        let stamps: Vec<u64> = polled.events.iter().map(|e| e.stamp()).collect();
+        let stamps: Vec<u64> = polled.events.iter().map(|e| e.stamp).collect();
         assert_eq!(*stamps.last().unwrap(), 1999, "newest must be delivered");
         for w in stamps.windows(2) {
             assert!(w[1] > w[0], "stream must stay ordered");
@@ -278,7 +278,7 @@ mod tests {
         assert!(polled.events.is_empty(), "block with open grant is not yet readable");
         grant.commit(1, 0, b"held").unwrap();
         let polled = tail.poll();
-        let stamps: Vec<u64> = polled.events.iter().map(|e| e.stamp()).collect();
+        let stamps: Vec<u64> = polled.events.iter().map(|e| e.stamp).collect();
         assert_eq!(stamps, vec![0, 1]);
     }
 
@@ -296,12 +296,12 @@ mod tests {
         let mut missed = 0usize;
         while !writer.is_finished() {
             let polled = tail.poll();
-            collected.extend(polled.events.iter().map(|e| e.stamp()));
+            collected.extend(polled.events.iter().map(|e| e.stamp));
             missed += polled.missed_blocks;
         }
         writer.join().unwrap();
         let polled = tail.poll();
-        collected.extend(polled.events.iter().map(|e| e.stamp()));
+        collected.extend(polled.events.iter().map(|e| e.stamp));
         missed += polled.missed_blocks;
         // Exactly once, in order; misses only explain what's absent.
         for w in collected.windows(2) {

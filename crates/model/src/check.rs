@@ -27,7 +27,7 @@ use std::collections::BTreeSet;
 pub fn check_conservation(readout: &Readout, produced: &BTreeSet<u64>, require_all: bool) {
     let mut seen = BTreeSet::new();
     for event in &readout.events {
-        let stamp = event.stamp();
+        let stamp = event.stamp;
         assert!(
             produced.contains(&stamp),
             "conservation: drained stamp {stamp} was never produced (invented/torn event)"

@@ -145,7 +145,7 @@ fn skipping_never_blocks() {
             let readout = t.consumer().collect();
             check_conservation(&readout, &produced, false);
             assert!(
-                readout.events.iter().any(|e| e.stamp() == HELD_STAMP),
+                readout.events.iter().any(|e| e.stamp == HELD_STAMP),
                 "the late-committed grant's event was lost (block recycled under the pin?)"
             );
             assert!(
@@ -295,18 +295,14 @@ fn speculative_consumer_race() {
                     let readout = consumer.collect();
                     let mut seen = BTreeSet::new();
                     for e in &readout.events {
-                        assert!(e.stamp() < TOTAL, "invented stamp {}", e.stamp());
+                        assert!(e.stamp < TOTAL, "invented stamp {}", e.stamp);
                         assert_eq!(
-                            e.payload(),
-                            e.stamp().to_le_bytes(),
+                            e.payload,
+                            e.stamp.to_le_bytes(),
                             "torn event: stamp {} with mismatched payload",
-                            e.stamp()
+                            e.stamp
                         );
-                        assert!(
-                            seen.insert(e.stamp()),
-                            "stamp {} duplicated in one poll",
-                            e.stamp()
-                        );
+                        assert!(seen.insert(e.stamp), "stamp {} duplicated in one poll", e.stamp);
                     }
                     if done_before {
                         return;
@@ -320,7 +316,7 @@ fn speculative_consumer_race() {
             let readout = t.consumer().collect();
             check_conservation(&readout, &produced, false);
             assert!(
-                readout.events.iter().any(|e| e.stamp() == TOTAL - 1),
+                readout.events.iter().any(|e| e.stamp == TOTAL - 1),
                 "the newest event must always be retained"
             );
             check_counter_coherence(&t);
@@ -389,9 +385,9 @@ fn aba_round_wraparound() {
             let produced: BTreeSet<u64> = (0..FLOOD).chain([HELD_STAMP]).collect();
             let readout = t.consumer().collect();
             check_conservation(&readout, &produced, false);
-            let held: Vec<_> = readout.events.iter().filter(|e| e.stamp() == HELD_STAMP).collect();
+            let held: Vec<_> = readout.events.iter().filter(|e| e.stamp == HELD_STAMP).collect();
             assert_eq!(held.len(), 1, "the pinned grant's event must survive exactly once");
-            assert_eq!(held[0].payload(), PAYLOAD);
+            assert_eq!(held[0].payload, PAYLOAD);
             assert!(t.stats().skips >= 1, "the pinned block must have been skipped");
             check_counter_coherence(&t);
         });
@@ -463,7 +459,7 @@ fn descriptor_preemption() {
             let readout = t.consumer().collect();
             check_conservation(&readout, &produced, false);
             for e in &readout.events {
-                assert_eq!(e.payload(), PAYLOAD, "torn event: stamp {}", e.stamp());
+                assert_eq!(e.payload, PAYLOAD, "torn event: stamp {}", e.stamp);
             }
             // The resumed producer allocated against a recycled round: the
             // round check must have degraded its cache to Stale and repaired
@@ -475,7 +471,7 @@ fn descriptor_preemption() {
             // The resumed events are the newest written; they must survive.
             let newest = 600 + RESUMED - 1;
             assert!(
-                readout.events.iter().any(|e| e.stamp() == newest),
+                readout.events.iter().any(|e| e.stamp == newest),
                 "newest resumed event {newest} lost"
             );
             check_counter_coherence(&t);
@@ -542,14 +538,13 @@ fn confirm_coalescing() {
                         produced_done.load(Ordering::SeqCst) && resize_done.load(Ordering::SeqCst);
                     let batch = sharded.poll_all();
                     for e in &batch.events {
-                        assert!(e.stamp() < N, "invented stamp {}", e.stamp());
+                        assert!(e.stamp < N, "invented stamp {}", e.stamp);
                         assert_eq!(
-                            e.payload(),
-                            PAYLOAD,
+                            e.payload, PAYLOAD,
                             "record visible before its covering confirm: stamp {} torn",
-                            e.stamp()
+                            e.stamp
                         );
-                        assert!(seen.insert(e.stamp()), "stamp {} delivered twice", e.stamp());
+                        assert!(seen.insert(e.stamp), "stamp {} delivered twice", e.stamp);
                     }
                     if quiescent {
                         break;
@@ -558,8 +553,8 @@ fn confirm_coalescing() {
                 }
                 let tail = sharded.flush_close_all();
                 for e in &tail.events {
-                    assert_eq!(e.payload(), PAYLOAD, "torn tail event: stamp {}", e.stamp());
-                    assert!(seen.insert(e.stamp()), "stamp {} delivered twice", e.stamp());
+                    assert_eq!(e.payload, PAYLOAD, "torn tail event: stamp {}", e.stamp);
+                    assert!(seen.insert(e.stamp), "stamp {} delivered twice", e.stamp);
                 }
                 *streamed.lock().unwrap() = seen;
             });
@@ -658,7 +653,7 @@ fn stream_waits_out_a_preempted_claim() {
                 loop {
                     let finished = done.load(Ordering::SeqCst) == 2;
                     for e in stream.poll().events {
-                        assert!(seen.insert(e.stamp()), "stamp {} delivered twice", e.stamp());
+                        assert!(seen.insert(e.stamp), "stamp {} delivered twice", e.stamp);
                     }
                     if finished {
                         break;
@@ -666,7 +661,7 @@ fn stream_waits_out_a_preempted_claim() {
                     model_rt::yield_spin();
                 }
                 for e in stream.flush_close().events {
-                    assert!(seen.insert(e.stamp()), "stamp {} delivered twice", e.stamp());
+                    assert!(seen.insert(e.stamp), "stamp {} delivered twice", e.stamp);
                 }
                 *streamed.lock().unwrap() = seen;
             });

@@ -15,8 +15,9 @@
 //! through [`TraceStore`](crate::TraceStore), which skips a valid header.
 
 use crate::fragment::write_stream;
-use crate::stream::{fnv, visit_frames, EventRef, FrameWriter};
+use crate::stream::{fnv, walk_frames, FrameWriter};
 use btrace_core::sink::{FullEvent, TraceSink};
+use btrace_core::EventView;
 use btrace_core::RingSnapshot;
 use std::error::Error;
 use std::fmt;
@@ -91,10 +92,10 @@ impl TraceDump {
         let mut events = Vec::with_capacity(header.events.min(1 << 20) as usize);
         let mut next_seq = 0u64;
         let mut contiguous = true;
-        visit_frames(&bytes[header.len..], |seq, frame| {
+        walk_frames(&bytes[header.len..], |seq, frame| {
             contiguous &= seq == next_seq;
             next_seq += 1;
-            events.extend(frame.iter().map(EventRef::to_owned));
+            events.extend(frame.iter().map(EventView::to_owned));
         })
         .map_err(DumpError::Format)?;
         if !contiguous {
@@ -124,7 +125,7 @@ pub fn write_snapshot(path: &Path, label: &str, snapshot: &RingSnapshot) -> Resu
         let mut seq = 0;
         frame.begin(seq);
         snapshot.try_for_each(|e| {
-            frame.push(e.stamp, e.core.into(), e.tid, e.payload);
+            frame.push(e);
             if frame.len() == EVENTS_PER_FRAME {
                 w.write_all(frame.finish())?;
                 seq += 1;

@@ -20,7 +20,6 @@ use crate::stream::{
     bad_data, FrameWriter, FOOTER_BYTES, FOOTER_MAGIC, FRAME_FLAG_COMPRESSED, FRAME_MAGIC,
     MIN_FRAME_BYTES,
 };
-use crate::{decode_frames, StreamFrame};
 
 /// The decoded per-frame index footer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,8 +141,11 @@ pub struct FragmentSeed {
 /// span, cheap totals, and the seeded entry state — everything a worker
 /// needs to decode and analyze the fragment independently, and everything
 /// the reducer needs to verify the boundary hand-off. The `(stream,
-/// byte-range)` pair is the continuation handle: [`decode`](Self::decode)
-/// resumes the stream exactly at the fragment's first frame.
+/// byte-range)` pair is the continuation handle: [`visit_frames`] over
+/// `&stream[bytes]` resumes the stream exactly at the fragment's first
+/// frame.
+///
+/// [`visit_frames`]: crate::visit_frames
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct FragmentContext {
@@ -159,17 +161,6 @@ pub struct FragmentContext {
     pub payload_bytes: u64,
     /// Seeded entry state from the index of everything before.
     pub seed: FragmentSeed,
-}
-
-impl FragmentContext {
-    /// Decodes the fragment's frames (crc verified per frame).
-    ///
-    /// # Errors
-    ///
-    /// [`io::ErrorKind::InvalidData`] on corruption inside the fragment.
-    pub fn decode(&self, stream: &[u8]) -> io::Result<Vec<StreamFrame>> {
-        decode_frames(&stream[self.bytes.clone()])
-    }
 }
 
 /// Cuts scanned frames into at most `parts` contiguous fragments with
@@ -245,6 +236,7 @@ pub fn encode_stream(events: &[FullEvent], events_per_frame: usize) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::encode_frame;
+    use crate::stream::tests::owned_frames;
 
     fn ev(stamp: u64, core: u16, payload: usize) -> FullEvent {
         FullEvent { stamp, core, tid: 100 + core as u32, payload: vec![0x5A; payload] }
@@ -312,9 +304,9 @@ mod tests {
         }
         assert_eq!(frags[3].bytes.end, bytes.len());
         // Each fragment decodes independently.
-        let decoded = frags[1].decode(&bytes).unwrap();
-        assert_eq!(decoded.iter().map(|f| f.events.len()).sum::<usize>(), 60);
-        assert_eq!(decoded[0].events[0].stamp, 60);
+        let decoded = owned_frames(&bytes[frags[1].bytes.clone()]).unwrap();
+        assert_eq!(decoded.iter().map(|(_, events)| events.len()).sum::<usize>(), 60);
+        assert_eq!(decoded[0].1[0].stamp, 60);
     }
 
     #[test]
@@ -371,8 +363,8 @@ mod tests {
         let frags = split_fragments(&infos, 3);
         let mut round: Vec<FullEvent> = Vec::new();
         for f in &frags {
-            for frame in f.decode(&bytes).unwrap() {
-                round.extend(frame.events);
+            for (_, events) in owned_frames(&bytes[f.bytes.clone()]).unwrap() {
+                round.extend(events);
             }
         }
         assert_eq!(round, events);

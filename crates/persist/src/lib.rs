@@ -74,7 +74,6 @@ pub use parallel::{
 pub use query::{Predicate, Query, QueryOptions, QueryReport};
 pub use store::{DefectKind, FrameDefect, TraceStore};
 pub use stream::{
-    decode_frames, encode_frame, encode_frame_with, read_frames, Backpressure, EventRef,
-    FileFrameSink, FrameEncoding, FrameSink, NullFrameSink, PipelineConfig, PipelineStats,
-    StreamFrame, StreamPipeline,
+    encode_frame, encode_frame_with, visit_frames, Backpressure, FileFrameSink, FrameEncoding,
+    FrameSink, NullFrameSink, PipelineConfig, PipelineStats, StreamPipeline,
 };

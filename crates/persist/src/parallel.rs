@@ -12,12 +12,11 @@ use std::io;
 use std::time::Instant;
 
 use btrace_analysis::{fold_merge, map_reduce, GapMapOptions, TraceAnalysis, TracePartial};
-use btrace_core::event::encoded_len;
 use btrace_replay::{check_handoff, BoundaryDefect, BoundaryExpectation, TraceState};
 
 use crate::fragment::{scan_frames, split_fragments, FragmentContext};
 use crate::query::Predicate;
-use crate::stream::{bad_data, visit_frames};
+use crate::stream::visit_frames;
 
 /// Tuning for [`analyze_frames`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -213,14 +212,13 @@ fn map_fragment(
     visit_frames(&stream[frag.bytes.clone()], |_, decoded| {
         frames += 1;
         for e in decoded {
-            if predicate.is_some_and(|pred| !pred.admits_ref(e)) {
+            if predicate.is_some_and(|pred| !pred.admits(e)) {
                 continue;
             }
-            trace.push(e.stamp, e.core, e.tid, encoded_len(e.payload.len()) as u32);
+            trace.push(e.collected());
             state.record(e.core, e.tid, e.stamp, e.payload.len() as u64);
         }
-    })
-    .map_err(bad_data)?;
+    })?;
     trace.metrics.settle();
     Ok(FragmentPartial {
         work: FragmentWork {
@@ -254,14 +252,7 @@ mod tests {
     }
 
     fn collected(evs: &[FullEvent]) -> Vec<CollectedEvent> {
-        evs.iter()
-            .map(|e| CollectedEvent {
-                stamp: e.stamp,
-                core: e.core,
-                tid: e.tid,
-                stored_bytes: encoded_len(e.payload.len()) as u32,
-            })
-            .collect()
+        evs.iter().map(|e| e.view().collected()).collect()
     }
 
     #[test]
@@ -377,7 +368,7 @@ mod tests {
 
         // And both equal the linear full-decode-then-filter oracle.
         let matched: Vec<FullEvent> =
-            evs.iter().filter(|e| predicate.admits_event(e)).cloned().collect();
+            evs.iter().filter(|e| predicate.admits(&e.view())).cloned().collect();
         let c = collected(&matched);
         assert_eq!(pruned.analysis, TracePartial::map(&c).finish(1 << 16, 8));
     }

@@ -9,7 +9,7 @@
 //!    (footers carry no category information) — they filter per event after
 //!    decode.
 //! 2. **Filter + fold**: each surviving frame is validated (checksummed)
-//!    and decoded in place as borrowed [`EventRef`]s, its events are
+//!    and decoded in place as borrowed [`EventView`]s, its events are
 //!    filtered by the *exact* predicate, and each survivor is folded from
 //!    its borrowed fields ([`TracePartial::push`], [`TraceState::record`])
 //!    into the same monoid partial the fragment-parallel analyzer uses —
@@ -24,13 +24,11 @@
 
 use btrace_analysis::{GapMapOptions, TraceAnalysis, TracePartial};
 use btrace_atrace::{Category, OwnedEvent};
-use btrace_core::event::encoded_len;
-use btrace_core::sink::FullEvent;
+use btrace_core::{EventView, FullEvent};
 use btrace_replay::TraceState;
 
 use crate::fragment::FrameIndex;
 use crate::store::{FrameDefect, TraceStore};
-use crate::stream::EventRef;
 
 /// What a query is looking for. `Default` matches every event.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -72,8 +70,9 @@ impl Predicate {
         idx.core_bitmap & self.core_bitmap() != 0
     }
 
-    /// Exact event-level match, judged where the event's bytes live.
-    pub fn admits_ref(&self, e: &EventRef<'_>) -> bool {
+    /// Exact event-level match, judged where the event's bytes live (an
+    /// owned event is judged through [`FullEvent::view`]).
+    pub fn admits(&self, e: &EventView<'_>) -> bool {
         if e.stamp < self.since.unwrap_or(0) || e.stamp > self.until.unwrap_or(u64::MAX) {
             return false;
         }
@@ -87,11 +86,6 @@ impl Predicate {
                 Err(_) => false,
             },
         }
-    }
-
-    /// [`Predicate::admits_ref`] for an owned event.
-    pub fn admits_event(&self, e: &FullEvent) -> bool {
-        self.admits_ref(&EventRef::from(e))
     }
 }
 
@@ -193,8 +187,8 @@ impl Query {
                 defects.push(defect);
                 continue;
             }
-            for e in scratch.iter().filter(|e| self.predicate.admits_ref(e)) {
-                partial.push(e.stamp, e.core, e.tid, encoded_len(e.payload.len()) as u32);
+            for e in scratch.iter().filter(|e| self.predicate.admits(e)) {
+                partial.push(e.collected());
                 state.record(e.core, e.tid, e.stamp, e.payload.len() as u64);
                 if self.options.collect_events {
                     events.push(e.to_owned());
@@ -313,22 +307,13 @@ mod tests {
         };
         let report = q.run(&store);
         // Oracle: full linear decode, then filter.
-        let oracle: Vec<FullEvent> = crate::decode_frames(store.bytes())
-            .unwrap()
-            .into_iter()
-            .flat_map(|f| f.events)
-            .filter(|e| predicate.admits_event(e))
-            .collect();
+        let mut oracle = Vec::new();
+        crate::visit_frames(store.bytes(), |_, frame| {
+            oracle.extend(frame.iter().filter(|e| predicate.admits(e)).map(EventView::to_owned));
+        })
+        .unwrap();
         assert_eq!(report.events, oracle);
-        let collected: Vec<CollectedEvent> = oracle
-            .iter()
-            .map(|e| CollectedEvent {
-                stamp: e.stamp,
-                core: e.core,
-                tid: e.tid,
-                stored_bytes: encoded_len(e.payload.len()) as u32,
-            })
-            .collect();
+        let collected: Vec<CollectedEvent> = oracle.iter().map(|e| e.view().collected()).collect();
         assert_eq!(report.analysis, TracePartial::map(&collected).finish(0, 8));
     }
 

@@ -26,12 +26,12 @@
 use std::io;
 use std::path::Path;
 
-use btrace_core::sink::FullEvent;
+use btrace_core::{EventView, FullEvent};
 use btrace_vmem::FileMap;
 
 use crate::dump::parse_header;
 use crate::fragment::{probe_frame, FrameInfo};
-use crate::stream::{fnv, validate_frame, EventRef, FRAME_MAGIC};
+use crate::stream::{fnv, validate_frame, FRAME_MAGIC};
 
 /// What kind of damage a [`FrameDefect`] reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,7 +183,7 @@ impl TraceStore {
     pub fn decode_frame_refs<'a>(
         &'a self,
         idx: usize,
-        out: &mut Vec<EventRef<'a>>,
+        out: &mut Vec<EventView<'a>>,
     ) -> Result<(), FrameDefect> {
         let entry = &self.frames[idx];
         let frame = &self.bytes()[entry.offset..entry.offset + entry.len];
@@ -203,7 +203,7 @@ impl TraceStore {
     pub fn decode_frame(&self, idx: usize) -> Result<Vec<FullEvent>, FrameDefect> {
         let mut events = Vec::new();
         self.decode_frame_refs(idx, &mut events)?;
-        Ok(events.iter().map(EventRef::to_owned).collect())
+        Ok(events.iter().map(EventView::to_owned).collect())
     }
 }
 
@@ -337,7 +337,7 @@ mod tests {
         let mut refs = Vec::new();
         for (i, chunk) in events.chunks(30).enumerate() {
             store.decode_frame_refs(i, &mut refs).expect("healthy frame validates");
-            let owned: Vec<FullEvent> = refs.iter().map(EventRef::to_owned).collect();
+            let owned: Vec<FullEvent> = refs.iter().map(EventView::to_owned).collect();
             assert_eq!(owned, store.decode_frame(i).unwrap());
             assert_eq!(owned, chunk);
         }

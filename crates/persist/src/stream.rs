@@ -23,13 +23,13 @@
 use crate::export::RetryPolicy;
 use crate::fragment::probe_frame;
 use crate::store::DefectKind;
-use btrace_core::sink::FullEvent;
 use btrace_core::BTrace;
+use btrace_core::{EventView, FullEvent};
 use btrace_telemetry::{
     EventKind, ExportIoStats, FlightRecorder, Histogram, StageHealth, STAGE_NAMES,
 };
 use std::collections::VecDeque;
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -299,18 +299,18 @@ impl FrameWriter {
 
     /// Appends one event.
     #[inline]
-    pub(crate) fn push(&mut self, stamp: u64, core: u16, tid: u32, payload: &[u8]) {
+    pub(crate) fn push(&mut self, e: EventView<'_>) {
         let buf = &mut self.buf;
-        put_varint(buf, zigzag(stamp.wrapping_sub(self.prev_stamp) as i64));
-        put_varint(buf, core as u64);
-        put_varint(buf, tid as u64);
-        put_varint(buf, payload.len() as u64);
-        buf.extend_from_slice(payload);
-        self.prev_stamp = stamp;
-        self.min_stamp = self.min_stamp.min(stamp);
-        self.max_stamp = self.max_stamp.max(stamp);
-        self.core_bitmap |= 1u64 << (core as u64).min(63);
-        self.payload_bytes += payload.len() as u64;
+        put_varint(buf, zigzag(e.stamp.wrapping_sub(self.prev_stamp) as i64));
+        put_varint(buf, e.core as u64);
+        put_varint(buf, e.tid as u64);
+        put_varint(buf, e.payload.len() as u64);
+        buf.extend_from_slice(e.payload);
+        self.prev_stamp = e.stamp;
+        self.min_stamp = self.min_stamp.min(e.stamp);
+        self.max_stamp = self.max_stamp.max(e.stamp);
+        self.core_bitmap |= 1u64 << (e.core as u64).min(63);
+        self.payload_bytes += e.payload.len() as u64;
         self.count += 1;
     }
 
@@ -323,7 +323,7 @@ impl FrameWriter {
     pub(crate) fn encode(&mut self, seq: u64, events: &[FullEvent]) -> &[u8] {
         self.begin(seq);
         for e in events {
-            self.push(e.stamp, e.core, e.tid, &e.payload);
+            self.push(e.view());
         }
         self.finish()
     }
@@ -355,50 +355,6 @@ impl FrameWriter {
 pub fn encode_frame_with(seq: u64, events: &[FullEvent], encoding: FrameEncoding) -> Vec<u8> {
     let FrameEncoding::Compressed = encoding;
     encode_frame(seq, events)
-}
-
-/// One decoded frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamFrame {
-    /// Frame sequence number assigned by the encode stage.
-    pub seq: u64,
-    /// The batch's events.
-    pub events: Vec<FullEvent>,
-}
-
-/// One event decoded in place: header fields by value, payload borrowed
-/// from the frame bytes it was read from (for a [`TraceStore`] read, the
-/// store's mapping), so filtering and mapping an event copies nothing.
-///
-/// [`TraceStore`]: crate::TraceStore
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventRef<'a> {
-    /// Timestamp.
-    pub stamp: u64,
-    /// Recording core.
-    pub core: u16,
-    /// Thread id.
-    pub tid: u32,
-    /// Payload bytes, borrowed from the frame.
-    pub payload: &'a [u8],
-}
-
-impl EventRef<'_> {
-    /// Copies the event out of the frame.
-    pub fn to_owned(&self) -> FullEvent {
-        FullEvent {
-            stamp: self.stamp,
-            core: self.core,
-            tid: self.tid,
-            payload: self.payload.to_vec(),
-        }
-    }
-}
-
-impl<'a> From<&'a FullEvent> for EventRef<'a> {
-    fn from(e: &'a FullEvent) -> Self {
-        EventRef { stamp: e.stamp, core: e.core, tid: e.tid, payload: &e.payload }
-    }
 }
 
 pub(crate) fn bad_data(reason: &str) -> io::Error {
@@ -440,7 +396,7 @@ fn read_varint(r: &mut &[u8]) -> Result<u64, &'static str> {
 fn decode_event_refs<'a>(
     r: &mut &'a [u8],
     count: usize,
-    out: &mut Vec<EventRef<'a>>,
+    out: &mut Vec<EventView<'a>>,
 ) -> Result<(), &'static str> {
     out.clear();
     out.reserve(count.min(1 << 20));
@@ -453,7 +409,7 @@ fn decode_event_refs<'a>(
         let payload_len = usize::try_from(read_varint(r)?)
             .map_err(|_| "compressed payload length out of range")?;
         let payload = take(r, payload_len)?;
-        out.push(EventRef { stamp, core, tid, payload });
+        out.push(EventView { stamp, core, tid, payload });
     }
     Ok(())
 }
@@ -468,14 +424,14 @@ fn decode_event_refs<'a>(
 /// [`probe_frame`]: crate::fragment::probe_frame
 pub(crate) fn validate_frame<'a>(
     frame: &'a [u8],
-    out: &mut Vec<EventRef<'a>>,
+    out: &mut Vec<EventView<'a>>,
 ) -> Result<(), (DefectKind, &'static str)> {
     check_frame(frame, out).inspect_err(|_| out.clear())
 }
 
 fn check_frame<'a>(
     frame: &'a [u8],
-    out: &mut Vec<EventRef<'a>>,
+    out: &mut Vec<EventView<'a>>,
 ) -> Result<(), (DefectKind, &'static str)> {
     let len = frame.len();
     let crc_stored = u64::from_le_bytes(frame[len - 8..].try_into().expect("8 bytes"));
@@ -493,19 +449,33 @@ fn check_frame<'a>(
     Ok(())
 }
 
-/// Walks every frame in `bytes`, handing each frame's seq and events to
-/// `visit` only after the frame probed and validated (see
-/// [`validate_frame`]). The events borrow from `bytes` and live in one
-/// scratch buffer reused across frames, so a walk allocates nothing per
-/// event.
+/// Walks every frame in `bytes` (the inverse of [`encode_frame`]), handing
+/// each frame's seq and events to `visit` only after the frame probed and
+/// validated: the strict whole-stream reader, where [`TraceStore`] is the
+/// tolerant one. The events borrow from `bytes` and live in one scratch
+/// buffer reused across frames, so a walk allocates nothing per event; a
+/// caller that needs owned events calls [`EventView::to_owned`].
 ///
 /// # Errors
 ///
-/// What is wrong with the first frame that fails to probe or validate;
-/// frames before it were already visited.
-pub(crate) fn visit_frames<'a>(
+/// [`io::ErrorKind::InvalidData`] on bad magic, truncation, a frame of
+/// another revision, or a frame that fails validation — a torn stream tail
+/// is corruption, not silence. Frames before the first bad one were
+/// already visited.
+///
+/// [`TraceStore`]: crate::TraceStore
+pub fn visit_frames<'a>(
     bytes: &'a [u8],
-    mut visit: impl FnMut(u64, &[EventRef<'a>]),
+    visit: impl FnMut(u64, &[EventView<'a>]),
+) -> io::Result<()> {
+    walk_frames(bytes, visit).map_err(bad_data)
+}
+
+/// [`visit_frames`] with the reason for the first bad frame as a static
+/// string, for readers that report it in their own error type.
+pub(crate) fn walk_frames<'a>(
+    bytes: &'a [u8],
+    mut visit: impl FnMut(u64, &[EventView<'a>]),
 ) -> Result<(), &'static str> {
     let mut scratch = Vec::new();
     let mut offset = 0usize;
@@ -517,35 +487,6 @@ pub(crate) fn visit_frames<'a>(
         offset += info.len;
     }
     Ok(())
-}
-
-/// Decodes every frame in `bytes` (the inverse of [`encode_frame`]) into
-/// owned events.
-///
-/// # Errors
-///
-/// [`io::ErrorKind::InvalidData`] on bad magic, truncation, a frame of
-/// another revision, or a frame that fails validation — a torn stream tail
-/// is corruption, not silence.
-pub fn decode_frames(bytes: &[u8]) -> io::Result<Vec<StreamFrame>> {
-    let mut frames = Vec::new();
-    visit_frames(bytes, |seq, events| {
-        frames.push(StreamFrame { seq, events: events.iter().map(EventRef::to_owned).collect() });
-    })
-    .map_err(bad_data)?;
-    Ok(frames)
-}
-
-/// Reads a frame file written by a [`FileFrameSink`].
-///
-/// # Errors
-///
-/// I/O errors reading the file; [`io::ErrorKind::InvalidData`] on
-/// corruption.
-pub fn read_frames(path: impl AsRef<Path>) -> io::Result<Vec<StreamFrame>> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    decode_frames(&bytes)
 }
 
 /// Lock-free-readable throughput counters for one stage.
@@ -947,16 +888,7 @@ fn spawn_drain(
                 let span = inner.next_span.fetch_add(1, Ordering::Relaxed) + 1;
                 let t0 = inner.recorder.now_ns();
                 inner.enter(0, span, 0);
-                let events: Vec<FullEvent> = batch
-                    .events
-                    .into_iter()
-                    .map(|e| FullEvent {
-                        stamp: e.stamp(),
-                        core: e.core() as u16,
-                        tid: e.tid(),
-                        payload: e.into_payload(),
-                    })
-                    .collect();
+                let events = batch.events;
                 let n = events.len() as u64;
                 stage.in_items.fetch_add(n, Ordering::Relaxed);
                 if let Some(s) = per_shard {
@@ -1184,7 +1116,7 @@ fn spawn_sink(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use btrace_core::Config;
 
@@ -1199,6 +1131,16 @@ mod tests {
 
     fn quick() -> PipelineConfig {
         PipelineConfig { poll_interval: Duration::from_millis(1), ..PipelineConfig::default() }
+    }
+
+    /// Every frame of `bytes` with its events copied out, through the strict
+    /// [`visit_frames`].
+    pub(crate) fn owned_frames(bytes: &[u8]) -> io::Result<Vec<(u64, Vec<FullEvent>)>> {
+        let mut frames = Vec::new();
+        visit_frames(bytes, |seq, events| {
+            frames.push((seq, events.iter().map(EventView::to_owned).collect()));
+        })?;
+        Ok(frames)
     }
 
     fn sample_events(n: u64) -> Vec<FullEvent> {
@@ -1217,11 +1159,11 @@ mod tests {
         let events = sample_events(100);
         let mut bytes = encode_frame(3, &events[..60]);
         bytes.extend_from_slice(&encode_frame(4, &events[60..]));
-        let frames = decode_frames(&bytes).unwrap();
+        let frames = owned_frames(&bytes).unwrap();
         assert_eq!(frames.len(), 2);
-        assert_eq!(frames[0].seq, 3);
-        assert_eq!(frames[0].events, events[..60]);
-        assert_eq!(frames[1].events, events[60..]);
+        assert_eq!(frames[0].0, 3);
+        assert_eq!(frames[0].1, events[..60]);
+        assert_eq!(frames[1].1, events[60..]);
     }
 
     #[test]
@@ -1229,11 +1171,11 @@ mod tests {
         let mut bytes = encode_frame(0, &sample_events(10));
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
-        assert_eq!(decode_frames(&bytes).unwrap_err().kind(), io::ErrorKind::InvalidData);
-        assert_eq!(decode_frames(b"junk!").unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert_eq!(owned_frames(&bytes).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert_eq!(owned_frames(b"junk!").unwrap_err().kind(), io::ErrorKind::InvalidData);
         let whole = encode_frame(0, &sample_events(10));
         assert_eq!(
-            decode_frames(&whole[..whole.len() - 3]).unwrap_err().kind(),
+            owned_frames(&whole[..whole.len() - 3]).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
     }
@@ -1261,9 +1203,10 @@ mod tests {
         assert_eq!(stats.io, ExportIoStats::default());
 
         let mut stamps: Vec<u64> = Vec::new();
-        for frame in decode_frames(&frames.lock().unwrap()).unwrap() {
-            stamps.extend(frame.events.iter().map(|e| e.stamp));
-        }
+        visit_frames(&frames.lock().unwrap(), |_, events| {
+            stamps.extend(events.iter().map(|e| e.stamp));
+        })
+        .unwrap();
         let total = stamps.len();
         stamps.sort_unstable();
         stamps.dedup();
@@ -1333,9 +1276,10 @@ mod tests {
         assert_eq!(stats.missed_blocks, 0, "512-block buffer holds the whole run");
 
         let mut stamps: Vec<u64> = Vec::new();
-        for frame in decode_frames(&frames.lock().unwrap()).unwrap() {
-            stamps.extend(frame.events.iter().map(|e| e.stamp));
-        }
+        visit_frames(&frames.lock().unwrap(), |_, events| {
+            stamps.extend(events.iter().map(|e| e.stamp));
+        })
+        .unwrap();
         let total = stamps.len();
         stamps.sort_unstable();
         stamps.dedup();
@@ -1415,7 +1359,7 @@ mod tests {
     }
 
     #[test]
-    fn file_sink_roundtrips_through_read_frames() {
+    fn file_sink_roundtrips_through_visit_frames() {
         let dir = std::env::temp_dir().join(format!("btrace-stream-file-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.btsf");
@@ -1431,13 +1375,13 @@ mod tests {
         }
         let stats = pipeline.stop();
         assert!(stats.frames_written > 0);
-        let frames = read_frames(&path).unwrap();
-        let events: Vec<&FullEvent> = frames.iter().flat_map(|f| f.events.iter()).collect();
+        let frames = owned_frames(&std::fs::read(&path).unwrap()).unwrap();
+        let events: Vec<&FullEvent> = frames.iter().flat_map(|(_, events)| events).collect();
         assert_eq!(events.len(), 500);
         assert!(events.iter().all(|e| e.payload == b"to disk" && e.tid == 7));
         // Frame sequence numbers are contiguous from zero.
-        for (i, f) in frames.iter().enumerate() {
-            assert_eq!(f.seq, i as u64);
+        for (i, (seq, _)) in frames.iter().enumerate() {
+            assert_eq!(*seq, i as u64);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

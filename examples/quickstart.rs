@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         readout.blocks.readable,
     );
     let newest = readout.events.last().expect("events were recorded");
-    println!("newest event: {:?} -> {}", newest, String::from_utf8_lossy(newest.payload()));
+    println!("newest event: {:?} -> {}", newest, String::from_utf8_lossy(&newest.payload));
 
     // Resize at runtime: grow for a critical phase, shrink afterwards.
     // Producers could keep recording concurrently throughout.

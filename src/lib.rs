@@ -26,7 +26,7 @@
 //! let producer = tracer.producer(0)?; // producer handle pinned to core 0
 //! producer.record(b"sched: task 42 -> cpu0")?;
 //! let readout = tracer.consumer().collect();
-//! assert!(readout.events.iter().any(|e| e.payload() == b"sched: task 42 -> cpu0"));
+//! assert!(readout.events.iter().any(|e| e.payload == b"sched: task 42 -> cpu0"));
 //! # Ok(())
 //! # }
 //! ```

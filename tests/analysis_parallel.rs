@@ -22,7 +22,7 @@ use btrace::analysis::{analyze, by_core, by_thread, fold_merge, GapMapOptions, T
 use btrace::core::event::encoded_len;
 use btrace::core::sink::{CollectedEvent, FullEvent};
 use btrace::core::{BTrace, Backing, Config, TraceError};
-use btrace::persist::{analyze_frames, decode_frames, encode_frame, AnalyzeOptions};
+use btrace::persist::{analyze_frames, encode_frame, visit_frames, AnalyzeOptions};
 use btrace::vmem::FaultPlan;
 use proptest::prelude::*;
 
@@ -107,34 +107,14 @@ fn build_stream(seed: u64) -> Vec<u8> {
         if next_poll == 0 {
             let batch = stream.poll();
             if !batch.events.is_empty() || splitmix(&mut rng).is_multiple_of(13) {
-                let events: Vec<FullEvent> = batch
-                    .events
-                    .iter()
-                    .map(|e| FullEvent {
-                        stamp: e.stamp(),
-                        core: e.core() as u16,
-                        tid: e.tid(),
-                        payload: e.payload().to_vec(),
-                    })
-                    .collect();
-                emit(events, &mut out, &mut seq);
+                emit(batch.events, &mut out, &mut seq);
             }
             next_poll = 1 + splitmix(&mut rng) % 200;
         }
     }
     drop(producers);
     let tail = stream.flush_close();
-    let events: Vec<FullEvent> = tail
-        .events
-        .iter()
-        .map(|e| FullEvent {
-            stamp: e.stamp(),
-            core: e.core() as u16,
-            tid: e.tid(),
-            payload: e.payload().to_vec(),
-        })
-        .collect();
-    emit(events, &mut out, &mut seq);
+    emit(tail.events, &mut out, &mut seq);
     out
 }
 
@@ -159,17 +139,9 @@ fn run_parallel_vs_sequential(seed: u64) {
     );
 
     // Pin the fragment pipeline to the historical flat-decode semantics.
-    let events: Vec<CollectedEvent> = decode_frames(&bytes)
-        .expect("stream decodes")
-        .iter()
-        .flat_map(|f| f.events.iter())
-        .map(|e| CollectedEvent {
-            stamp: e.stamp,
-            core: e.core,
-            tid: e.tid,
-            stored_bytes: encoded_len(e.payload.len()) as u32,
-        })
-        .collect();
+    let mut events: Vec<CollectedEvent> = Vec::new();
+    visit_frames(&bytes, |_, frame| events.extend(frame.iter().map(|e| e.collected())))
+        .expect("stream decodes");
     assert_eq!(
         reference.analysis.metrics,
         analyze(&events, 0),
@@ -355,7 +327,7 @@ proptest! {
         let push_all = |events: &[CollectedEvent]| {
             let mut p = TracePartial::default();
             for e in events {
-                p.push(e.stamp, e.core, e.tid, e.stored_bytes);
+                p.push(*e);
             }
             p
         };

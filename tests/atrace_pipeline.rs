@@ -94,7 +94,7 @@ fn tail_reader_streams_typed_events() {
     a.event(0, 1, TraceEvent::FreqChange { cpu: 0, khz: 2_000_000 });
     let polled = tail.poll();
     assert_eq!(polled.events.len(), 1);
-    let decoded = OwnedEvent::decode(polled.events[0].payload()).expect("typed payload");
+    let decoded = OwnedEvent::decode(&polled.events[0].payload).expect("typed payload");
     assert_eq!(decoded, OwnedEvent::FreqChange { cpu: 0, khz: 2_000_000 });
     assert!(tail.poll().events.is_empty());
 }

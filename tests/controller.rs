@@ -150,7 +150,7 @@ fn run_storm(
         // The drain: non-destructive collect, then close the open block so
         // its events become readable by the next tick's collect.
         for e in consumer.collect_and_close().events {
-            retained.insert(e.stamp());
+            retained.insert(e.stamp);
         }
 
         if controlled {
@@ -168,10 +168,10 @@ fn run_storm(
     }
     // Scoop the final open block.
     for e in consumer.collect_and_close().events {
-        retained.insert(e.stamp());
+        retained.insert(e.stamp);
     }
     for e in consumer.collect().events {
-        retained.insert(e.stamp());
+        retained.insert(e.stamp);
     }
 
     let window_recorded: u64 = recorded_per_tick[warmup as usize..].iter().sum();

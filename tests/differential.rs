@@ -117,14 +117,14 @@ fn run_differential(seed: u64) {
             // to ~8 blocks, far less than the 56-block reclaim horizon, so
             // the cursor is never lapped and `missed` stays zero.
             let batch = stream.poll();
-            streamed.extend(batch.events.iter().map(|e| e.stamp()));
+            streamed.extend(batch.events.iter().map(|e| e.stamp));
             next_poll = 1 + splitmix(&mut rng) % 24;
         }
     }
 
     // Final handoff: close every core's open block, then drain the rest.
     let tail = stream.flush_close();
-    streamed.extend(tail.events.iter().map(|e| e.stamp()));
+    streamed.extend(tail.events.iter().map(|e| e.stamp));
     assert_eq!(
         stream.stats().missed_blocks,
         0,
@@ -275,18 +275,18 @@ fn run_differential_sharded(seed: u64, shards: usize) {
         next_poll -= 1;
         if next_poll == 0 {
             let batch = single.poll();
-            single_got.extend(batch.events.iter().map(|e| e.stamp()));
+            single_got.extend(batch.events.iter().map(|e| e.stamp));
             for (i, shard) in sharded.shards_mut().iter_mut().enumerate() {
                 let b = shard.poll();
                 for e in &b.events {
                     assert_eq!(
-                        e.payload(),
-                        payload_for(e.stamp(), e.payload().len()),
+                        e.payload,
+                        payload_for(e.stamp, e.payload.len()),
                         "seed {seed}: shard {i} delivered a torn payload at stamp {}",
-                        e.stamp()
+                        e.stamp
                     );
                 }
-                shard_got[i].extend(b.events.iter().map(|e| e.stamp()));
+                shard_got[i].extend(b.events.iter().map(|e| e.stamp));
             }
             next_poll = 1 + splitmix(&mut rng) % 24;
         }
@@ -297,10 +297,10 @@ fn run_differential_sharded(seed: u64, shards: usize) {
     // must not change either consumer's final set.
     drop(producers);
     let tail = single.flush_close();
-    single_got.extend(tail.events.iter().map(|e| e.stamp()));
+    single_got.extend(tail.events.iter().map(|e| e.stamp));
     for (i, shard) in sharded.shards_mut().iter_mut().enumerate() {
         let b = shard.flush_close();
-        shard_got[i].extend(b.events.iter().map(|e| e.stamp()));
+        shard_got[i].extend(b.events.iter().map(|e| e.stamp));
     }
 
     // Per-shard at-most-once, then pairwise stripe disjointness: summed

@@ -198,7 +198,7 @@ fn collect_and_close_is_pinned_at_wraparound() {
     let mut consumer = tracer.consumer();
     let readout = consumer.collect_and_close();
 
-    let stamps: Vec<u64> = readout.events.iter().map(|e| e.stamp()).collect();
+    let stamps: Vec<u64> = readout.events.iter().map(|e| e.stamp).collect();
     assert!(!stamps.is_empty(), "a wrapped buffer still holds the newest window");
     let newest = *stamps.iter().max().expect("non-empty");
     assert_eq!(newest, WRITES - 1, "the newest stamp survives the wrap");
@@ -216,10 +216,10 @@ fn collect_and_close_is_pinned_at_wraparound() {
     // stored_bytes identities: per event, per readout, and within budget.
     for e in &readout.events {
         assert_eq!(
-            e.stored_bytes(),
+            e.view().collected().stored_bytes as usize,
             encoded_len(PAYLOAD.len()),
             "stored_bytes must be the on-buffer footprint at stamp {}",
-            e.stamp()
+            e.stamp
         );
     }
     assert_eq!(
@@ -239,8 +239,7 @@ fn collect_and_close_is_pinned_at_wraparound() {
         producer.record_with(WRITES + i, 7, PAYLOAD).expect("payload fits");
     }
     let second = consumer.collect_and_close();
-    let fresh: Vec<u64> =
-        second.events.iter().map(|e| e.stamp()).filter(|&s| s >= WRITES).collect();
+    let fresh: Vec<u64> = second.events.iter().map(|e| e.stamp).filter(|&s| s >= WRITES).collect();
     assert_eq!(
         fresh,
         (WRITES..WRITES + FRESH).collect::<Vec<u64>>(),

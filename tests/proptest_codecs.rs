@@ -3,8 +3,18 @@
 
 use btrace::atrace::{OwnedEvent, TraceEvent};
 use btrace::core::sink::FullEvent;
-use btrace::persist::{decode_frames, encode_frame, scan_frames, split_fragments, TraceDump};
+use btrace::persist::{encode_frame, scan_frames, split_fragments, visit_frames, TraceDump};
 use proptest::prelude::*;
+
+/// Every frame of `bytes` with its events copied out, through the strict
+/// whole-stream reader.
+fn owned_frames(bytes: &[u8]) -> std::io::Result<Vec<(u64, Vec<FullEvent>)>> {
+    let mut frames = Vec::new();
+    visit_frames(bytes, |seq, events| {
+        frames.push((seq, events.iter().map(|e| e.to_owned()).collect()));
+    })?;
+    Ok(frames)
+}
 
 fn arb_trace_event() -> impl Strategy<Value = OwnedEvent> {
     prop_oneof![
@@ -129,16 +139,16 @@ proptest! {
         for (i, events) in batches.iter().enumerate() {
             bytes.extend_from_slice(&encode_frame(u64::from(seq0) + i as u64, events));
         }
-        let frames = decode_frames(&bytes).expect("compressed stream decodes");
+        let frames = owned_frames(&bytes).expect("compressed stream decodes");
         prop_assert_eq!(frames.len(), batches.len());
-        for (frame, events) in frames.iter().zip(&batches) {
-            prop_assert_eq!(&frame.events, events);
+        for ((_, decoded), events) in frames.iter().zip(&batches) {
+            prop_assert_eq!(decoded, events);
         }
         // Determinism closes the loop: decode -> re-encode reproduces the
         // original bytes, so the roundtrip is exact at the byte level too.
         let mut reencoded = Vec::new();
-        for frame in &frames {
-            reencoded.extend_from_slice(&encode_frame(frame.seq, &frame.events));
+        for (seq, events) in &frames {
+            reencoded.extend_from_slice(&encode_frame(*seq, events));
         }
         prop_assert_eq!(reencoded, bytes);
     }
@@ -178,14 +188,71 @@ proptest! {
             prop_assert_eq!(frag.bytes.start, byte_cursor, "fragments must tile the bytes");
             frame_cursor = frag.frames.end;
             byte_cursor = frag.bytes.end;
-            for frame in frag.decode(&bytes).expect("fragment decodes") {
-                decoded.extend(frame.events);
+            for (_, events) in owned_frames(&bytes[frag.bytes.clone()]).expect("fragment decodes") {
+                decoded.extend(events);
             }
         }
         prop_assert_eq!(frame_cursor, infos.len());
         prop_assert_eq!(byte_cursor, bytes.len());
         let flat: Vec<FullEvent> = batches.into_iter().flatten().collect();
         prop_assert_eq!(decoded, flat);
+    }
+}
+
+proptest! {
+    /// One view from both ends: the ring walker and the frame decoder yield
+    /// the same `EventView`s for the same events. A quiescent multi-core
+    /// ring is snapshotted, its walked views (each checked against what
+    /// was recorded) are encoded into a frame, and the store decodes that
+    /// frame back into views equal to the walked ones. Copied out, the
+    /// views are the tracer's `drain_full`; reduced to metadata, its
+    /// `drain`.
+    #[test]
+    fn ring_walker_and_frame_decoder_yield_one_view(
+        records in proptest::collection::vec((0usize..4, 0usize..=64), 1..300),
+    ) {
+        use btrace::core::sink::TraceSink;
+        use btrace::core::{BTrace, Backing, Config, EventView, RingSnapshot};
+        use btrace::persist::TraceStore;
+        let tracer = BTrace::new(
+            Config::new(4)
+                .active_blocks(8)
+                .block_bytes(256)
+                .buffer_bytes(256 * 16)
+                .backing(Backing::Heap),
+        )
+        .expect("valid configuration");
+        for (i, &(core, len)) in records.iter().enumerate() {
+            let payload: Vec<u8> = (0..len as u8).map(|b| b ^ i as u8).collect();
+            tracer.producer(core).unwrap().record_with(i as u64, 100 + core as u32, &payload).unwrap();
+        }
+
+        let mut snapshot = RingSnapshot::new();
+        tracer.consumer().snapshot(&mut snapshot);
+        let mut walked: Vec<EventView<'_>> = Vec::new();
+        snapshot
+            .try_for_each(|e| {
+                walked.push(e);
+                Ok::<(), std::convert::Infallible>(())
+            })
+            .unwrap();
+        prop_assert!(!walked.is_empty());
+        for v in &walked {
+            let (core, len) = records[v.stamp as usize];
+            prop_assert_eq!((v.core as usize, v.tid), (core, 100 + core as u32));
+            let payload: Vec<u8> = (0..len as u8).map(|b| b ^ v.stamp as u8).collect();
+            prop_assert_eq!(v.payload, &payload[..]);
+        }
+
+        let owned: Vec<FullEvent> = walked.iter().map(EventView::to_owned).collect();
+        let store = TraceStore::from_bytes(encode_frame(0, &owned));
+        let mut decoded = Vec::new();
+        store.decode_frame_refs(0, &mut decoded).expect("a fresh frame validates");
+        prop_assert_eq!(&decoded, &walked);
+
+        prop_assert_eq!(owned, tracer.drain_full());
+        let collected: Vec<_> = decoded.iter().map(EventView::collected).collect();
+        prop_assert_eq!(collected, tracer.drain());
     }
 }
 

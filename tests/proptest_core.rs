@@ -110,12 +110,12 @@ proptest! {
         //    with its exact payload length.
         for e in &readout.events {
             prop_assert!(
-                written.iter().any(|&(s, len)| s == e.stamp() && len == e.payload().len()),
+                written.iter().any(|&(s, len)| s == e.stamp && len == e.payload.len()),
                 "event {e:?} was never written"
             );
         }
         // 2. No duplicates.
-        let mut stamps: Vec<u64> = readout.events.iter().map(|e| e.stamp()).collect();
+        let mut stamps: Vec<u64> = readout.events.iter().map(|e| e.stamp).collect();
         stamps.sort_unstable();
         let before = stamps.len();
         stamps.dedup();
@@ -138,7 +138,7 @@ proptest! {
         }
         let readout = t.consumer().collect();
         prop_assert!(!readout.events.is_empty());
-        let stamps: Vec<u64> = readout.events.iter().map(|e| e.stamp()).collect();
+        let stamps: Vec<u64> = readout.events.iter().map(|e| e.stamp).collect();
         prop_assert_eq!(*stamps.last().unwrap() as usize, lens.len() - 1, "newest lost");
         for w in stamps.windows(2) {
             prop_assert_eq!(w[1], w[0] + 1, "interior gap");
@@ -152,8 +152,8 @@ proptest! {
         t.producer(0).unwrap().record_with(7, 3, &payload).unwrap();
         let readout = t.consumer().collect();
         prop_assert_eq!(readout.events.len(), 1);
-        prop_assert_eq!(readout.events[0].payload(), &payload[..]);
-        prop_assert_eq!(readout.events[0].tid(), 3);
+        prop_assert_eq!(readout.events[0].payload, &payload[..]);
+        prop_assert_eq!(readout.events[0].tid, 3);
     }
 
     /// Skip rate is monotone in preemption pressure (§3.4): the same flood
@@ -218,7 +218,7 @@ proptest! {
         }
         let total = (before + after) as u64;
         let readout = t.consumer().collect();
-        let mut stamps: Vec<u64> = readout.events.iter().map(|e| e.stamp()).collect();
+        let mut stamps: Vec<u64> = readout.events.iter().map(|e| e.stamp).collect();
         for &s in &stamps {
             prop_assert!(s < total, "drained stamp {s} was never recorded");
         }

@@ -26,13 +26,12 @@
 
 use btrace::analysis::{gap_map, GapMapOptions, TracePartial};
 use btrace::atrace::{Category, TraceEvent};
-use btrace::core::event::encoded_len;
 use btrace::core::sink::{CollectedEvent, FullEvent};
 use btrace::core::{BTrace, Backing, Config, TraceError};
 use btrace::persist::{
-    analyze_frames, analyze_frames_with, decode_frames, encode_frame, encode_stream,
-    AnalyzeOptions, Collector, CollectorConfig, DefectKind, FrameInfo, Predicate, Query,
-    QueryOptions, TraceDump, TraceStore,
+    analyze_frames, analyze_frames_with, encode_frame, encode_stream, visit_frames, AnalyzeOptions,
+    Collector, CollectorConfig, DefectKind, FrameInfo, Predicate, Query, QueryOptions, TraceDump,
+    TraceStore,
 };
 use btrace::replay::TraceState;
 use btrace::vmem::FaultPlan;
@@ -152,34 +151,14 @@ fn build_stream(seed: u64) -> Vec<u8> {
         if next_poll == 0 {
             let batch = stream.poll();
             if !batch.events.is_empty() || splitmix(&mut rng).is_multiple_of(13) {
-                let events: Vec<FullEvent> = batch
-                    .events
-                    .iter()
-                    .map(|e| FullEvent {
-                        stamp: e.stamp(),
-                        core: e.core() as u16,
-                        tid: e.tid(),
-                        payload: e.payload().to_vec(),
-                    })
-                    .collect();
-                emit(events, &mut out);
+                emit(batch.events, &mut out);
             }
             next_poll = 1 + splitmix(&mut rng) % 200;
         }
     }
     drop(producers);
     let tail = stream.flush_close();
-    let events: Vec<FullEvent> = tail
-        .events
-        .iter()
-        .map(|e| FullEvent {
-            stamp: e.stamp(),
-            core: e.core() as u16,
-            tid: e.tid(),
-            payload: e.payload().to_vec(),
-        })
-        .collect();
-    emit(events, &mut out);
+    emit(tail.events, &mut out);
     out
 }
 
@@ -213,15 +192,15 @@ fn gen_predicate(rng: &mut u64, min_stamp: u64, max_stamp: u64) -> Predicate {
 }
 
 fn collect(events: &[FullEvent]) -> Vec<CollectedEvent> {
-    events
-        .iter()
-        .map(|e| CollectedEvent {
-            stamp: e.stamp,
-            core: e.core,
-            tid: e.tid,
-            stored_bytes: encoded_len(e.payload.len()) as u32,
-        })
-        .collect()
+    events.iter().map(|e| e.view().collected()).collect()
+}
+
+/// Every event of `bytes`, copied out through the strict whole-stream
+/// reader.
+fn decode_all(bytes: &[u8]) -> std::io::Result<Vec<FullEvent>> {
+    let mut events = Vec::new();
+    visit_frames(bytes, |_, frame| events.extend(frame.iter().map(|e| e.to_owned())))?;
+    Ok(events)
 }
 
 /// One differential run: several generated predicates, each resolved via
@@ -231,11 +210,7 @@ fn run_query_vs_oracle(seed: u64) {
     let store = TraceStore::from_bytes(bytes.clone());
     assert!(store.defects().is_empty(), "seed {seed}: healthy stream scanned with defects");
 
-    let all: Vec<FullEvent> = decode_frames(&bytes)
-        .expect("healthy stream decodes")
-        .into_iter()
-        .flat_map(|f| f.events)
-        .collect();
+    let all: Vec<FullEvent> = decode_all(&bytes).expect("healthy stream decodes");
     assert_eq!(
         store.total_events(),
         all.len() as u64,
@@ -260,9 +235,9 @@ fn run_query_vs_oracle(seed: u64) {
             assert_eq!(r.to_owned(), *e, "seed {seed} frame {idx}: borrowed decode diverged");
             for (pi, predicate) in predicates.iter().enumerate() {
                 assert_eq!(
-                    predicate.admits_ref(r),
-                    predicate.admits_event(e),
-                    "seed {seed} predicate {pi}: admits_ref disagrees with admits_event"
+                    predicate.admits(r),
+                    predicate.admits(&e.view()),
+                    "seed {seed} predicate {pi}: a view of the store disagrees with a view of the copy"
                 );
             }
         }
@@ -271,7 +246,7 @@ fn run_query_vs_oracle(seed: u64) {
 
     for (pi, predicate) in predicates.into_iter().enumerate() {
         let oracle: Vec<FullEvent> =
-            all.iter().filter(|e| predicate.admits_event(e)).cloned().collect();
+            all.iter().filter(|e| predicate.admits(&e.view())).cloned().collect();
         let oracle_partial = TracePartial::map(&collect(&oracle));
         let newest = oracle_partial.metrics.newest();
         let gopts = newest.map(|n| GapMapOptions { window: (n - min_stamp).max(1) + 1, width: 48 });
@@ -445,7 +420,7 @@ fn lapped_stream_matches_independent_oracle() {
     };
     for predicate in [Predicate::default(), restricted] {
         let matched: Vec<FullEvent> =
-            events.iter().filter(|e| predicate.admits_event(e)).cloned().collect();
+            events.iter().filter(|e| predicate.admits(&e.view())).cloned().collect();
         let matched = collect(&matched);
         let expect = oracle::oracle(&matched, 1 << 14, 8);
         let stamps: Vec<u64> = oracle::retained(&matched).iter().map(|&(s, _)| s).collect();
@@ -557,7 +532,7 @@ fn atrace_corpus_compresses_and_prunes() {
         .run(&store);
         assert!(report.defects.is_empty(), "{name}: {:?}", report.defects);
         let oracle: Vec<FullEvent> =
-            events.iter().filter(|e| predicate.admits_event(e)).cloned().collect();
+            events.iter().filter(|e| predicate.admits(&e.view())).cloned().collect();
         assert_eq!(report.events, oracle, "{name}: indexed query diverged from the oracle");
         if name == "slice" {
             let decoded = report.frames_decoded as f64 / report.frames_total as f64;
@@ -812,7 +787,7 @@ fn overrun_behind_a_valid_checksum_contributes_nothing() {
         assert_eq!(core.matched_events, survivors.iter().filter(|e| e.core == 2).count() as u64);
 
         // The whole-stream readers reject the stream outright.
-        let err = decode_frames(&bytes).expect_err("overrun stream must not decode");
+        let err = decode_all(&bytes).expect_err("overrun stream must not decode");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         let err = analyze_frames(&bytes, &AnalyzeOptions::default())
             .expect_err("overrun stream must not analyze");
@@ -874,7 +849,7 @@ fn fixed_width_frames_are_typed_defects_never_decoded() {
         assert_eq!(report.matched_events, survivors.map(|(_, f)| f.len() as u64).sum::<u64>());
         assert_eq!(report.defects[0].kind, DefectKind::UnknownRevision);
 
-        let err = decode_frames(&bytes).expect_err("old frame must not decode");
+        let err = decode_all(&bytes).expect_err("old frame must not decode");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         let err = analyze_frames(&bytes, &AnalyzeOptions::default())
             .expect_err("old frame must not analyze");

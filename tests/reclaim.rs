@@ -120,8 +120,8 @@ fn collect_while_pinned_still_reads_consistently() {
     let mut consumer = tracer.consumer();
     let readout = consumer.collect();
     for e in &readout.events {
-        assert_eq!(e.payload(), b"reclaim regression payload");
-        assert_eq!(e.tid(), 7);
+        assert_eq!(e.payload, b"reclaim regression payload");
+        assert_eq!(e.tid, 7);
     }
     drop(pin);
 }

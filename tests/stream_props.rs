@@ -80,7 +80,7 @@ proptest! {
                 }
                 Op::Poll => {
                     let batch = stream.poll();
-                    delivered.extend(batch.events.iter().map(|e| e.stamp()));
+                    delivered.extend(batch.events.iter().map(|e| e.stamp));
                 }
                 Op::Resize { ratio } => {
                     match t.resize_bytes(ratio * STRIDE) {
@@ -97,7 +97,7 @@ proptest! {
         // deliver the tail. After it, the one-shot consumer must see
         // nothing the stream did not already hand off.
         let tail = stream.flush_close();
-        delivered.extend(tail.events.iter().map(|e| e.stamp()));
+        delivered.extend(tail.events.iter().map(|e| e.stamp));
         let readout = t.consumer().collect_and_close();
 
         // At-most-once, always: no stamp is ever handed out twice, and
@@ -110,7 +110,7 @@ proptest! {
         );
 
         // The streamed view covers the one-shot view.
-        let collect_set: BTreeSet<u64> = readout.events.iter().map(|e| e.stamp()).collect();
+        let collect_set: BTreeSet<u64> = readout.events.iter().map(|e| e.stamp).collect();
         let only: Vec<u64> = collect_set.difference(&delivered_set).copied().collect();
         prop_assert!(
             only.is_empty(),
@@ -167,8 +167,7 @@ proptest! {
                 Op::Poll => {
                     for (i, shard) in sharded.shards_mut().iter_mut().enumerate() {
                         let batch = shard.poll();
-                        per_shard[i]
-                            .extend(batch.events.into_iter().map(|e| (e.stamp(), e.into_payload())));
+                        per_shard[i].extend(batch.events.into_iter().map(|e| (e.stamp, e.payload)));
                     }
                 }
                 Op::Resize { ratio } => {
@@ -193,7 +192,7 @@ proptest! {
         drop(producers);
         for (i, shard) in sharded.shards_mut().iter_mut().enumerate() {
             let batch = shard.flush_close();
-            per_shard[i].extend(batch.events.into_iter().map(|e| (e.stamp(), e.into_payload())));
+            per_shard[i].extend(batch.events.into_iter().map(|e| (e.stamp, e.payload)));
         }
 
         // Per-stripe at-most-once; summed cardinality == union cardinality
@@ -245,20 +244,10 @@ proptest! {
             let payload: Vec<u8> = (0..*len).map(|j| (stamp as u8) ^ (j as u8)).collect();
             t.producer(core).unwrap().record_with(stamp, core as u32, &payload).unwrap();
             if i % 13 == 0 {
-                events.extend(stream.poll().events.into_iter().map(|e| FullEvent {
-                    stamp: e.stamp(),
-                    core: e.core() as u16,
-                    tid: e.tid(),
-                    payload: e.into_payload(),
-                }));
+                events.extend(stream.poll().events);
             }
         }
-        events.extend(stream.flush_close().events.into_iter().map(|e| FullEvent {
-            stamp: e.stamp(),
-            core: e.core() as u16,
-            tid: e.tid(),
-            payload: e.into_payload(),
-        }));
+        events.extend(stream.flush_close().events);
         for e in &events {
             let expect: Vec<u8> = (0..e.payload.len()).map(|j| (e.stamp as u8) ^ (j as u8)).collect();
             prop_assert_eq!(&e.payload, &expect, "torn payload at stamp {}", e.stamp);
