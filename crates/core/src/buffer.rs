@@ -130,6 +130,15 @@ impl Shared {
         self.history.latest_ratio() == self.global_pos().ratio
     }
 
+    /// The global block sequences a reader may still find in the ring: the
+    /// newest `span` claimed, where `span` is the number of data blocks the
+    /// reserved region can hold. Older sequences are certainly overwritten.
+    pub(crate) fn readable_window(&self) -> std::ops::Range<u64> {
+        let head = self.global_pos().pos;
+        let span = (self.data.region().len() / self.cfg.block_bytes) as u64;
+        head.saturating_sub(span)..head
+    }
+
     /// Spins (slow paths only) until the in-flight resize publication, if
     /// any, lands its history entry. The wait is two stores on the
     /// resizing thread.
@@ -475,13 +484,6 @@ impl BTrace {
         self.shared.domain.stats()
     }
 
-    /// Returns an incremental reader that yields each event exactly once
-    /// across polls — the access pattern of an asynchronous collector
-    /// daemon (§2.1).
-    pub fn tail(&self) -> crate::TailReader {
-        crate::TailReader::new(Arc::clone(&self.shared))
-    }
-
     /// Returns a block-granularity streaming consumer: each
     /// [`poll`](crate::StreamShard::poll) hands off only blocks closed
     /// since the previous poll, so every delivered batch is final and can
@@ -491,14 +493,18 @@ impl BTrace {
         crate::StreamShard::new(Arc::clone(&self.shared), 0, 1)
     }
 
-    /// Returns a streaming consumer split into `shards` disjoint stripes
-    /// of the global block-sequence space (stripe `i` owns every block
-    /// whose sequence is `≡ i (mod shards)`), so closed blocks can be
-    /// drained by several threads in parallel. The stripes deliver
-    /// disjoint sets whose union is exactly the single-consumer stream
-    /// set; see [`crate::ShardedStreamConsumer`].
-    pub fn stream_sharded(&self, shards: usize) -> crate::ShardedStreamConsumer {
-        crate::ShardedStreamConsumer::new(Arc::clone(&self.shared), shards)
+    /// Returns the streaming consumer split into `shards` disjoint stripes
+    /// of the global block-sequence space: stripe `i` owns every block
+    /// whose sequence is `≡ i (mod shards)`, so closed blocks can be
+    /// drained by several threads in parallel, one
+    /// [`StreamShard`](crate::StreamShard) each. The stripes deliver
+    /// disjoint sets whose union is exactly what [`BTrace::stream`]
+    /// delivers. `shards == 0` is treated as 1.
+    pub fn stream_sharded(&self, shards: usize) -> Vec<crate::StreamShard> {
+        let stride = shards.max(1) as u64;
+        (0..stride)
+            .map(|shard| crate::StreamShard::new(Arc::clone(&self.shared), shard, stride))
+            .collect()
     }
 
     /// Snapshot of the diagnostic counters.

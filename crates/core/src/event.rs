@@ -175,8 +175,8 @@ impl EventView<'_> {
 }
 
 /// An owned trace event, payload included: what the owned readers
-/// ([`Consumer::collect`], the streaming shards, the tail reader,
-/// [`TraceSink::drain_full`]) return and the frame encoder takes.
+/// ([`Consumer::collect`], the stream's shards, [`TraceSink::drain_full`])
+/// return and the frame encoder takes.
 ///
 /// [`Consumer::collect`]: crate::Consumer::collect
 /// [`TraceSink::drain_full`]: crate::sink::TraceSink::drain_full

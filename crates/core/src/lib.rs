@@ -64,7 +64,6 @@ pub mod sink;
 mod stats;
 pub mod stream;
 mod sync;
-mod tail;
 #[cfg(feature = "telemetry")]
 mod telem;
 
@@ -74,10 +73,9 @@ pub use consumer::{BlockCounts, Consumer, ReaderPin, Readout, RingSnapshot};
 pub use error::TraceError;
 pub use event::{CollectedEvent, EventView, FullEvent};
 pub use producer::{Grant, Producer};
-pub use stream::{DrainedBatch, ShardedStreamConsumer, StreamShard, StreamStats};
+pub use stream::{DrainedBatch, StreamShard, StreamStats};
 #[cfg(feature = "model")]
 pub use sync::model_rt;
-pub use tail::{Polled, TailReader};
 
 // Re-exported so downstream crates can configure memory backing and
 // fault injection without depending on the substrate crate directly.

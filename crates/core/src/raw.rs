@@ -91,16 +91,9 @@ impl DataRegion {
         }
     }
 
-    /// Loads `len` bytes from `byte_off` (8-aligned) into `out` as whole-
+    /// Appends `len` bytes from `byte_off` (8-aligned) to `out` as whole-
     /// word transfers; the final word's excess bytes are trimmed by the
     /// length, never read past the reserved capacity.
-    pub(crate) fn load_bytes(&self, byte_off: usize, out: &mut Vec<u8>, len: usize) {
-        out.clear();
-        self.append_bytes(byte_off, out, len);
-    }
-
-    /// Like [`Self::load_bytes`], but appends to `out` instead of
-    /// replacing its contents.
     pub(crate) fn append_bytes(&self, byte_off: usize, out: &mut Vec<u8>, len: usize) {
         if len == 0 {
             return;
@@ -184,7 +177,7 @@ mod tests {
         let payload = b"hello world, tracing!"; // 21 bytes
         r.store_bytes(64, payload);
         let mut out = Vec::new();
-        r.load_bytes(64, &mut out, payload.len());
+        r.append_bytes(64, &mut out, payload.len());
         assert_eq!(&out, payload);
         // The padding word zero-fills beyond the payload.
         let mut w = [0u64; 1];
@@ -203,21 +196,22 @@ mod tests {
                 let payload = &src[1..1 + len]; // misaligned source
                 r.store_bytes(base, payload);
                 let mut out = Vec::new();
-                r.load_bytes(base, &mut out, len);
+                r.append_bytes(base, &mut out, len);
                 assert_eq!(out, payload, "base {base} len {len}");
             }
         }
     }
 
     #[test]
-    fn load_bytes_reuses_scratch_capacity() {
+    fn append_bytes_keeps_what_out_holds() {
         let r = region();
         r.store_bytes(0, b"scratch-reuse-check");
         let mut out = Vec::with_capacity(3); // deliberately too small
-        r.load_bytes(0, &mut out, 19);
-        assert_eq!(&out, b"scratch-reuse-check");
-        r.load_bytes(0, &mut out, 0);
-        assert!(out.is_empty());
+        out.extend_from_slice(b"<<");
+        r.append_bytes(0, &mut out, 19);
+        assert_eq!(&out, b"<<scratch-reuse-check");
+        r.append_bytes(0, &mut out, 0);
+        assert_eq!(&out, b"<<scratch-reuse-check");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! skips the pinned block, LTTng-style buffers drop the newest entries,
 //! ftrace-style buffers disable preemption, and a global queue blocks.
 
-use crate::consumer::Consumer;
+use crate::consumer::{Consumer, RingSnapshot};
 use crate::error::TraceError;
 use crate::producer::Grant;
 use crate::BTrace;
@@ -151,8 +151,16 @@ impl TraceSink for BTrace {
     }
 
     fn drain(&self) -> Vec<CollectedEvent> {
-        let mut consumer = Consumer::new(std::sync::Arc::clone(&self.shared));
-        consumer.collect().events.iter().map(|e| e.view().collected()).collect()
+        // One block copy per readable block and no per-event allocation:
+        // the events are visited in place in the snapshot.
+        let mut snap = RingSnapshot::new();
+        Consumer::new(std::sync::Arc::clone(&self.shared)).snapshot(&mut snap);
+        let mut out = Vec::with_capacity(snap.count());
+        let Ok(()) = snap.try_for_each(|e| {
+            out.push(e.collected());
+            Ok::<_, std::convert::Infallible>(())
+        });
+        out
     }
 
     fn drain_full(&self) -> Vec<FullEvent> {

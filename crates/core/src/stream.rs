@@ -4,12 +4,14 @@
 //!
 //! A [`StreamShard`] tracks the last-drained global block sequence and,
 //! on each [`poll`](StreamShard::poll), hands off only blocks that have
-//! **closed** since the previous poll. Unlike [`TailReader`](crate::TailReader)
-//! (which also returns partial prefixes of still-open blocks), the streaming
-//! consumer treats the closed block as its unit of delivery — the natural
-//! streaming granule of the block machinery (BBQ's consumption model), and
-//! the granularity at which a batch can be encoded and shipped without ever
-//! being amended by a later poll.
+//! **closed** since the previous poll. Where [`Consumer`](crate::Consumer)
+//! reads the confirmed prefix of every block once, the streaming consumer
+//! treats the closed block as its unit of delivery — the natural streaming
+//! granule of the block machinery (BBQ's consumption model), and the
+//! granularity at which a batch can be encoded and shipped without ever
+//! being amended by a later poll. Both read a block through the same §4.3
+//! speculative read (`consumer::read_block`); they differ only in how far
+//! a block must have progressed and in what an unreadable block counts as.
 //!
 //! ## Why closed-block handoff needs no new producer synchronization
 //!
@@ -36,9 +38,9 @@
 //!   before the next poll can observe the block again.
 
 use crate::buffer::Shared;
-use crate::consumer::BlockCounts;
-use crate::event::{EntryHeader, EntryKind, FullEvent, HEADER_BYTES};
-use crate::sync::{Arc, Ordering};
+use crate::consumer::{close_open_window, push_events, read_block, BlockCounts, BlockRead, Until};
+use crate::event::{FullEvent, HEADER_BYTES};
+use crate::sync::Arc;
 use std::collections::BTreeSet;
 
 /// One streaming poll's worth of closed blocks.
@@ -96,7 +98,9 @@ pub struct StreamStats {
 /// single-consumer stream set.
 ///
 /// [`BTrace::stream`](crate::BTrace::stream) returns the `stride == 1`
-/// shard, which owns the whole sequence space.
+/// shard, which owns the whole sequence space;
+/// [`BTrace::stream_sharded`](crate::BTrace::stream_sharded) returns the
+/// `K` stripes, to be polled from one thread or moved one per thread.
 ///
 /// Like every consumer, each poll pins the tracer's reclamation domain so
 /// a concurrent shrink cannot decommit memory mid-read (§4.4), and reads
@@ -151,9 +155,7 @@ impl StreamShard {
         let Self { participant, scratch, cursor, delivered, stats, stride, .. } = self;
         let stride = *stride;
         let _pin = participant.pin();
-        let head = shared.global_pos().pos;
-        let span = (shared.data.region().len() / shared.cfg.block_bytes) as u64;
-        let lo = head.saturating_sub(span);
+        let std::ops::Range { start: lo, end: head } = shared.readable_window();
 
         let mut out = DrainedBatch::default();
         if *cursor < lo {
@@ -175,15 +177,37 @@ impl StreamShard {
                 gpos += stride;
                 continue;
             }
-            match read_closed(&shared, scratch, gpos, &mut out) {
-                Handoff::Resolved => {
-                    delivered.insert(gpos);
+            scratch.clear();
+            // Delivered, torn and recycled blocks are resolved for good;
+            // the rest wait for a later poll or for the cursor to lap them.
+            let resolved = match read_block(&shared, gpos, Until::Closed, scratch) {
+                BlockRead::Readable => {
+                    push_events(scratch, HEADER_BYTES, &mut out.events);
+                    out.blocks.readable += 1;
+                    true
                 }
-                Handoff::NotYetClosed => {
-                    // Producer still owns the block (or unconfirmed writes
-                    // are in flight), or its round has not started: deliver
-                    // or resolve it in a later poll.
+                // A block beyond the capacity bound is withheld, not lost:
+                // a later grow can bring the slot back with its data, and
+                // a one-shot collect would then read it.
+                BlockRead::InFlight | BlockRead::Decommitted => {
+                    out.blocks.in_flight += 1;
+                    false
                 }
+                // No head distance proves the claim dead: its producer may
+                // be preempted between claiming and locking the block while
+                // other cores claim past it. Not counted until resolved.
+                BlockRead::NotStarted => false,
+                BlockRead::Recycled => {
+                    out.blocks.recycled += 1;
+                    true
+                }
+                BlockRead::Torn => {
+                    out.blocks.torn += 1;
+                    true
+                }
+            };
+            if resolved {
+                delivered.insert(gpos);
             }
             gpos += stride;
         }
@@ -201,15 +225,15 @@ impl StreamShard {
     }
 
     /// Closes every open block in the readable window — each core's
-    /// current block (the destructive cut of
-    /// [`Consumer::collect_and_close`](crate::Consumer::collect_and_close))
-    /// *and* any straggler block still inside the §3.2 closing horizon —
-    /// then polls, delivering everything recorded so far **on this
+    /// current block *and* any straggler block still inside the §3.2
+    /// closing horizon, the same sweep as
+    /// [`Consumer::collect_and_close`](crate::Consumer::collect_and_close)
+    /// — then polls, delivering everything recorded so far **on this
     /// stripe**, including events that were sitting in open blocks.
     ///
-    /// The horizon sweep matters: a block a core has advanced away from
-    /// stays open until the head passes it by `A` positions, and a final
-    /// drain must not withhold its confirmed contents.
+    /// The straggler matters: a block a core has advanced away from stays
+    /// open until the head passes it by `A` positions, and a final drain
+    /// must not withhold its confirmed contents.
     ///
     /// `Meta::close` is a round-checked CAS, so any number of shards may
     /// flush concurrently: exactly one closer dummy-fills each block, the
@@ -221,7 +245,6 @@ impl StreamShard {
     /// exactly once across the union of stripes (absent wrap-around
     /// misses, which are reported).
     pub fn flush_close(&mut self) -> DrainedBatch {
-        crate::consumer::close_current_blocks(&self.shared);
         close_open_window(&self.shared, &self.participant);
         self.poll()
     }
@@ -237,223 +260,6 @@ impl StreamShard {
     }
 }
 
-/// Dummy-fills every still-open block in the readable window, exactly
-/// as a §3.2 advancing producer would. `Meta::close` is round-checked,
-/// so a block whose metadata has already moved to a newer round is
-/// left alone, and a straggler's unconfirmed entry below the claimed
-/// fill range keeps the block incomplete until that writer confirms.
-fn close_open_window(shared: &Shared, participant: &btrace_smr::Participant) {
-    let _pin = participant.pin();
-    let cap = shared.cap();
-    let head = shared.global_pos().pos;
-    let span = (shared.data.region().len() / shared.cfg.block_bytes) as u64;
-    for gpos in head.saturating_sub(span)..head {
-        // The dummy fill below writes through a history mapping; wait out
-        // any resize whose global CAS has landed ahead of its history entry
-        // so the fill cannot be misdirected into another live block. Fresh
-        // sequence numbers claimed while we wait are beyond `head` and out
-        // of this sweep's range.
-        shared.wait_history_published();
-        let map = shared.history.map(gpos);
-        // A shrink may have decommitted this slot; never dummy-write it.
-        if map.data_idx >= shared.capacity_blocks.load(Ordering::Acquire) {
-            continue;
-        }
-        if let crate::meta::Close::Fill { rnd: _, pos } =
-            shared.metas[map.meta_idx].close(map.rnd, cap)
-        {
-            shared.write_dummy_run(map.data_idx, pos, cap - pos);
-            shared.metas[map.meta_idx].confirm(cap - pos);
-        }
-    }
-}
-
-/// A streaming consumer split into `K` disjoint stripes of the global
-/// block-sequence space, for multi-threaded draining. Create via
-/// [`BTrace::stream_sharded`](crate::BTrace::stream_sharded).
-///
-/// Stripe `i` owns every block whose global sequence number is
-/// `≡ i (mod K)`. Because block resolution is keyed on the sequence
-/// number alone and the `Confirmed` fence hands each closed block off
-/// exactly once, the stripes deliver **disjoint** sets whose union is
-/// exactly what the single stride-1 [`StreamShard`] would deliver.
-///
-/// Poll the stripes from one thread via [`poll_all`](Self::poll_all), or
-/// split them across threads with [`into_shards`](Self::into_shards) —
-/// each [`StreamShard`] is an independent, self-contained consumer.
-pub struct ShardedStreamConsumer {
-    shards: Vec<StreamShard>,
-}
-
-impl ShardedStreamConsumer {
-    pub(crate) fn new(shared: Arc<Shared>, shards: usize) -> Self {
-        let stride = shards.max(1) as u64;
-        let shards =
-            (0..stride).map(|shard| StreamShard::new(Arc::clone(&shared), shard, stride)).collect();
-        Self { shards }
-    }
-
-    /// Number of stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The stripe consumers, for mutable per-stripe access.
-    pub fn shards_mut(&mut self) -> &mut [StreamShard] {
-        &mut self.shards
-    }
-
-    /// Consumes the handle, yielding one independently owned consumer per
-    /// stripe (e.g. to move each onto its own drain thread).
-    pub fn into_shards(self) -> Vec<StreamShard> {
-        self.shards
-    }
-
-    /// Polls every stripe once, merging the batches (stripe order, oldest
-    /// block first within each stripe).
-    pub fn poll_all(&mut self) -> DrainedBatch {
-        let mut out = DrainedBatch::default();
-        for shard in &mut self.shards {
-            merge_batch(&mut out, shard.poll());
-        }
-        out
-    }
-
-    /// Flush-closes every stripe (see [`StreamShard::flush_close`]),
-    /// merging the final batches.
-    pub fn flush_close_all(&mut self) -> DrainedBatch {
-        let mut out = DrainedBatch::default();
-        for shard in &mut self.shards {
-            merge_batch(&mut out, shard.flush_close());
-        }
-        out
-    }
-
-    /// Cumulative accounting summed across every stripe.
-    pub fn stats(&self) -> StreamStats {
-        let mut total = StreamStats::default();
-        for s in self.shards.iter().map(StreamShard::stats) {
-            total.polls += s.polls;
-            total.blocks_delivered += s.blocks_delivered;
-            total.events_delivered += s.events_delivered;
-            total.bytes_delivered += s.bytes_delivered;
-            total.missed_blocks += s.missed_blocks;
-        }
-        total
-    }
-}
-
-fn merge_batch(into: &mut DrainedBatch, from: DrainedBatch) {
-    into.events.extend(from.events);
-    into.blocks.readable += from.blocks.readable;
-    into.blocks.recycled += from.blocks.recycled;
-    into.blocks.torn += from.blocks.torn;
-    into.blocks.in_flight += from.blocks.in_flight;
-    into.missed_blocks += from.missed_blocks;
-}
-
-/// Outcome of attempting to hand off one block.
-enum Handoff {
-    /// Delivered, torn, or permanently recycled — never look again.
-    Resolved,
-    /// Open, with unconfirmed writes, or not started yet; revisit next
-    /// poll.
-    NotYetClosed,
-}
-
-fn read_closed(
-    shared: &Shared,
-    scratch: &mut Vec<u8>,
-    gpos: u64,
-    out: &mut DrainedBatch,
-) -> Handoff {
-    let cap = shared.cap() as usize;
-    // `meta_idx` and `rnd` are ratio-independent (`gpos mod A`, `gpos div A`);
-    // only `data_idx` depends on the history. The loop below re-derives the
-    // mapping when a header mismatch may stem from a resize whose global CAS
-    // has landed but whose history entry has not (see `history_published`).
-    let mut map = shared.history.map(gpos);
-    loop {
-        // Acquire pairs with the shrinker's release store: blocks beyond the
-        // live bound may already be decommitted, so they must not be touched —
-        // but they are *withheld*, not resolved. A later grow can resurrect
-        // the slot with its data intact (shrink decommits are deferrable), and
-        // a one-shot collect would then read it; resolving here would make the
-        // stream silently lose what other consumers still see. If no grow
-        // comes, the cursor lap accounting converts the withheld block into an
-        // explicit miss instead.
-        if map.data_idx >= shared.capacity_blocks.load(Ordering::Acquire) {
-            out.blocks.in_flight += 1;
-            return Handoff::NotYetClosed;
-        }
-        let meta = &shared.metas[map.meta_idx];
-        let conf = meta.confirmed();
-        if conf.rnd < map.rnd {
-            // The round has not started. It still may: a producer claims a
-            // sequence number on the global counter *before* it locks the
-            // metadata block, and while it is preempted in between, other
-            // cores can claim the sequence numbers behind it — so no head
-            // distance proves the claim dead. The block resolves once the
-            // metadata moves past this round (the header check below then
-            // recycles it), or once the cursor laps it. Not counted until
-            // then.
-            return Handoff::NotYetClosed;
-        }
-        if conf.rnd == map.rnd {
-            let alloc = meta.allocated();
-            let visible = alloc.pos.min(shared.cap());
-            if alloc.rnd != map.rnd || conf.pos != visible || (visible as usize) < cap {
-                // Current round and not yet full-and-confirmed: the §3.3
-                // counters say the block is still referenced by producers.
-                out.blocks.in_flight += 1;
-                return Handoff::NotYetClosed;
-            }
-        }
-        // Closed: either fully confirmed this round, or the metadata already
-        // moved on (a past round is completely filled when it ends). Snapshot
-        // the whole block, then re-validate the header (§4.3).
-        let base = shared.data.block_offset(map.data_idx);
-        shared.data.load_bytes(base, scratch, cap);
-        let header_ok = scratch.len() >= HEADER_BYTES
-            && EntryHeader::decode([
-                u64::from_le_bytes(scratch[0..8].try_into().expect("8 bytes")),
-                u64::from_le_bytes(scratch[8..16].try_into().expect("8 bytes")),
-            ])
-            .is_some_and(|h| h.kind == EntryKind::BlockHeader && h.stamp == gpos);
-        if !header_ok {
-            // The snapshot does not belong to `gpos`. Before resolving this
-            // permanently as recycled, rule out a stale mapping: a resize
-            // publishes its global CAS before its history entry, and a mapping
-            // computed in that window points at the wrong data block. Deferring
-            // costs one revisit; resolving on a stale mapping loses the block's
-            // confirmed records forever.
-            if !shared.history_published() {
-                out.blocks.in_flight += 1;
-                return Handoff::NotYetClosed;
-            }
-            let fresh = shared.history.map(gpos);
-            if fresh != map {
-                map = fresh;
-                continue;
-            }
-            // Skip marker, or data already overwritten by a newer round.
-            out.blocks.recycled += 1;
-            return Handoff::Resolved;
-        }
-        let mut live = [0u64; 2];
-        shared.data.load_words(base, &mut live);
-        let still_ours = EntryHeader::decode(live)
-            .is_some_and(|h| h.kind == EntryKind::BlockHeader && h.stamp == gpos);
-        if !still_ours {
-            out.blocks.torn += 1;
-            return Handoff::Resolved;
-        }
-        crate::consumer::push_events(scratch, HEADER_BYTES, &mut out.events);
-        out.blocks.readable += 1;
-        return Handoff::Resolved;
-    }
-}
-
 impl std::fmt::Debug for StreamShard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamShard")
@@ -463,12 +269,6 @@ impl std::fmt::Debug for StreamShard {
             .field("out_of_order", &self.delivered.len())
             .field("stats", &self.stats)
             .finish()
-    }
-}
-
-impl std::fmt::Debug for ShardedStreamConsumer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedStreamConsumer").field("shards", &self.shards).finish()
     }
 }
 
@@ -636,13 +436,13 @@ mod tests {
                 p.record_with(i, 0, b"a-sixteen-byte-p").unwrap();
                 if i % 13 == 0 {
                     single_seen.extend(single.poll().events.into_iter().map(|e| e.stamp));
-                    for (s, seen) in sharded.shards_mut().iter_mut().zip(&mut shard_seen) {
+                    for (s, seen) in sharded.iter_mut().zip(&mut shard_seen) {
                         seen.extend(s.poll().events.into_iter().map(|e| e.stamp));
                     }
                 }
             }
             single_seen.extend(single.flush_close().events.into_iter().map(|e| e.stamp));
-            for (s, seen) in sharded.shards_mut().iter_mut().zip(&mut shard_seen) {
+            for (s, seen) in sharded.iter_mut().zip(&mut shard_seen) {
                 seen.extend(s.flush_close().events.into_iter().map(|e| e.stamp));
             }
             // Stripes are pairwise disjoint...
@@ -661,7 +461,7 @@ mod tests {
     fn sharded_shards_drain_concurrently_from_threads() {
         let t = std::sync::Arc::new(tracer(2));
         let k = 4;
-        let shards = t.stream_sharded(k).into_shards();
+        let shards = t.stream_sharded(k);
         // Each core's last record waits until both cores wrote the rest, so
         // it is among the two newest records in time. Without the gate one
         // writer can finish before the other starts; the other's 22 blocks
@@ -740,7 +540,7 @@ mod tests {
             p.record_with(i, 0, b"wrap-the-buffer!").unwrap();
         }
         let single_missed = single.poll().missed_blocks;
-        let sharded_missed = sharded.poll_all().missed_blocks;
+        let sharded_missed: usize = sharded.iter_mut().map(|s| s.poll().missed_blocks).sum();
         assert!(single_missed > 0);
         assert_eq!(
             sharded_missed, single_missed,

@@ -536,25 +536,27 @@ fn confirm_coalescing() {
                 loop {
                     let quiescent =
                         produced_done.load(Ordering::SeqCst) && resize_done.load(Ordering::SeqCst);
-                    let batch = sharded.poll_all();
-                    for e in &batch.events {
-                        assert!(e.stamp < N, "invented stamp {}", e.stamp);
-                        assert_eq!(
-                            e.payload, PAYLOAD,
-                            "record visible before its covering confirm: stamp {} torn",
-                            e.stamp
-                        );
-                        assert!(seen.insert(e.stamp), "stamp {} delivered twice", e.stamp);
+                    for batch in sharded.iter_mut().map(|s| s.poll()) {
+                        for e in &batch.events {
+                            assert!(e.stamp < N, "invented stamp {}", e.stamp);
+                            assert_eq!(
+                                e.payload, PAYLOAD,
+                                "record visible before its covering confirm: stamp {} torn",
+                                e.stamp
+                            );
+                            assert!(seen.insert(e.stamp), "stamp {} delivered twice", e.stamp);
+                        }
                     }
                     if quiescent {
                         break;
                     }
                     model_rt::yield_spin();
                 }
-                let tail = sharded.flush_close_all();
-                for e in &tail.events {
-                    assert_eq!(e.payload, PAYLOAD, "torn tail event: stamp {}", e.stamp);
-                    assert!(seen.insert(e.stamp), "stamp {} delivered twice", e.stamp);
+                for tail in sharded.iter_mut().map(|s| s.flush_close()) {
+                    for e in &tail.events {
+                        assert_eq!(e.payload, PAYLOAD, "torn tail event: stamp {}", e.stamp);
+                        assert!(seen.insert(e.stamp), "stamp {} delivered twice", e.stamp);
+                    }
                 }
                 *streamed.lock().unwrap() = seen;
             });

@@ -59,7 +59,7 @@ pub struct PipelineConfig {
     pub queue_depth: usize,
     /// Number of drain worker threads. With `K > 1` the global
     /// block-sequence space is split into `K` disjoint stripes
-    /// ([`btrace_core::ShardedStreamConsumer`]); each worker owns one
+    /// ([`btrace_core::BTrace::stream_sharded`]); each worker owns one
     /// stripe cursor and pushes its own poll batches, so closed blocks
     /// are parsed and handed off in parallel. Per-stripe gauges surface
     /// as extra `drain/<i>` rows in [`StreamPipeline::stage_health`].
@@ -783,7 +783,6 @@ impl StreamPipeline {
 
         let mut threads: Vec<_> = tracer
             .stream_sharded(drains)
-            .into_shards()
             .into_iter()
             .enumerate()
             .map(|(idx, shard)| spawn_drain(Arc::clone(&inner), shard, idx, config.clone()))

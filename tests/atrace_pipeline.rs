@@ -87,14 +87,14 @@ fn mixed_writers_on_one_buffer() {
 }
 
 #[test]
-fn tail_reader_streams_typed_events() {
+fn stream_delivers_typed_events_once() {
     let sink = tracer();
-    let mut tail = sink.tail();
+    let mut stream = sink.stream();
     let a = Atrace::new(sink, Category::ALL);
     a.event(0, 1, TraceEvent::FreqChange { cpu: 0, khz: 2_000_000 });
-    let polled = tail.poll();
-    assert_eq!(polled.events.len(), 1);
-    let decoded = OwnedEvent::decode(&polled.events[0].payload).expect("typed payload");
+    let flushed = stream.flush_close();
+    assert_eq!(flushed.events.len(), 1);
+    let decoded = OwnedEvent::decode(&flushed.events[0].payload).expect("typed payload");
     assert_eq!(decoded, OwnedEvent::FreqChange { cpu: 0, khz: 2_000_000 });
-    assert!(tail.poll().events.is_empty());
+    assert!(stream.poll().events.is_empty());
 }

@@ -276,7 +276,7 @@ fn run_differential_sharded(seed: u64, shards: usize) {
         if next_poll == 0 {
             let batch = single.poll();
             single_got.extend(batch.events.iter().map(|e| e.stamp));
-            for (i, shard) in sharded.shards_mut().iter_mut().enumerate() {
+            for (i, shard) in sharded.iter_mut().enumerate() {
                 let b = shard.poll();
                 for e in &b.events {
                     assert_eq!(
@@ -298,7 +298,7 @@ fn run_differential_sharded(seed: u64, shards: usize) {
     drop(producers);
     let tail = single.flush_close();
     single_got.extend(tail.events.iter().map(|e| e.stamp));
-    for (i, shard) in sharded.shards_mut().iter_mut().enumerate() {
+    for (i, shard) in sharded.iter_mut().enumerate() {
         let b = shard.flush_close();
         shard_got[i].extend(b.events.iter().map(|e| e.stamp));
     }
@@ -334,7 +334,7 @@ fn run_differential_sharded(seed: u64, shards: usize) {
     // Stripes partition the lap accounting too: summed per-shard misses
     // must equal what the lone cursor charged itself.
     assert_eq!(
-        sharded.stats().missed_blocks,
+        sharded.iter().map(|s| s.stats().missed_blocks).sum::<u64>(),
         single.stats().missed_blocks,
         "seed {seed}: stripes must partition missed blocks, not invent or lose them"
     );

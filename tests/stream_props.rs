@@ -165,7 +165,7 @@ proptest! {
                     stamp += 1;
                 }
                 Op::Poll => {
-                    for (i, shard) in sharded.shards_mut().iter_mut().enumerate() {
+                    for (i, shard) in sharded.iter_mut().enumerate() {
                         let batch = shard.poll();
                         per_shard[i].extend(batch.events.into_iter().map(|e| (e.stamp, e.payload)));
                     }
@@ -190,7 +190,7 @@ proptest! {
         // window stripe by stripe — the close CAS is idempotent, so every
         // stripe may safely issue it.
         drop(producers);
-        for (i, shard) in sharded.shards_mut().iter_mut().enumerate() {
+        for (i, shard) in sharded.iter_mut().enumerate() {
             let batch = shard.flush_close();
             per_shard[i].extend(batch.events.into_iter().map(|e| (e.stamp, e.payload)));
         }
@@ -220,7 +220,7 @@ proptest! {
 
         // Exactly-once: with no resizes and no laps there is no sanctioned
         // loss, so the union must be total.
-        if !resized && sharded.stats().missed_blocks == 0 {
+        if !resized && sharded.iter().map(|s| s.stats().missed_blocks).sum::<u64>() == 0 {
             prop_assert_eq!(
                 union.len() as u64, stamp,
                 "sharded stream lost records without a lap or resize to blame"
