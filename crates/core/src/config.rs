@@ -2,7 +2,6 @@
 
 use crate::error::TraceError;
 use crate::event::{ENTRY_ALIGN, HEADER_BYTES};
-use crate::layout::{map_gpos_div, Divider, Mapping};
 use btrace_vmem::{Backing, FaultPlan};
 
 /// Smallest permitted data block (must hold a block header plus one entry).
@@ -158,10 +157,6 @@ impl Config {
             max_ratio: (max_bytes / stride) as u16,
             backing: self.backing,
             fault_plan: self.fault_plan,
-            // Reciprocals precomputed once so the gpos mapping never pays a
-            // hardware divide (layout::Divider).
-            a_div: Divider::new(active as u64),
-            ratio_div: Divider::new(ratio as u64),
         })
     }
 }
@@ -179,35 +174,11 @@ pub(crate) struct Resolved {
     pub backing: Backing,
     /// Deterministic fault schedule to wrap the backing in, if any.
     pub fault_plan: Option<FaultPlan>,
-    /// Divider by `active_blocks`, precomputed at resolve time.
-    pub a_div: Divider,
-    /// Divider by the *initial* `ratio`, precomputed at resolve time.
-    ratio_div: Divider,
 }
 
 impl Resolved {
-    pub fn data_blocks(&self) -> usize {
-        self.ratio as usize * self.active_blocks
-    }
-
     pub fn max_bytes(&self) -> usize {
         self.max_ratio as usize * self.active_blocks * self.block_bytes
-    }
-
-    /// Division-free `gpos` mapping under a live `ratio` read from a
-    /// `ratio_and_pos` word. The precomputed divider covers the initial
-    /// ratio; after a resize the live ratio differs and a divider is built
-    /// on the fly — free for power-of-two ratios (the common geometry) and
-    /// one `u128` division otherwise, paid only on the uncached slow path
-    /// (the cached producer descriptor never maps).
-    #[inline]
-    pub(crate) fn map_live(&self, gpos: u64, ratio: u16) -> Mapping {
-        if ratio == self.ratio {
-            map_gpos_div(gpos, self.active_blocks, &self.a_div, ratio, &self.ratio_div)
-        } else {
-            let r_div = Divider::new(ratio as u64);
-            map_gpos_div(gpos, self.active_blocks, &self.a_div, ratio, &r_div)
-        }
     }
 }
 
@@ -220,7 +191,7 @@ mod tests {
         let r = Config::new(12).buffer_bytes(12 << 20).resolve().unwrap();
         assert_eq!(r.active_blocks, 192);
         assert_eq!(r.block_bytes, 4096);
-        assert_eq!(r.data_blocks(), (12 << 20) / 4096);
+        assert_eq!(r.ratio as usize * r.active_blocks, (12 << 20) / 4096);
         assert_eq!(r.ratio, 16);
     }
 

@@ -11,7 +11,7 @@
 
 use crate::buffer::Shared;
 use crate::event::{encoded_len, EntryHeader, EntryKind, EventView, FullEvent, HEADER_BYTES};
-use crate::sync::{Arc, Ordering};
+use crate::sync::Arc;
 use std::convert::Infallible;
 
 /// Why a block contributed no events to a readout.
@@ -227,14 +227,9 @@ pub(crate) fn close_open_window(shared: &Shared, participant: &btrace_smr::Parti
     let _pin = participant.pin();
     let cap = shared.cap();
     for gpos in shared.readable_window() {
-        // The dummy fill below writes through a history mapping; wait out
-        // any resize whose global CAS has landed ahead of its history entry
-        // so the fill cannot be misdirected into another live block. Fresh
-        // sequence numbers claimed while we wait are beyond the window.
-        shared.wait_history_published();
-        let map = shared.history.map(gpos);
+        let map = shared.map(gpos);
         // A shrink may have decommitted this slot; never dummy-write it.
-        if map.data_idx >= shared.capacity_blocks.load(Ordering::Acquire) {
+        if map.data_idx >= shared.capacity_blocks() {
             continue;
         }
         if let crate::meta::Close::Fill { pos, .. } = shared.metas[map.meta_idx].close(map.rnd, cap)
@@ -281,10 +276,8 @@ pub(crate) enum Until {
 pub(crate) enum BlockRead {
     /// A validated snapshot was appended to the buffer.
     Readable,
-    /// The current round has unconfirmed writes (or, under
-    /// [`Until::Closed`], is not yet full), or the snapshot named another
-    /// block while a resize's history entry was still unpublished, so the
-    /// mapping may have been stale.
+    /// The current round has unconfirmed writes, or, under
+    /// [`Until::Closed`], is not yet full.
     InFlight,
     /// The round has not started on its metadata block. It still may: a
     /// producer claims a sequence number before it locks the block.
@@ -306,81 +299,61 @@ pub(crate) enum BlockRead {
 /// Every other outcome leaves `buf` as it was.
 pub(crate) fn read_block(shared: &Shared, gpos: u64, until: Until, buf: &mut Vec<u8>) -> BlockRead {
     let cap = shared.cap();
-    // `meta_idx` and `rnd` are ratio-independent (`gpos mod A`, `gpos div A`);
-    // only `data_idx` depends on the history. The loop re-derives the
-    // mapping when a header mismatch may stem from a resize whose global CAS
-    // has landed but whose history entry has not (see `history_published`).
-    let mut map = shared.history.map(gpos);
-    loop {
-        // Respect the live capacity bound: blocks beyond it may be
-        // decommitted by a shrink that published the bound before our pin.
-        // Acquire pairs with the shrinker's release store, which happens
-        // before the EBR grace period our pin participates in.
-        if map.data_idx >= shared.capacity_blocks.load(Ordering::Acquire) {
-            return BlockRead::Decommitted;
-        }
-        let meta = &shared.metas[map.meta_idx];
-        let conf = meta.confirmed();
-        if conf.rnd < map.rnd {
-            return BlockRead::NotStarted;
-        }
-        let watermark = if conf.rnd == map.rnd {
-            // Current round: readable only when fully confirmed (§4.3),
-            // and for the stream only once full as well.
-            let alloc = meta.allocated();
-            let visible = alloc.pos.min(cap);
-            if alloc.rnd != map.rnd
-                || conf.pos != visible
-                || (until == Until::Closed && visible < cap)
-            {
-                return BlockRead::InFlight;
-            }
-            visible as usize
-        } else {
-            // Past round: it was completely filled when it ended.
-            cap as usize
-        };
-        if watermark < HEADER_BYTES {
-            return BlockRead::Recycled;
-        }
-
-        // Speculative read: snapshot, then re-validate.
-        let start = buf.len();
-        let base = shared.data.block_offset(map.data_idx);
-        shared.data.append_bytes(base, buf, watermark);
-        let word = |i: usize| {
-            u64::from_le_bytes(buf[start + 8 * i..start + 8 * i + 8].try_into().expect("8 bytes"))
-        };
-        if !is_block_header([word(0), word(1)], gpos) {
-            buf.truncate(start);
-            // Before calling the block recycled, rule out a stale mapping:
-            // a resize publishes its global CAS before its history entry,
-            // and a mapping computed in that window points at the wrong
-            // data block. Deferring costs one revisit; a recycled verdict
-            // on a stale mapping would lose the block's confirmed records.
-            if !shared.history_published() {
-                return BlockRead::InFlight;
-            }
-            let fresh = shared.history.map(gpos);
-            if fresh != map {
-                map = fresh;
-                continue;
-            }
-            return BlockRead::Recycled;
-        }
-        // Re-read the live header: a wrap-around producer re-initializing
-        // the block between our snapshot and now would have rewritten it.
-        let mut live = [0u64; 2];
-        shared.data.load_words(base, &mut live);
-        if !is_block_header(live, gpos) {
-            buf.truncate(start);
-            return BlockRead::Torn;
-        }
-        // No further checks are needed: entries are append-only within a
-        // round, so `[0, watermark)` is stable unless the round changed —
-        // and a round change rewrites the header, which we just re-read.
-        return BlockRead::Readable;
+    let map = shared.map(gpos);
+    // Respect the live capacity bound: blocks beyond it may be decommitted
+    // by a shrink whose CAS landed before our pin. The EBR grace period
+    // that precedes any decommit covers a read that loaded the old bound.
+    if map.data_idx >= shared.capacity_blocks() {
+        return BlockRead::Decommitted;
     }
+    let meta = &shared.metas[map.meta_idx];
+    let conf = meta.confirmed();
+    if conf.rnd < map.rnd {
+        return BlockRead::NotStarted;
+    }
+    let watermark = if conf.rnd == map.rnd {
+        // Current round: readable only when fully confirmed (§4.3), and for
+        // the stream only once full as well.
+        let alloc = meta.allocated();
+        let visible = alloc.pos.min(cap);
+        if alloc.rnd != map.rnd || conf.pos != visible || (until == Until::Closed && visible < cap)
+        {
+            return BlockRead::InFlight;
+        }
+        visible as usize
+    } else {
+        // Past round: it was completely filled when it ended.
+        cap as usize
+    };
+    if watermark < HEADER_BYTES {
+        return BlockRead::Recycled;
+    }
+
+    // Speculative read: snapshot, then re-validate.
+    let start = buf.len();
+    let base = shared.data.block_offset(map.data_idx);
+    shared.data.append_bytes(base, buf, watermark);
+    let word = |i: usize| {
+        u64::from_le_bytes(buf[start + 8 * i..start + 8 * i + 8].try_into().expect("8 bytes"))
+    };
+    if !is_block_header([word(0), word(1)], gpos) {
+        // The mapping is the one the block was written through, so another
+        // header means the block was skipped or overwritten.
+        buf.truncate(start);
+        return BlockRead::Recycled;
+    }
+    // Re-read the live header: a wrap-around producer re-initializing the
+    // block between our snapshot and now would have rewritten it.
+    let mut live = [0u64; 2];
+    shared.data.load_words(base, &mut live);
+    if !is_block_header(live, gpos) {
+        buf.truncate(start);
+        return BlockRead::Torn;
+    }
+    // No further checks are needed: entries are append-only within a round,
+    // so `[0, watermark)` is stable unless the round changed — and a round
+    // change rewrites the header, which we just re-read.
+    BlockRead::Readable
 }
 
 /// Whether the header words `words` open the block of sequence `gpos`.

@@ -48,7 +48,7 @@ pub fn meta_state(tracer: &BTrace, meta_idx: usize) -> MetaView {
 /// `(meta_idx, rnd, data_idx)` under the ratio that was live when it was
 /// issued.
 pub fn mapping(tracer: &BTrace, gpos: u64) -> (usize, u32, u64) {
-    let map = tracer.shared.history.map(gpos);
+    let map = tracer.shared.map(gpos);
     (map.meta_idx, map.rnd, map.data_idx)
 }
 

@@ -145,16 +145,16 @@ pub(crate) fn health_snapshot(shared: &Shared) -> HealthSnapshot {
     // block size (over-allocation before the tail check), so clamp. A
     // resize landing mid-scan republishes the geometry while meta rounds
     // are being forced closed and reopened, which skews the sum against a
-    // mix of pre- and post-resize rounds — retry the scan against the
-    // geometry it actually observed, and clamp the mean so no interleaving
-    // can report an occupancy outside `[0, 1]`.
+    // mix of pre- and post-resize rounds — retry the scan until the global
+    // word's ratio (the capacity) is the same before and after it, and
+    // clamp the mean so no interleaving can report an occupancy outside
+    // `[0, 1]`.
     let mut capacity_blocks;
     let mut open_blocks;
     let mut occupancy_sum;
     let mut attempts = 0;
     loop {
-        capacity_blocks =
-            shared.capacity_blocks.load(std::sync::atomic::Ordering::Acquire) as usize;
+        capacity_blocks = shared.capacity_blocks() as usize;
         open_blocks = 0;
         occupancy_sum = 0.0;
         for meta in shared.metas.iter() {
@@ -166,7 +166,7 @@ pub(crate) fn health_snapshot(shared: &Shared) -> HealthSnapshot {
             occupancy_sum += pos as f64 / cap as f64;
         }
         attempts += 1;
-        let live = shared.capacity_blocks.load(std::sync::atomic::Ordering::Acquire) as usize;
+        let live = shared.capacity_blocks() as usize;
         if live == capacity_blocks || attempts >= 3 {
             // Either the scan saw one consistent geometry, or resizes are
             // storming; after a bounded number of retries report the last
