@@ -9,7 +9,7 @@
 //!    merged into time windows.
 //! 2. Each window is annotated with its **cause chain** — the
 //!    control-plane events (fault injections, resize retries and
-//!    fallbacks, EBR stalls, backpressure) that precede it within the
+//!    fallbacks, backpressure) that precede it within the
 //!    lookback horizon, in causal order.
 //! 3. Global findings grade overall health: sticky degradation bits,
 //!    capacity shortfalls, dump-observed loss.
@@ -176,12 +176,6 @@ fn cause(e: &RecordedEvent) -> Option<String> {
             e.b,
             secs(e.t_ns)
         )),
-        EventKind::EbrStall => Some(format!(
-            "reclamation stalled {:.1}ms behind epoch {} at {:.3}s",
-            e.a as f64 / 1e6,
-            e.b,
-            secs(e.t_ns)
-        )),
         EventKind::Backpressure => Some(format!(
             "{} stage backpressure {:.1}ms at {:.3}s",
             stage_name(e.source),
@@ -303,38 +297,25 @@ pub fn diagnose(
         });
     }
 
-    for e in &timeline {
-        if e.kind == EventKind::ResizeFallback {
-            let retries = timeline
-                .iter()
-                .filter(|r| {
-                    r.kind == EventKind::ResizeRetry
-                        && r.t_ns <= e.t_ns
-                        && e.t_ns.saturating_sub(r.t_ns) <= CAUSE_LOOKBACK_NS
-                })
-                .count();
-            findings.push(Finding {
-                severity: Severity::Critical,
-                title: format!(
-                    "resize fell back at {:.3}s: wanted {} blocks, kept {}",
-                    secs(e.t_ns),
-                    e.a,
-                    e.b
-                ),
-                evidence: vec![format!("{retries} retry attempt(s) in the preceding horizon")],
-            });
-        }
-        if e.kind == EventKind::EbrStall {
-            findings.push(Finding {
-                severity: Severity::Warning,
-                title: format!(
-                    "shrink reclamation stalled {:.1}ms at {:.3}s",
-                    e.a as f64 / 1e6,
-                    secs(e.t_ns)
-                ),
-                evidence: vec![format!("waiting on grace epoch {}", e.b)],
-            });
-        }
+    for e in timeline.iter().filter(|e| e.kind == EventKind::ResizeFallback) {
+        let retries = timeline
+            .iter()
+            .filter(|r| {
+                r.kind == EventKind::ResizeRetry
+                    && r.t_ns <= e.t_ns
+                    && e.t_ns.saturating_sub(r.t_ns) <= CAUSE_LOOKBACK_NS
+            })
+            .count();
+        findings.push(Finding {
+            severity: Severity::Critical,
+            title: format!(
+                "resize fell back at {:.3}s: wanted {} blocks, kept {}",
+                secs(e.t_ns),
+                e.a,
+                e.b
+            ),
+            evidence: vec![format!("{retries} retry attempt(s) in the preceding horizon")],
+        });
     }
 
     if let Some(snap) = snapshot {

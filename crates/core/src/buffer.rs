@@ -32,7 +32,6 @@ pub(crate) struct Shared {
     pub(crate) counters: Counters,
     #[cfg(feature = "telemetry")]
     pub(crate) telem: crate::telem::Telemetry,
-    pub(crate) domain: btrace_smr::Domain,
     pub(crate) resize_lock: Mutex<()>,
 }
 
@@ -416,7 +415,6 @@ impl BTrace {
             counters: Counters::new(cfg.cores),
             #[cfg(feature = "telemetry")]
             telem: crate::telem::Telemetry::new(cfg.cores),
-            domain: btrace_smr::Domain::new(),
             resize_lock: Mutex::new(()),
             cfg,
             data,
@@ -453,20 +451,9 @@ impl BTrace {
         Ok(crate::Producer::new(Arc::clone(&self.shared), core as u16))
     }
 
-    /// Returns a consumer registered with the tracer's reclamation domain.
+    /// Returns a consumer of the live ring.
     pub fn consumer(&self) -> crate::Consumer {
         crate::Consumer::new(Arc::clone(&self.shared))
-    }
-
-    /// Snapshot of the tracer's epoch-reclamation counters
-    /// ([`DomainStats`](btrace_smr::DomainStats)).
-    ///
-    /// `grace_timeouts` counts shrinks whose consumer grace period expired
-    /// with a reader still pinned; each one deferred physical reclaim (the
-    /// [`Degraded::RECLAIM_DEFERRED`](crate::Degraded) path) instead of
-    /// stalling the resize unboundedly.
-    pub fn smr_stats(&self) -> btrace_smr::DomainStats {
-        self.shared.domain.stats()
     }
 
     /// Returns a block-granularity streaming consumer: each
@@ -542,7 +529,7 @@ impl BTrace {
 
     /// The tracer's control-plane flight recorder: a bounded, lock-free
     /// timeline of state transitions (resizes, faults, degradation flips,
-    /// skip storms, EBR stalls) plus whatever a stream pipeline or
+    /// skip storms) plus whatever a stream pipeline or
     /// exporter attached to the same handle emits. Feed its snapshot to
     /// `btrace-analysis`'s doctor to turn counters into a causal story.
     #[cfg(feature = "telemetry")]

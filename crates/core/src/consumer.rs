@@ -11,7 +11,7 @@
 
 use crate::buffer::Shared;
 use crate::event::{encoded_len, EntryHeader, EntryKind, EventView, FullEvent, HEADER_BYTES};
-use crate::sync::Arc;
+use crate::sync::{Arc, Ordering};
 use std::convert::Infallible;
 
 /// Why a block contributed no events to a readout.
@@ -112,18 +112,16 @@ impl RingSnapshot {
 /// A reading handle. Create one per consumer thread via
 /// [`BTrace::consumer`](crate::BTrace::consumer).
 ///
-/// Each collect pins the tracer's reclamation domain, so a concurrent
-/// shrink waits for the read to finish before decommitting memory (§4.4).
+/// A consumer registers nowhere and a shrink never waits for it: every
+/// block it reads is validated after the copy (see [`read_block`]).
 pub struct Consumer {
     shared: Arc<Shared>,
-    participant: btrace_smr::Participant,
     scratch: Vec<u8>,
 }
 
 impl Consumer {
     pub(crate) fn new(shared: Arc<Shared>) -> Self {
-        let participant = shared.domain.register();
-        Self { shared, participant, scratch: Vec::new() }
+        Self { shared, scratch: Vec::new() }
     }
 
     /// Collects every currently readable event, oldest block first.
@@ -132,8 +130,8 @@ impl Consumer {
     /// overwritten mid-read are discarded, never returned torn.
     pub fn collect(&mut self) -> Readout {
         let mut readout = Readout::default();
-        let Self { shared, participant, scratch } = self;
-        scan(shared, participant, |shared, gpos| {
+        let Self { shared, scratch } = self;
+        scan(shared, |shared, gpos| {
             scratch.clear();
             if count(read_block(shared, gpos, Until::Confirmed, scratch), &mut readout.blocks) {
                 push_events(scratch, HEADER_BYTES, &mut readout.events);
@@ -148,7 +146,7 @@ impl Consumer {
     /// bytes stay as read instead of being copied out event by event.
     pub fn snapshot(&mut self, out: &mut RingSnapshot) {
         out.clear();
-        scan(&self.shared, &self.participant, |shared, gpos| {
+        scan(&self.shared, |shared, gpos| {
             let start = out.bytes.len();
             if count(read_block(shared, gpos, Until::Confirmed, &mut out.bytes), &mut out.blocks) {
                 out.events += for_each_entry(&out.bytes[start..], HEADER_BYTES, |_| {}).1;
@@ -169,30 +167,9 @@ impl Consumer {
     /// as if its block had filled naturally.
     pub fn collect_and_close(&mut self) -> Readout {
         let readout = self.collect();
-        close_open_window(&self.shared, &self.participant);
+        close_open_window(&self.shared);
         readout
     }
-
-    /// Explicitly pins this consumer in the tracer's reclamation domain for
-    /// the lifetime of the returned guard.
-    ///
-    /// [`Consumer::collect`] pins per call; this is for long-running readers
-    /// (e.g. a query walking a large readout) that need the buffer to stay
-    /// mapped across many operations. A shrink racing the pin defers physical
-    /// reclaim after a *bounded* grace period (see
-    /// [`BTrace::smr_stats`](crate::BTrace::smr_stats)) rather than waiting
-    /// for the guard — so holding one indefinitely degrades reclamation, it
-    /// never wedges the resize path.
-    pub fn pin(&self) -> ReaderPin<'_> {
-        ReaderPin { _guard: self.participant.pin() }
-    }
-}
-
-/// RAII epoch pin returned by [`Consumer::pin`].
-#[must_use = "dropping the pin immediately releases the epoch"]
-#[derive(Debug)]
-pub struct ReaderPin<'a> {
-    _guard: btrace_smr::Guard<'a>,
 }
 
 /// Counts a one-shot read into `counts` and says whether the block's
@@ -223,15 +200,22 @@ fn count(read: BlockRead, counts: &mut BlockCounts) -> bool {
 /// round is left alone, and a straggler's unconfirmed entry below the
 /// claimed fill range keeps the block incomplete until that writer
 /// confirms.
-pub(crate) fn close_open_window(shared: &Shared, participant: &btrace_smr::Participant) {
-    let _pin = participant.pin();
+///
+/// The sweep's dummy writes never land in a slot a shrink decommits, with
+/// no reader registration and no capacity check: the shrink's drain covers
+/// them like any producer's grant. A shrink decommits only after its drain
+/// has seen each metadata block on a post-boundary round or with its
+/// pre-boundary round fully confirmed. A close that wins round `r` is the
+/// `Allocated` CAS that takes `r` to capacity, so `r` reaches full
+/// confirmation only with this sweep's `confirm`, which follows its dummy
+/// write: the drain waits on it (the implicit reference count, §3.3). A
+/// close that comes after the round filled or moved on finds it full or
+/// gone and fills nothing. A post-boundary round maps through the new
+/// ratio, inside the new bound.
+pub(crate) fn close_open_window(shared: &Shared) {
     let cap = shared.cap();
     for gpos in shared.readable_window() {
         let map = shared.map(gpos);
-        // A shrink may have decommitted this slot; never dummy-write it.
-        if map.data_idx >= shared.capacity_blocks() {
-            continue;
-        }
         if let crate::meta::Close::Fill { pos, .. } = shared.metas[map.meta_idx].close(map.rnd, cap)
         {
             shared.write_dummy_run(map.data_idx, pos, cap - pos);
@@ -240,18 +224,12 @@ pub(crate) fn close_open_window(shared: &Shared, participant: &btrace_smr::Parti
     }
 }
 
-/// Pins the reclamation domain and calls `visit` for every global block
-/// sequence in the readable window, oldest first — the scan behind both
-/// [`Consumer::collect`] and [`Consumer::snapshot`], timed into the drain
-/// latency histogram.
-fn scan(
-    shared: &Shared,
-    participant: &btrace_smr::Participant,
-    mut visit: impl FnMut(&Shared, u64),
-) {
+/// Calls `visit` for every global block sequence in the readable window,
+/// oldest first — the scan behind both [`Consumer::collect`] and
+/// [`Consumer::snapshot`], timed into the drain latency histogram.
+fn scan(shared: &Shared, mut visit: impl FnMut(&Shared, u64)) {
     #[cfg(feature = "telemetry")]
     let t0 = std::time::Instant::now();
-    let _pin = participant.pin();
     for gpos in shared.readable_window() {
         visit(shared, gpos);
     }
@@ -297,12 +275,42 @@ pub(crate) enum BlockRead {
 /// snapshot to `buf` only when it does ([`BlockRead::Readable`]; the
 /// snapshot is `buf[len_before..]` and starts with the block header).
 /// Every other outcome leaves `buf` as it was.
+///
+/// # A shrink may decommit the block mid-copy
+///
+/// No reader registers anywhere, so a shrink decommits the slots beyond
+/// its bound as soon as its producers drain, even during this copy. The
+/// post-copy checks suffice because decommit never unmaps: a decommitted
+/// word reads as zero (mmap) or poison (heap) and stays unwritten until a
+/// grow recommits it (`btrace_vmem::Region`). Neither value decodes as a
+/// block header, so a copy of decommitted header words fails the snapshot
+/// check. Say the copy kept `gpos`'s header but read a later decommitted
+/// word `w`. An `Acquire` fence puts both post-copy checks behind every
+/// load of the copy, and then:
+///
+/// 1. *The capacity re-check* sees the shrink's ratio, which excludes the
+///    slot, or a later word: the shrink's CAS precedes its decommit. On the
+///    heap every poison store is `Release`, so loading `w` and then the
+///    fence orders the CAS before the re-load. On mmap the zero page
+///    behind `w` was mapped by a fault that took the page-table lock after
+///    `madvise` cleared the entry, which orders it the same way.
+/// 2. *The live-header re-read* catches a later word that includes the
+///    slot again. Only a grow publishes one, after the shrink's decommit
+///    returned (`resize_lock`). The header words are the slot's lowest,
+///    so they were decommitted before `w`: on the heap, poison goes down
+///    in address order and the fence acquires the header's; on mmap,
+///    `madvise` returned only after every CPU dropped its stale
+///    translations, and the re-read follows the load of the grow's word.
+///    It sees poison, zero or a newer sequence's header, never `gpos`'s.
+///
+/// Neither step assumes a one-page block or a strongly ordered target. A
+/// decommit the fault injector defers lands later, still under the resize
+/// lock, and a grow over its range cancels it, so both steps cover it.
 pub(crate) fn read_block(shared: &Shared, gpos: u64, until: Until, buf: &mut Vec<u8>) -> BlockRead {
     let cap = shared.cap();
     let map = shared.map(gpos);
-    // Respect the live capacity bound: blocks beyond it may be decommitted
-    // by a shrink whose CAS landed before our pin. The EBR grace period
-    // that precedes any decommit covers a read that loaded the old bound.
+    // Beyond the live capacity bound the slot may be decommitted, or hold
+    // data a later grow could bring back; neither is readable now.
     if map.data_idx >= shared.capacity_blocks() {
         return BlockRead::Decommitted;
     }
@@ -332,18 +340,25 @@ pub(crate) fn read_block(shared: &Shared, gpos: u64, until: Until, buf: &mut Vec
     // Speculative read: snapshot, then re-validate.
     let start = buf.len();
     let base = shared.data.block_offset(map.data_idx);
+    crate::sync::preemption_point();
     shared.data.append_bytes(base, buf, watermark);
     let word = |i: usize| {
         u64::from_le_bytes(buf[start + 8 * i..start + 8 * i + 8].try_into().expect("8 bytes"))
     };
     if !is_block_header([word(0), word(1)], gpos) {
         // The mapping is the one the block was written through, so another
-        // header means the block was skipped or overwritten.
+        // header means the block was skipped, overwritten or decommitted.
         buf.truncate(start);
         return BlockRead::Recycled;
     }
+    crate::sync::fence(Ordering::Acquire);
+    if map.data_idx >= shared.capacity_blocks() {
+        buf.truncate(start);
+        return BlockRead::Decommitted;
+    }
     // Re-read the live header: a wrap-around producer re-initializing the
-    // block between our snapshot and now would have rewritten it.
+    // block, or a shrink decommitting it, between our snapshot and now
+    // would have rewritten it.
     let mut live = [0u64; 2];
     shared.data.load_words(base, &mut live);
     if !is_block_header(live, gpos) {
@@ -373,7 +388,7 @@ impl std::fmt::Debug for RingSnapshot {
 
 impl std::fmt::Debug for Consumer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Consumer").field("participant", &self.participant).finish()
+        f.debug_struct("Consumer").finish_non_exhaustive()
     }
 }
 

@@ -69,7 +69,7 @@ mod telem;
 
 pub use buffer::BTrace;
 pub use config::Config;
-pub use consumer::{BlockCounts, Consumer, ReaderPin, Readout, RingSnapshot};
+pub use consumer::{BlockCounts, Consumer, Readout, RingSnapshot};
 pub use error::TraceError;
 pub use event::{CollectedEvent, EventView, FullEvent};
 pub use producer::{Grant, Producer};
@@ -77,10 +77,9 @@ pub use stream::{DrainedBatch, StreamShard, StreamStats};
 #[cfg(feature = "model")]
 pub use sync::model_rt;
 
-// Re-exported so downstream crates can configure memory backing and
-// fault injection without depending on the substrate crate directly.
-pub use btrace_smr::DomainStats;
 // The counter set and the degradation state are defined once, in the
 // telemetry crate, and surface here under their historical names.
 pub use btrace_telemetry::{degraded, Degraded, Stats, TracerState};
+// Re-exported so downstream crates can configure memory backing and
+// fault injection without depending on the substrate crate directly.
 pub use btrace_vmem::{Backing, FaultPlan, FaultStats};

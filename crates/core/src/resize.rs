@@ -18,9 +18,9 @@
 //!    are the *implicit reference count*: a producer still writing holds the
 //!    count below capacity, and its final confirm is the epoch end (§3.3).
 //!    No producer-side synchronization is added anywhere;
-//! 4. wait out the consumer EBR grace period (consumers pinned before the
-//!    CAS drain; new pins observe the shrunken capacity in the word);
-//! 5. decommit the physical pages beyond the new extent.
+//! 4. decommit the physical pages beyond the new extent. No reader is
+//!    waited for: decommit never unmaps, and every read validates its copy
+//!    after taking it (`consumer::read_block`).
 
 use crate::buffer::{extent_bytes, BTrace, Shared};
 use crate::error::TraceError;
@@ -43,20 +43,6 @@ const BACKING_ATTEMPTS: u32 = 4;
 /// First retry delay; doubles per attempt (50 µs, 100 µs, 200 µs — a failed
 /// resize costs well under a millisecond before falling back).
 const BACKING_BACKOFF: Duration = Duration::from_micros(50);
-
-/// A consumer grace period outliving this wait is reported to the flight
-/// recorder as an EBR stall (it means a pinned consumer is holding up
-/// physical reclaim).
-#[cfg(feature = "telemetry")]
-const EBR_STALL_NS: u64 = 10_000_000;
-
-/// Upper bound on the consumer grace period a shrink will wait before
-/// deferring physical reclaim. A reader stalled while pinned (long query,
-/// preempted thread, debugger stop) therefore costs a shrink at most this
-/// long; the decommit is deferred exactly like a failed backing op —
-/// `committed_extent` stays at the high-water mark, `RECLAIM_DEFERRED` is
-/// raised, and a later shrink retries once the reader unpins.
-const EBR_GRACE_DEADLINE: Duration = Duration::from_millis(100);
 
 /// Runs a backing commit/decommit with bounded exponential backoff. Every
 /// failed attempt bumps `commit_failures` (so the counter equals the number
@@ -152,13 +138,7 @@ impl BTrace {
                 // per dead resizer, not one per subsequent caller.
                 shared.resize_lock.clear_poison();
                 shared.counters.bump(&shared.counters.lock_recoveries);
-                shared.counters.set_degraded(degraded::LOCK_RECOVERED);
-                #[cfg(feature = "telemetry")]
-                shared.telem.control(
-                    btrace_telemetry::EventKind::StateSet,
-                    degraded::LOCK_RECOVERED,
-                    shared.counters.degraded_bits(),
-                );
+                flip_degraded(shared, degraded::LOCK_RECOVERED, true);
                 revalidate_geometry(shared)?;
                 guard
             }
@@ -198,20 +178,13 @@ impl BTrace {
                 // never published, so producers keep recording into the
                 // surviving blocks, unaware a grow was ever attempted.
                 shared.counters.bump(&shared.counters.resize_fallbacks);
-                shared.counters.set_degraded(degraded::COMMIT_FAILED);
                 #[cfg(feature = "telemetry")]
-                {
-                    shared.telem.control(
-                        btrace_telemetry::EventKind::ResizeFallback,
-                        u64::from(new_ratio) * shared.active() as u64,
-                        u64::from(old.ratio) * shared.active() as u64,
-                    );
-                    shared.telem.control(
-                        btrace_telemetry::EventKind::StateSet,
-                        degraded::COMMIT_FAILED,
-                        shared.counters.degraded_bits(),
-                    );
-                }
+                shared.telem.control(
+                    btrace_telemetry::EventKind::ResizeFallback,
+                    u64::from(new_ratio) * shared.active() as u64,
+                    u64::from(old.ratio) * shared.active() as u64,
+                );
+                flip_degraded(shared, degraded::COMMIT_FAILED, true);
                 return Err(e);
             }
             shared.committed_extent.store(new_extent, Ordering::Release);
@@ -282,76 +255,21 @@ impl BTrace {
             }
         }
 
-        if new_ratio < old.ratio {
-            // Consumer grace period, then physically reclaim (§4.4). Spelled
-            // as an advance-then-poll loop (rather than the blocking
-            // `Domain::synchronize`) so each wait iteration crosses the sync
-            // facade — under the model scheduler the spinning resizer keeps
-            // yielding to the pinned consumer it is waiting on.
-            let target = shared.domain.advance();
-            #[cfg(feature = "telemetry")]
-            let (grace_t0, mut stall_reported) = (Instant::now(), false);
-            let quiesced = shared.domain.wait_quiescent_bounded(
-                target,
-                Instant::now() + EBR_GRACE_DEADLINE,
-                || {
-                    #[cfg(feature = "telemetry")]
-                    {
-                        let waited = grace_t0.elapsed().as_nanos() as u64;
-                        if !stall_reported && waited >= EBR_STALL_NS {
-                            stall_reported = true;
-                            shared.telem.control(
-                                btrace_telemetry::EventKind::EbrStall,
-                                waited,
-                                target,
-                            );
-                        }
-                    }
-                    crate::sync::spin_hint();
-                },
-            );
-            if new_extent < old_extent {
-                let region = shared.data.region();
-                // Decommit only behind a completed grace period: a timed-out
-                // wait means some reader may still range into the doomed
-                // blocks, so the pages must stay committed.
-                let reclaimed = quiesced
-                    && retry_backing_op(shared, || {
-                        region.decommit(new_extent, old_extent - new_extent)
-                    })
+        if new_ratio < old.ratio && new_extent < old_extent {
+            // Physically reclaim (§4.4) as soon as producers have drained.
+            // A failed decommit leaves the shrink in effect logically (ratio,
+            // capacity, floor, drain): keep `committed_extent` at the old
+            // high-water mark so the next resize whose extent drops below it
+            // retries, and report the deferral instead of failing a shrink
+            // that producers already observe.
+            let region = shared.data.region();
+            let reclaimed =
+                retry_backing_op(shared, || region.decommit(new_extent, old_extent - new_extent))
                     .is_ok();
-                if reclaimed {
-                    shared.committed_extent.store(new_extent, Ordering::Release);
-                    #[cfg(feature = "telemetry")]
-                    let was_deferred =
-                        shared.counters.degraded_bits() & degraded::RECLAIM_DEFERRED != 0;
-                    shared.counters.clear_degraded(degraded::RECLAIM_DEFERRED);
-                    #[cfg(feature = "telemetry")]
-                    if was_deferred {
-                        shared.telem.control(
-                            btrace_telemetry::EventKind::StateClear,
-                            degraded::RECLAIM_DEFERRED,
-                            shared.counters.degraded_bits(),
-                        );
-                    }
-                } else {
-                    // The shrink already took effect logically (ratio,
-                    // capacity, floor, drain) — only physical reclaim is
-                    // pending, either because the backing op failed or
-                    // because a pinned reader outlived the bounded grace
-                    // period. Keep `committed_extent` at the old high-water
-                    // mark so the next resize whose extent drops below it
-                    // retries this decommit, and report the deferral instead
-                    // of failing a shrink that producers already observe.
-                    shared.counters.set_degraded(degraded::RECLAIM_DEFERRED);
-                    #[cfg(feature = "telemetry")]
-                    shared.telem.control(
-                        btrace_telemetry::EventKind::StateSet,
-                        degraded::RECLAIM_DEFERRED,
-                        shared.counters.degraded_bits(),
-                    );
-                }
+            if reclaimed {
+                shared.committed_extent.store(new_extent, Ordering::Release);
             }
+            flip_degraded(shared, degraded::RECLAIM_DEFERRED, !reclaimed);
         }
 
         shared.counters.bump(&shared.counters.resizes);
@@ -362,6 +280,28 @@ impl BTrace {
             resize_t0.elapsed().as_nanos() as u64,
         );
         Ok(())
+    }
+}
+
+/// Sets or clears a degradation bit and records the flip in the flight
+/// recorder: every set, and a clear only of a bit that was set.
+fn flip_degraded(shared: &Shared, bit: u64, set: bool) {
+    let counters = &shared.counters;
+    #[cfg(feature = "telemetry")]
+    let was_set = counters.degraded_bits() & bit != 0;
+    if set {
+        counters.set_degraded(bit);
+    } else {
+        counters.clear_degraded(bit);
+    }
+    #[cfg(feature = "telemetry")]
+    if set || was_set {
+        let kind = if set {
+            btrace_telemetry::EventKind::StateSet
+        } else {
+            btrace_telemetry::EventKind::StateClear
+        };
+        shared.telem.control(kind, bit, counters.degraded_bits());
     }
 }
 

@@ -102,13 +102,11 @@ pub struct StreamStats {
 /// [`BTrace::stream_sharded`](crate::BTrace::stream_sharded) returns the
 /// `K` stripes, to be polled from one thread or moved one per thread.
 ///
-/// Like every consumer, each poll pins the tracer's reclamation domain so
-/// a concurrent shrink cannot decommit memory mid-read (§4.4), and reads
-/// speculatively: snapshot, re-validate the block header, discard on
-/// mismatch.
+/// Like every consumer, each poll reads speculatively: snapshot,
+/// re-validate, discard on mismatch. The re-validation is also what makes
+/// a block a concurrent shrink decommits mid-read harmless (§4.4).
 pub struct StreamShard {
     shared: Arc<Shared>,
-    participant: btrace_smr::Participant,
     scratch: Vec<u8>,
     /// This stripe's residue class: owns `gpos % stride == shard`.
     shard: u64,
@@ -125,10 +123,8 @@ pub struct StreamShard {
 impl StreamShard {
     pub(crate) fn new(shared: Arc<Shared>, shard: u64, stride: u64) -> Self {
         debug_assert!(stride >= 1 && shard < stride);
-        let participant = shared.domain.register();
         Self {
             shared,
-            participant,
             scratch: Vec::new(),
             shard,
             stride,
@@ -151,10 +147,8 @@ impl StreamShard {
     /// returned yet — they arrive in the poll that first observes the
     /// block closed, so each event is delivered at most once.
     pub fn poll(&mut self) -> DrainedBatch {
-        let shared = Arc::clone(&self.shared);
-        let Self { participant, scratch, cursor, delivered, stats, stride, .. } = self;
+        let Self { shared, scratch, cursor, delivered, stats, stride, .. } = self;
         let stride = *stride;
-        let _pin = participant.pin();
         let std::ops::Range { start: lo, end: head } = shared.readable_window();
 
         let mut out = DrainedBatch::default();
@@ -180,7 +174,7 @@ impl StreamShard {
             scratch.clear();
             // Delivered, torn and recycled blocks are resolved for good;
             // the rest wait for a later poll or for the cursor to lap them.
-            let resolved = match read_block(&shared, gpos, Until::Closed, scratch) {
+            let resolved = match read_block(shared, gpos, Until::Closed, scratch) {
                 BlockRead::Readable => {
                     push_events(scratch, HEADER_BYTES, &mut out.events);
                     out.blocks.readable += 1;
@@ -245,7 +239,7 @@ impl StreamShard {
     /// exactly once across the union of stripes (absent wrap-around
     /// misses, which are reported).
     pub fn flush_close(&mut self) -> DrainedBatch {
-        close_open_window(&self.shared, &self.participant);
+        close_open_window(&self.shared);
         self.poll()
     }
 

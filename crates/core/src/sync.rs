@@ -63,7 +63,7 @@
 //! it validates the protocol's state machine under every schedule, not the
 //! relaxations themselves; those rest on the written invariant arguments.
 
-pub(crate) use std::sync::atomic::Ordering;
+pub(crate) use std::sync::atomic::{fence, Ordering};
 pub(crate) use std::sync::Arc;
 
 #[cfg(not(feature = "model"))]
@@ -72,8 +72,8 @@ pub(crate) use std::sync::atomic::{AtomicU64, AtomicUsize};
 pub(crate) use std::sync::Mutex;
 
 /// Polite busy-wait pause: lets another thread run before the caller
-/// re-checks a condition it cannot make progress on (the resize drain and
-/// EBR grace-period loops).
+/// re-checks a condition it cannot make progress on (the resize drain
+/// loop).
 #[cfg(not(feature = "model"))]
 #[inline]
 pub(crate) fn spin_hint() {
@@ -92,8 +92,17 @@ pub(crate) fn contention_hint() {
     std::hint::spin_loop();
 }
 
+/// Where a reader's §4.3 copy starts: free in production, a yield point
+/// under the model, so schedules can put a whole resize between a reader's
+/// checks and its copy.
+#[cfg(not(feature = "model"))]
+#[inline]
+pub(crate) fn preemption_point() {}
+
 #[cfg(feature = "model")]
-pub(crate) use self::model_rt::{contention_hint, spin_hint, AtomicU64, AtomicUsize, Mutex};
+pub(crate) use self::model_rt::{
+    contention_hint, spin_hint, yield_point as preemption_point, AtomicU64, AtomicUsize, Mutex,
+};
 
 /// Model-checking runtime: the scheduler hook the instrumented facade types
 /// call into, public so a deterministic-scheduler harness (the

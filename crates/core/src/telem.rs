@@ -71,7 +71,7 @@ impl Telemetry {
         }
     }
 
-    /// Emits a control-plane event (resize, fault, state flip, EBR) onto
+    /// Emits a control-plane event (resize, fault, state flip) onto
     /// the recorder's control shard.
     pub(crate) fn control(&self, kind: EventKind, a: u64, b: u64) {
         self.recorder.emit(self.recorder.control_shard(), kind, 0, a, b);

@@ -19,8 +19,10 @@
 //!   `descriptor_preemption`
 //! * lagging close across a grow's publication —
 //!   `lagging_close_lands_in_its_own_block_across_a_grow`
+//! * a shrink's decommit between a reader's checks and its copy —
+//!   `reader_copy_across_a_shrink_decommit`
 
-use btrace_core::{introspect, model_rt, BTrace, Backing, Config};
+use btrace_core::{introspect, model_rt, BTrace, Backing, Config, EventView, RingSnapshot};
 use btrace_model::check::{
     check_conservation, check_counter_coherence, check_effectivity_with_slack, check_pin,
     MonotonicObserver,
@@ -741,6 +743,62 @@ fn lagging_close_lands_in_its_own_block_across_a_grow() {
                 assert_eq!(e.payload, payload(e.stamp, len), "torn event: stamp {}", e.stamp);
             }
             assert_eq!(t.capacity_blocks(), 8);
+            check_counter_coherence(&t);
+        });
+    });
+    assert_coverage(report);
+}
+
+/// §4.4 shrink under a reader that registers nowhere: the shrink poisons
+/// the slots beyond its bound as soon as its producers drain, then a grow
+/// recommits them. Schedules park the reader at its copy's preemption
+/// point, between its round checks and its copy, while either lands. It
+/// must never return a record that was not recorded. Blocks are a page
+/// each, and two of the three recorded up front sit in the doomed slots.
+#[test]
+fn reader_copy_across_a_shrink_decommit() {
+    const PRE: u64 = 12; // three full blocks before the threads start
+    const TOTAL: u64 = 20;
+    let payload = |stamp: u64| stamp.to_le_bytes().repeat(125); // 4 entries a block
+    let check = move |e: EventView<'_>| {
+        assert!(e.stamp < TOTAL, "invented stamp {:#x}", e.stamp);
+        assert_eq!(e.payload, payload(e.stamp), "torn event: stamp {}", e.stamp);
+        Ok::<_, ()>(())
+    };
+    let cfg = ModelConfig { schedules: 1000, ..Default::default() };
+    let report = explore("reader_copy_across_a_shrink_decommit", cfg, |sim| {
+        let stride = 4096 * 2;
+        let t = BTrace::new(
+            Config::new(1)
+                .active_blocks(2)
+                .block_bytes(4096)
+                .buffer_bytes(stride * 2) // ratio 2, N = 4
+                .max_bytes(stride * 2)
+                .backing(Backing::Heap),
+        )
+        .unwrap();
+        let p = t.producer(0).unwrap();
+        (0..PRE).for_each(|i| p.record_with(i, 0, &payload(i)).unwrap());
+        sim.thread(move || (PRE..TOTAL).for_each(|i| p.record_with(i, 0, &payload(i)).unwrap()));
+        let resizer = t.clone();
+        sim.thread(move || {
+            resizer.resize_bytes(stride).unwrap(); // N = 2: slots 2 and 3 poisoned
+            model_rt::yield_spin(); // let a parked reader copy the poison
+            resizer.resize_bytes(stride * 2).unwrap();
+        });
+        let reader = t.clone();
+        sim.thread(move || {
+            let (mut consumer, mut snap) = (reader.consumer(), RingSnapshot::new());
+            for _ in 0..2 {
+                consumer.collect().events.iter().try_for_each(|e| check(e.view())).unwrap();
+                consumer.snapshot(&mut snap);
+                snap.try_for_each(check).unwrap();
+            }
+        });
+        sim.finally(move || {
+            let readout = t.consumer().collect();
+            check_conservation(&readout, &(0..TOTAL).collect(), false);
+            readout.events.iter().try_for_each(|e| check(e.view())).unwrap();
             check_counter_coherence(&t);
         });
     });

@@ -3,7 +3,7 @@
 //! `HealthSnapshot` answers *what is the tracer's state now*; the flight
 //! recorder answers *what happened and when*. Every interesting state
 //! transition — resize begin/retry/fallback/commit, injected faults,
-//! `TracerState` bit flips, skip storms, EBR stalls, stream-stage spans
+//! `TracerState` bit flips, skip storms, stream-stage spans
 //! and drops, export retries — is emitted as a fixed-size typed event
 //! into a per-shard ring that overwrites oldest, so the last few thousand
 //! control-plane events are always available for forensics at a fixed
@@ -87,9 +87,8 @@ pub enum EventKind {
     /// A rate window observed an abnormal skip burst: `a` = skips in the
     /// window, `b` = window length in ns.
     SkipStorm = 8,
-    /// An EBR grace period outlived its patience threshold: `a` = wait so
-    /// far in ns, `b` = the epoch being waited on.
-    EbrStall = 9,
+    // Wire code 9 is retired (a reader-reclamation stall, whose wait is
+    // gone) and decodes as `Unknown`; the codes after it keep their values.
     /// A pipeline stage dequeued work: `source` = stage, `a` = span id,
     /// `b` = queue wait in ns.
     StageEnter = 10,
@@ -143,7 +142,6 @@ impl EventKind {
             6 => StateSet,
             7 => StateClear,
             8 => SkipStorm,
-            9 => EbrStall,
             10 => StageEnter,
             11 => StageExit,
             12 => StageDrop,
@@ -171,7 +169,6 @@ impl EventKind {
             StateSet => "state_set",
             StateClear => "state_clear",
             SkipStorm => "skip_storm",
-            EbrStall => "ebr_stall",
             StageEnter => "stage_enter",
             StageExit => "stage_exit",
             StageDrop => "stage_drop",
@@ -221,7 +218,6 @@ impl RecordedEvent {
                 format!("bit={:#x} bits={:#x}", self.a, self.b)
             }
             EventKind::SkipStorm => format!("skips={} window_ns={}", self.a, self.b),
-            EventKind::EbrStall => format!("waited_ns={} epoch={}", self.a, self.b),
             EventKind::StageEnter => format!("span={} queue_wait_ns={}", self.a, self.b),
             EventKind::StageExit => format!("span={} stage_ns={}", self.a, self.b),
             EventKind::StageDrop => format!("span={} dropped={}", self.a, self.b),
@@ -345,7 +341,7 @@ impl FlightRecorder {
         core.min(self.cores - 1)
     }
 
-    /// Shard for global control events (resize, faults, state bits, EBR).
+    /// Shard for global control events (resize, faults, state bits).
     pub fn control_shard(&self) -> usize {
         self.cores
     }
@@ -535,13 +531,14 @@ mod tests {
 
     #[test]
     fn kind_wire_values_round_trip() {
-        for v in 0..32u16 {
+        for v in (1..=19u16).filter(|&v| v != 9) {
             let kind = EventKind::from_u16(v);
-            if kind != EventKind::Unknown {
-                assert_eq!(kind.as_u16(), v);
-            }
+            assert_ne!(kind, EventKind::Unknown, "code {v} must still decode");
+            assert_eq!(kind.as_u16(), v);
         }
-        assert_eq!(EventKind::from_u16(999), EventKind::Unknown);
+        for retired in [0, 9, 20, 999] {
+            assert_eq!(EventKind::from_u16(retired), EventKind::Unknown, "code {retired}");
+        }
     }
 
     #[test]

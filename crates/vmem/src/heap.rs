@@ -1,13 +1,17 @@
 //! Portable heap-backed region: the whole reservation stays resident, but the
 //! commit-state machine is enforced exactly like the mmap backend, and
-//! decommitted pages are poisoned in debug builds so a use-after-decommit is
-//! observable (the portable stand-in for the SIGSEGV a real `munmap` gives).
+//! decommitted pages are poisoned in every build.
+//!
+//! A reader may race both fills, so they are `Release` word stores in address
+//! order: a reader that loads one filled word and then fences `Acquire` sees
+//! the lower words of the fill, and what the filler did before it.
 
 use crate::error::{CommitFault, RegionError};
 use crate::PAGE_SIZE;
 use std::alloc::{alloc_zeroed, dealloc, Layout};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Byte written over decommitted pages in debug builds.
+/// Byte written over decommitted pages.
 pub(crate) const POISON: u8 = 0xDE;
 
 pub(crate) struct HeapBacking {
@@ -41,18 +45,25 @@ impl HeapBacking {
     /// Infallible for a resident heap allocation, but typed like the mmap
     /// backend so [`Region`](crate::Region) treats both uniformly.
     pub(crate) fn commit(&self, offset: usize, len: usize) -> Result<(), CommitFault> {
-        // SAFETY: caller validated the range against the reservation.
-        unsafe { self.ptr.add(offset).write_bytes(0, len) };
+        self.fill(offset, len, 0);
         Ok(())
     }
 
     pub(crate) fn decommit(&self, offset: usize, len: usize) -> Result<(), RegionError> {
-        if cfg!(debug_assertions) {
-            // SAFETY: caller validated the range against the reservation.
-            unsafe { self.ptr.add(offset).write_bytes(POISON, len) };
-        }
-        let _ = (offset, len);
+        self.fill(offset, len, POISON);
         Ok(())
+    }
+
+    /// Stores `byte` over the page-aligned range, one `Release` word at a
+    /// time in address order (see the module doc).
+    fn fill(&self, offset: usize, len: usize, byte: u8) {
+        // SAFETY: the caller validated the page-aligned range against the
+        // reservation, so it is in bounds and 8-aligned; racing readers
+        // access it only through word atomics.
+        let words = unsafe {
+            std::slice::from_raw_parts(self.ptr.add(offset) as *const AtomicU64, len / 8)
+        };
+        words.iter().for_each(|w| w.store(u64::from_ne_bytes([byte; 8]), Ordering::Release));
     }
 }
 
@@ -83,8 +94,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(not(debug_assertions), ignore = "poisoning only in debug builds")]
-    fn decommit_poisons_in_debug() {
+    fn decommit_poisons() {
         let b = HeapBacking::reserve(PAGE_SIZE).unwrap();
         b.commit(0, PAGE_SIZE).unwrap();
         b.decommit(0, PAGE_SIZE).unwrap();

@@ -8,10 +8,10 @@
 //! * [`Region::reserve`] reserves `max_bytes` of address space;
 //! * [`Region::commit`] / [`Region::decommit`] move page-aligned ranges
 //!   between the committed and decommitted states;
-//! * decommitted ranges must never be touched — in debug builds the
-//!   [`HeapRegion`](Backing::Heap) backend poisons them and access checks
-//!   catch use-after-decommit, standing in for the SIGSEGV a real `munmap`
-//!   would deliver.
+//! * a decommitted range stays mapped and may be read, never written: it
+//!   reads as zeros under the mmap backend and as poison under the
+//!   [`Heap`](Backing::Heap) backend, so a reader that validates what it
+//!   copied can tell it from data.
 //!
 //! Two backends are available (see [`Backing`]): an `mmap`-based one on
 //! Linux `x86_64`/`aarch64` (raw syscalls, no libc dependency) that uses

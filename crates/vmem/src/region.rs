@@ -19,8 +19,9 @@ pub enum Backing {
     ///
     /// [`Heap`]: Backing::Heap
     Mmap,
-    /// A plain heap allocation; decommit only poisons (debug builds) and
-    /// updates bookkeeping. Fully portable and deterministic for tests.
+    /// A plain heap allocation; decommit poisons the range (`0xDE` bytes)
+    /// and updates bookkeeping, in every build. Fully portable and
+    /// deterministic for tests.
     Heap,
 }
 
@@ -54,6 +55,14 @@ enum BackingImpl {
 /// `Region` is `Send + Sync`; committed bytes are raw shared memory and the
 /// *caller* is responsible for data-race freedom (BTrace guarantees it by
 /// handing each byte range to exactly one producer via fetch-and-add).
+///
+/// # Decommitted ranges may be read, never written
+///
+/// Decommit never unmaps: a decommitted range reads as zeros (mmap) or
+/// poison bytes (heap), never faults, and must not be written until
+/// [`Region::commit`] zeroes it again. The heap backend fills with
+/// `Release` word stores in address order, so a reader racing a commit or
+/// decommit with word-atomic loads is not a data race.
 ///
 /// # Examples
 ///
@@ -263,11 +272,11 @@ impl Region {
 
     /// Decommits the page-aligned range `[offset, offset + len)`, returning
     /// physical memory to the OS (mmap backing) or poisoning it (heap
-    /// backing, debug builds).
+    /// backing).
     ///
-    /// The caller must guarantee no thread will touch the range until it is
-    /// committed again — this is exactly what BTrace's implicit reclamation
-    /// protocol (§3.3) establishes before calling this.
+    /// The caller must guarantee no thread will *write* the range until it
+    /// is committed again — this is exactly what BTrace's implicit
+    /// reclamation protocol (§3.3) establishes before calling this.
     ///
     /// # Errors
     ///
@@ -402,6 +411,27 @@ mod tests {
                 r.as_ptr().add(100).write(42);
                 assert_eq!(*r.as_ptr().add(100), 42);
             }
+        }
+    }
+
+    #[test]
+    fn decommitted_ranges_read_as_zero_or_poison() {
+        use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+        let gone = PAGE_SIZE / 8..3 * PAGE_SIZE / 8; // the words of pages 1 and 2
+        for b in backings() {
+            let r = Region::reserve_with(4 * PAGE_SIZE, b).unwrap();
+            r.commit(0, 4 * PAGE_SIZE).unwrap();
+            // SAFETY: in-bounds, 8-aligned words, only accessed atomically.
+            let word = |i: usize| unsafe { &*(r.as_ptr() as *const AtomicU64).add(i) };
+            (0..4 * PAGE_SIZE / 8).for_each(|i| word(i).store(!0, Relaxed));
+            r.decommit(PAGE_SIZE, 2 * PAGE_SIZE).unwrap();
+            let poison = if b == Backing::Heap { [crate::heap::POISON; 8] } else { [0; 8] };
+            for i in 0..4 * PAGE_SIZE / 8 {
+                let want = if gone.contains(&i) { u64::from_ne_bytes(poison) } else { !0 };
+                assert_eq!(word(i).load(Relaxed), want, "{b:?}: word {i}");
+            }
+            r.commit(PAGE_SIZE, 2 * PAGE_SIZE).unwrap();
+            assert!(gone.clone().all(|i| word(i).load(Relaxed) == 0), "{b:?}: recommit zeroes");
         }
     }
 

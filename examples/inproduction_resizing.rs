@@ -74,9 +74,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ... and shrink back. The shrinker closes the active blocks, waits for
-    // the implicit reference counts (allocate/confirm) to drain, runs the
-    // consumer grace period, then decommits the pages — producers above
-    // never stopped recording.
+    // the implicit reference counts (allocate/confirm) to drain, then
+    // decommits the pages at once: readers validate what they copy, so
+    // none is waited for. Producers above never stopped recording.
     tracer.resize_bytes(STRIDE)?;
     println!(
         "steady:     capacity {:>5} KiB (memory returned to the system)",

@@ -12,8 +12,8 @@
 //!   evaluation (§5).
 //! * [`analysis`] — readout metrics: latest fragment, loss rate, fragments,
 //!   effectivity ratio, latency statistics.
-//! * [`vmem`] / [`smr`] — substrates: reserved memory regions with
-//!   commit/decommit, and epoch-based reclamation for consumers.
+//! * [`vmem`] — the substrate: reserved memory regions with
+//!   commit/decommit, whose decommitted ranges stay readable.
 //!
 //! ## Quickstart
 //!
@@ -37,6 +37,5 @@ pub use btrace_baselines as baselines;
 pub use btrace_core as core;
 pub use btrace_persist as persist;
 pub use btrace_replay as replay;
-pub use btrace_smr as smr;
 pub use btrace_telemetry as telemetry;
 pub use btrace_vmem as vmem;

@@ -1,7 +1,5 @@
-//! Property tests for the substrates: the vmem commit-state machine and the
-//! SMR domain's epoch discipline.
+//! Property tests for the substrate: the vmem commit-state machine.
 
-use btrace::smr::Domain;
 use btrace::vmem::{Backing, Region, PAGE_SIZE};
 use proptest::prelude::*;
 
@@ -74,48 +72,5 @@ proptest! {
         unsafe {
             prop_assert_eq!(*region.as_ptr().add(page * PAGE_SIZE), 0, "recommit re-zeroes");
         }
-    }
-
-    /// Any interleaving of pins and advances keeps the epoch monotone and
-    /// `quiescent_at` consistent with the pinned set.
-    #[test]
-    fn smr_epoch_discipline(script in proptest::collection::vec(0u8..4, 1..100)) {
-        let domain = Domain::new();
-        let participants: Vec<_> = (0..3).map(|_| domain.register()).collect();
-        let mut guards: Vec<Option<btrace::smr::Guard<'_>>> = vec![None, None, None];
-        let mut last_epoch = domain.epoch();
-        for (i, step) in script.into_iter().enumerate() {
-            let who = i % participants.len();
-            match step {
-                0 => {
-                    if guards[who].is_none() {
-                        guards[who] = Some(participants[who].pin());
-                    }
-                }
-                1 => {
-                    guards[who] = None; // unpin
-                }
-                2 => {
-                    let epoch = domain.advance();
-                    prop_assert!(epoch > last_epoch);
-                    last_epoch = epoch;
-                }
-                _ => {
-                    let target = domain.epoch() + 1;
-                    let anyone_pinned_before =
-                        guards.iter().flatten().count() > 0;
-                    if !anyone_pinned_before {
-                        // Nothing pinned: a future target is trivially clear
-                        // of *old* epochs only after advancing past it.
-                        prop_assert!(domain.quiescent_at(domain.epoch()));
-                    }
-                    let _ = target;
-                }
-            }
-        }
-        drop(guards);
-        // With all guards gone, any target is quiescent.
-        let target = domain.advance();
-        prop_assert!(domain.quiescent_at(target));
     }
 }
