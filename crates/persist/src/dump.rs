@@ -7,7 +7,7 @@
 //! magic   "BTDUMP02"                      8 bytes
 //! label   u16 length + UTF-8 bytes (cut to 65 535 bytes at a char boundary)
 //! count   u64 events in the frames below
-//! crc     u64 (FNV-1a over magic..count)
+//! crc     u64 (XXH64, seed 0, over magic..count; see [`checksum`])
 //! frames  revision-2 BTSF frames of 512 events, seq from 0
 //! ```
 //!
@@ -15,7 +15,8 @@
 //! through [`TraceStore`](crate::TraceStore), which skips a valid header.
 
 use crate::fragment::write_stream;
-use crate::stream::{fnv, walk_frames, FrameWriter};
+use crate::stream::{walk_frames, FrameWriter};
+use crate::xxh64::{checksum, checksum_matches};
 use btrace_core::sink::{FullEvent, TraceSink};
 use btrace_core::EventView;
 use btrace_core::RingSnapshot;
@@ -175,7 +176,7 @@ fn encode_header(label: &str, events: u64) -> Vec<u8> {
     header.extend_from_slice(&(label.len() as u16).to_le_bytes());
     header.extend_from_slice(label.as_bytes());
     header.extend_from_slice(&events.to_le_bytes());
-    let crc = fnv(&header);
+    let crc = checksum(&header);
     header.extend_from_slice(&crc.to_le_bytes());
     header
 }
@@ -190,8 +191,7 @@ pub(crate) fn parse_header(bytes: &[u8]) -> Result<Header<'_>, DumpError> {
     let label_len = bytes.get(8..10).ok_or_else(truncated)?;
     let len = 10 + u16::from_le_bytes([label_len[0], label_len[1]]) as usize + 16;
     let header = bytes.get(..len).ok_or_else(truncated)?;
-    let crc = u64::from_le_bytes(header[len - 8..].try_into().expect("8 bytes"));
-    if fnv(&header[..len - 8]) != crc {
+    if !checksum_matches(header) {
         return Err(DumpError::Format("header checksum mismatch"));
     }
     let label = std::str::from_utf8(&header[10..len - 16])

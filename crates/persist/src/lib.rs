@@ -60,6 +60,7 @@ mod parallel;
 mod query;
 mod store;
 mod stream;
+mod xxh64;
 
 pub use collector::{Collector, CollectorConfig};
 pub use dump::{write_snapshot, DumpError, TraceDump};
@@ -77,3 +78,4 @@ pub use stream::{
     encode_frame, encode_frame_with, visit_frames, Backpressure, FileFrameSink, FrameEncoding,
     FrameSink, NullFrameSink, PipelineConfig, PipelineStats, StreamPipeline,
 };
+pub use xxh64::checksum;

@@ -294,10 +294,7 @@ mod tests {
         let footer_off = f.offset + f.len - 8 - crate::stream::FOOTER_BYTES;
         let max_off = footer_off + 4 + 8;
         stream[max_off..max_off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let crc_region = &stream[f.offset..f.offset + f.len - 8];
-        let crc = crc_region
-            .iter()
-            .fold(0xcbf2_9ce4_8422_2325u64, |c, &b| (c ^ b as u64).wrapping_mul(0x100_0000_01b3));
+        let crc = crate::checksum(&stream[f.offset..f.offset + f.len - 8]);
         let crc_off = f.offset + f.len - 8;
         stream[crc_off..crc_off + 8].copy_from_slice(&crc.to_le_bytes());
 

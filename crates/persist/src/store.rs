@@ -31,7 +31,8 @@ use btrace_vmem::FileMap;
 
 use crate::dump::parse_header;
 use crate::fragment::{probe_frame, FrameInfo};
-use crate::stream::{fnv, validate_frame, FRAME_MAGIC};
+use crate::stream::{validate_frame, FRAME_MAGIC};
+use crate::xxh64::checksum_matches;
 
 /// What kind of damage a [`FrameDefect`] reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +43,8 @@ pub enum DefectKind {
     /// The length header points outside the file, or the file ends inside
     /// a frame (mid-frame / mid-footer truncation).
     Truncated,
-    /// The frame's FNV checksum does not cover its bytes.
+    /// The frame's XXH64 checksum (see [`checksum`](crate::checksum)) does
+    /// not match its bytes.
     ChecksumMismatch,
     /// The declared events do not tile the event section (overrun, or junk
     /// between the last event and the footer).
@@ -246,10 +248,7 @@ fn resync(bytes: &[u8], from: usize) -> Option<usize> {
         let rel = bytes[at..].windows(4).position(|w| w == FRAME_MAGIC)?;
         let cand = at + rel;
         if let Ok(entry) = probe_frame(bytes, cand) {
-            let frame = &bytes[cand..cand + entry.len];
-            let crc_stored =
-                u64::from_le_bytes(frame[entry.len - 8..].try_into().expect("8 bytes"));
-            if fnv(&frame[..entry.len - 8]) == crc_stored {
+            if checksum_matches(&bytes[cand..cand + entry.len]) {
                 return Some(cand);
             }
         }

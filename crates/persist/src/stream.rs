@@ -23,6 +23,7 @@
 use crate::export::RetryPolicy;
 use crate::fragment::probe_frame;
 use crate::store::DefectKind;
+use crate::xxh64::{checksum, checksum_matches};
 use btrace_core::BTrace;
 use btrace_core::{EventView, FullEvent};
 use btrace_telemetry::{
@@ -180,12 +181,6 @@ pub(crate) const FOOTER_BYTES: usize = 4 + 8 + 8 + 8 + 4 + 8;
 pub(crate) const FRAME_FLAG_COMPRESSED: u32 = 1 << 31;
 /// Smallest whole frame: magic + `body_len` + seq + count + footer + crc.
 pub(crate) const MIN_FRAME_BYTES: usize = 8 + 12 + FOOTER_BYTES + 8;
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-pub(crate) fn fnv(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |crc, &b| (crc ^ b as u64).wrapping_mul(FNV_PRIME))
-}
 
 /// The event-section layout of a frame. BTSF has one layout, so this has
 /// one value; it remains because [`PipelineConfig::encoding`] and
@@ -232,7 +227,7 @@ fn unzigzag(z: u64) -> i64 {
 ///                          varint(core), varint(tid),
 ///                          varint(payload_len), payload bytes }
 /// footer         index footer (see below)
-/// crc            u64 (FNV-1a over magic..footer)
+/// crc            u64 (XXH64, seed 0, over magic..footer; see [`checksum`])
 /// ```
 ///
 /// The first stamp delta is taken from 0. The **index footer** summarizes
@@ -344,7 +339,7 @@ impl FrameWriter {
         buf[4..8].copy_from_slice(&body_len.to_le_bytes());
         buf[COUNT_AT..COUNT_AT + 4]
             .copy_from_slice(&(self.count | FRAME_FLAG_COMPRESSED).to_le_bytes());
-        let crc = fnv(buf);
+        let crc = checksum(buf);
         buf.extend_from_slice(&crc.to_le_bytes());
         buf
     }
@@ -416,7 +411,7 @@ fn decode_event_refs<'a>(
 
 /// The one frame validator every reader shares. `frame` is a whole frame,
 /// magic through crc, that already passed [`probe_frame`] (length, revision
-/// flag and footer are sound). Checks run in order — FNV-1a checksum, then
+/// flag and footer are sound). Checks run in order — XXH64 checksum, then
 /// the event section, which must end exactly at the footer — and `out`
 /// holds the frame's events only once both passed: on any failure it is
 /// left empty, so a defective frame contributes nothing.
@@ -434,8 +429,7 @@ fn check_frame<'a>(
     out: &mut Vec<EventView<'a>>,
 ) -> Result<(), (DefectKind, &'static str)> {
     let len = frame.len();
-    let crc_stored = u64::from_le_bytes(frame[len - 8..].try_into().expect("8 bytes"));
-    if fnv(&frame[..len - 8]) != crc_stored {
+    if !checksum_matches(frame) {
         return Err((DefectKind::ChecksumMismatch, "frame checksum mismatch"));
     }
     let count =

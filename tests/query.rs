@@ -29,9 +29,9 @@ use btrace::atrace::{Category, TraceEvent};
 use btrace::core::sink::{CollectedEvent, FullEvent};
 use btrace::core::{BTrace, Backing, Config, TraceError};
 use btrace::persist::{
-    analyze_frames, analyze_frames_with, encode_frame, encode_stream, visit_frames, AnalyzeOptions,
-    Collector, CollectorConfig, DefectKind, FrameInfo, Predicate, Query, QueryOptions, TraceDump,
-    TraceStore,
+    analyze_frames, analyze_frames_with, checksum, encode_frame, encode_stream, visit_frames,
+    AnalyzeOptions, Collector, CollectorConfig, DefectKind, FrameInfo, Predicate, Query,
+    QueryOptions, TraceDump, TraceStore,
 };
 use btrace::replay::TraceState;
 use btrace::vmem::FaultPlan;
@@ -52,17 +52,6 @@ fn splitmix(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// FNV-1a, mirroring the frame codec — the suite re-seals damaged frames
-/// and hand-rolls fixed-width ones behind valid checksums.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 /// A seeded atrace payload — roughly half the workload carries decodable
@@ -668,6 +657,28 @@ fn corrupt_body_bits_are_one_frames_defect() {
     }
 }
 
+/// Every single-bit flip in a frame's event section (past the 20-byte
+/// header, before the 48-byte footer and crc) leaves the directory intact
+/// and is caught by the checksum itself, before any event is decoded.
+#[test]
+fn corrupt_event_section_bit_flips_are_checksum_mismatches() {
+    let (bytes, frames) = battery_stream();
+    let store = TraceStore::from_bytes(bytes.clone());
+    for victim in [0usize, 5] {
+        let f = store.frames()[victim];
+        for at in f.offset + 20..f.offset + f.len - 48 {
+            for bit in 0..8 {
+                let mut bytes = bytes.clone();
+                bytes[at] ^= 1 << bit;
+                let store = TraceStore::from_bytes(bytes);
+                assert_eq!(store.frames().len(), frames.len(), "the directory must hold");
+                let err = store.decode_frame(victim).expect_err("damaged frame must not decode");
+                assert_eq!(err.kind, DefectKind::ChecksumMismatch, "byte {at} bit {bit}");
+            }
+        }
+    }
+}
+
 #[test]
 fn corrupt_footer_fields_are_typed_defects() {
     let (bytes, frames) = battery_stream();
@@ -730,7 +741,7 @@ fn overrun_behind_valid_crc(
     // the payload's first three bytes.
     bytes[payload_at - 1..payload_at + 3].copy_from_slice(&[0xFF, 0xFF, 0xFF, 0x7F]);
     let end = frame.offset + frame.len - 8;
-    let crc = fnv(&bytes[frame.offset..end]);
+    let crc = checksum(&bytes[frame.offset..end]);
     bytes[end..end + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
@@ -824,7 +835,7 @@ fn fixed_width_frame(seq: u64, events: &[FullEvent], footer: bool) -> Vec<u8> {
     // body_len counts everything after itself, the crc included.
     let body_len = frame.len() as u32;
     frame[4..8].copy_from_slice(&body_len.to_le_bytes());
-    let crc = fnv(&frame);
+    let crc = checksum(&frame);
     frame.extend_from_slice(&crc.to_le_bytes());
     frame
 }
