@@ -47,13 +47,15 @@ impl Readout {
     }
 }
 
-/// The validated blocks of one [`Consumer::snapshot`], copied back to back
-/// into one byte buffer that is reused across snapshots.
+/// The validated blocks of one [`Consumer::snapshot`] or
+/// [`StreamShard::poll_into`](crate::StreamShard::poll_into), copied back to
+/// back into one byte buffer that is reused across snapshots.
 ///
 /// Where [`Consumer::collect`] copies every event out into its own
 /// [`FullEvent`], a snapshot keeps the block bytes as read and visits its
-/// events in place ([`RingSnapshot::try_for_each`]), so a reader that only
-/// encodes them — the symptom dump — allocates nothing per event.
+/// events in place ([`RingSnapshot::try_for_each`],
+/// [`RingSnapshot::for_each_entry`]), so a reader that only encodes them —
+/// the symptom dump, the streaming pipeline — allocates nothing per event.
 #[derive(Default)]
 pub struct RingSnapshot {
     /// Validated block snapshots, back to back, each starting with its
@@ -61,8 +63,10 @@ pub struct RingSnapshot {
     bytes: Vec<u8>,
     /// End offset in `bytes` of each block snapshot, oldest block first.
     ends: Vec<usize>,
-    blocks: BlockCounts,
+    pub(crate) blocks: BlockCounts,
+    pub(crate) missed_blocks: usize,
     events: usize,
+    stored_bytes: usize,
 }
 
 impl RingSnapshot {
@@ -76,10 +80,22 @@ impl RingSnapshot {
         self.blocks
     }
 
+    /// Blocks a stream poll found overwritten before it reached them (see
+    /// [`DrainedBatch::missed_blocks`](crate::DrainedBatch::missed_blocks));
+    /// always 0 after [`Consumer::snapshot`].
+    pub fn missed_blocks(&self) -> usize {
+        self.missed_blocks
+    }
+
     /// Number of events [`RingSnapshot::try_for_each`] visits. Counted by
     /// a header-only pass over each block as the snapshot takes it.
     pub fn count(&self) -> usize {
         self.events
+    }
+
+    /// Sum of the on-buffer bytes of those events, counted by the same pass.
+    pub(crate) fn stored_bytes(&self) -> usize {
+        self.stored_bytes
     }
 
     /// Visits every event in buffer order (ascending block sequence, then
@@ -95,17 +111,116 @@ impl RingSnapshot {
     ) -> Result<(), E> {
         let mut start = 0;
         for &end in &self.ends {
-            try_for_each_entry(&self.bytes[start..end], HEADER_BYTES, &mut f)?;
+            try_for_each_entry(&self.bytes[start..end], HEADER_BYTES, |e| f(e.event))?;
             start = end;
         }
         Ok(())
     }
 
-    fn clear(&mut self) {
+    /// Visits every event with its ring entry, in the order of
+    /// [`RingSnapshot::try_for_each`]: the walk an [`EntryBatch`] is
+    /// filled from.
+    pub fn for_each_entry<'a>(&'a self, mut f: impl FnMut(RingEntry<'a>)) {
+        let mut start = 0;
+        for &end in &self.ends {
+            for_each_entry(&self.bytes[start..end], HEADER_BYTES, &mut f);
+            start = end;
+        }
+    }
+
+    /// The events copied out, in buffer order.
+    pub(crate) fn to_owned_events(&self) -> Vec<FullEvent> {
+        let mut events = Vec::with_capacity(self.events);
+        self.for_each_entry(|e| events.push(e.event.to_owned()));
+        events
+    }
+
+    pub(crate) fn clear(&mut self) {
         self.bytes.clear();
         self.ends.clear();
         self.blocks = BlockCounts::default();
+        self.missed_blocks = 0;
         self.events = 0;
+        self.stored_bytes = 0;
+    }
+
+    /// Reads block `gpos` up to `until` ([`read_block`]) and, when it is
+    /// readable, appends it as the snapshot's newest block, counting its
+    /// events and their bytes on the way. Returns the read's outcome for
+    /// the caller to count.
+    pub(crate) fn take_block(&mut self, shared: &Shared, gpos: u64, until: Until) -> BlockRead {
+        let start = self.bytes.len();
+        let read = read_block(shared, gpos, until, &mut self.bytes);
+        if read == BlockRead::Readable {
+            let stored = &mut self.stored_bytes;
+            self.events += for_each_entry(&self.bytes[start..], HEADER_BYTES, |e| {
+                *stored += encoded_len(e.event.payload.len());
+            })
+            .1;
+            self.ends.push(self.bytes.len());
+        }
+        read
+    }
+}
+
+/// One event as a [`RingSnapshot`] holds it: the decoded view plus the
+/// bytes of its ring entry (header, payload and padding), which an
+/// [`EntryBatch`] copies without decoding or re-encoding them. Only the
+/// snapshot's walk makes one, so its bytes are always a whole `Data` entry.
+#[derive(Debug, Clone, Copy)]
+pub struct RingEntry<'a> {
+    /// The event, borrowed from the snapshot.
+    pub event: EventView<'a>,
+    entry: &'a [u8],
+}
+
+/// Events copied out of [`RingSnapshot`]s as their ring entries, back to
+/// back, exactly as the ring stored them: the unit the streaming
+/// pipeline's batch stage cuts snapshots into and its encode stage turns
+/// into one frame. Walked by the same entry walker as a snapshot, so no
+/// event becomes an owned value between the ring and the frame. Reused
+/// across batches: [`EntryBatch::clear`] keeps the buffer.
+#[derive(Default)]
+pub struct EntryBatch {
+    bytes: Vec<u8>,
+    events: usize,
+    payload_bytes: usize,
+}
+
+impl EntryBatch {
+    /// Appends `entry`'s bytes.
+    #[inline]
+    pub fn push(&mut self, entry: RingEntry<'_>) {
+        self.bytes.extend_from_slice(entry.entry);
+        self.events += 1;
+        self.payload_bytes += entry.event.payload.len();
+    }
+
+    /// Events pushed since the last [`EntryBatch::clear`].
+    pub fn len(&self) -> usize {
+        self.events
+    }
+
+    /// Whether no event was pushed since the last [`EntryBatch::clear`].
+    pub fn is_empty(&self) -> bool {
+        self.events == 0
+    }
+
+    /// Sum of the pushed events' payload lengths.
+    pub fn payload_bytes(&self) -> usize {
+        self.payload_bytes
+    }
+
+    /// Empties the batch, keeping its buffer.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.events = 0;
+        self.payload_bytes = 0;
+    }
+
+    /// Visits every event in push order, borrowing payloads from the batch.
+    pub fn for_each<'a>(&'a self, mut f: impl FnMut(EventView<'a>)) {
+        for_each_entry(&self.bytes, 0, |e| f(e.event));
     }
 }
 
@@ -113,7 +228,7 @@ impl RingSnapshot {
 /// [`BTrace::consumer`](crate::BTrace::consumer).
 ///
 /// A consumer registers nowhere and a shrink never waits for it: every
-/// block it reads is validated after the copy (see [`read_block`]).
+/// block it reads is validated after the copy (the §4.3 speculative read).
 pub struct Consumer {
     shared: Arc<Shared>,
     scratch: Vec<u8>,
@@ -147,11 +262,8 @@ impl Consumer {
     pub fn snapshot(&mut self, out: &mut RingSnapshot) {
         out.clear();
         scan(&self.shared, |shared, gpos| {
-            let start = out.bytes.len();
-            if count(read_block(shared, gpos, Until::Confirmed, &mut out.bytes), &mut out.blocks) {
-                out.events += for_each_entry(&out.bytes[start..], HEADER_BYTES, |_| {}).1;
-                out.ends.push(out.bytes.len());
-            }
+            let read = out.take_block(shared, gpos, Until::Confirmed);
+            count(read, &mut out.blocks);
         });
     }
 
@@ -381,6 +493,16 @@ impl std::fmt::Debug for RingSnapshot {
         f.debug_struct("RingSnapshot")
             .field("bytes", &self.bytes.len())
             .field("blocks", &self.blocks)
+            .field("missed_blocks", &self.missed_blocks)
+            .field("events", &self.events)
+            .finish()
+    }
+}
+
+impl std::fmt::Debug for EntryBatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EntryBatch")
+            .field("bytes", &self.bytes.len())
             .field("events", &self.events)
             .finish()
     }
@@ -408,7 +530,7 @@ impl std::fmt::Debug for Consumer {
 pub(crate) fn try_for_each_entry<'a, E>(
     snapshot: &'a [u8],
     from: usize,
-    mut f: impl FnMut(EventView<'a>) -> Result<(), E>,
+    mut f: impl FnMut(RingEntry<'a>) -> Result<(), E>,
 ) -> Result<usize, E> {
     let mut off = from;
     while off + 8 <= snapshot.len() {
@@ -427,11 +549,14 @@ pub(crate) fn try_for_each_entry<'a, E>(
             // `payload_len <= len - HEADER_BYTES`, so the payload lies
             // inside the `off + len` bytes checked above.
             let Some(payload_len) = header.payload_len() else { break };
-            f(EventView {
-                stamp: header.stamp,
-                core: header.core.into(),
-                tid: header.tid,
-                payload: &snapshot[off + HEADER_BYTES..off + HEADER_BYTES + payload_len],
+            f(RingEntry {
+                event: EventView {
+                    stamp: header.stamp,
+                    core: header.core.into(),
+                    tid: header.tid,
+                    payload: &snapshot[off + HEADER_BYTES..off + HEADER_BYTES + payload_len],
+                },
+                entry: &snapshot[off..off + len],
             })?;
         }
         off += len;
@@ -445,7 +570,7 @@ pub(crate) fn try_for_each_entry<'a, E>(
 pub(crate) fn for_each_entry<'a>(
     snapshot: &'a [u8],
     from: usize,
-    mut f: impl FnMut(EventView<'a>),
+    mut f: impl FnMut(RingEntry<'a>),
 ) -> (usize, usize) {
     let mut visited = 0;
     let walked = try_for_each_entry(snapshot, from, |e| {
@@ -460,11 +585,10 @@ pub(crate) fn for_each_entry<'a>(
 }
 
 /// Appends the `Data` entries of a validated block snapshot to `out` as
-/// [`FullEvent`]s — the output of the owned readers ([`Consumer::collect`]
-/// and the stream's [`StreamShard`](crate::StreamShard)). Returns the
+/// [`FullEvent`]s — the output of [`Consumer::collect`]. Returns the
 /// offset the walk stopped at.
 pub(crate) fn push_events(snapshot: &[u8], from: usize, out: &mut Vec<FullEvent>) -> usize {
-    for_each_entry(snapshot, from, |e| out.push(e.to_owned())).0
+    for_each_entry(snapshot, from, |e| out.push(e.event.to_owned())).0
 }
 
 #[cfg(test)]

@@ -69,7 +69,7 @@ mod telem;
 
 pub use buffer::BTrace;
 pub use config::Config;
-pub use consumer::{BlockCounts, Consumer, Readout, RingSnapshot};
+pub use consumer::{BlockCounts, Consumer, EntryBatch, Readout, RingEntry, RingSnapshot};
 pub use error::TraceError;
 pub use event::{CollectedEvent, EventView, FullEvent};
 pub use producer::{Grant, Producer};

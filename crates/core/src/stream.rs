@@ -3,8 +3,10 @@
 //! `btrace-persist`.
 //!
 //! A [`StreamShard`] tracks the last-drained global block sequence and,
-//! on each [`poll`](StreamShard::poll), hands off only blocks that have
-//! **closed** since the previous poll. Where [`Consumer`](crate::Consumer)
+//! on each [`poll_into`](StreamShard::poll_into), hands off only blocks
+//! that have **closed** since the previous poll, as a reused
+//! [`RingSnapshot`] ([`poll`](StreamShard::poll) copies its events out).
+//! Where [`Consumer`](crate::Consumer)
 //! reads the confirmed prefix of every block once, the streaming consumer
 //! treats the closed block as its unit of delivery — the natural streaming
 //! granule of the block machinery (BBQ's consumption model), and the
@@ -38,12 +40,14 @@
 //!   before the next poll can observe the block again.
 
 use crate::buffer::Shared;
-use crate::consumer::{close_open_window, push_events, read_block, BlockCounts, BlockRead, Until};
-use crate::event::{FullEvent, HEADER_BYTES};
+use crate::consumer::{close_open_window, BlockCounts, BlockRead, RingSnapshot, Until};
+use crate::event::FullEvent;
 use crate::sync::Arc;
 use std::collections::BTreeSet;
 
-/// One streaming poll's worth of closed blocks.
+/// One streaming poll's worth of closed blocks, copied out: what
+/// [`StreamShard::poll`] makes of the [`RingSnapshot`] that
+/// [`StreamShard::poll_into`] fills.
 #[derive(Debug, Default)]
 #[non_exhaustive]
 pub struct DrainedBatch {
@@ -107,7 +111,8 @@ pub struct StreamStats {
 /// a block a concurrent shrink decommits mid-read harmless (§4.4).
 pub struct StreamShard {
     shared: Arc<Shared>,
-    scratch: Vec<u8>,
+    /// Reused by the owned [`StreamShard::poll`].
+    scratch: RingSnapshot,
     /// This stripe's residue class: owns `gpos % stride == shard`.
     shard: u64,
     /// Total number of stripes the sequence space is split into.
@@ -125,7 +130,7 @@ impl StreamShard {
         debug_assert!(stride >= 1 && shard < stride);
         Self {
             shared,
-            scratch: Vec::new(),
+            scratch: RingSnapshot::new(),
             shard,
             stride,
             cursor: shard,
@@ -140,18 +145,38 @@ impl StreamShard {
     }
 
     /// Returns the events of every **owned** block that closed since the
-    /// previous poll, oldest block first.
+    /// previous poll, oldest block first: [`StreamShard::poll_into`] with
+    /// the events copied out.
     ///
     /// Non-destructive and non-blocking for producers. Events of a block
     /// that is still open (or has unconfirmed writes in flight) are *not*
     /// returned yet — they arrive in the poll that first observes the
     /// block closed, so each event is delivered at most once.
     pub fn poll(&mut self) -> DrainedBatch {
-        let Self { shared, scratch, cursor, delivered, stats, stride, .. } = self;
+        let mut snapshot = std::mem::take(&mut self.scratch);
+        self.poll_into(&mut snapshot);
+        let batch = DrainedBatch {
+            events: snapshot.to_owned_events(),
+            blocks: snapshot.blocks(),
+            missed_blocks: snapshot.missed_blocks(),
+        };
+        self.scratch = snapshot;
+        batch
+    }
+
+    /// Snapshots every **owned** block that closed since the previous poll
+    /// into `out`, oldest block first, replacing its contents and reusing
+    /// its buffer: the same §4.3 read as
+    /// [`Consumer::snapshot`](crate::Consumer::snapshot), but only of
+    /// closed blocks, and each at most once across polls. `out` carries
+    /// this poll's [`BlockCounts`] and
+    /// [`missed_blocks`](RingSnapshot::missed_blocks).
+    pub fn poll_into(&mut self, out: &mut RingSnapshot) {
+        let Self { shared, cursor, delivered, stats, stride, .. } = self;
         let stride = *stride;
         let std::ops::Range { start: lo, end: head } = shared.readable_window();
 
-        let mut out = DrainedBatch::default();
+        out.clear();
         if *cursor < lo {
             // Lapped: owned blocks in [cursor, lo) that we never resolved
             // are gone. Resolved ones were already delivered — not missed.
@@ -171,12 +196,10 @@ impl StreamShard {
                 gpos += stride;
                 continue;
             }
-            scratch.clear();
             // Delivered, torn and recycled blocks are resolved for good;
             // the rest wait for a later poll or for the cursor to lap them.
-            let resolved = match read_block(shared, gpos, Until::Closed, scratch) {
+            let resolved = match out.take_block(shared, gpos, Until::Closed) {
                 BlockRead::Readable => {
-                    push_events(scratch, HEADER_BYTES, &mut out.events);
                     out.blocks.readable += 1;
                     true
                 }
@@ -200,7 +223,11 @@ impl StreamShard {
                     true
                 }
             };
-            if resolved {
+            // A block resolved in order moves the cursor at once; only one
+            // resolved past an unresolved block waits in `delivered`.
+            if resolved && gpos == *cursor {
+                *cursor += stride;
+            } else if resolved {
                 delivered.insert(gpos);
             }
             gpos += stride;
@@ -212,10 +239,9 @@ impl StreamShard {
 
         stats.polls += 1;
         stats.blocks_delivered += out.blocks.readable as u64;
-        stats.events_delivered += out.events.len() as u64;
+        stats.events_delivered += out.count() as u64;
         stats.bytes_delivered += out.stored_bytes() as u64;
         stats.missed_blocks += out.missed_blocks as u64;
-        out
     }
 
     /// Closes every open block in the readable window — each core's
@@ -243,6 +269,13 @@ impl StreamShard {
         self.poll()
     }
 
+    /// [`StreamShard::flush_close`] into a reused snapshot, as
+    /// [`StreamShard::poll_into`] is to [`StreamShard::poll`].
+    pub fn flush_close_into(&mut self, out: &mut RingSnapshot) {
+        close_open_window(&self.shared);
+        self.poll_into(out);
+    }
+
     /// First owned global block sequence not yet resolved by this stripe.
     pub fn position(&self) -> u64 {
         self.cursor
@@ -268,7 +301,7 @@ impl std::fmt::Debug for StreamShard {
 
 #[cfg(test)]
 mod tests {
-    use crate::{BTrace, Config};
+    use crate::{BTrace, Config, RingSnapshot};
     use btrace_vmem::Backing;
 
     fn tracer(cores: usize) -> BTrace {
@@ -540,6 +573,58 @@ mod tests {
             sharded_missed, single_missed,
             "stripe misses must partition the single-consumer misses"
         );
+    }
+
+    /// Stamps of `snapshot`'s events in visit order.
+    fn stamps(snapshot: &RingSnapshot) -> Vec<u64> {
+        let mut stamps = Vec::new();
+        snapshot.for_each_entry(|e| stamps.push(e.event.stamp));
+        stamps
+    }
+
+    #[test]
+    fn reused_snapshot_holds_only_each_polls_new_blocks() {
+        let t = tracer(2);
+        let p = [t.producer(0).unwrap(), t.producer(1).unwrap()];
+        // Two cursors over the same ring: one polled into a reused
+        // snapshot, one through the owned `poll`, at the same instants.
+        let (mut borrowed, mut owned) = (t.stream(), t.stream());
+        let mut snapshot = RingSnapshot::new();
+        let (mut union, mut owned_union) = (Vec::new(), Vec::new());
+        let mut polls_with_events = 0;
+        for i in 0..400u64 {
+            p[(i % 3 == 0) as usize].record_with(i, 0, b"a-sixteen-byte-p").unwrap();
+            if i % 29 != 0 && i != 399 {
+                continue;
+            }
+            let flush = i == 399;
+            let batch = if flush {
+                borrowed.flush_close_into(&mut snapshot);
+                owned.flush_close()
+            } else {
+                borrowed.poll_into(&mut snapshot);
+                owned.poll()
+            };
+            let polled = stamps(&snapshot);
+            let owned_stamps: Vec<u64> = batch.events.iter().map(|e| e.stamp).collect();
+            assert_eq!(polled, owned_stamps, "poll at {i}: the snapshot holds this poll only");
+            assert_eq!(snapshot.count(), polled.len());
+            assert_eq!(snapshot.stored_bytes(), batch.stored_bytes());
+            assert_eq!(snapshot.blocks(), batch.blocks);
+            assert_eq!(snapshot.missed_blocks(), batch.missed_blocks);
+            assert!(
+                polled.iter().all(|s| !union.contains(s)),
+                "poll at {i} repeats a stamp of an earlier poll"
+            );
+            polls_with_events += usize::from(!polled.is_empty());
+            union.extend(polled);
+            owned_union.extend(owned_stamps);
+        }
+        assert!(polls_with_events > 3, "the snapshot was reused across several polls");
+        assert_eq!(union, owned_union);
+        union.sort_unstable();
+        assert_eq!(union, (0..400).collect::<Vec<u64>>(), "the flush delivers the open tail");
+        assert_eq!(borrowed.stats(), owned.stats());
     }
 
     #[test]

@@ -2,11 +2,15 @@
 //!
 //! Continuous export of a live tracer, built on the block-granularity
 //! [`StreamShard`](btrace_core::StreamShard): a drain thread polls
-//! closed blocks, a batch thread folds events into bounded batches, an
-//! encode thread serializes each batch into a checksummed frame, and a
-//! sink thread writes frames under the same bounded [`RetryPolicy`] the
-//! exporters use. Every inter-stage queue is bounded; what happens when a
-//! queue fills is the [`Backpressure`] policy:
+//! closed blocks into a [`RingSnapshot`], a batch thread copies their
+//! events' ring entries into frame-sized [`EntryBatch`]es, an encode
+//! thread serializes each batch into a checksummed frame, and a sink
+//! thread writes frames under the same bounded [`RetryPolicy`] the
+//! exporters use. Events stay in their ring encoding until the encoder
+//! reads them, and every snapshot, batch and frame buffer returns
+//! upstream through a small pool once emptied, so a warm pipeline
+//! allocates nothing per event. Every inter-stage queue is bounded; what
+//! happens when a queue fills is the [`Backpressure`] policy:
 //!
 //! * [`Backpressure::Block`] — the upstream stage waits. Nothing is lost,
 //!   but a slow sink eventually stalls draining (never the producers:
@@ -24,8 +28,7 @@ use crate::export::RetryPolicy;
 use crate::fragment::probe_frame;
 use crate::store::DefectKind;
 use crate::xxh64::{checksum, checksum_matches};
-use btrace_core::BTrace;
-use btrace_core::{EventView, FullEvent};
+use btrace_core::{BTrace, EntryBatch, EventView, FullEvent, RingSnapshot};
 use btrace_telemetry::{
     EventKind, ExportIoStats, FlightRecorder, Histogram, StageHealth, STAGE_NAMES,
 };
@@ -511,21 +514,21 @@ impl<T> Bounded<T> {
         }
     }
 
-    /// Pushes under `policy`; returns `false` when the item was dropped
+    /// Pushes under `policy`; hands the item back when it was not queued
     /// (queue full under `DropAndCount`, or queue closed).
-    fn push(&self, item: T, policy: Backpressure) -> bool {
+    fn push(&self, item: T, policy: Backpressure) -> Result<(), T> {
         let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if self.closed.load(Ordering::Acquire) {
-                return false;
+                return Err(item);
             }
             if q.len() < self.cap {
                 q.push_back(item);
                 self.not_empty.notify_one();
-                return true;
+                return Ok(());
             }
             match policy {
-                Backpressure::DropAndCount => return false,
+                Backpressure::DropAndCount => return Err(item),
                 Backpressure::Block => {
                     q = self.not_full.wait(q).unwrap_or_else(|e| e.into_inner());
                 }
@@ -568,6 +571,30 @@ impl<T> Bounded<T> {
 
     fn depth(&self) -> usize {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).len()
+    }
+}
+
+/// Emptied items a stage hands back upstream for reuse, at most `cap` of
+/// them: a stage allocates a new item only when its pool is empty.
+struct Pool<T> {
+    items: Mutex<Vec<T>>,
+    cap: usize,
+}
+
+impl<T: Default> Pool<T> {
+    fn new(cap: usize) -> Self {
+        Self { items: Mutex::new(Vec::with_capacity(cap)), cap }
+    }
+
+    fn take(&self) -> T {
+        self.items.lock().unwrap_or_else(|e| e.into_inner()).pop().unwrap_or_default()
+    }
+
+    fn give(&self, item: T) {
+        let mut items = self.items.lock().unwrap_or_else(|e| e.into_inner());
+        if items.len() < self.cap {
+            items.push(item);
+        }
     }
 }
 
@@ -615,7 +642,8 @@ impl PipelineStats {
     }
 }
 
-/// An item moving between stages, tagged with the **span id** that
+/// An item moving between stages — a poll's [`RingSnapshot`], a frame's
+/// [`EntryBatch`], or a sealed frame — tagged with the **span id** that
 /// follows the batch through `drain → batch → encode → sink` (the batch
 /// stage folds several drained spans into one outgoing batch, which then
 /// carries the oldest contributor's span) and the enqueue timestamp for
@@ -664,9 +692,17 @@ struct Inner {
     bytes_written: AtomicU64,
     io_retries: AtomicU64,
     io_drops: AtomicU64,
-    q_batch: Bounded<Spanned<Vec<FullEvent>>>,
-    q_encode: Bounded<Spanned<Vec<FullEvent>>>,
+    /// Each poll's closed blocks, drain → batch.
+    q_batch: Bounded<Spanned<RingSnapshot>>,
+    /// One frame's worth of ring entries, batch → encode.
+    q_encode: Bounded<Spanned<EntryBatch>>,
+    /// Sealed frames, encode → sink.
     q_sink: Bounded<Spanned<Vec<u8>>>,
+    /// Return pools, one per queue, running the other way: the stage that
+    /// empties an item gives it back to the stage that fills the next one.
+    snapshots: Pool<RingSnapshot>,
+    batches: Pool<EntryBatch>,
+    frames: Pool<Vec<u8>>,
     queue_depth: usize,
 }
 
@@ -772,6 +808,9 @@ impl StreamPipeline {
             q_batch: Bounded::new(config.queue_depth),
             q_encode: Bounded::new(config.queue_depth),
             q_sink: Bounded::new(config.queue_depth),
+            snapshots: Pool::new(config.queue_depth),
+            batches: Pool::new(config.queue_depth),
+            frames: Pool::new(config.queue_depth),
             queue_depth: config.queue_depth,
         });
 
@@ -864,14 +903,18 @@ fn spawn_drain(
     std::thread::Builder::new()
         .name(format!("btrace-stream-drain-{idx}"))
         .spawn(move || {
-            let push_events = |batch: btrace_core::DrainedBatch| {
+            let mut snapshot = inner.snapshots.take();
+            // Hands a filled snapshot on and leaves a pooled one in its
+            // place; a snapshot without events stays for the next poll.
+            let hand_off = |snapshot: &mut RingSnapshot| {
                 let stage = &inner.stages[0];
                 let per_shard = inner.drain_shards.get(idx);
-                inner.missed_blocks.fetch_add(batch.missed_blocks as u64, Ordering::Relaxed);
+                let missed = snapshot.missed_blocks() as u64;
+                inner.missed_blocks.fetch_add(missed, Ordering::Relaxed);
                 if let Some(s) = per_shard {
-                    s.missed_blocks.fetch_add(batch.missed_blocks as u64, Ordering::Relaxed);
+                    s.missed_blocks.fetch_add(missed, Ordering::Relaxed);
                 }
-                if batch.events.is_empty() {
+                if snapshot.count() == 0 {
                     return;
                 }
                 // Each non-empty poll opens a new span that the batch it
@@ -881,35 +924,39 @@ fn spawn_drain(
                 let span = inner.next_span.fetch_add(1, Ordering::Relaxed) + 1;
                 let t0 = inner.recorder.now_ns();
                 inner.enter(0, span, 0);
-                let events = batch.events;
-                let n = events.len() as u64;
+                let n = snapshot.count() as u64;
                 stage.in_items.fetch_add(n, Ordering::Relaxed);
                 if let Some(s) = per_shard {
                     s.counters.in_items.fetch_add(n, Ordering::Relaxed);
                 }
+                let item = std::mem::replace(snapshot, inner.snapshots.take());
                 let enqueued_ns = inner.recorder.now_ns();
-                let pushed = inner
-                    .q_batch
-                    .push(Spanned { span, enqueued_ns, item: events }, config.backpressure);
+                let pushed =
+                    inner.q_batch.push(Spanned { span, enqueued_ns, item }, config.backpressure);
                 let now = inner.recorder.now_ns();
                 inner.note_backpressure(0, span, now.saturating_sub(enqueued_ns));
-                if pushed {
-                    stage.out_items.fetch_add(n, Ordering::Relaxed);
-                    if let Some(s) = per_shard {
-                        s.counters.out_items.fetch_add(n, Ordering::Relaxed);
-                        s.latency.record(now.saturating_sub(t0));
+                match pushed {
+                    Ok(()) => {
+                        stage.out_items.fetch_add(n, Ordering::Relaxed);
+                        if let Some(s) = per_shard {
+                            s.counters.out_items.fetch_add(n, Ordering::Relaxed);
+                            s.latency.record(now.saturating_sub(t0));
+                        }
+                        inner.exit(0, span, now.saturating_sub(t0));
                     }
-                    inner.exit(0, span, now.saturating_sub(t0));
-                } else {
-                    stage.dropped.fetch_add(n, Ordering::Relaxed);
-                    if let Some(s) = per_shard {
-                        s.counters.dropped.fetch_add(n, Ordering::Relaxed);
+                    Err(shed) => {
+                        inner.snapshots.give(shed.item);
+                        stage.dropped.fetch_add(n, Ordering::Relaxed);
+                        if let Some(s) = per_shard {
+                            s.counters.dropped.fetch_add(n, Ordering::Relaxed);
+                        }
+                        inner.shed(0, span, n);
                     }
-                    inner.shed(0, span, n);
                 }
             };
             while !inner.stop.load(Ordering::Acquire) {
-                push_events(shard.poll());
+                shard.poll_into(&mut snapshot);
+                hand_off(&mut snapshot);
                 std::thread::sleep(config.poll_interval);
             }
             if config.flush_on_stop {
@@ -917,7 +964,8 @@ fn spawn_drain(
                 // close is idempotent across stripes) and then drains its
                 // own remainder, so the union of final polls covers
                 // everything recorded before the last worker's close.
-                push_events(shard.flush_close());
+                shard.flush_close_into(&mut snapshot);
+                hand_off(&mut snapshot);
             }
             // The batch stage outlives the drain until the *last* stripe
             // has flushed.
@@ -933,34 +981,33 @@ fn spawn_batch(inner: Arc<Inner>, config: PipelineConfig) -> std::thread::JoinHa
         .name("btrace-stream-batch".into())
         .spawn(move || {
             let stage = &inner.stages[1];
-            let mut pending: Vec<FullEvent> = Vec::new();
-            let mut pending_bytes = 0usize;
+            let mut pending = inner.batches.take();
             // The span the pending batch will carry (its oldest
             // contributor's) and when that contributor entered the stage,
             // for fold latency.
             let mut pending_span = 0u64;
             let mut pending_since_ns = 0u64;
-            let flush = |pending: &mut Vec<FullEvent>,
-                         pending_bytes: &mut usize,
-                         span: u64,
-                         since_ns: u64| {
+            let flush = |pending: &mut EntryBatch, span: u64, since_ns: u64| {
                 if pending.is_empty() {
                     return;
                 }
-                let batch = std::mem::take(pending);
-                *pending_bytes = 0;
+                let item = std::mem::replace(pending, inner.batches.take());
                 let enqueued_ns = inner.recorder.now_ns();
-                let pushed = inner
-                    .q_encode
-                    .push(Spanned { span, enqueued_ns, item: batch }, config.backpressure);
+                let pushed =
+                    inner.q_encode.push(Spanned { span, enqueued_ns, item }, config.backpressure);
                 let now = inner.recorder.now_ns();
                 inner.note_backpressure(1, span, now.saturating_sub(enqueued_ns));
-                if pushed {
-                    stage.out_items.fetch_add(1, Ordering::Relaxed);
-                    inner.exit(1, span, now.saturating_sub(since_ns));
-                } else {
-                    stage.dropped.fetch_add(1, Ordering::Relaxed);
-                    inner.shed(1, span, 1);
+                match pushed {
+                    Ok(()) => {
+                        stage.out_items.fetch_add(1, Ordering::Relaxed);
+                        inner.exit(1, span, now.saturating_sub(since_ns));
+                    }
+                    Err(mut shed) => {
+                        shed.item.clear();
+                        inner.batches.give(shed.item);
+                        stage.dropped.fetch_add(1, Ordering::Relaxed);
+                        inner.shed(1, span, 1);
+                    }
                 }
             };
             let idle = config.poll_interval.max(Duration::from_millis(10));
@@ -969,30 +1016,26 @@ fn spawn_batch(inner: Arc<Inner>, config: PipelineConfig) -> std::thread::JoinHa
                     Some(spanned) => {
                         let now = inner.recorder.now_ns();
                         inner.enter(1, spanned.span, now.saturating_sub(spanned.enqueued_ns));
-                        stage.in_items.fetch_add(spanned.item.len() as u64, Ordering::Relaxed);
-                        for e in spanned.item {
+                        let snapshot = spanned.item;
+                        stage.in_items.fetch_add(snapshot.count() as u64, Ordering::Relaxed);
+                        snapshot.for_each_entry(|entry| {
                             if pending.is_empty() {
                                 pending_span = spanned.span;
                                 pending_since_ns = inner.recorder.now_ns();
                             }
-                            pending_bytes += e.payload.len();
-                            pending.push(e);
+                            pending.push(entry);
                             if pending.len() >= config.batch_max_events
-                                || pending_bytes >= config.batch_max_bytes
+                                || pending.payload_bytes() >= config.batch_max_bytes
                             {
-                                flush(
-                                    &mut pending,
-                                    &mut pending_bytes,
-                                    pending_span,
-                                    pending_since_ns,
-                                );
+                                flush(&mut pending, pending_span, pending_since_ns);
                             }
-                        }
+                        });
+                        inner.snapshots.give(snapshot);
                     }
                     None => {
                         // Timeout or upstream closed: ship the partial
                         // batch so low-rate streams still make progress.
-                        flush(&mut pending, &mut pending_bytes, pending_span, pending_since_ns);
+                        flush(&mut pending, pending_span, pending_since_ns);
                         if inner.q_batch.drained() {
                             break;
                         }
@@ -1009,15 +1052,22 @@ fn spawn_encode(inner: Arc<Inner>, config: PipelineConfig) -> std::thread::JoinH
         .name("btrace-stream-encode".into())
         .spawn(move || {
             let stage = &inner.stages[2];
+            let mut writer = FrameWriter::default();
             let mut seq = 0u64;
             loop {
                 match inner.q_encode.pop(Duration::from_millis(50)) {
                     Some(spanned) => {
                         let t0 = inner.recorder.now_ns();
                         inner.enter(2, spanned.span, t0.saturating_sub(spanned.enqueued_ns));
-                        stage.in_items.fetch_add(spanned.item.len() as u64, Ordering::Relaxed);
-                        let frame = encode_frame(seq, &spanned.item);
+                        let mut batch = spanned.item;
+                        stage.in_items.fetch_add(batch.len() as u64, Ordering::Relaxed);
+                        writer.begin(seq);
+                        batch.for_each(|e| writer.push(e));
+                        writer.finish();
                         seq += 1;
+                        batch.clear();
+                        inner.batches.give(batch);
+                        let frame = std::mem::replace(&mut writer.buf, inner.frames.take());
                         let enqueued_ns = inner.recorder.now_ns();
                         let pushed = inner.q_sink.push(
                             Spanned { span: spanned.span, enqueued_ns, item: frame },
@@ -1025,12 +1075,16 @@ fn spawn_encode(inner: Arc<Inner>, config: PipelineConfig) -> std::thread::JoinH
                         );
                         let now = inner.recorder.now_ns();
                         inner.note_backpressure(2, spanned.span, now.saturating_sub(enqueued_ns));
-                        if pushed {
-                            stage.out_items.fetch_add(1, Ordering::Relaxed);
-                            inner.exit(2, spanned.span, now.saturating_sub(t0));
-                        } else {
-                            stage.dropped.fetch_add(1, Ordering::Relaxed);
-                            inner.shed(2, spanned.span, 1);
+                        match pushed {
+                            Ok(()) => {
+                                stage.out_items.fetch_add(1, Ordering::Relaxed);
+                                inner.exit(2, spanned.span, now.saturating_sub(t0));
+                            }
+                            Err(shed) => {
+                                inner.frames.give(shed.item);
+                                stage.dropped.fetch_add(1, Ordering::Relaxed);
+                                inner.shed(2, spanned.span, 1);
+                            }
                         }
                     }
                     None => {
@@ -1095,6 +1149,7 @@ fn spawn_sink(
                             stage.dropped.fetch_add(1, Ordering::Relaxed);
                             inner.shed(3, spanned.span, 1);
                         }
+                        inner.frames.give(spanned.item);
                     }
                     None => {
                         if inner.q_sink.drained() {
@@ -1207,6 +1262,48 @@ pub(crate) mod tests {
         let expected: Vec<u64> = (0..3_000u64).chain(100_000..103_000).collect();
         assert_eq!(stamps, expected, "every confirmed record exported exactly once");
         assert_eq!(stats.events_drained, 6_000);
+    }
+
+    #[test]
+    fn pipeline_frames_equal_encode_frame_of_their_events() {
+        let t = tracer();
+        let (sink, frames) = collecting_sink();
+        // Small limits so both cuts, the event count and the payload bytes,
+        // close frames, besides the idle flush and the final one.
+        let config = PipelineConfig { batch_max_events: 64, batch_max_bytes: 1_000, ..quick() };
+        let pipeline = StreamPipeline::spawn(Arc::clone(&t), Box::new(sink), config);
+        let p = t.producer(1).unwrap();
+        let recorded: Vec<FullEvent> = (0..3_000u64)
+            .map(|i| FullEvent {
+                stamp: i * 3,
+                core: 1,
+                tid: (i % 5) as u32,
+                payload: vec![i as u8; (i % 41) as usize],
+            })
+            .collect();
+        for (i, e) in recorded.iter().enumerate() {
+            p.record_with(e.stamp, e.tid, &e.payload).unwrap();
+            if i % 500 == 0 {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+        let stats = pipeline.stop();
+        assert_eq!(stats.missed_blocks, 0, "512-block buffer holds the whole run");
+
+        let bytes = frames.lock().unwrap();
+        let (mut reencoded, mut seqs, mut events) = (Vec::new(), Vec::new(), Vec::new());
+        visit_frames(&bytes, |seq, frame| {
+            let owned: Vec<FullEvent> = frame.iter().map(EventView::to_owned).collect();
+            reencoded.extend_from_slice(&encode_frame(seq, &owned));
+            seqs.push(seq);
+            assert!(owned.len() <= 64, "frame {seq} holds {} events", owned.len());
+            events.extend(owned);
+        })
+        .unwrap();
+        assert_eq!(events, recorded, "one core's events arrive whole and in order");
+        assert_eq!(seqs, (0..seqs.len() as u64).collect::<Vec<_>>(), "seqs run from 0, no gap");
+        assert!(seqs.len() > 3_000 / 64, "the byte limit closed some frames early");
+        assert!(*reencoded == *bytes, "every frame equals encode_frame of its own events");
     }
 
     #[test]
