@@ -228,17 +228,18 @@ impl MetricsPartial {
             return Metrics::empty();
         }
         let retained_events = sorted.len();
-        let retained_bytes: u64 = sorted.iter().map(|&(_, b)| b as u64).sum();
-
-        let mut fragments = 1usize;
-        let mut last_run_start = 0usize;
-        for i in 1..sorted.len() {
-            if sorted[i].0 != sorted[i - 1].0 + 1 {
-                fragments += 1;
-                last_run_start = i;
-            }
+        // One pass sums the bytes and counts the places where a run breaks
+        // (the next stamp is not the successor) as a sum of comparisons, with
+        // no branch per entry; the latest run is then found by walking back
+        // from the newest stamp.
+        let (mut retained_bytes, mut breaks) = (sorted[0].1 as u64, 0usize);
+        for w in sorted.windows(2) {
+            retained_bytes += w[1].1 as u64;
+            breaks += usize::from(w[1].0 != w[0].0 + 1);
         }
-        let latest = &sorted[last_run_start..];
+        let fragments = 1 + breaks;
+        let latest_len = 1 + sorted.windows(2).rev().take_while(|w| w[1].0 == w[0].0 + 1).count();
+        let latest = &sorted[sorted.len() - latest_len..];
         let latest_fragment_bytes: u64 = latest.iter().map(|&(_, b)| b as u64).sum();
 
         let oldest = sorted.first().expect("non-empty").0;
@@ -313,17 +314,39 @@ impl std::fmt::Debug for MetricsPartial {
 // Breakdown monoid
 // ---------------------------------------------------------------------------
 
-/// Per-fragment partial for the per-core / per-thread breakdowns: running
-/// [`GroupStats`] in a vector sorted by key. Merge is field-wise (`+`,
-/// `min`, `max`), all associative and commutative.
+/// Per-fragment partial for the per-core / per-thread breakdowns: one
+/// running [`GroupStats`] row per key. Merge is field-wise (`+`, `min`,
+/// `max`), all associative and commutative.
 ///
-/// A push finds its group directly when the table is dense up to the key
-/// (`groups[k].key == k`, which per-core tables always are once every core
-/// below the key has reported) and by binary search otherwise (thread ids).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// A push finds its key's row through an open-addressing hash index over
+/// the rows, in expected O(1) whatever the keys (dense core indices or
+/// thread ids spread across `u32`), and a new key appends its row. Rows
+/// stay in first-seen order until [`settle`](Self::settle) or
+/// [`merge`](Self::merge) sorts them by key (a no-op when keys first
+/// arrived ascending); every observer (`merge`, `finish_*`, `rows`, `==`,
+/// `Debug`) sees them sorted, so no caller can tell two push orders apart.
+#[derive(Clone, Default)]
 pub struct GroupPartial {
-    /// Sorted by key, one entry per key.
-    groups: Vec<GroupStats>,
+    /// One row per key; sorted by key unless `unsorted` is set.
+    rows: Vec<GroupStats>,
+    /// `(key, row)` slots, linear probing, `row == FREE` when unused. Either
+    /// empty (not built yet, or invalidated by a sort) or a power of two
+    /// more than twice as long as `rows`, indexing every row.
+    slots: Vec<(u32, u32)>,
+    /// A key arrived below the last row's key: `rows` needs one sort
+    /// before anything reads it.
+    unsorted: bool,
+}
+
+/// Marks an unused slot of [`GroupPartial`]'s index.
+const FREE: u32 = u32::MAX;
+
+/// Home slot of `key` in an index of `mask + 1` slots: Fibonacci hashing, so
+/// keys that share their low bits (tids spaced by a power of two) still
+/// spread.
+#[inline]
+fn home_slot(key: u32, mask: usize) -> usize {
+    ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
 }
 
 impl GroupPartial {
@@ -342,36 +365,96 @@ impl GroupPartial {
         for e in events {
             partial.push(key(e), e.stamp, e.stored_bytes);
         }
+        partial.settle();
         partial
     }
 
     /// Folds one event into the group `key`.
     #[inline]
     fn push(&mut self, key: u32, stamp: u64, stored_bytes: u32) {
-        let i = match self.groups.get(key as usize) {
-            Some(g) if g.key == key => key as usize,
-            _ => match self.groups.binary_search_by_key(&key, |g| g.key) {
-                Ok(i) => i,
-                Err(i) => {
-                    let empty =
-                        GroupStats { key, events: 0, bytes: 0, oldest: u64::MAX, newest: 0 };
-                    self.groups.insert(i, empty);
-                    i
-                }
-            },
-        };
-        let g = &mut self.groups[i];
+        let row = self.row(key);
+        let g = &mut self.rows[row];
         g.events += 1;
         g.bytes += stored_bytes as u64;
         g.oldest = g.oldest.min(stamp);
         g.newest = g.newest.max(stamp);
     }
 
-    /// Associative merge of two partials.
-    pub fn merge(self, other: Self) -> Self {
-        let mut out = Vec::with_capacity(self.groups.len() + other.groups.len());
-        let mut a = self.groups.into_iter().peekable();
-        let mut b = other.groups.into_iter().peekable();
+    /// The row of `key`, appended empty when the key is new.
+    #[inline]
+    fn row(&mut self, key: u32) -> usize {
+        if 2 * self.rows.len() >= self.slots.len() {
+            self.reindex();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = home_slot(key, mask);
+        loop {
+            match self.slots[i] {
+                (_, FREE) => break,
+                (k, row) if k == key => return row as usize,
+                _ => i = (i + 1) & mask,
+            }
+        }
+        let row = self.rows.len();
+        self.unsorted |= self.rows.last().is_some_and(|last| key < last.key);
+        self.rows.push(GroupStats { key, events: 0, bytes: 0, oldest: u64::MAX, newest: 0 });
+        self.slots[i] = (key, row as u32);
+        row
+    }
+
+    /// Rebuilds the index over the current rows with room to grow: after
+    /// it, more than half of the slots are free even once one more row is
+    /// appended.
+    #[cold]
+    fn reindex(&mut self) {
+        let len = (2 * self.rows.len() + 2).next_power_of_two().max(16);
+        self.slots.clear();
+        self.slots.resize(len, (0, FREE));
+        let mask = len - 1;
+        for (row, g) in self.rows.iter().enumerate() {
+            let mut i = home_slot(g.key, mask);
+            while self.slots[i].1 != FREE {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = (g.key, row as u32);
+        }
+    }
+
+    /// Runs the deferred sort by key now, in place (a no-op when keys
+    /// arrived ascending); the index is rebuilt on the next push.
+    pub fn settle(&mut self) {
+        if self.unsorted {
+            self.rows.sort_unstable_by_key(|g| g.key);
+            self.slots.clear();
+            self.unsorted = false;
+        }
+    }
+
+    /// The rows sorted by key: borrowed when already settled, a sorted copy
+    /// otherwise.
+    pub fn rows(&self) -> Cow<'_, [GroupStats]> {
+        if self.unsorted {
+            let mut rows = self.rows.clone();
+            rows.sort_unstable_by_key(|g| g.key);
+            Cow::Owned(rows)
+        } else {
+            Cow::Borrowed(&self.rows)
+        }
+    }
+
+    /// Associative merge of two partials: a sorted union of the rows.
+    pub fn merge(mut self, mut other: Self) -> Self {
+        self.settle();
+        other.settle();
+        if other.rows.is_empty() {
+            return self;
+        }
+        if self.rows.is_empty() {
+            return other;
+        }
+        let mut out = Vec::with_capacity(self.rows.len() + other.rows.len());
+        let mut a = self.rows.into_iter().peekable();
+        let mut b = other.rows.into_iter().peekable();
         while let (Some(ga), Some(gb)) = (a.peek(), b.peek()) {
             match ga.key.cmp(&gb.key) {
                 std::cmp::Ordering::Less => out.push(a.next().expect("peeked")),
@@ -388,19 +471,20 @@ impl GroupPartial {
         }
         out.extend(a);
         out.extend(b);
-        Self { groups: out }
+        Self { rows: out, slots: Vec::new(), unsorted: false }
     }
 
     /// Finishes into the [`crate::by_core`] ordering: ascending by key.
     pub fn finish_by_key(&self) -> Vec<GroupStats> {
-        self.groups.clone()
+        self.rows().into_owned()
     }
 
     /// Finishes into the [`crate::by_thread`] ordering: descending by event
-    /// count (ties broken by key), truncated to the `top` busiest groups.
+    /// count (ties broken by key, so the order is total and the rows' own
+    /// order never shows), truncated to the `top` busiest groups.
     pub fn finish_hot(&self, top: usize) -> Vec<GroupStats> {
-        let mut all = self.groups.clone();
-        all.sort_by(|a, b| b.events.cmp(&a.events).then(a.key.cmp(&b.key)));
+        let mut all = self.rows.clone();
+        all.sort_unstable_by(|a, b| b.events.cmp(&a.events).then(a.key.cmp(&b.key)));
         all.truncate(top);
         all
     }
@@ -408,12 +492,26 @@ impl GroupPartial {
     /// Max-over-min event-count skew across groups, as in
     /// [`crate::core_skew`]; `None` with fewer than two groups.
     pub fn skew(&self) -> Option<f64> {
-        if self.groups.len() < 2 {
+        if self.rows.len() < 2 {
             return None;
         }
-        let max = self.groups.iter().map(|g| g.events).max()? as f64;
-        let min = self.groups.iter().map(|g| g.events).min()?.max(1) as f64;
+        let max = self.rows.iter().map(|g| g.events).max()? as f64;
+        let min = self.rows.iter().map(|g| g.events).min()?.max(1) as f64;
         Some(max / min)
+    }
+}
+
+impl PartialEq for GroupPartial {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows() == other.rows()
+    }
+}
+
+impl Eq for GroupPartial {}
+
+impl std::fmt::Debug for GroupPartial {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GroupPartial").field("rows", &self.rows()).finish()
     }
 }
 
@@ -601,8 +699,17 @@ impl TracePartial {
         for e in events {
             partial.push(*e);
         }
-        partial.metrics.settle();
+        partial.settle();
         partial
+    }
+
+    /// Runs every deferred sort now (see [`MetricsPartial::settle`] and
+    /// [`GroupPartial::settle`]), so later reads borrow instead of sorting
+    /// a copy each.
+    pub fn settle(&mut self) {
+        self.metrics.settle();
+        self.cores.settle();
+        self.threads.settle();
     }
 
     /// Folds one event into all three partials (a drained event, or a
@@ -726,6 +833,40 @@ mod tests {
         assert_eq!(merged.skew(), core_skew(&events));
         let threads = GroupPartial::by_thread(a).merge(GroupPartial::by_thread(b));
         assert_eq!(threads.finish_hot(3), by_thread(&events, 3));
+    }
+
+    #[test]
+    fn group_rows_ignore_push_order_and_key_spread() {
+        // Keys sharing all their low bits, keys at the top of `u32`, and
+        // more keys than the first index holds, pushed descending.
+        let keys: Vec<u32> = (0..300u32).map(|i| if i % 2 == 0 { i << 23 } else { !i }).collect();
+        let events: Vec<CollectedEvent> = (0..1_200u64)
+            .map(|s| ev(s, 0, keys[(s * 7 % 300) as usize], 8 + (s % 5) as u32))
+            .collect();
+        let mut descending = events.clone();
+        descending.sort_by_key(|e| std::cmp::Reverse(e.tid));
+        let whole = GroupPartial::by_thread(&events);
+        assert_eq!(GroupPartial::by_thread(&descending), whole);
+        let rows = whole.rows();
+        assert_eq!(rows.len(), keys.len());
+        assert!(rows.windows(2).all(|w| w[0].key < w[1].key), "rows sorted by key");
+        assert_eq!(rows.iter().map(|g| g.events).sum::<usize>(), events.len());
+        assert_eq!(whole.finish_hot(keys.len()), by_thread(&descending, keys.len()));
+
+        // Pushing after a settle or a merge rebuilds the index over the
+        // sorted rows.
+        let mut resumed = GroupPartial::by_thread(&events[..600]);
+        for e in &events[600..] {
+            resumed.push(e.tid, e.stamp, e.stored_bytes);
+        }
+        assert_eq!(resumed, whole);
+        let (a, b) = descending.split_at(500);
+        let mut merged = GroupPartial::by_thread(a).merge(GroupPartial::by_thread(&b[..100]));
+        for e in &b[100..] {
+            merged.push(e.tid, e.stamp, e.stored_bytes);
+        }
+        assert_eq!(merged, whole);
+        assert_eq!(format!("{merged:?}"), format!("{whole:?}"));
     }
 
     #[test]

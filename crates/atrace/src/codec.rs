@@ -109,7 +109,7 @@ pub enum TraceEvent<'a> {
     End,
 }
 
-impl TraceEvent<'_> {
+impl<'a> TraceEvent<'a> {
     /// The category this event belongs to.
     pub fn category(&self) -> Category {
         match self {
@@ -182,6 +182,36 @@ impl TraceEvent<'_> {
             TraceEvent::End => {}
         }
         w.at
+    }
+
+    /// Decodes an encoded event in place: string payloads borrow from
+    /// `bytes`, so nothing is allocated.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] on truncated input, unknown tags, or invalid UTF-8 in
+    /// string payloads.
+    pub fn decode(bytes: &'a [u8]) -> Result<TraceEvent<'a>, DecodeError> {
+        let mut r = Reader { bytes, at: 0 };
+        let tag = r.u8()?;
+        let _category = r.u32()?; // self-describing; recomputed on demand
+        let event = match tag {
+            1 => TraceEvent::SchedSwitch { prev: r.u32()?, next: r.u32()?, prio: r.u8()? },
+            2 => TraceEvent::SchedWakeup { tid: r.u32()?, cpu: r.u8()? },
+            3 => TraceEvent::SchedMigrate { tid: r.u32()?, from_cpu: r.u8()?, to_cpu: r.u8()? },
+            4 => TraceEvent::Irq { irq: r.u16()?, enter: r.u8()? != 0 },
+            5 => TraceEvent::BinderTxn { from: r.u32()?, to: r.u32()?, code: r.u32()? },
+            6 => TraceEvent::FreqChange { cpu: r.u8()?, khz: r.u32()? },
+            7 => TraceEvent::IdleEnter { cpu: r.u8()?, state: r.u8()? },
+            8 => TraceEvent::IdleExit { cpu: r.u8()? },
+            9 => TraceEvent::ThermalThrottle { zone: r.u8()?, mdeg: r.u32()? },
+            10 => TraceEvent::EnergyEstimate { cluster: r.u8()?, mw: r.u32()? },
+            11 => TraceEvent::Counter { value: r.i64()?, name: r.str()? },
+            12 => TraceEvent::Begin { msg: r.str()? },
+            13 => TraceEvent::End,
+            other => return Err(DecodeError::UnknownTag(other)),
+        };
+        Ok(event)
     }
 
     fn tag(&self) -> u8 {
@@ -329,33 +359,44 @@ impl OwnedEvent {
         }
     }
 
-    /// Decodes an encoded event.
+    /// Decodes an encoded event, copying its string payload out.
     ///
     /// # Errors
     ///
     /// [`DecodeError`] on truncated input, unknown tags, or invalid UTF-8 in
-    /// string payloads.
+    /// string payloads — exactly where [`TraceEvent::decode`] fails.
     pub fn decode(bytes: &[u8]) -> Result<OwnedEvent, DecodeError> {
-        let mut r = Reader { bytes, at: 0 };
-        let tag = r.u8()?;
-        let _category = r.u32()?; // self-describing; recomputed on demand
-        let event = match tag {
-            1 => OwnedEvent::SchedSwitch { prev: r.u32()?, next: r.u32()?, prio: r.u8()? },
-            2 => OwnedEvent::SchedWakeup { tid: r.u32()?, cpu: r.u8()? },
-            3 => OwnedEvent::SchedMigrate { tid: r.u32()?, from_cpu: r.u8()?, to_cpu: r.u8()? },
-            4 => OwnedEvent::Irq { irq: r.u16()?, enter: r.u8()? != 0 },
-            5 => OwnedEvent::BinderTxn { from: r.u32()?, to: r.u32()?, code: r.u32()? },
-            6 => OwnedEvent::FreqChange { cpu: r.u8()?, khz: r.u32()? },
-            7 => OwnedEvent::IdleEnter { cpu: r.u8()?, state: r.u8()? },
-            8 => OwnedEvent::IdleExit { cpu: r.u8()? },
-            9 => OwnedEvent::ThermalThrottle { zone: r.u8()?, mdeg: r.u32()? },
-            10 => OwnedEvent::EnergyEstimate { cluster: r.u8()?, mw: r.u32()? },
-            11 => OwnedEvent::Counter { value: r.i64()?, name: r.str()? },
-            12 => OwnedEvent::Begin { msg: r.str()? },
-            13 => OwnedEvent::End,
-            other => return Err(DecodeError::UnknownTag(other)),
-        };
-        Ok(event)
+        TraceEvent::decode(bytes).map(OwnedEvent::from)
+    }
+}
+
+impl From<TraceEvent<'_>> for OwnedEvent {
+    fn from(event: TraceEvent<'_>) -> Self {
+        match event {
+            TraceEvent::SchedSwitch { prev, next, prio } => {
+                OwnedEvent::SchedSwitch { prev, next, prio }
+            }
+            TraceEvent::SchedWakeup { tid, cpu } => OwnedEvent::SchedWakeup { tid, cpu },
+            TraceEvent::SchedMigrate { tid, from_cpu, to_cpu } => {
+                OwnedEvent::SchedMigrate { tid, from_cpu, to_cpu }
+            }
+            TraceEvent::Irq { irq, enter } => OwnedEvent::Irq { irq, enter },
+            TraceEvent::BinderTxn { from, to, code } => OwnedEvent::BinderTxn { from, to, code },
+            TraceEvent::FreqChange { cpu, khz } => OwnedEvent::FreqChange { cpu, khz },
+            TraceEvent::IdleEnter { cpu, state } => OwnedEvent::IdleEnter { cpu, state },
+            TraceEvent::IdleExit { cpu } => OwnedEvent::IdleExit { cpu },
+            TraceEvent::ThermalThrottle { zone, mdeg } => {
+                OwnedEvent::ThermalThrottle { zone, mdeg }
+            }
+            TraceEvent::EnergyEstimate { cluster, mw } => {
+                OwnedEvent::EnergyEstimate { cluster, mw }
+            }
+            TraceEvent::Counter { name, value } => {
+                OwnedEvent::Counter { name: name.to_owned(), value }
+            }
+            TraceEvent::Begin { msg } => OwnedEvent::Begin { msg: msg.to_owned() },
+            TraceEvent::End => OwnedEvent::End,
+        }
     }
 }
 
@@ -422,8 +463,8 @@ struct Reader<'a> {
     at: usize,
 }
 
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], DecodeError> {
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.at + n > self.bytes.len() {
             return Err(DecodeError::Truncated);
         }
@@ -443,10 +484,10 @@ impl Reader<'_> {
     fn i64(&mut self) -> Result<i64, DecodeError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
-    fn str(&mut self) -> Result<String, DecodeError> {
+    fn str(&mut self) -> Result<&'a str, DecodeError> {
         let len = self.u16()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadString)
+        std::str::from_utf8(bytes).map_err(|_| DecodeError::BadString)
     }
 }
 
@@ -458,7 +499,10 @@ mod tests {
         let mut buf = [0u8; MAX_ENCODED];
         let len = event.encode(&mut buf);
         assert!(len <= MAX_ENCODED);
-        OwnedEvent::decode(&buf[..len]).expect("roundtrip decodes")
+        let borrowed = TraceEvent::decode(&buf[..len]).expect("roundtrip decodes in place");
+        let owned = OwnedEvent::decode(&buf[..len]).expect("roundtrip decodes");
+        assert_eq!(owned.as_borrowed(), borrowed, "the owned decode copies the borrowed one");
+        owned
     }
 
     #[test]
@@ -549,18 +593,25 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        assert_eq!(OwnedEvent::decode(&[]), Err(DecodeError::Truncated));
-        assert_eq!(OwnedEvent::decode(&[200, 0, 0, 0, 0]), Err(DecodeError::UnknownTag(200)));
+        let rejects = |bytes: &[u8], err: DecodeError| {
+            assert_eq!(OwnedEvent::decode(bytes), Err(err.clone()));
+            assert_eq!(TraceEvent::decode(bytes), Err(err));
+        };
+        rejects(&[], DecodeError::Truncated);
+        rejects(&[200, 0, 0, 0, 0], DecodeError::UnknownTag(200));
         // Truncated sched switch.
         let mut buf = [0u8; MAX_ENCODED];
         let len = TraceEvent::SchedSwitch { prev: 1, next: 2, prio: 3 }.encode(&mut buf);
-        assert_eq!(OwnedEvent::decode(&buf[..len - 2]), Err(DecodeError::Truncated));
+        rejects(&buf[..len - 2], DecodeError::Truncated);
+        // A string cut short of its length prefix's promise.
+        let len = TraceEvent::Begin { msg: "doFrame" }.encode(&mut buf);
+        rejects(&buf[..len - 1], DecodeError::Truncated);
         // Invalid UTF-8 in a counter name.
         let mut buf = [0u8; MAX_ENCODED];
         let len = TraceEvent::Counter { name: "ab", value: 1 }.encode(&mut buf);
         let mut corrupted = buf[..len].to_vec();
         let str_start = len - 2;
         corrupted[str_start] = 0xFF;
-        assert_eq!(OwnedEvent::decode(&corrupted), Err(DecodeError::BadString));
+        rejects(&corrupted, DecodeError::BadString);
     }
 }

@@ -15,7 +15,7 @@ use btrace_analysis::{fold_merge, map_reduce, GapMapOptions, TraceAnalysis, Trac
 use btrace_replay::{check_handoff, BoundaryDefect, BoundaryExpectation, TraceState};
 
 use crate::fragment::{scan_frames, split_fragments, FragmentContext};
-use crate::query::Predicate;
+use crate::query::{Predicate, ReadFold};
 use crate::stream::visit_frames;
 
 /// Tuning for [`analyze_frames`].
@@ -206,20 +206,17 @@ fn map_fragment(
     predicate: Option<&Predicate>,
 ) -> io::Result<FragmentPartial> {
     let t0 = Instant::now();
-    let mut trace = TracePartial::with_capacity(frag.events as usize);
-    let mut state = TraceState::empty();
+    let mut fold = ReadFold::with_capacity(frag.events as usize);
     let mut frames = 0usize;
     visit_frames(&stream[frag.bytes.clone()], |_, decoded| {
         frames += 1;
         for e in decoded {
-            if predicate.is_some_and(|pred| !pred.admits(e)) {
-                continue;
+            if predicate.is_none_or(|pred| pred.admits(e)) {
+                fold.push(e);
             }
-            trace.push(e.collected());
-            state.record(e.core, e.tid, e.stamp, e.payload.len() as u64);
         }
     })?;
-    trace.metrics.settle();
+    let (trace, state) = fold.finish();
     Ok(FragmentPartial {
         work: FragmentWork {
             fragment: frag.index,

@@ -10,20 +10,23 @@
 //!    decode.
 //! 2. **Filter + fold**: each surviving frame is validated (checksummed)
 //!    and decoded in place as borrowed [`EventView`]s, its events are
-//!    filtered by the *exact* predicate, and each survivor is folded from
-//!    its borrowed fields ([`TracePartial::push`], [`TraceState::record`])
-//!    into the same monoid partial the fragment-parallel analyzer uses —
-//!    no event is copied on the way. So `btrace query` and a
-//!    predicate-pruned [`analyze_frames`](crate::analyze_frames) are one
-//!    execution path, and both are bit-identical to a linear
-//!    full-decode-then-filter oracle by the monoid's
-//!    `map ∘ concat = merge ∘ map` law.
+//!    filtered by the *exact* predicate, and each survivor is folded once,
+//!    from its borrowed fields, into the same monoid partial the
+//!    fragment-parallel analyzer uses ([`TracePartial::push`]: the retained
+//!    stamp, one per-core row and one per-thread row, each found in expected
+//!    O(1)), plus its core's payload-byte tally. No event is copied on the
+//!    way. The [`TraceState`] is derived from the finished partial and the
+//!    tally once per query ([`TraceState::from_partial`]), not updated per
+//!    event. So `btrace query` and a predicate-pruned
+//!    [`analyze_frames`](crate::analyze_frames) are one execution path, and
+//!    both are bit-identical to a linear full-decode-then-filter oracle by
+//!    the monoid's `map ∘ concat = merge ∘ map` law.
 //!
 //! Frame corruption never aborts a query: each damaged frame becomes a
 //! [`FrameDefect`] in the report and the rest of the file still answers.
 
 use btrace_analysis::{GapMapOptions, TraceAnalysis, TracePartial};
-use btrace_atrace::{Category, OwnedEvent};
+use btrace_atrace::{Category, TraceEvent};
 use btrace_core::{EventView, FullEvent};
 use btrace_replay::TraceState;
 
@@ -71,7 +74,8 @@ impl Predicate {
     }
 
     /// Exact event-level match, judged where the event's bytes live (an
-    /// owned event is judged through [`FullEvent::view`]).
+    /// owned event is judged through [`FullEvent::view`]). A category is
+    /// judged on the payload decoded in place, so no string is copied.
     pub fn admits(&self, e: &EventView<'_>) -> bool {
         if e.stamp < self.since.unwrap_or(0) || e.stamp > self.until.unwrap_or(u64::MAX) {
             return false;
@@ -81,7 +85,7 @@ impl Predicate {
         }
         match self.category {
             None => true,
-            Some(mask) => match OwnedEvent::decode(e.payload) {
+            Some(mask) => match TraceEvent::decode(e.payload) {
                 Ok(ev) => ev.category().bits() & mask.bits() != 0,
                 Err(_) => false,
             },
@@ -168,10 +172,11 @@ impl Query {
     ///
     /// Each planned frame is validated and decoded in place into one reused
     /// scratch buffer; the predicate judges every event there, and a match
-    /// is folded straight from its borrowed fields into the report's
-    /// [`TracePartial`] and [`TraceState`] — nothing is copied unless
-    /// [`QueryOptions::collect_events`] asks for the payloads. By the monoid
-    /// law the one fold equals merging per-frame partials.
+    /// is folded once, straight from its borrowed fields, into the report's
+    /// [`TracePartial`] and its core's payload-byte tally. The report's
+    /// [`TraceState`] is derived from both at the end. Nothing is copied
+    /// unless [`QueryOptions::collect_events`] asks for the payloads. By the
+    /// monoid law the one fold equals merging per-frame partials.
     pub fn run(&self, store: &TraceStore) -> QueryReport {
         let plan = self.plan(store);
         let mut defects = store.defects().to_vec();
@@ -179,8 +184,7 @@ impl Query {
         // The planned frames' footers bound the matches: one reservation,
         // no growth copies (unused capacity is never touched).
         let bound: usize = plan.iter().map(|&i| store.frames()[i].index.event_count as usize).sum();
-        let mut partial = TracePartial::with_capacity(bound);
-        let mut state = TraceState::empty();
+        let mut fold = ReadFold::with_capacity(bound);
         let mut scratch = Vec::new();
         for &idx in &plan {
             if let Err(defect) = store.decode_frame_refs(idx, &mut scratch) {
@@ -188,14 +192,13 @@ impl Query {
                 continue;
             }
             for e in scratch.iter().filter(|e| self.predicate.admits(e)) {
-                partial.push(e.collected());
-                state.record(e.core, e.tid, e.stamp, e.payload.len() as u64);
+                fold.push(e);
                 if self.options.collect_events {
                     events.push(e.to_owned());
                 }
             }
         }
-        partial.metrics.settle();
+        let (partial, state) = fold.finish();
         let newest_stamp = partial.metrics.newest();
         let gap_map = self.options.gap_map.and_then(|gopts| {
             newest_stamp.map(|newest| {
@@ -216,6 +219,42 @@ impl Query {
             frames_pruned: store.frames().len() - plan.len(),
             defects,
         }
+    }
+}
+
+/// The read path's one fold: each matched event updates the
+/// [`TracePartial`] once and adds its payload bytes to its core's tally;
+/// [`finish`](Self::finish) derives the [`TraceState`] from both.
+/// [`Query::run`] and the fragment analyzer both fold through it.
+pub(crate) struct ReadFold {
+    trace: TracePartial,
+    /// Payload bytes per core index: the state's byte accounting, which
+    /// the partial (stored bytes) does not carry.
+    payload_bytes: Vec<u64>,
+}
+
+impl ReadFold {
+    /// An empty fold with room for `events` pushes.
+    pub(crate) fn with_capacity(events: usize) -> Self {
+        Self { trace: TracePartial::with_capacity(events), payload_bytes: Vec::new() }
+    }
+
+    /// Folds one event in.
+    #[inline]
+    pub(crate) fn push(&mut self, e: &EventView<'_>) {
+        self.trace.push(e.collected());
+        let core = e.core as usize;
+        if core >= self.payload_bytes.len() {
+            self.payload_bytes.resize(core + 1, 0);
+        }
+        self.payload_bytes[core] += e.payload.len() as u64;
+    }
+
+    /// The settled partial and the state derived from it.
+    pub(crate) fn finish(mut self) -> (TracePartial, TraceState) {
+        self.trace.settle();
+        let state = TraceState::from_partial(&self.trace, &self.payload_bytes);
+        (self.trace, state)
     }
 }
 

@@ -14,6 +14,7 @@
 //! lies before it). Any mismatch means the index and the decoded bytes
 //! disagree — a trace defect to report, never a panic.
 
+use btrace_analysis::TracePartial;
 use btrace_core::sink::CollectedEvent;
 
 /// Per-core replay cursor inside a [`TraceState`].
@@ -97,6 +98,39 @@ impl TraceState {
         if let Err(i) = self.tids.binary_search(&tid) {
             self.tids.insert(i, tid);
         }
+    }
+
+    /// The state [`record`](Self::record) builds from the events `partial`
+    /// folded, derived from its per-core and per-thread groups in
+    /// O(cores + threads): each core's events and stamp range come from its
+    /// core row, the thread ids are the thread rows' keys, and
+    /// `core_bytes[c]` is core `c`'s byte accounting (0 past the end).
+    ///
+    /// This is how the read path builds its state: one fold per event into
+    /// the partial, plus a per-core byte tally, and no per-event `record`.
+    pub fn from_partial(partial: &TracePartial, core_bytes: &[u64]) -> Self {
+        let mut state = Self::empty();
+        let cores = partial.cores.rows();
+        if let Some(top) = cores.iter().map(|g| g.key as usize).max() {
+            state.cores.resize(top + 1, CoreCursor::default());
+        }
+        for g in cores.iter() {
+            let core = g.key as usize;
+            let bytes = core_bytes.get(core).copied().unwrap_or(0);
+            state.cores[core] = CoreCursor {
+                events: g.events as u64,
+                bytes,
+                first_stamp: g.oldest,
+                last_stamp: g.newest,
+            };
+            state.events += g.events as u64;
+            state.bytes += bytes;
+            state.first_stamp = state.first_stamp.min(g.oldest);
+            state.last_stamp = state.last_stamp.max(g.newest);
+            state.core_bitmap |= 1u64 << (core as u64).min(63);
+        }
+        state.tids = partial.threads.rows().iter().map(|g| g.key).collect();
+        state
     }
 
     /// Maps one fragment of drained events (stored-byte accounting).
@@ -275,6 +309,23 @@ mod tests {
         assert_eq!(state.core_bitmap, 0b101);
         assert_eq!(state.tids.len(), 2);
         assert_eq!(state.bytes, 32);
+    }
+
+    #[test]
+    fn from_partial_equals_record() {
+        // Cores past the bitmap's 63, tids out of order, repeated stamps.
+        let mut events = sample();
+        events.extend([ev(3, 70, 9, 40), ev(250, 64, 1 << 31, 8), ev(3, 1, 7, 16)]);
+        let mut core_bytes = vec![0u64; 71];
+        for e in &events {
+            core_bytes[e.core as usize] += e.stored_bytes as u64;
+        }
+        for split in [0, 77, events.len()] {
+            let (a, b) = events.split_at(split);
+            let partial = TracePartial::map(b).merge(TracePartial::map(a));
+            assert_eq!(TraceState::from_partial(&partial, &core_bytes), TraceState::map(&events));
+        }
+        assert_eq!(TraceState::from_partial(&TracePartial::default(), &[]), TraceState::empty());
     }
 
     #[test]

@@ -453,6 +453,108 @@ fn lapped_stream_matches_independent_oracle() {
     }
 }
 
+/// Events whose keys stress the per-core and per-thread row lookup:
+/// 1 500 tids spread across `u32` (a third of them multiples of 2^22, which
+/// share every low bit a power-of-two table would index by identity),
+/// cores 0..96 (past the footer bitmap's folded bit 63), and stamps that run
+/// backwards within and across frames, skip some values and repeat others
+/// with other payload sizes.
+fn spread_key_events() -> Vec<FullEvent> {
+    let mut rng = 0x6B3D_0A11_u64;
+    let tids: Vec<u32> = (0..1_500u32)
+        .map(|i| match i % 3 {
+            0 => (i / 3) << 22,
+            1 => splitmix(&mut rng) as u32,
+            _ => u32::MAX - i,
+        })
+        .collect();
+    (0..12_000u64)
+        .map(|j| (j, (j * 7_919) % 10_000)) // a permutation of 0..10 000, then repeats
+        .filter(|&(_, stamp)| stamp % 11 != 4)
+        .map(|(j, stamp)| {
+            let r = splitmix(&mut rng);
+            FullEvent {
+                stamp,
+                core: (r % 96) as u16,
+                tid: tids[j as usize % tids.len()],
+                payload: vec![0xE1; 4 + (r >> 8) as usize % 40],
+            }
+        })
+        .collect()
+}
+
+/// The store query and the fragment analyzer fold each event once into rows
+/// found by hashing; with over a thousand spread tids, cores past 63 and
+/// out-of-order, repeated stamps they must equal the per-event
+/// `TraceState::record` fold and `TracePartial::map`, and the readout must
+/// equal the independent collect-then-sort oracle.
+#[test]
+fn spread_group_keys_match_the_record_oracle() {
+    const TOP: usize = 2_000;
+    let events = spread_key_events();
+    let bytes = encode_stream(&events, 256);
+    let store = TraceStore::from_bytes(bytes.clone());
+    assert!(store.defects().is_empty(), "{:?}", store.defects());
+    let restricted = Predicate {
+        since: Some(1_000),
+        until: Some(8_000),
+        cores: vec![0, 5, 62, 63, 64, 95],
+        ..Default::default()
+    };
+    for predicate in [Predicate::default(), restricted] {
+        let matched: Vec<FullEvent> =
+            events.iter().filter(|e| predicate.admits(&e.view())).cloned().collect();
+        let collected = collect(&matched);
+        let mut expect_state = TraceState::empty();
+        for e in &matched {
+            expect_state.record(e.core, e.tid, e.stamp, e.payload.len() as u64);
+        }
+        let expect = TracePartial::map(&collected).finish(1 << 16, TOP);
+        assert_eq!(oracle::readout(&expect), oracle::oracle(&collected, 1 << 16, TOP));
+        if predicate == Predicate::default() {
+            assert!(expect_state.tids.len() > 1_000, "{} tids", expect_state.tids.len());
+            assert_eq!(expect_state.cores.len(), 96);
+            assert!(oracle::retained(&collected).len() < matched.len(), "stamps must repeat");
+        }
+
+        let q = Query {
+            predicate: predicate.clone(),
+            options: QueryOptions {
+                capacity_bytes: 1 << 16,
+                top_threads: TOP,
+                ..Default::default()
+            },
+        };
+        let report = q.run(&store);
+        assert!(report.defects.is_empty(), "{predicate:?}: {:?}", report.defects);
+        assert_eq!(report.matched_events, matched.len() as u64, "{predicate:?}");
+        assert_eq!(report.analysis, expect, "{predicate:?}: query readout");
+        assert_eq!(report.state, expect_state, "{predicate:?}: query state");
+
+        for threads in [1, 3] {
+            let opts = AnalyzeOptions {
+                threads,
+                fragments: 5,
+                capacity_bytes: 1 << 16,
+                top_threads: TOP,
+                ..Default::default()
+            };
+            // Unrestricted, the boundary hand-off check runs too.
+            let restriction = (predicate != Predicate::default()).then_some(&predicate);
+            let out = analyze_frames_with(&bytes, &opts, restriction).expect("decodes");
+            let what = format!("{predicate:?}: analyze_frames at {threads} threads");
+            assert!(out.defects.is_empty(), "{what}: {:?}", out.defects);
+            assert_eq!(out.analysis, expect, "{what}: readout");
+            assert_eq!(out.state, expect_state, "{what}: state");
+            let mut fragments = TraceState::empty();
+            for state in out.per_fragment_state {
+                fragments = fragments.merge(state);
+            }
+            assert_eq!(fragments, expect_state, "{what}: per-fragment states");
+        }
+    }
+}
+
 /// A drain-shaped corpus: globally increasing stamps with jitter, core 0
 /// hot, and small atrace-encoded payloads (sched/irq/binder mix) — what a
 /// phone dumps, not fat blobs.
