@@ -94,18 +94,13 @@ impl<S: TraceSink> Atrace<S> {
     /// payloads fail to decode (foreign writers on the same sink) are
     /// skipped.
     pub fn drain_decoded(&self) -> Vec<DecodedEvent> {
-        self.sink
-            .drain_full()
-            .into_iter()
-            .filter_map(|e| {
-                OwnedEvent::decode(&e.payload).ok().map(|event| DecodedEvent {
-                    stamp: e.stamp,
-                    core: e.core as usize,
-                    tid: e.tid,
-                    event,
-                })
-            })
-            .collect()
+        let mut out = Vec::new();
+        self.sink.visit(&mut |e| {
+            if let Ok(event) = OwnedEvent::decode(e.payload) {
+                out.push(DecodedEvent { stamp: e.stamp, core: e.core as usize, tid: e.tid, event });
+            }
+        });
+        out
     }
 }
 

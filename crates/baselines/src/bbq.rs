@@ -9,9 +9,9 @@
 //! block that still has unconfirmed writes, producers **block** until the
 //! straggler finishes (Table 1: "Blocking").
 
-use crate::wordbuf::{Drained, WordBuf};
-use btrace_core::event::encoded_len;
-use btrace_core::sink::{Begin, CollectedEvent, FullEvent, SinkGrant, TraceSink};
+use crate::wordbuf::WordBuf;
+use btrace_core::event::{encoded_len, EventView};
+use btrace_core::sink::{Begin, FullEvent, SinkGrant, TraceSink};
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -94,8 +94,8 @@ impl Bbq {
     }
 
     /// The events of every fully confirmed block, oldest block first — the
-    /// one selection loop behind `drain` and `drain_full`.
-    fn drain_confirmed<T: Drained>(&self) -> Vec<T> {
+    /// selection behind [`TraceSink::visit`].
+    fn drain_confirmed(&self) -> Vec<FullEvent> {
         let inner = &self.inner;
         let cap = inner.block_bytes;
         let head = inner.head.load(Ordering::Acquire);
@@ -319,12 +319,8 @@ impl TraceSink for Bbq {
         false
     }
 
-    fn drain(&self) -> Vec<CollectedEvent> {
-        self.drain_confirmed()
-    }
-
-    fn drain_full(&self) -> Vec<FullEvent> {
-        self.drain_confirmed()
+    fn visit(&self, f: &mut dyn FnMut(EventView<'_>)) {
+        self.drain_confirmed().iter().for_each(|e| f(e.view()));
     }
 
     fn capacity_bytes(&self) -> usize {

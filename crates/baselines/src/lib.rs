@@ -39,19 +39,34 @@ mod tests {
     use super::*;
     use btrace_core::sink::TraceSink;
 
-    /// `drain` and `drain_full` walk the same entries: the payload-free
-    /// drain is the full drain's events without their payloads, in the
-    /// same order, on every tracer and after wrap-around.
+    /// `visit` returns every retained record as it was recorded, payload
+    /// byte for byte, in stamp order (the documented order of all four
+    /// tracers when one thread records in stamp order), through wrap-around;
+    /// and `drain` is those views reduced to their metadata.
     #[test]
-    fn drain_is_drain_full_without_payloads() {
+    fn visit_returns_recorded_payloads_and_drain_reduces_them() {
         fn check(sink: &impl TraceSink) {
+            let payload =
+                |i: u64| -> Vec<u8> { (0..(i * 7 % 41) as u8).map(|b| b ^ i as u8).collect() };
+            let (core, tid) = (|i: u64| (i % 3) as u16, |i: u64| 10 + (i % 5) as u32);
             for i in 0..400u64 {
-                let payload: Vec<u8> = (0..(i * 7 % 41) as u8).collect();
-                sink.record((i % 3) as usize, 10 + (i % 5) as u32, i, &payload);
+                sink.record(core(i).into(), tid(i), i, &payload(i));
             }
-            let full = sink.drain_full();
-            assert!(full.len() > 10, "{}: the drain holds events", sink.name());
-            let collected: Vec<_> = full.iter().map(|e| e.view().collected()).collect();
+            let (mut visited, mut collected) = (Vec::new(), Vec::new());
+            sink.visit(&mut |e| {
+                assert_eq!((e.core, e.tid), (core(e.stamp), tid(e.stamp)), "{}", sink.name());
+                assert_eq!(e.payload, payload(e.stamp), "{}: stamp {}", sink.name(), e.stamp);
+                visited.push(e.stamp);
+                collected.push(e.collected());
+            });
+            assert!(visited.len() > 10, "{}: the ring retains records", sink.name());
+            assert!(visited.windows(2).all(|w| w[0] < w[1]), "{}: stamp order", sink.name());
+            assert_eq!(
+                visited.last(),
+                Some(&399),
+                "{}: the newest record is retained",
+                sink.name()
+            );
             assert_eq!(sink.drain(), collected, "{}", sink.name());
         }
         check(&Bbq::new(4096, 256));

@@ -12,9 +12,9 @@
 //! into the heavy newest-data loss of Table 2.
 
 use crate::bbq::{pack, unpack};
-use crate::wordbuf::{Drained, WordBuf};
-use btrace_core::event::encoded_len;
-use btrace_core::sink::{Begin, CollectedEvent, FullEvent, SinkGrant, TraceSink};
+use crate::wordbuf::WordBuf;
+use btrace_core::event::{encoded_len, EventView};
+use btrace_core::sink::{Begin, FullEvent, SinkGrant, TraceSink};
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -101,8 +101,8 @@ impl PerCoreDropNewest {
     }
 
     /// The events of every fully committed sub-buffer, in stamp order — the
-    /// one selection loop behind `drain` and `drain_full`.
-    fn drain_committed<T: Drained>(&self) -> Vec<T> {
+    /// selection behind [`TraceSink::visit`].
+    fn drain_committed(&self) -> Vec<FullEvent> {
         let mut out = Vec::new();
         let cap = self.inner.sub_bytes;
         for ring in &self.inner.cores {
@@ -118,7 +118,7 @@ impl PerCoreDropNewest {
                 sub.buf.read_entries(0..apos.min(cap) as usize, &mut out);
             }
         }
-        out.sort_by_key(T::stamp);
+        out.sort_by_key(|e| e.stamp);
         out
     }
 
@@ -280,12 +280,8 @@ impl TraceSink for PerCoreDropNewest {
         RecordOutcome::Recorded
     }
 
-    fn drain(&self) -> Vec<CollectedEvent> {
-        self.drain_committed()
-    }
-
-    fn drain_full(&self) -> Vec<FullEvent> {
-        self.drain_committed()
+    fn visit(&self, f: &mut dyn FnMut(EventView<'_>)) {
+        self.drain_committed().iter().for_each(|e| f(e.view()));
     }
 
     fn capacity_bytes(&self) -> usize {

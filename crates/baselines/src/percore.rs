@@ -12,7 +12,8 @@
 //! Table 1.
 
 use crate::ring::{drain_rings, OverwriteRing};
-use btrace_core::sink::{Begin, CollectedEvent, FullEvent, SinkGrant, TraceSink};
+use btrace_core::event::EventView;
+use btrace_core::sink::{Begin, SinkGrant, TraceSink};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -109,12 +110,8 @@ impl TraceSink for PerCoreOverwrite {
         false // ftrace disables preemption around trace writes
     }
 
-    fn drain(&self) -> Vec<CollectedEvent> {
-        drain_rings(self.rings.iter())
-    }
-
-    fn drain_full(&self) -> Vec<FullEvent> {
-        drain_rings(self.rings.iter())
+    fn visit(&self, f: &mut dyn FnMut(EventView<'_>)) {
+        drain_rings(self.rings.iter()).iter().for_each(|e| f(e.view()));
     }
 
     fn capacity_bytes(&self) -> usize {

@@ -7,7 +7,8 @@
 //! a 0.3 MB average latest fragment out of a 12 MB budget (§5.2).
 
 use crate::ring::{drain_rings, OverwriteRing};
-use btrace_core::sink::{Begin, CollectedEvent, FullEvent, SinkGrant, TraceSink};
+use btrace_core::event::EventView;
+use btrace_core::sink::{Begin, SinkGrant, TraceSink};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -116,12 +117,9 @@ impl TraceSink for PerThread {
         RecordOutcome::Recorded
     }
 
-    fn drain(&self) -> Vec<CollectedEvent> {
-        drain_rings(self.rings.read().values().map(Arc::as_ref))
-    }
-
-    fn drain_full(&self) -> Vec<FullEvent> {
-        drain_rings(self.rings.read().values().map(Arc::as_ref))
+    fn visit(&self, f: &mut dyn FnMut(EventView<'_>)) {
+        let events = drain_rings(self.rings.read().values().map(Arc::as_ref));
+        events.iter().for_each(|e| f(e.view()));
     }
 
     fn capacity_bytes(&self) -> usize {

@@ -11,8 +11,9 @@
 //! (a per-core mutex standing in for ftrace's preemption-disabled section,
 //! or per-thread exclusivity in the VTrace model).
 
-use crate::wordbuf::{Drained, WordBuf};
+use crate::wordbuf::WordBuf;
 use btrace_core::event::{encoded_len, EntryHeader, EntryKind, HEADER_BYTES};
+use btrace_core::sink::FullEvent;
 use parking_lot::Mutex;
 
 #[derive(Debug)]
@@ -88,7 +89,7 @@ impl OverwriteRing {
     /// Appends the retained events to `out`, oldest first. Entries never
     /// straddle the wrap point, so the retained bytes are at most two
     /// physical ranges, each starting and ending on an entry boundary.
-    pub(crate) fn drain_into<T: Drained>(&self, out: &mut Vec<T>) {
+    pub(crate) fn drain_into(&self, out: &mut Vec<FullEvent>) {
         let start = (self.tail % self.cap as u64) as usize;
         let end = start + (self.head - self.tail) as usize;
         self.buf.read_entries(start..end.min(self.cap), out);
@@ -100,14 +101,14 @@ impl OverwriteRing {
 
 /// Every ring's retained events, in stamp order: the drain of the per-core
 /// and per-thread baselines.
-pub(crate) fn drain_rings<'a, T: Drained>(
+pub(crate) fn drain_rings<'a>(
     rings: impl IntoIterator<Item = &'a Mutex<OverwriteRing>>,
-) -> Vec<T> {
+) -> Vec<FullEvent> {
     let mut out = Vec::new();
     for ring in rings {
         ring.lock().drain_into(&mut out);
     }
-    out.sort_by_key(T::stamp);
+    out.sort_by_key(|e| e.stamp);
     out
 }
 
@@ -115,9 +116,7 @@ pub(crate) fn drain_rings<'a, T: Drained>(
 mod tests {
     use super::*;
 
-    use btrace_core::sink::CollectedEvent;
-
-    fn drain(r: &OverwriteRing) -> Vec<CollectedEvent> {
+    fn drain(r: &OverwriteRing) -> Vec<FullEvent> {
         let mut out = Vec::new();
         r.drain_into(&mut out);
         out

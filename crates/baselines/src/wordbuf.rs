@@ -6,51 +6,9 @@
 //! ([`WordBuf::read_entries`]).
 
 use btrace_core::event::{EntryHeader, EntryKind, HEADER_BYTES};
-use btrace_core::sink::{CollectedEvent, FullEvent};
+use btrace_core::sink::FullEvent;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// What a baseline drain builds from one `Data` entry: a
-/// [`CollectedEvent`] from the header alone, or a [`FullEvent`] that also
-/// loads the payload. Each tracer's drain loop is generic over it, so
-/// `drain` and `drain_full` share one block selection and one walk.
-pub(crate) trait Drained {
-    /// Builds the event from the entry at `at`, whose header is `header`.
-    fn read(buf: &WordBuf, at: usize, header: &EntryHeader) -> Self;
-    /// The event's logic stamp, for drains that return stamp order.
-    fn stamp(&self) -> u64;
-}
-
-impl Drained for CollectedEvent {
-    fn read(_: &WordBuf, _: usize, header: &EntryHeader) -> Self {
-        CollectedEvent {
-            stamp: header.stamp,
-            core: header.core.into(),
-            tid: header.tid,
-            stored_bytes: header.len.into(),
-        }
-    }
-
-    fn stamp(&self) -> u64 {
-        self.stamp
-    }
-}
-
-impl Drained for FullEvent {
-    fn read(buf: &WordBuf, at: usize, header: &EntryHeader) -> Self {
-        let payload_len = header.payload_len().unwrap_or(0);
-        FullEvent {
-            stamp: header.stamp,
-            core: header.core.into(),
-            tid: header.tid,
-            payload: buf.load_bytes(at + HEADER_BYTES, payload_len),
-        }
-    }
-
-    fn stamp(&self) -> u64 {
-        self.stamp
-    }
-}
 
 pub(crate) struct WordBuf {
     words: Box<[AtomicU64]>,
@@ -134,10 +92,10 @@ impl WordBuf {
     }
 
     /// The baselines' one entry walk: appends every `Data` entry in the
-    /// entry-aligned byte range `range` to `out`, in buffer order, and
-    /// stops at the first entry that does not decode or runs past
-    /// `range.end`.
-    pub(crate) fn read_entries<T: Drained>(&self, range: Range<usize>, out: &mut Vec<T>) {
+    /// entry-aligned byte range `range` to `out`, payload loaded, in buffer
+    /// order, and stops at the first entry that does not decode or runs
+    /// past `range.end`.
+    pub(crate) fn read_entries(&self, range: Range<usize>, out: &mut Vec<FullEvent>) {
         let mut off = range.start;
         while off + 8 <= range.end {
             let mut words = [0u64; 2];
@@ -148,7 +106,12 @@ impl WordBuf {
                 return;
             }
             if header.kind == EntryKind::Data {
-                out.push(T::read(self, off, &header));
+                out.push(FullEvent {
+                    stamp: header.stamp,
+                    core: header.core.into(),
+                    tid: header.tid,
+                    payload: self.load_bytes(off + HEADER_BYTES, header.payload_len().unwrap_or(0)),
+                });
             }
             off += header.len as usize;
         }

@@ -5,7 +5,7 @@
 
 use btrace_bench::harness::{btrace, CORES};
 use btrace_core::sink::TraceSink;
-use btrace_core::{BTrace, Config};
+use btrace_core::{BTrace, Config, RingSnapshot};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn prefilled() -> BTrace {
@@ -30,10 +30,17 @@ fn resizable() -> (BTrace, usize) {
     (BTrace::new(config).expect("valid"), stride)
 }
 
-fn bench_collect(c: &mut Criterion) {
+/// What `Collector::trigger` runs: one snapshot of the whole ring into a
+/// buffer reused across reads.
+fn bench_snapshot(c: &mut Criterion) {
     let tracer = prefilled();
-    let mut consumer = tracer.consumer();
-    c.bench_function("consumer_collect_12mb", |b| b.iter(|| consumer.collect().events.len()));
+    let (mut consumer, mut snapshot) = (tracer.consumer(), RingSnapshot::new());
+    c.bench_function("consumer_snapshot_12mb", |b| {
+        b.iter(|| {
+            consumer.snapshot(&mut snapshot);
+            snapshot.count()
+        })
+    });
 }
 
 fn bench_resize_cycle(c: &mut Criterion) {
@@ -72,5 +79,5 @@ fn bench_record_under_resize(c: &mut Criterion) {
     resizer.join().expect("resizer thread");
 }
 
-criterion_group!(benches, bench_collect, bench_resize_cycle, bench_record_under_resize);
+criterion_group!(benches, bench_snapshot, bench_resize_cycle, bench_record_under_resize);
 criterion_main!(benches);

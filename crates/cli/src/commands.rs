@@ -196,8 +196,10 @@ fn demo(_: &Args, out: &mut dyn Write, _: &mut dyn Write) -> Outcome {
             });
         }
     });
-    let (r, s) = (tracer.consumer().collect(), tracer.stats());
-    let (events, kib, blocks) = (r.events.len(), r.stored_bytes() / 1024, r.blocks.readable);
+    let mut r = RingSnapshot::new();
+    tracer.consumer().snapshot(&mut r);
+    let (events, kib, blocks) = (r.count(), r.stored_bytes() / 1024, r.blocks().readable);
+    let s = tracer.stats();
     writeln!(out, "recorded 200000 events from 4 cores into a 1 MiB buffer")?;
     writeln!(out, "retained {events} events ({kib} KiB) in {blocks} readable blocks")?;
     let dummy = s.dummy_fraction() * 100.0;
@@ -542,11 +544,11 @@ fn sampled_load(
     let period = Duration::from_millis(period_ms);
     let mut sampler = Sampler::spawn(tracer.clone(), exporters, SamplerConfig { period });
     let duration_ms = args.value("--duration-ms");
-    let mut consumer = tracer.consumer();
+    let (mut consumer, mut snapshot) = (tracer.consumer(), RingSnapshot::new());
     let pace = (duration_ms, 50.min(duration_ms / 4 + 1));
     let ran =
         synthetic_load(&tracer, b"stat: synthetic event", Pace::YieldEvery(4096), pace, || {
-            let _ = consumer.collect();
+            consumer.snapshot(&mut snapshot);
             tick()
         });
     sampler.stop();
@@ -801,9 +803,9 @@ fn tune(args: &Args, out: &mut dyn Write, _: &mut dyn Write) -> Outcome {
     // that should let the retention-ranked shrink reclaim bytes.
     let duration_ms = args.value("--duration-ms");
     let spike = Pace::SpikeUntil(Instant::now() + Duration::from_millis(duration_ms / 2));
-    let mut consumer = tracer.consumer();
+    let (mut consumer, mut snapshot) = (tracer.consumer(), RingSnapshot::new());
     synthetic_load(&tracer, b"tune: synthetic event", spike, (duration_ms, 20), || {
-        let _ = consumer.collect();
+        consumer.snapshot(&mut snapshot);
         Ok(())
     })?;
     controller.stop();

@@ -375,8 +375,9 @@ pub(crate) fn extent_bytes(cfg: &Resolved, ratio: u16) -> usize {
 /// let tracer = BTrace::new(Config::new(2).buffer_bytes(1 << 20).active_blocks(32))?;
 /// let p = tracer.producer(0)?;
 /// p.record(b"irq: 17 enter")?;
-/// let readout = tracer.consumer().collect();
-/// assert_eq!(readout.events.len(), 1);
+/// let mut snapshot = btrace_core::RingSnapshot::new();
+/// tracer.consumer().snapshot(&mut snapshot);
+/// assert_eq!(snapshot.count(), 1);
 /// # Ok(())
 /// # }
 /// ```

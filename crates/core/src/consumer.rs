@@ -14,7 +14,7 @@ use crate::event::{encoded_len, EntryHeader, EntryKind, EventView, FullEvent, HE
 use crate::sync::{Arc, Ordering};
 use std::convert::Infallible;
 
-/// Why a block contributed no events to a readout.
+/// Why a block contributed no events to a read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct BlockCounts {
@@ -30,32 +30,17 @@ pub struct BlockCounts {
     pub torn: usize,
 }
 
-/// The result of [`Consumer::collect`].
-#[derive(Debug, Default)]
-#[non_exhaustive]
-pub struct Readout {
-    /// Events in buffer order (ascending block sequence, then offset).
-    pub events: Vec<FullEvent>,
-    /// Per-block accounting of the scan.
-    pub blocks: BlockCounts,
-}
-
-impl Readout {
-    /// Sum of on-buffer bytes of all returned events.
-    pub fn stored_bytes(&self) -> usize {
-        self.events.iter().map(|e| encoded_len(e.payload.len())).sum()
-    }
-}
-
-/// The validated blocks of one [`Consumer::snapshot`] or
-/// [`StreamShard::poll_into`](crate::StreamShard::poll_into), copied back to
-/// back into one byte buffer that is reused across snapshots.
+/// The one product of every reader of the live ring: the validated blocks
+/// of one [`Consumer::snapshot`], [`Consumer::snapshot_and_close`],
+/// [`StreamShard::poll`](crate::StreamShard::poll) or
+/// [`StreamShard::flush_close`](crate::StreamShard::flush_close), copied
+/// back to back into one byte buffer that the caller owns and reuses.
 ///
-/// Where [`Consumer::collect`] copies every event out into its own
-/// [`FullEvent`], a snapshot keeps the block bytes as read and visits its
-/// events in place ([`RingSnapshot::try_for_each`],
-/// [`RingSnapshot::for_each_entry`]), so a reader that only encodes them —
-/// the symptom dump, the streaming pipeline — allocates nothing per event.
+/// A snapshot keeps the block bytes as read and visits its events in place
+/// ([`RingSnapshot::try_for_each`], [`RingSnapshot::for_each_entry`]), so a
+/// reader that only encodes them — the symptom dump, the streaming
+/// pipeline — allocates nothing per event; [`RingSnapshot::to_events`]
+/// copies them out for a reader that wants owned events.
 #[derive(Default)]
 pub struct RingSnapshot {
     /// Validated block snapshots, back to back, each starting with its
@@ -70,7 +55,7 @@ pub struct RingSnapshot {
 }
 
 impl RingSnapshot {
-    /// An empty snapshot, ready for [`Consumer::snapshot`].
+    /// An empty snapshot, ready for any reader.
     pub fn new() -> Self {
         Self::default()
     }
@@ -80,9 +65,12 @@ impl RingSnapshot {
         self.blocks
     }
 
-    /// Blocks a stream poll found overwritten before it reached them (see
-    /// [`DrainedBatch::missed_blocks`](crate::DrainedBatch::missed_blocks));
-    /// always 0 after [`Consumer::snapshot`].
+    /// Blocks a stream poll found overwritten before it reached them. A
+    /// streaming daemon that cannot keep up loses oldest-first, exactly like
+    /// the underlying buffer. A sequence number whose round never started
+    /// and that the cursor laps before its metadata block moved on is
+    /// counted here too: the stream cannot tell it from a lost block.
+    /// Always 0 after a [`Consumer`] read.
     pub fn missed_blocks(&self) -> usize {
         self.missed_blocks
     }
@@ -94,7 +82,7 @@ impl RingSnapshot {
     }
 
     /// Sum of the on-buffer bytes of those events, counted by the same pass.
-    pub(crate) fn stored_bytes(&self) -> usize {
+    pub fn stored_bytes(&self) -> usize {
         self.stored_bytes
     }
 
@@ -128,8 +116,9 @@ impl RingSnapshot {
         }
     }
 
-    /// The events copied out, in buffer order.
-    pub(crate) fn to_owned_events(&self) -> Vec<FullEvent> {
+    /// The events copied out, payloads included, in the order of
+    /// [`RingSnapshot::try_for_each`].
+    pub fn to_events(&self) -> Vec<FullEvent> {
         let mut events = Vec::with_capacity(self.events);
         self.for_each_entry(|e| events.push(e.event.to_owned()));
         events
@@ -231,78 +220,59 @@ impl EntryBatch {
 /// block it reads is validated after the copy (the §4.3 speculative read).
 pub struct Consumer {
     shared: Arc<Shared>,
-    scratch: Vec<u8>,
 }
 
 impl Consumer {
     pub(crate) fn new(shared: Arc<Shared>) -> Self {
-        Self { shared, scratch: Vec::new() }
+        Self { shared }
     }
 
-    /// Collects every currently readable event, oldest block first.
+    /// Snapshots every currently readable block — the confirmed prefix of
+    /// each block in the readable window, oldest block first — into `out`,
+    /// replacing its contents and reusing its buffer.
     ///
     /// Non-destructive: producers keep writing concurrently, and blocks
-    /// overwritten mid-read are discarded, never returned torn.
-    pub fn collect(&mut self) -> Readout {
-        let mut readout = Readout::default();
-        let Self { shared, scratch } = self;
-        scan(shared, |shared, gpos| {
-            scratch.clear();
-            if count(read_block(shared, gpos, Until::Confirmed, scratch), &mut readout.blocks) {
-                push_events(scratch, HEADER_BYTES, &mut readout.events);
-            }
-        });
-        readout
-    }
-
-    /// Snapshots every currently readable block into `out`, replacing its
-    /// contents and reusing its buffer: the same scan and validation as
-    /// [`Consumer::collect`], with the same [`BlockCounts`], but the block
-    /// bytes stay as read instead of being copied out event by event.
+    /// overwritten mid-read are discarded, never returned torn. Timed into
+    /// the drain latency histogram.
     pub fn snapshot(&mut self, out: &mut RingSnapshot) {
         out.clear();
-        scan(&self.shared, |shared, gpos| {
-            let read = out.take_block(shared, gpos, Until::Confirmed);
-            count(read, &mut out.blocks);
-        });
+        #[cfg(feature = "telemetry")]
+        let t0 = std::time::Instant::now();
+        for gpos in self.shared.readable_window() {
+            match out.take_block(&self.shared, gpos, Until::Confirmed) {
+                BlockRead::Readable => out.blocks.readable += 1,
+                BlockRead::InFlight => out.blocks.in_flight += 1,
+                // A round that never started and a block beyond the
+                // capacity bound hold nothing this read can return.
+                BlockRead::NotStarted | BlockRead::Decommitted | BlockRead::Recycled => {
+                    out.blocks.recycled += 1;
+                }
+                BlockRead::Torn => out.blocks.torn += 1,
+            }
+        }
+        #[cfg(feature = "telemetry")]
+        self.shared.telem.drain_hist.record(t0.elapsed().as_nanos() as u64);
     }
 
-    /// Collects like [`Consumer::collect`], then **closes** every open
+    /// Snapshots like [`Consumer::snapshot`], then **closes** every open
     /// block — the paper's destructive read (§4.3: "After reading, the
     /// consumer closes the block by filling the remaining space with dummy
     /// data and proceeds").
     ///
     /// Closing forces each core onto a fresh block on its next record, so
     /// events recorded after this call land strictly after everything the
-    /// readout returned — the semantics a dump-and-truncate collector wants.
+    /// snapshot holds — the semantics a dump-and-truncate collector wants.
     /// Producers are never blocked; one that races the close simply advances
     /// as if its block had filled naturally.
-    pub fn collect_and_close(&mut self) -> Readout {
-        let readout = self.collect();
+    pub fn snapshot_and_close(&mut self, out: &mut RingSnapshot) {
+        self.snapshot(out);
         close_open_window(&self.shared);
-        readout
     }
-}
-
-/// Counts a one-shot read into `counts` and says whether the block's
-/// snapshot was taken. A round that never started and a block beyond the
-/// capacity bound hold nothing this readout can return, so both count as
-/// recycled.
-fn count(read: BlockRead, counts: &mut BlockCounts) -> bool {
-    match read {
-        BlockRead::Readable => counts.readable += 1,
-        BlockRead::InFlight => counts.in_flight += 1,
-        BlockRead::NotStarted | BlockRead::Decommitted | BlockRead::Recycled => {
-            counts.recycled += 1;
-        }
-        BlockRead::Torn => counts.torn += 1,
-    }
-    read == BlockRead::Readable
 }
 
 /// Dummy-fills every still-open block in the readable window, exactly as a
 /// §3.2 advancing producer would — the one close sweep behind
-/// [`Consumer::collect_and_close`] and
+/// [`Consumer::snapshot_and_close`] and
 /// [`StreamShard::flush_close`](crate::StreamShard::flush_close).
 ///
 /// By the §3.2 closing horizon an open block is at most `A` positions
@@ -336,24 +306,10 @@ pub(crate) fn close_open_window(shared: &Shared) {
     }
 }
 
-/// Calls `visit` for every global block sequence in the readable window,
-/// oldest first — the scan behind both [`Consumer::collect`] and
-/// [`Consumer::snapshot`], timed into the drain latency histogram.
-fn scan(shared: &Shared, mut visit: impl FnMut(&Shared, u64)) {
-    #[cfg(feature = "telemetry")]
-    let t0 = std::time::Instant::now();
-    for gpos in shared.readable_window() {
-        visit(shared, gpos);
-    }
-    #[cfg(feature = "telemetry")]
-    shared.telem.drain_hist.record(t0.elapsed().as_nanos() as u64);
-}
-
 /// How far a block must have progressed for [`read_block`] to take it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Until {
-    /// Its fully confirmed prefix: what [`Consumer::collect`] and
-    /// [`Consumer::snapshot`] read.
+    /// Its fully confirmed prefix: what [`Consumer::snapshot`] reads.
     Confirmed,
     /// Only a full, fully confirmed — closed — block: what the stream
     /// reads, so a delivered block is never amended by a later poll.
@@ -584,23 +540,47 @@ pub(crate) fn for_each_entry<'a>(
     }
 }
 
-/// Appends the `Data` entries of a validated block snapshot to `out` as
-/// [`FullEvent`]s — the output of [`Consumer::collect`]. Returns the
-/// offset the walk stopped at.
-pub(crate) fn push_events(snapshot: &[u8], from: usize, out: &mut Vec<FullEvent>) -> usize {
-    for_each_entry(snapshot, from, |e| out.push(e.event.to_owned())).0
-}
-
 #[cfg(test)]
-mod tests {
-    use super::{push_events, RingSnapshot};
-    use crate::event::{EntryHeader, EntryKind, FullEvent, HEADER_BYTES};
+pub(crate) mod tests {
+    use super::{for_each_entry, RingSnapshot};
+    use crate::event::{encoded_len, EntryHeader, EntryKind, FullEvent, HEADER_BYTES};
     use crate::{BTrace, Config};
     use btrace_vmem::Backing;
     use proptest::prelude::*;
 
-    /// The entry walk `Consumer::collect` used before the shared walker,
-    /// kept verbatim as the oracle the walker must match.
+    /// A fresh [`Consumer::snapshot`] of `t`: the unit tests' one-line read.
+    pub(crate) fn snapshot_of(t: &BTrace) -> RingSnapshot {
+        let mut snap = RingSnapshot::new();
+        t.consumer().snapshot(&mut snap);
+        snap
+    }
+
+    /// The events of `snap`, copied out and checked against the snapshot's
+    /// own counts: `count` and `stored_bytes`, taken by the header walk as
+    /// the blocks were read, and the events `try_for_each` visits.
+    pub(crate) fn checked_events(snap: &RingSnapshot) -> Vec<FullEvent> {
+        let events = snap.to_events();
+        assert_eq!(snap.count(), events.len());
+        let stored: usize = events.iter().map(|e| encoded_len(e.payload.len())).sum();
+        assert_eq!(snap.stored_bytes(), stored);
+        let mut visited = Vec::new();
+        snap.try_for_each(|e| {
+            visited.push(e.to_owned());
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        assert_eq!(visited, events);
+        events
+    }
+
+    /// Appends the `Data` entries of a block snapshot to `out`, copied out
+    /// by the shared walker. Returns the offset the walk stopped at.
+    fn push_events(snapshot: &[u8], from: usize, out: &mut Vec<FullEvent>) -> usize {
+        for_each_entry(snapshot, from, |e| out.push(e.event.to_owned())).0
+    }
+
+    /// The entry walk the consumer used before the shared walker, kept
+    /// verbatim as the oracle the walker must match.
     fn parse_entries(snapshot: &[u8], out: &mut Vec<FullEvent>) {
         let mut off = HEADER_BYTES; // skip the block header
         while off + 8 <= snapshot.len() {
@@ -721,23 +701,17 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_matches_collect() {
+    fn reused_snapshot_matches_a_fresh_one() {
         let t = busy_ring();
-        let collected = t.consumer().collect();
+        let fresh = snapshot_of(&t);
         let mut snap = RingSnapshot::new();
         // Reuse: a second snapshot replaces the first instead of appending.
         t.consumer().snapshot(&mut snap);
         t.consumer().snapshot(&mut snap);
-        assert_eq!(snap.blocks(), collected.blocks);
-        assert_eq!(snap.count(), collected.events.len());
-        let mut visited = Vec::new();
-        snap.try_for_each(|e| {
-            visited.push(e.to_owned());
-            Ok::<(), ()>(())
-        })
-        .unwrap();
-        assert_eq!(visited, collected.events);
-        assert!(visited.iter().any(|e| e.payload.is_empty()), "empty payloads are events too");
+        assert_eq!(snap.blocks(), fresh.blocks());
+        let events = checked_events(&snap);
+        assert_eq!(events, fresh.to_events());
+        assert!(events.iter().any(|e| e.payload.is_empty()), "empty payloads are events too");
     }
 
     #[test]
@@ -764,7 +738,7 @@ mod tests {
         let before = t.health_snapshot().drain_latency.count;
         t.consumer().snapshot(&mut RingSnapshot::new());
         assert_eq!(t.health_snapshot().drain_latency.count, before + 1);
-        t.consumer().collect();
+        t.consumer().snapshot_and_close(&mut RingSnapshot::new());
         assert_eq!(t.health_snapshot().drain_latency.count, before + 2);
     }
 
@@ -814,9 +788,13 @@ mod tests {
     #[test]
     fn empty_tracer_yields_nothing() {
         let t = tracer();
-        let out = t.consumer().collect();
-        assert!(out.events.is_empty());
-        assert_eq!(out.blocks.readable, 2, "the two pre-assigned blocks are readable (and empty)");
+        let out = snapshot_of(&t);
+        assert_eq!(out.count(), 0);
+        assert_eq!(
+            out.blocks().readable,
+            2,
+            "the two pre-assigned blocks are readable (and empty)"
+        );
     }
 
     #[test]
@@ -826,8 +804,7 @@ mod tests {
         for i in 0..50u64 {
             p.record_with(i, 0, &i.to_le_bytes()).unwrap();
         }
-        let out = t.consumer().collect();
-        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp).collect();
+        let stamps: Vec<_> = snapshot_of(&t).to_events().iter().map(|e| e.stamp).collect();
         let mut sorted = stamps.clone();
         sorted.sort_unstable();
         assert_eq!(stamps, sorted, "single-producer events must be ordered");
@@ -842,8 +819,7 @@ mod tests {
         for i in 0..500u64 {
             p.record_with(i, 0, b"sixteen-byte-pay").unwrap();
         }
-        let out = t.consumer().collect();
-        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp).collect();
+        let stamps: Vec<_> = snapshot_of(&t).to_events().iter().map(|e| e.stamp).collect();
         assert!(!stamps.is_empty());
         assert_eq!(*stamps.last().unwrap(), 499, "newest event must be retained");
         // All retained events are a suffix (continuous trace, no interior gaps).
@@ -859,31 +835,33 @@ mod tests {
         let p1 = t.producer(1).unwrap();
         let g = p0.begin(4).unwrap();
         p1.record_with(1, 0, b"other core").unwrap();
-        let out = t.consumer().collect();
-        assert_eq!(out.events.len(), 1, "core 1's block must be readable");
-        assert_eq!(out.blocks.in_flight, 1, "core 0's block is in flight");
+        let out = snapshot_of(&t);
+        assert_eq!(out.count(), 1, "core 1's block must be readable");
+        assert_eq!(out.blocks().in_flight, 1, "core 0's block is in flight");
         g.commit(2, 0, b"done").unwrap();
-        let out = t.consumer().collect();
-        assert_eq!(out.events.len(), 2);
+        assert_eq!(snapshot_of(&t).count(), 2);
     }
 
     #[test]
-    fn collect_and_close_separates_epochs() {
+    fn snapshot_and_close_separates_epochs() {
         let t = tracer();
         let p = t.producer(0).unwrap();
         for i in 0..5u64 {
             p.record_with(i, 0, b"epoch-one").unwrap();
         }
         let mut consumer = t.consumer();
-        let first = consumer.collect_and_close();
-        assert_eq!(first.events.len(), 5);
+        // One snapshot, reused: first by the destructive read, then by a
+        // plain one.
+        let mut snap = RingSnapshot::new();
+        consumer.snapshot(&mut snap);
+        consumer.snapshot_and_close(&mut snap);
+        assert_eq!(checked_events(&snap).len(), 5);
         for i in 5..10u64 {
             p.record_with(i, 0, b"epoch-two").unwrap();
         }
         // The ring still holds the old blocks (non-destructive read of
         // retained data), but the new events live in strictly newer blocks:
         // walk the snapshot block by block and find which epochs each holds.
-        let mut snap = RingSnapshot::new();
         consumer.snapshot(&mut snap);
         let epochs: Vec<(u64, bool, bool)> = blocks(&snap)
             .into_iter()
@@ -925,9 +903,10 @@ mod tests {
     }
 
     /// The accounting of every reader of the live ring, pinned through a
-    /// wrap, an open grant, a grow and a shrink: `collect` and `snapshot`
-    /// after each step, and every stripe's poll and final `flush_close`
-    /// at one and three stripes.
+    /// wrap, an open grant, a grow and a shrink: a `snapshot` after each
+    /// step (its stamps in the `collect` row, its count in the `snapshot`
+    /// row), and every stripe's poll and final `flush_close` at one and
+    /// three stripes.
     #[test]
     fn readers_accounting_is_pinned_across_wrap_grant_and_resize() {
         use crate::stream::StreamShard;
@@ -954,26 +933,25 @@ mod tests {
                 }
             }
         };
-        let mut seen = Vec::new();
+        let (mut seen, mut snap) = (Vec::new(), RingSnapshot::new());
         let mut observe = |step: &str, streams: &mut [Vec<StreamShard>; 2], close: bool| {
-            let collected = t.consumer().collect();
-            let mut snap = RingSnapshot::new();
             t.consumer().snapshot(&mut snap);
-            seen.push(format!(
-                "{step} collect {} [{}]",
-                counts(collected.blocks),
-                runs(collected.events.iter().map(|e| e.stamp))
-            ));
+            let stamps = runs(snap.to_events().iter().map(|e| e.stamp));
+            seen.push(format!("{step} collect {} [{stamps}]", counts(snap.blocks())));
             seen.push(format!("{step} snapshot {} {}", counts(snap.blocks()), snap.count()));
             for shards in streams.iter_mut() {
                 let k = shards.len();
                 for (i, s) in shards.iter_mut().enumerate() {
-                    let b = if close { s.flush_close() } else { s.poll() };
+                    if close {
+                        s.flush_close(&mut snap);
+                    } else {
+                        s.poll(&mut snap);
+                    }
                     seen.push(format!(
                         "{step} k{k} s{i} {} m{} [{}]",
-                        counts(b.blocks),
-                        b.missed_blocks,
-                        runs(b.events.iter().map(|e| e.stamp))
+                        counts(snap.blocks()),
+                        snap.missed_blocks(),
+                        runs(snap.to_events().iter().map(|e| e.stamp))
                     ));
                 }
             }
@@ -1029,7 +1007,7 @@ mod tests {
     }
 
     #[test]
-    fn collect_and_close_with_concurrent_producers() {
+    fn snapshot_and_close_with_concurrent_producers() {
         let t = tracer();
         let writers: Vec<_> = (0..2)
             .map(|c| {
@@ -1041,16 +1019,15 @@ mod tests {
                 })
             })
             .collect();
-        let mut consumer = t.consumer();
+        let (mut consumer, mut snap) = (t.consumer(), RingSnapshot::new());
         for _ in 0..20 {
-            let _ = consumer.collect_and_close();
+            consumer.snapshot_and_close(&mut snap);
         }
         for w in writers {
             w.join().unwrap();
         }
         // Everything still works and the newest events are present.
-        let out = t.consumer().collect();
-        assert!(out.events.iter().any(|e| e.stamp % 10_000 == 1999));
+        assert!(snapshot_of(&t).to_events().iter().any(|e| e.stamp % 10_000 == 1999));
     }
 
     #[test]
@@ -1077,10 +1054,10 @@ mod tests {
                 })
             })
             .collect();
-        let mut consumer = t.consumer();
+        let (mut consumer, mut snap) = (t.consumer(), RingSnapshot::new());
         for _ in 0..200 {
-            let out = consumer.collect();
-            for e in &out.events {
+            consumer.snapshot(&mut snap);
+            for e in &snap.to_events() {
                 let s = e.stamp.to_le_bytes();
                 assert_eq!(&e.payload[..8], s);
                 assert_eq!(&e.payload[8..16], s);

@@ -174,12 +174,13 @@ impl EventView<'_> {
     }
 }
 
-/// An owned trace event, payload included: what the owned readers
-/// ([`Consumer::collect`], the stream's shards, [`TraceSink::drain_full`])
-/// return and the frame encoder takes.
+/// An owned trace event, payload included: what
+/// [`RingSnapshot::to_events`] copies out of a ring read, what a baseline
+/// sink gathers before its [`TraceSink::visit`], and what the frame
+/// encoder takes.
 ///
-/// [`Consumer::collect`]: crate::Consumer::collect
-/// [`TraceSink::drain_full`]: crate::sink::TraceSink::drain_full
+/// [`RingSnapshot::to_events`]: crate::RingSnapshot::to_events
+/// [`TraceSink::visit`]: crate::sink::TraceSink::visit
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FullEvent {
     /// Logic stamp assigned at record time.

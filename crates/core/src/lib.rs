@@ -38,8 +38,9 @@
 //! producer.record_with(/*stamp*/ 1, /*tid*/ 42, b"sched: switch prev=7 next=9")?;
 //!
 //! // Consumers read speculatively and never block producers.
-//! let readout = tracer.consumer().collect();
-//! assert_eq!(readout.events[0].payload, b"sched: switch prev=7 next=9");
+//! let mut snapshot = btrace_core::RingSnapshot::new();
+//! tracer.consumer().snapshot(&mut snapshot);
+//! assert_eq!(snapshot.to_events()[0].payload, b"sched: switch prev=7 next=9");
 //! # Ok(())
 //! # }
 //! ```
@@ -69,11 +70,11 @@ mod telem;
 
 pub use buffer::BTrace;
 pub use config::Config;
-pub use consumer::{BlockCounts, Consumer, EntryBatch, Readout, RingEntry, RingSnapshot};
+pub use consumer::{BlockCounts, Consumer, EntryBatch, RingEntry, RingSnapshot};
 pub use error::TraceError;
 pub use event::{CollectedEvent, EventView, FullEvent};
 pub use producer::{Grant, Producer};
-pub use stream::{DrainedBatch, StreamShard, StreamStats};
+pub use stream::{StreamShard, StreamStats};
 #[cfg(feature = "model")]
 pub use sync::model_rt;
 

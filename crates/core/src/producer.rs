@@ -645,6 +645,7 @@ impl std::fmt::Debug for Grant {
 
 #[cfg(test)]
 mod tests {
+    use crate::consumer::tests::snapshot_of;
     use crate::{BTrace, Config, TraceError};
     use btrace_vmem::Backing;
 
@@ -665,12 +666,12 @@ mod tests {
         let p = t.producer(0).unwrap();
         p.record_with(1, 7, b"hello").unwrap();
         p.record_with(2, 7, b"world!").unwrap();
-        let out = t.consumer().collect();
-        let payloads: Vec<_> = out.events.iter().map(|e| e.payload.to_vec()).collect();
+        let out = snapshot_of(&t).to_events();
+        let payloads: Vec<_> = out.iter().map(|e| e.payload.to_vec()).collect();
         assert_eq!(payloads, vec![b"hello".to_vec(), b"world!".to_vec()]);
-        assert_eq!(out.events[0].stamp, 1);
-        assert_eq!(out.events[0].tid, 7);
-        assert_eq!(out.events[0].core, 0);
+        assert_eq!(out[0].stamp, 1);
+        assert_eq!(out[0].tid, 7);
+        assert_eq!(out[0].core, 0);
     }
 
     #[test]
@@ -687,9 +688,9 @@ mod tests {
         let p = t.producer(0).unwrap();
         let payload = vec![0xAB; t.max_payload()];
         p.record(&payload).unwrap();
-        let out = t.consumer().collect();
-        assert_eq!(out.events.len(), 1);
-        assert_eq!(out.events[0].payload, &payload[..]);
+        let out = snapshot_of(&t).to_events();
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].payload, &payload[..]);
     }
 
     #[test]
@@ -698,12 +699,12 @@ mod tests {
         let p = t.producer(0).unwrap();
         let g = p.begin(4).unwrap();
         // Nothing visible while the grant is open.
-        assert_eq!(t.consumer().collect().events.len(), 0, "open grant must hide the block");
+        assert_eq!(snapshot_of(&t).to_events().len(), 0, "open grant must hide the block");
         g.commit(9, 3, b"abcd").unwrap();
-        let out = t.consumer().collect();
-        assert_eq!(out.events.len(), 1);
-        assert_eq!(out.events[0].stamp, 9);
-        assert_eq!(out.events[0].payload, b"abcd");
+        let out = snapshot_of(&t).to_events();
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].stamp, 9);
+        assert_eq!(out[0].payload, b"abcd");
     }
 
     #[test]
@@ -715,8 +716,8 @@ mod tests {
         // The failed commit consumed the grant; its Drop confirmed a dummy,
         // so later records still flow.
         p.record(b"after").unwrap();
-        let out = t.consumer().collect();
-        assert_eq!(out.events.len(), 1);
+        let out = snapshot_of(&t).to_events();
+        assert_eq!(out.len(), 1);
     }
 
     #[test]
@@ -725,9 +726,9 @@ mod tests {
         let p = t.producer(0).unwrap();
         drop(p.begin(32).unwrap());
         p.record_with(5, 0, b"next").unwrap();
-        let out = t.consumer().collect();
-        assert_eq!(out.events.len(), 1, "dummy must not surface as an event");
-        assert_eq!(out.events[0].stamp, 5);
+        let out = snapshot_of(&t).to_events();
+        assert_eq!(out.len(), 1, "dummy must not surface as an event");
+        assert_eq!(out[0].stamp, 5);
         assert!(t.stats().dummy_bytes >= 48);
     }
 
@@ -739,8 +740,8 @@ mod tests {
         let g2 = p.begin(2).unwrap();
         g2.commit(2, 1, b"g2").unwrap(); // T1 confirms before T0 (Fig. 8b)
         g1.commit(1, 0, b"g1").unwrap();
-        let out = t.consumer().collect();
-        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp).collect();
+        let out = snapshot_of(&t).to_events();
+        let stamps: Vec<_> = out.iter().map(|e| e.stamp).collect();
         assert_eq!(stamps, vec![1, 2], "buffer order follows allocation order");
     }
 
@@ -769,13 +770,13 @@ mod tests {
             p.record_with(i, 0, b"cache-payload-16").unwrap();
         }
         assert!(t.stats().advances >= 2, "run must cross blocks");
-        let out = t.consumer().collect();
-        assert!(!out.events.is_empty());
-        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp).collect();
+        let out = snapshot_of(&t).to_events();
+        assert!(!out.is_empty());
+        let stamps: Vec<_> = out.iter().map(|e| e.stamp).collect();
         let mut sorted = stamps.clone();
         sorted.sort_unstable();
         assert_eq!(stamps, sorted, "single-producer buffer order must follow stamps");
-        for e in &out.events {
+        for e in &out {
             assert_eq!(e.payload, b"cache-payload-16");
         }
     }
@@ -797,9 +798,9 @@ mod tests {
         // record still goes through intact.
         p0.record_with(1, 0, b"after-recycle").unwrap();
         assert!(t.stats().straggler_repairs >= 1, "stale cached round must be repaired");
-        let out = t.consumer().collect();
-        assert!(out.events.iter().any(|e| e.payload == b"after-recycle"));
-        for e in &out.events {
+        let out = snapshot_of(&t).to_events();
+        assert!(out.iter().any(|e| e.payload == b"after-recycle"));
+        for e in &out {
             assert!(
                 e.payload == b"after-recycle"
                     || e.payload == b"prime-cache!"
@@ -831,10 +832,10 @@ mod tests {
         for i in 25..50u64 {
             p.record_with(i, 0, b"post-shrink-entry").unwrap();
         }
-        let out = t.consumer().collect();
+        let out = snapshot_of(&t).to_events();
         // No write was misplaced through a stale cached mapping: every
         // surviving event is byte-intact and the newest is retained.
-        for e in &out.events {
+        for e in &out {
             assert!(
                 e.payload == b"pre-resize"
                     || e.payload == b"post-grow-entry!"
@@ -843,7 +844,7 @@ mod tests {
                 e.payload
             );
         }
-        assert_eq!(out.events.last().unwrap().stamp, 49);
+        assert_eq!(out.last().unwrap().stamp, 49);
     }
 
     #[test]
@@ -855,10 +856,10 @@ mod tests {
         p.record_with(2, 0, b"deferred").unwrap();
         // The run is unconfirmed: its block cannot close, so nothing is
         // visible yet — the same containment as an open grant.
-        assert_eq!(t.consumer().collect().events.len(), 0, "unflushed run must stay hidden");
+        assert_eq!(snapshot_of(&t).to_events().len(), 0, "unflushed run must stay hidden");
         p.flush_confirms();
-        let out = t.consumer().collect();
-        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp).collect();
+        let out = snapshot_of(&t).to_events();
+        let stamps: Vec<_> = out.iter().map(|e| e.stamp).collect();
         assert_eq!(stamps, vec![1, 2], "the covering confirm publishes the whole run");
     }
 
@@ -874,11 +875,11 @@ mod tests {
         for i in 0..100u64 {
             p.record_with(i, 0, b"cache-payload-16").unwrap();
         }
-        let visible = t.consumer().collect().events.len();
+        let visible = snapshot_of(&t).to_events().len();
         assert!(visible >= 80, "closed blocks must be published by boundary flushes: {visible}");
         p.flush_confirms();
-        let out = t.consumer().collect();
-        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp).collect();
+        let out = snapshot_of(&t).to_events();
+        let stamps: Vec<_> = out.iter().map(|e| e.stamp).collect();
         let expected: Vec<u64> = (0..100).collect();
         assert_eq!(stamps, expected, "flush publishes the tail; nothing lost or reordered");
     }
@@ -890,9 +891,9 @@ mod tests {
         p.set_confirm_coalescing(true);
         p.record_with(7, 0, b"flushed by drop").unwrap();
         drop(p);
-        let out = t.consumer().collect();
-        assert_eq!(out.events.len(), 1);
-        assert_eq!(out.events[0].stamp, 7);
+        let out = snapshot_of(&t).to_events();
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].stamp, 7);
     }
 
     #[test]
@@ -906,9 +907,9 @@ mod tests {
         // q flushing must not confirm p's bytes (that would double-count
         // and could close the block with p's entry still unpublished).
         q.flush_confirms();
-        assert_eq!(t.consumer().collect().events.len(), 0, "clone owns no pending bytes");
+        assert_eq!(snapshot_of(&t).to_events().len(), 0, "clone owns no pending bytes");
         p.flush_confirms();
-        assert_eq!(t.consumer().collect().events.len(), 1);
+        assert_eq!(snapshot_of(&t).to_events().len(), 1);
     }
 
     #[test]
@@ -918,9 +919,9 @@ mod tests {
         p.set_confirm_coalescing(true);
         p.record_with(1, 0, b"deferred").unwrap();
         p.set_confirm_coalescing(false);
-        assert_eq!(t.consumer().collect().events.len(), 1, "disable flushes the run");
+        assert_eq!(snapshot_of(&t).to_events().len(), 1, "disable flushes the run");
         p.record_with(2, 0, b"immediate").unwrap();
-        assert_eq!(t.consumer().collect().events.len(), 2, "per-record confirms are back");
+        assert_eq!(snapshot_of(&t).to_events().len(), 2, "per-record confirms are back");
     }
 
     #[test]
@@ -935,12 +936,12 @@ mod tests {
             p.record_with(i, 0, b"wrap-the-buffer!").unwrap();
         }
         p.flush_confirms();
-        let out = t.consumer().collect();
-        assert!(!out.events.is_empty());
-        for e in &out.events {
+        let out = snapshot_of(&t).to_events();
+        assert!(!out.is_empty());
+        for e in &out {
             assert_eq!(e.payload, b"wrap-the-buffer!", "torn event at stamp {}", e.stamp);
         }
-        assert_eq!(out.events.last().unwrap().stamp, 1_999, "newest record retained");
+        assert_eq!(out.last().unwrap().stamp, 1_999, "newest record retained");
     }
 
     proptest::proptest! {
@@ -950,9 +951,9 @@ mod tests {
             let p = t.producer(0).unwrap();
             let payload: Vec<u8> = (0..len).map(|i| seed.wrapping_add(i as u8)).collect();
             p.record_with(7, 3, &payload).unwrap();
-            let out = t.consumer().collect();
-            proptest::prop_assert_eq!(out.events.len(), 1);
-            proptest::prop_assert_eq!(out.events[0].payload, &payload[..]);
+            let out = snapshot_of(&t).to_events();
+            proptest::prop_assert_eq!(out.len(), 1);
+            proptest::prop_assert_eq!(out[0].payload, &payload[..]);
         }
     }
 
@@ -973,10 +974,10 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(t.stats().records, 2000);
-        let out = t.consumer().collect();
-        assert!(!out.events.is_empty());
+        let out = snapshot_of(&t).to_events();
+        assert!(!out.is_empty());
         // Every surviving event must be intact (stamp within the ranges we wrote).
-        for e in &out.events {
+        for e in &out {
             assert!(e.stamp % 1000 < 500, "corrupt stamp {}", e.stamp);
             assert_eq!(e.payload, b"0123456789abcdef");
         }

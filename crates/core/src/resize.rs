@@ -328,6 +328,7 @@ fn revalidate_geometry(shared: &Shared) -> Result<(), TraceError> {
 #[cfg(test)]
 mod tests {
     use super::BACKING_ATTEMPTS;
+    use crate::consumer::tests::snapshot_of;
     use crate::{BTrace, Config, TraceError, TracerState};
     use btrace_vmem::{Backing, FaultPlan};
 
@@ -380,8 +381,8 @@ mod tests {
         for i in 10..20u64 {
             p.record_with(i, 0, b"after-grow!").unwrap();
         }
-        let out = t.consumer().collect();
-        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp).collect();
+        let out = snapshot_of(&t).to_events();
+        let stamps: Vec<_> = out.iter().map(|e| e.stamp).collect();
         for i in 0..20 {
             assert!(stamps.contains(&i), "stamp {i} lost across grow: {stamps:?}");
         }
@@ -413,8 +414,8 @@ mod tests {
             p.record_with(i, 0, b"post-resize").unwrap();
         }
         p.flush_confirms();
-        let out = t.consumer().collect();
-        let stamps: Vec<_> = out.events.iter().map(|e| e.stamp).collect();
+        let out = snapshot_of(&t).to_events();
+        let stamps: Vec<_> = out.iter().map(|e| e.stamp).collect();
         for i in 0..10 {
             assert!(stamps.contains(&i), "stamp {i} lost across coalesced resize: {stamps:?}");
         }
@@ -431,8 +432,8 @@ mod tests {
         for i in 200..400u64 {
             p.record_with(i, 0, b"some trace entry payload").unwrap();
         }
-        let out = t.consumer().collect();
-        assert_eq!(out.events.last().unwrap().stamp, 399);
+        let out = snapshot_of(&t);
+        assert_eq!(out.to_events().last().unwrap().stamp, 399);
         // Everything readable lives within the shrunken capacity.
         assert!(out.stored_bytes() <= t.capacity_bytes());
     }
@@ -606,9 +607,9 @@ mod tests {
         // them), so an empty readout is valid. Record once more so the
         // readability assertion races with nothing.
         t.producer(0).unwrap().record_with(10_000, 0, b"payload-under-resize").unwrap();
-        let out = t.consumer().collect();
-        assert!(!out.events.is_empty());
-        for e in &out.events {
+        let out = snapshot_of(&t).to_events();
+        assert!(!out.is_empty());
+        for e in &out {
             assert_eq!(e.payload, b"payload-under-resize");
         }
     }

@@ -9,6 +9,7 @@
 
 use crate::consumer::{Consumer, RingSnapshot};
 use crate::error::TraceError;
+use crate::event::EventView;
 use crate::producer::Grant;
 use crate::BTrace;
 
@@ -68,13 +69,20 @@ pub trait TraceSink: Send + Sync {
         }
     }
 
-    /// Drains every readable event for analysis. Called after the replay has
-    /// quiesced, so implementations need not be concurrent with producers.
-    fn drain(&self) -> Vec<CollectedEvent>;
+    /// Visits every readable event, payload borrowed, in the tracer's
+    /// documented order: the one read of a sink, behind both the analysis
+    /// drain and the dump path of a real deployment (§2.1's daemon
+    /// collector). Called after the replay has quiesced, so implementations
+    /// need not be concurrent with producers.
+    fn visit(&self, f: &mut dyn FnMut(EventView<'_>));
 
-    /// Like [`TraceSink::drain`], but with the payload bytes — the dump
-    /// path of a real deployment (§2.1's daemon collector).
-    fn drain_full(&self) -> Vec<FullEvent>;
+    /// Drains every readable event for analysis: [`TraceSink::visit`]
+    /// reduced to each event's metadata and on-buffer footprint.
+    fn drain(&self) -> Vec<CollectedEvent> {
+        let mut out = Vec::new();
+        self.visit(&mut |e| out.push(e.collected()));
+        out
+    }
 
     /// Total buffer capacity in bytes, for effectivity-ratio computations.
     fn capacity_bytes(&self) -> usize;
@@ -101,12 +109,8 @@ impl<S: TraceSink> TraceSink for std::sync::Arc<S> {
         S::record(self, core, tid, stamp, payload)
     }
 
-    fn drain(&self) -> Vec<CollectedEvent> {
-        S::drain(self)
-    }
-
-    fn drain_full(&self) -> Vec<FullEvent> {
-        S::drain_full(self)
+    fn visit(&self, f: &mut dyn FnMut(EventView<'_>)) {
+        S::visit(self, f);
     }
 
     fn capacity_bytes(&self) -> usize {
@@ -150,21 +154,12 @@ impl TraceSink for BTrace {
         }
     }
 
-    fn drain(&self) -> Vec<CollectedEvent> {
+    fn visit(&self, f: &mut dyn FnMut(EventView<'_>)) {
         // One block copy per readable block and no per-event allocation:
         // the events are visited in place in the snapshot.
         let mut snap = RingSnapshot::new();
         Consumer::new(std::sync::Arc::clone(&self.shared)).snapshot(&mut snap);
-        let mut out = Vec::with_capacity(snap.count());
-        let Ok(()) = snap.try_for_each(|e| {
-            out.push(e.collected());
-            Ok::<_, std::convert::Infallible>(())
-        });
-        out
-    }
-
-    fn drain_full(&self) -> Vec<FullEvent> {
-        Consumer::new(std::sync::Arc::clone(&self.shared)).collect().events
+        snap.for_each_entry(|e| f(e.event));
     }
 
     fn capacity_bytes(&self) -> usize {

@@ -3,10 +3,9 @@
 //! `btrace-persist`.
 //!
 //! A [`StreamShard`] tracks the last-drained global block sequence and,
-//! on each [`poll_into`](StreamShard::poll_into), hands off only blocks
-//! that have **closed** since the previous poll, as a reused
-//! [`RingSnapshot`] ([`poll`](StreamShard::poll) copies its events out).
-//! Where [`Consumer`](crate::Consumer)
+//! on each [`poll`](StreamShard::poll), hands off only blocks that have
+//! **closed** since the previous poll, in a caller-owned, reused
+//! [`RingSnapshot`]. Where [`Consumer`](crate::Consumer)
 //! reads the confirmed prefix of every block once, the streaming consumer
 //! treats the closed block as its unit of delivery — the natural streaming
 //! granule of the block machinery (BBQ's consumption model), and the
@@ -40,36 +39,9 @@
 //!   before the next poll can observe the block again.
 
 use crate::buffer::Shared;
-use crate::consumer::{close_open_window, BlockCounts, BlockRead, RingSnapshot, Until};
-use crate::event::FullEvent;
+use crate::consumer::{close_open_window, BlockRead, RingSnapshot, Until};
 use crate::sync::Arc;
 use std::collections::BTreeSet;
-
-/// One streaming poll's worth of closed blocks, copied out: what
-/// [`StreamShard::poll`] makes of the [`RingSnapshot`] that
-/// [`StreamShard::poll_into`] fills.
-#[derive(Debug, Default)]
-#[non_exhaustive]
-pub struct DrainedBatch {
-    /// Events from blocks that closed since the previous poll, in buffer
-    /// order (ascending block sequence, then offset).
-    pub events: Vec<FullEvent>,
-    /// Per-block accounting of this poll's scan.
-    pub blocks: BlockCounts,
-    /// Blocks that were overwritten before the stream reached them. A
-    /// streaming daemon that cannot keep up loses oldest-first, exactly
-    /// like the underlying buffer. A sequence number whose round never
-    /// started and that the cursor laps before its metadata block moved on
-    /// is counted here too: the stream cannot tell it from a lost block.
-    pub missed_blocks: usize,
-}
-
-impl DrainedBatch {
-    /// Sum of on-buffer bytes of the returned events.
-    pub fn stored_bytes(&self) -> usize {
-        self.events.iter().map(|e| crate::event::encoded_len(e.payload.len())).sum()
-    }
-}
 
 /// Cumulative accounting across every poll of one [`StreamShard`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -111,8 +83,6 @@ pub struct StreamStats {
 /// a block a concurrent shrink decommits mid-read harmless (§4.4).
 pub struct StreamShard {
     shared: Arc<Shared>,
-    /// Reused by the owned [`StreamShard::poll`].
-    scratch: RingSnapshot,
     /// This stripe's residue class: owns `gpos % stride == shard`.
     shard: u64,
     /// Total number of stripes the sequence space is split into.
@@ -130,7 +100,6 @@ impl StreamShard {
         debug_assert!(stride >= 1 && shard < stride);
         Self {
             shared,
-            scratch: RingSnapshot::new(),
             shard,
             stride,
             cursor: shard,
@@ -144,34 +113,18 @@ impl StreamShard {
         (self.shard as usize, self.stride as usize)
     }
 
-    /// Returns the events of every **owned** block that closed since the
-    /// previous poll, oldest block first: [`StreamShard::poll_into`] with
-    /// the events copied out.
-    ///
-    /// Non-destructive and non-blocking for producers. Events of a block
-    /// that is still open (or has unconfirmed writes in flight) are *not*
-    /// returned yet — they arrive in the poll that first observes the
-    /// block closed, so each event is delivered at most once.
-    pub fn poll(&mut self) -> DrainedBatch {
-        let mut snapshot = std::mem::take(&mut self.scratch);
-        self.poll_into(&mut snapshot);
-        let batch = DrainedBatch {
-            events: snapshot.to_owned_events(),
-            blocks: snapshot.blocks(),
-            missed_blocks: snapshot.missed_blocks(),
-        };
-        self.scratch = snapshot;
-        batch
-    }
-
     /// Snapshots every **owned** block that closed since the previous poll
     /// into `out`, oldest block first, replacing its contents and reusing
     /// its buffer: the same §4.3 read as
     /// [`Consumer::snapshot`](crate::Consumer::snapshot), but only of
-    /// closed blocks, and each at most once across polls. `out` carries
-    /// this poll's [`BlockCounts`] and
+    /// closed blocks. `out` carries this poll's [`BlockCounts`](crate::BlockCounts) and
     /// [`missed_blocks`](RingSnapshot::missed_blocks).
-    pub fn poll_into(&mut self, out: &mut RingSnapshot) {
+    ///
+    /// Non-destructive and non-blocking for producers. Events of a block
+    /// that is still open (or has unconfirmed writes in flight) are *not*
+    /// delivered yet — they arrive in the poll that first observes the
+    /// block closed, so each event is delivered at most once.
+    pub fn poll(&mut self, out: &mut RingSnapshot) {
         let Self { shared, cursor, delivered, stats, stride, .. } = self;
         let stride = *stride;
         let std::ops::Range { start: lo, end: head } = shared.readable_window();
@@ -205,7 +158,7 @@ impl StreamShard {
                 }
                 // A block beyond the capacity bound is withheld, not lost:
                 // a later grow can bring the slot back with its data, and
-                // a one-shot collect would then read it.
+                // a one-shot snapshot would then read it.
                 BlockRead::InFlight | BlockRead::Decommitted => {
                     out.blocks.in_flight += 1;
                     false
@@ -247,9 +200,9 @@ impl StreamShard {
     /// Closes every open block in the readable window — each core's
     /// current block *and* any straggler block still inside the §3.2
     /// closing horizon, the same sweep as
-    /// [`Consumer::collect_and_close`](crate::Consumer::collect_and_close)
-    /// — then polls, delivering everything recorded so far **on this
-    /// stripe**, including events that were sitting in open blocks.
+    /// [`Consumer::snapshot_and_close`](crate::Consumer::snapshot_and_close)
+    /// — then polls into `out`, delivering everything recorded so far **on
+    /// this stripe**, including events that were sitting in open blocks.
     ///
     /// The straggler matters: a block a core has advanced away from stays
     /// open until the head passes it by `A` positions, and a final drain
@@ -264,16 +217,9 @@ impl StreamShard {
     /// shard has flushed, every confirmed record has been handed off
     /// exactly once across the union of stripes (absent wrap-around
     /// misses, which are reported).
-    pub fn flush_close(&mut self) -> DrainedBatch {
+    pub fn flush_close(&mut self, out: &mut RingSnapshot) {
         close_open_window(&self.shared);
-        self.poll()
-    }
-
-    /// [`StreamShard::flush_close`] into a reused snapshot, as
-    /// [`StreamShard::poll_into`] is to [`StreamShard::poll`].
-    pub fn flush_close_into(&mut self, out: &mut RingSnapshot) {
-        close_open_window(&self.shared);
-        self.poll_into(out);
+        self.poll(out);
     }
 
     /// First owned global block sequence not yet resolved by this stripe.
@@ -301,7 +247,9 @@ impl std::fmt::Debug for StreamShard {
 
 #[cfg(test)]
 mod tests {
-    use crate::{BTrace, Config, RingSnapshot};
+    use super::StreamShard;
+    use crate::consumer::tests::checked_events;
+    use crate::{BTrace, Config, FullEvent, RingSnapshot};
     use btrace_vmem::Backing;
 
     fn tracer(cores: usize) -> BTrace {
@@ -315,20 +263,41 @@ mod tests {
         .expect("valid configuration")
     }
 
+    /// One poll of `s` (a flush with `close`) into a fresh snapshot.
+    fn polled(s: &mut StreamShard, close: bool) -> RingSnapshot {
+        let mut snap = RingSnapshot::new();
+        if close {
+            s.flush_close(&mut snap);
+        } else {
+            s.poll(&mut snap);
+        }
+        snap
+    }
+
+    /// The events of one poll of `s` (a flush with `close`), copied out.
+    fn events(s: &mut StreamShard, close: bool) -> Vec<FullEvent> {
+        polled(s, close).to_events()
+    }
+
+    /// Stamps of one poll of `s` (a flush with `close`), in visit order.
+    fn stamps(s: &mut StreamShard, close: bool) -> Vec<u64> {
+        events(s, close).iter().map(|e| e.stamp).collect()
+    }
+
     #[test]
     fn open_block_is_withheld_until_closed() {
         let t = tracer(1);
         let p = t.producer(0).unwrap();
         let mut s = t.stream();
         p.record_with(0, 0, b"sits in an open block").unwrap();
-        assert!(s.poll().events.is_empty(), "open blocks are not streamed");
+        assert!(stamps(&mut s, false).is_empty(), "open blocks are not streamed");
         // Fill past the first block so it closes.
         for i in 1..40u64 {
             p.record_with(i, 0, b"a-sixteen-byte-p").unwrap();
         }
-        let batch = s.poll();
-        assert!(!batch.events.is_empty());
-        assert_eq!(batch.events[0].stamp, 0, "closed block arrives whole, oldest first");
+        let batch = stamps(&mut s, false);
+        assert!(!batch.is_empty());
+        assert_eq!(batch[0], 0, "closed block arrives whole, oldest first");
     }
 
     #[test]
@@ -340,10 +309,10 @@ mod tests {
         for i in 0..300u64 {
             p.record_with(i, 0, b"a-sixteen-byte-p").unwrap();
             if i % 13 == 0 {
-                seen.extend(s.poll().events.into_iter().map(|e| e.stamp));
+                seen.extend(stamps(&mut s, false));
             }
         }
-        seen.extend(s.flush_close().events.into_iter().map(|e| e.stamp));
+        seen.extend(stamps(&mut s, true));
         let mut dedup = seen.clone();
         dedup.sort_unstable();
         dedup.dedup();
@@ -361,12 +330,11 @@ mod tests {
             p0.record_with(i, 0, b"core0").unwrap();
             p1.record_with(100 + i, 0, b"core1").unwrap();
         }
-        let batch = s.flush_close();
-        let mut stamps: Vec<u64> = batch.events.iter().map(|e| e.stamp).collect();
-        stamps.sort_unstable();
+        let mut flushed = stamps(&mut s, true);
+        flushed.sort_unstable();
         let expected: Vec<u64> = (0..10).chain(100..110).collect();
-        assert_eq!(stamps, expected);
-        assert!(s.poll().events.is_empty(), "nothing is delivered twice");
+        assert_eq!(flushed, expected);
+        assert_eq!(polled(&mut s, false).count(), 0, "nothing is delivered twice");
     }
 
     #[test]
@@ -377,18 +345,17 @@ mod tests {
         for i in 0..2_000u64 {
             p.record_with(i, 0, b"wrap-the-buffer!").unwrap();
         }
-        let batch = s.poll();
-        assert!(batch.missed_blocks > 0, "a lapped stream must report misses");
-        let stamps: Vec<u64> = batch.events.iter().map(|e| e.stamp).collect();
-        for w in stamps.windows(2) {
+        let batch = polled(&mut s, false);
+        assert!(batch.missed_blocks() > 0, "a lapped stream must report misses");
+        let order: Vec<u64> = batch.to_events().iter().map(|e| e.stamp).collect();
+        for w in order.windows(2) {
             assert!(w[1] > w[0], "stream must stay ordered");
         }
         // The stream keeps going after the lap.
         for i in 2_000..2_040u64 {
             p.record_with(i, 0, b"wrap-the-buffer!").unwrap();
         }
-        let next = s.flush_close();
-        assert_eq!(next.events.last().unwrap().stamp, 2_039);
+        assert_eq!(*stamps(&mut s, true).last().unwrap(), 2_039);
     }
 
     #[test]
@@ -406,15 +373,11 @@ mod tests {
         for i in 0..13u64 {
             p1.record_with(1 + i, 0, b"a-sixteen-byte-p").unwrap();
         }
-        let batch = s.poll();
-        assert!(
-            batch.events.iter().any(|e| e.core == 1),
-            "closed blocks stream past an older open one"
-        );
-        assert!(batch.events.iter().all(|e| e.core == 1), "the open block is withheld");
+        let batch = events(&mut s, false);
+        assert!(batch.iter().any(|e| e.core == 1), "closed blocks stream past an older open one");
+        assert!(batch.iter().all(|e| e.core == 1), "the open block is withheld");
         // Flush closes core 0's straggler block too.
-        let rest = s.flush_close();
-        assert!(rest.events.iter().any(|e| e.stamp == 0));
+        assert!(stamps(&mut s, true).contains(&0));
     }
 
     #[test]
@@ -439,10 +402,10 @@ mod tests {
                 _ => {}
             }
             if i % 17 == 0 {
-                seen.extend(s.poll().events.into_iter().map(|e| e.stamp));
+                seen.extend(stamps(&mut s, false));
             }
         }
-        seen.extend(s.flush_close().events.into_iter().map(|e| e.stamp));
+        seen.extend(stamps(&mut s, true));
         let mut dedup = seen.clone();
         dedup.sort_unstable();
         dedup.dedup();
@@ -462,15 +425,15 @@ mod tests {
             for i in 0..300u64 {
                 p.record_with(i, 0, b"a-sixteen-byte-p").unwrap();
                 if i % 13 == 0 {
-                    single_seen.extend(single.poll().events.into_iter().map(|e| e.stamp));
+                    single_seen.extend(stamps(&mut single, false));
                     for (s, seen) in sharded.iter_mut().zip(&mut shard_seen) {
-                        seen.extend(s.poll().events.into_iter().map(|e| e.stamp));
+                        seen.extend(stamps(s, false));
                     }
                 }
             }
-            single_seen.extend(single.flush_close().events.into_iter().map(|e| e.stamp));
+            single_seen.extend(stamps(&mut single, true));
             for (s, seen) in sharded.iter_mut().zip(&mut shard_seen) {
-                seen.extend(s.flush_close().events.into_iter().map(|e| e.stamp));
+                seen.extend(stamps(s, true));
             }
             // Stripes are pairwise disjoint...
             let mut union: Vec<u64> = shard_seen.iter().flatten().copied().collect();
@@ -509,17 +472,22 @@ mod tests {
                 })
             })
             .collect();
+        // Blocks a poll reports missed, recycled or torn, and its stamps.
+        let lost_and_stamps = |batch: &RingSnapshot| {
+            let lost = batch.missed_blocks() + batch.blocks().recycled + batch.blocks().torn;
+            (lost, batch.to_events().into_iter().map(|e| e.stamp))
+        };
         let drains: Vec<_> = shards
             .into_iter()
             .map(|mut shard| {
                 std::thread::spawn(move || {
-                    let mut seen = Vec::new();
-                    let mut lost_blocks = 0;
+                    let (mut seen, mut lost_blocks, mut batch) =
+                        (Vec::new(), 0, RingSnapshot::new());
                     for _ in 0..20 {
-                        let batch = shard.poll();
-                        lost_blocks +=
-                            batch.missed_blocks + batch.blocks.recycled + batch.blocks.torn;
-                        seen.extend(batch.events.into_iter().map(|e| e.stamp));
+                        shard.poll(&mut batch);
+                        let (lost, stamps) = lost_and_stamps(&batch);
+                        lost_blocks += lost;
+                        seen.extend(stamps);
                         std::thread::yield_now();
                     }
                     (shard, seen, lost_blocks)
@@ -533,9 +501,9 @@ mod tests {
         let mut lost_blocks = 0;
         for d in drains {
             let (mut shard, mut seen, lost) = d.join().unwrap();
-            let last = shard.flush_close();
-            lost_blocks += lost + last.missed_blocks + last.blocks.recycled + last.blocks.torn;
-            seen.extend(last.events.into_iter().map(|e| e.stamp));
+            let (last_lost, stamps) = lost_and_stamps(&polled(&mut shard, true));
+            lost_blocks += lost + last_lost;
+            seen.extend(stamps);
             all.extend(seen);
         }
         let total = all.len();
@@ -566,8 +534,9 @@ mod tests {
         for i in 0..2_000u64 {
             p.record_with(i, 0, b"wrap-the-buffer!").unwrap();
         }
-        let single_missed = single.poll().missed_blocks;
-        let sharded_missed: usize = sharded.iter_mut().map(|s| s.poll().missed_blocks).sum();
+        let single_missed = polled(&mut single, false).missed_blocks();
+        let sharded_missed: usize =
+            sharded.iter_mut().map(|s| polled(s, false).missed_blocks()).sum();
         assert!(single_missed > 0);
         assert_eq!(
             sharded_missed, single_missed,
@@ -575,22 +544,15 @@ mod tests {
         );
     }
 
-    /// Stamps of `snapshot`'s events in visit order.
-    fn stamps(snapshot: &RingSnapshot) -> Vec<u64> {
-        let mut stamps = Vec::new();
-        snapshot.for_each_entry(|e| stamps.push(e.event.stamp));
-        stamps
-    }
-
     #[test]
     fn reused_snapshot_holds_only_each_polls_new_blocks() {
         let t = tracer(2);
         let p = [t.producer(0).unwrap(), t.producer(1).unwrap()];
-        // Two cursors over the same ring: one polled into a reused
-        // snapshot, one through the owned `poll`, at the same instants.
-        let (mut borrowed, mut owned) = (t.stream(), t.stream());
+        // Two cursors over the same ring, polled at the same instants: one
+        // into a reused snapshot, one into a fresh snapshot each time.
+        let (mut reused, mut fresh) = (t.stream(), t.stream());
         let mut snapshot = RingSnapshot::new();
-        let (mut union, mut owned_union) = (Vec::new(), Vec::new());
+        let mut union = Vec::new();
         let mut polls_with_events = 0;
         for i in 0..400u64 {
             p[(i % 3 == 0) as usize].record_with(i, 0, b"a-sixteen-byte-p").unwrap();
@@ -598,33 +560,29 @@ mod tests {
                 continue;
             }
             let flush = i == 399;
-            let batch = if flush {
-                borrowed.flush_close_into(&mut snapshot);
-                owned.flush_close()
+            if flush {
+                reused.flush_close(&mut snapshot);
             } else {
-                borrowed.poll_into(&mut snapshot);
-                owned.poll()
-            };
-            let polled = stamps(&snapshot);
-            let owned_stamps: Vec<u64> = batch.events.iter().map(|e| e.stamp).collect();
-            assert_eq!(polled, owned_stamps, "poll at {i}: the snapshot holds this poll only");
-            assert_eq!(snapshot.count(), polled.len());
-            assert_eq!(snapshot.stored_bytes(), batch.stored_bytes());
-            assert_eq!(snapshot.blocks(), batch.blocks);
-            assert_eq!(snapshot.missed_blocks(), batch.missed_blocks);
+                reused.poll(&mut snapshot);
+            }
+            let once = polled(&mut fresh, flush);
+            let got: Vec<u64> = checked_events(&snapshot).iter().map(|e| e.stamp).collect();
+            let once_stamps: Vec<u64> = checked_events(&once).iter().map(|e| e.stamp).collect();
+            assert_eq!(got, once_stamps, "poll at {i}: the snapshot holds this poll only");
+            assert_eq!(snapshot.stored_bytes(), once.stored_bytes());
+            assert_eq!(snapshot.blocks(), once.blocks());
+            assert_eq!(snapshot.missed_blocks(), once.missed_blocks());
             assert!(
-                polled.iter().all(|s| !union.contains(s)),
+                got.iter().all(|s| !union.contains(s)),
                 "poll at {i} repeats a stamp of an earlier poll"
             );
-            polls_with_events += usize::from(!polled.is_empty());
-            union.extend(polled);
-            owned_union.extend(owned_stamps);
+            polls_with_events += usize::from(!got.is_empty());
+            union.extend(got);
         }
         assert!(polls_with_events > 3, "the snapshot was reused across several polls");
-        assert_eq!(union, owned_union);
         union.sort_unstable();
         assert_eq!(union, (0..400).collect::<Vec<u64>>(), "the flush delivers the open tail");
-        assert_eq!(borrowed.stats(), owned.stats());
+        assert_eq!(reused.stats(), fresh.stats());
     }
 
     #[test]
@@ -635,11 +593,12 @@ mod tests {
         for i in 0..100u64 {
             p.record_with(i, 0, b"a-sixteen-byte-p").unwrap();
         }
-        let batch = s.flush_close();
+        let batch = polled(&mut s, true);
+        let events = checked_events(&batch);
         let stats = s.stats();
         assert_eq!(stats.polls, 1);
-        assert_eq!(stats.events_delivered, batch.events.len() as u64);
-        assert_eq!(stats.blocks_delivered, batch.blocks.readable as u64);
+        assert_eq!(stats.events_delivered, events.len() as u64);
+        assert_eq!(stats.blocks_delivered, batch.blocks().readable as u64);
         assert_eq!(stats.bytes_delivered, batch.stored_bytes() as u64);
     }
 }

@@ -90,8 +90,8 @@ fn health_snapshot_reports_per_core_counts_and_latencies() {
     assert!((0.0..=1.0).contains(&snap.mean_occupancy));
     assert!(snap.open_blocks <= snap.active_blocks);
 
-    // Drain latency appears after a collect.
-    let _ = t.consumer().collect();
+    // Drain latency appears after a snapshot.
+    t.consumer().snapshot(&mut btrace_core::RingSnapshot::new());
     assert_eq!(t.health_snapshot().drain_latency.count, 1);
 }
 

@@ -18,15 +18,15 @@
 //! so any livelock fails the schedule with a "step budget exceeded" panic.
 
 use btrace_core::introspect::{self, MetaView};
-use btrace_core::{BTrace, Readout};
+use btrace_core::{BTrace, RingSnapshot};
 use std::collections::BTreeSet;
 
 /// Event conservation: every drained stamp was produced and none is drained
 /// twice. With `require_all` (scenarios that never wrap the buffer) the
 /// drained set must equal the produced set — nothing silently lost either.
-pub fn check_conservation(readout: &Readout, produced: &BTreeSet<u64>, require_all: bool) {
+pub fn check_conservation(readout: &RingSnapshot, produced: &BTreeSet<u64>, require_all: bool) {
     let mut seen = BTreeSet::new();
-    for event in &readout.events {
+    for event in &readout.to_events() {
         let stamp = event.stamp;
         assert!(
             produced.contains(&stamp),

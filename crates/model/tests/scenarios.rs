@@ -37,6 +37,13 @@ use std::sync::{Arc, Mutex};
 /// entries — so sequential recording never leaves a partial tail.
 const PAYLOAD: &[u8; 8] = b"8bytes!!";
 
+/// One read (a consumer snapshot or a stream poll) into a fresh snapshot.
+fn read(into: impl FnOnce(&mut RingSnapshot)) -> RingSnapshot {
+    let mut snap = RingSnapshot::new();
+    into(&mut snap);
+    snap
+}
+
 fn assert_coverage(report: Report) {
     if report.replay {
         return; // a single-seed replay has nothing to say about coverage
@@ -77,7 +84,7 @@ fn closing_bounds_staleness() {
             });
         }
         sim.finally(move || {
-            let readout = t.consumer().collect();
+            let readout = read(|o| t.consumer().snapshot(o));
             check_conservation(&readout, &produced, true);
             check_counter_coherence(&t);
             check_effectivity_with_slack(&t, t.active_blocks() as u32);
@@ -146,10 +153,10 @@ fn skipping_never_blocks() {
 
         sim.finally(move || {
             let produced: BTreeSet<u64> = (0..FLOOD).chain([HELD_STAMP]).collect();
-            let readout = t.consumer().collect();
+            let readout = read(|o| t.consumer().snapshot(o));
             check_conservation(&readout, &produced, false);
             assert!(
-                readout.events.iter().any(|e| e.stamp == HELD_STAMP),
+                readout.to_events().iter().any(|e| e.stamp == HELD_STAMP),
                 "the late-committed grant's event was lost (block recycled under the pin?)"
             );
             assert!(
@@ -207,7 +214,7 @@ fn implicit_reclaiming_wraparound() {
             });
         }
         sim.finally(move || {
-            let readout = t.consumer().collect();
+            let readout = read(|o| t.consumer().snapshot(o));
             check_conservation(&readout, &produced, false);
             check_counter_coherence(&t);
         });
@@ -253,7 +260,7 @@ fn resize_under_traffic() {
         sim.finally(move || {
             assert_eq!(t.capacity_blocks(), 2, "capacity must land on the final target");
             assert_eq!(t.stats().resizes, 2);
-            let readout = t.consumer().collect();
+            let readout = read(|o| t.consumer().snapshot(o));
             check_conservation(&readout, &produced, false);
             check_counter_coherence(&t);
         });
@@ -296,9 +303,8 @@ fn speculative_consumer_race() {
                 let mut consumer = t.consumer();
                 loop {
                     let done_before = writer_done.load(Ordering::SeqCst);
-                    let readout = consumer.collect();
                     let mut seen = BTreeSet::new();
-                    for e in &readout.events {
+                    for e in &read(|o| consumer.snapshot(o)).to_events() {
                         assert!(e.stamp < TOTAL, "invented stamp {}", e.stamp);
                         assert_eq!(
                             e.payload,
@@ -317,10 +323,10 @@ fn speculative_consumer_race() {
         }
         sim.finally(move || {
             let produced: BTreeSet<u64> = (0..TOTAL).collect();
-            let readout = t.consumer().collect();
+            let readout = read(|o| t.consumer().snapshot(o));
             check_conservation(&readout, &produced, false);
             assert!(
-                readout.events.iter().any(|e| e.stamp == TOTAL - 1),
+                readout.to_events().iter().any(|e| e.stamp == TOTAL - 1),
                 "the newest event must always be retained"
             );
             check_counter_coherence(&t);
@@ -387,9 +393,10 @@ fn aba_round_wraparound() {
         }
         sim.finally(move || {
             let produced: BTreeSet<u64> = (0..FLOOD).chain([HELD_STAMP]).collect();
-            let readout = t.consumer().collect();
+            let readout = read(|o| t.consumer().snapshot(o));
             check_conservation(&readout, &produced, false);
-            let held: Vec<_> = readout.events.iter().filter(|e| e.stamp == HELD_STAMP).collect();
+            let held: Vec<_> =
+                readout.to_events().into_iter().filter(|e| e.stamp == HELD_STAMP).collect();
             assert_eq!(held.len(), 1, "the pinned grant's event must survive exactly once");
             assert_eq!(held[0].payload, PAYLOAD);
             assert!(t.stats().skips >= 1, "the pinned block must have been skipped");
@@ -460,9 +467,9 @@ fn descriptor_preemption() {
         sim.finally(move || {
             let produced: BTreeSet<u64> =
                 (0..FLOOD).chain([500]).chain((0..RESUMED).map(|i| 600 + i)).collect();
-            let readout = t.consumer().collect();
+            let readout = read(|o| t.consumer().snapshot(o));
             check_conservation(&readout, &produced, false);
-            for e in &readout.events {
+            for e in &readout.to_events() {
                 assert_eq!(e.payload, PAYLOAD, "torn event: stamp {}", e.stamp);
             }
             // The resumed producer allocated against a recycled round: the
@@ -475,7 +482,7 @@ fn descriptor_preemption() {
             // The resumed events are the newest written; they must survive.
             let newest = 600 + RESUMED - 1;
             assert!(
-                readout.events.iter().any(|e| e.stamp == newest),
+                readout.to_events().iter().any(|e| e.stamp == newest),
                 "newest resumed event {newest} lost"
             );
             check_counter_coherence(&t);
@@ -538,8 +545,8 @@ fn confirm_coalescing() {
                 loop {
                     let quiescent =
                         produced_done.load(Ordering::SeqCst) && resize_done.load(Ordering::SeqCst);
-                    for batch in sharded.iter_mut().map(|s| s.poll()) {
-                        for e in &batch.events {
+                    for batch in sharded.iter_mut().map(|s| read(|o| s.poll(o)).to_events()) {
+                        for e in &batch {
                             assert!(e.stamp < N, "invented stamp {}", e.stamp);
                             assert_eq!(
                                 e.payload, PAYLOAD,
@@ -554,8 +561,8 @@ fn confirm_coalescing() {
                     }
                     model_rt::yield_spin();
                 }
-                for tail in sharded.iter_mut().map(|s| s.flush_close()) {
-                    for e in &tail.events {
+                for tail in sharded.iter_mut().map(|s| read(|o| s.flush_close(o)).to_events()) {
+                    for e in &tail {
                         assert_eq!(e.payload, PAYLOAD, "torn tail event: stamp {}", e.stamp);
                         assert!(seen.insert(e.stamp), "stamp {} delivered twice", e.stamp);
                     }
@@ -656,7 +663,7 @@ fn stream_waits_out_a_preempted_claim() {
                 let mut seen = BTreeSet::new();
                 loop {
                     let finished = done.load(Ordering::SeqCst) == 2;
-                    for e in stream.poll().events {
+                    for e in read(|o| stream.poll(o)).to_events() {
                         assert!(seen.insert(e.stamp), "stamp {} delivered twice", e.stamp);
                     }
                     if finished {
@@ -664,7 +671,7 @@ fn stream_waits_out_a_preempted_claim() {
                     }
                     model_rt::yield_spin();
                 }
-                for e in stream.flush_close().events {
+                for e in read(|o| stream.flush_close(o)).to_events() {
                     assert!(seen.insert(e.stamp), "stamp {} delivered twice", e.stamp);
                 }
                 *streamed.lock().unwrap() = seen;
@@ -736,9 +743,9 @@ fn lagging_close_lands_in_its_own_block_across_a_grow() {
         }
         sim.finally(move || {
             let produced: BTreeSet<u64> = CORE0.iter().chain(&CORE1).map(|e| e.0).collect();
-            let readout = t.consumer().collect();
+            let readout = read(|o| t.consumer().snapshot(o));
             check_conservation(&readout, &produced, false);
-            for e in &readout.events {
+            for e in &readout.to_events() {
                 let len = CORE0.iter().chain(&CORE1).find(|w| w.0 == e.stamp).unwrap().1;
                 assert_eq!(e.payload, payload(e.stamp, len), "torn event: stamp {}", e.stamp);
             }
@@ -789,16 +796,15 @@ fn reader_copy_across_a_shrink_decommit() {
         let reader = t.clone();
         sim.thread(move || {
             let (mut consumer, mut snap) = (reader.consumer(), RingSnapshot::new());
-            for _ in 0..2 {
-                consumer.collect().events.iter().try_for_each(|e| check(e.view())).unwrap();
+            for _ in 0..4 {
                 consumer.snapshot(&mut snap);
                 snap.try_for_each(check).unwrap();
             }
         });
         sim.finally(move || {
-            let readout = t.consumer().collect();
+            let readout = read(|o| t.consumer().snapshot(o));
             check_conservation(&readout, &(0..TOTAL).collect(), false);
-            readout.events.iter().try_for_each(|e| check(e.view())).unwrap();
+            readout.try_for_each(check).unwrap();
             check_counter_coherence(&t);
         });
     });

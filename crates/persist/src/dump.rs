@@ -38,9 +38,12 @@ pub struct TraceDump {
 }
 
 impl TraceDump {
-    /// Drains `sink` into a labelled dump.
+    /// Drains `sink` into a labelled dump, payloads copied out of
+    /// [`TraceSink::visit`].
     pub fn capture<S: TraceSink>(label: &str, sink: &S) -> Self {
-        Self { label: label.to_string(), events: sink.drain_full() }
+        let mut events = Vec::new();
+        sink.visit(&mut |e| events.push(e.to_owned()));
+        Self { label: label.to_string(), events }
     }
 
     /// Builds a dump from already-drained events.

@@ -955,7 +955,7 @@ fn spawn_drain(
                 }
             };
             while !inner.stop.load(Ordering::Acquire) {
-                shard.poll_into(&mut snapshot);
+                shard.poll(&mut snapshot);
                 hand_off(&mut snapshot);
                 std::thread::sleep(config.poll_interval);
             }
@@ -964,7 +964,7 @@ fn spawn_drain(
                 // close is idempotent across stripes) and then drains its
                 // own remainder, so the union of final polls covers
                 // everything recorded before the last worker's close.
-                shard.flush_close_into(&mut snapshot);
+                shard.flush_close(&mut snapshot);
                 hand_off(&mut snapshot);
             }
             // The batch stage outlives the drain until the *last* stripe

@@ -11,7 +11,7 @@
 //! cargo run --release --example inproduction_resizing
 //! ```
 
-use btrace::core::{BTrace, Config};
+use btrace::core::{BTrace, Config, RingSnapshot};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -65,12 +65,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::thread::sleep(std::time::Duration::from_millis(300));
 
     // Main activity loaded: dump the detailed trace...
-    let readout = tracer.consumer().collect();
+    let (mut consumer, mut readout) = (tracer.consumer(), RingSnapshot::new());
+    consumer.snapshot(&mut readout);
     println!(
         "dump:       {} events, {:.2} MiB retained, {} readable blocks",
-        readout.events.len(),
+        readout.count(),
         readout.stored_bytes() as f64 / (1 << 20) as f64,
-        readout.blocks.readable,
+        readout.blocks().readable,
     );
 
     // ... and shrink back. The shrinker closes the active blocks, waits for
@@ -93,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\n{} events recorded across the whole run; {} resizes; no event was ever dropped.",
         stats.records, stats.resizes
     );
-    let after = tracer.consumer().collect();
-    println!("the shrunken buffer still serves reads: {} events retained", after.events.len());
+    consumer.snapshot(&mut readout);
+    println!("the shrunken buffer still serves reads: {} events retained", readout.count());
     Ok(())
 }

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use btrace::core::{BTrace, Config};
+use btrace::core::{BTrace, Config, RingSnapshot};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A tracer for a 4-core device: 2 MiB buffer now, growable to 8 MiB,
@@ -36,15 +36,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The consumer reads speculatively: it never blocks the producers, and
-    // re-validates every block so it never returns torn data.
-    let readout = tracer.consumer().collect();
+    // re-validates every block so it never returns torn data. It fills a
+    // snapshot the caller owns and may reuse for the next read.
+    let mut readout = RingSnapshot::new();
+    tracer.consumer().snapshot(&mut readout);
     println!(
         "collected {} events ({} KiB) from {} readable blocks",
-        readout.events.len(),
+        readout.count(),
         readout.stored_bytes() / 1024,
-        readout.blocks.readable,
+        readout.blocks().readable,
     );
-    let newest = readout.events.last().expect("events were recorded");
+    let events = readout.to_events();
+    let newest = events.last().expect("events were recorded");
     println!("newest event: {:?} -> {}", newest, String::from_utf8_lossy(&newest.payload));
 
     // Resize at runtime: grow for a critical phase, shrink afterwards.

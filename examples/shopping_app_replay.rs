@@ -11,8 +11,13 @@ use btrace::baselines::{Bbq, PerCoreDropNewest, PerCoreOverwrite, PerThread};
 use btrace::core::{BTrace, Config};
 use btrace::replay::{scenarios, ReplayConfig, ReplayReport, Replayer};
 
-const TOTAL: usize = 4 << 20; // a 4 MiB budget keeps the example snappy
 const CORES: usize = 12;
+/// One BTrace resize stride: `block_bytes × active_blocks` (4 KiB × 16
+/// blocks per core). BTrace's buffer must be a whole number of strides.
+const STRIDE: usize = 4096 * 16 * CORES;
+/// The one budget every tracer gets: five strides (3.75 MiB) keep the
+/// example snappy.
+const TOTAL: usize = 5 * STRIDE;
 
 fn main() {
     let scenario = scenarios::by_name("eShop-1").expect("scenario exists");
@@ -20,7 +25,7 @@ fn main() {
     let replayer = || Replayer::new(scenario, config.clone());
 
     let btrace = BTrace::new(
-        Config::new(CORES).active_blocks(16 * CORES).block_bytes(4096).buffer_bytes(TOTAL),
+        Config::new(CORES).active_blocks(STRIDE / 4096).block_bytes(4096).buffer_bytes(TOTAL),
     )
     .expect("valid configuration");
 

@@ -25,8 +25,9 @@
 //! let tracer = BTrace::new(Config::new(4).buffer_bytes(1 << 20).active_blocks(16))?;
 //! let producer = tracer.producer(0)?; // producer handle pinned to core 0
 //! producer.record(b"sched: task 42 -> cpu0")?;
-//! let readout = tracer.consumer().collect();
-//! assert!(readout.events.iter().any(|e| e.payload == b"sched: task 42 -> cpu0"));
+//! let mut snapshot = btrace::core::RingSnapshot::new(); // reusable across reads
+//! tracer.consumer().snapshot(&mut snapshot);
+//! assert!(snapshot.to_events().iter().any(|e| e.payload == b"sched: task 42 -> cpu0"));
 //! # Ok(())
 //! # }
 //! ```

@@ -21,7 +21,7 @@
 use btrace::analysis::{analyze, by_core, by_thread, fold_merge, GapMapOptions, TracePartial};
 use btrace::core::event::encoded_len;
 use btrace::core::sink::{CollectedEvent, FullEvent};
-use btrace::core::{BTrace, Backing, Config, TraceError};
+use btrace::core::{BTrace, Backing, Config, RingSnapshot, TraceError};
 use btrace::persist::{analyze_frames, encode_frame, visit_frames, AnalyzeOptions};
 use btrace::vmem::FaultPlan;
 use proptest::prelude::*;
@@ -68,7 +68,7 @@ fn build_stream(seed: u64) -> Vec<u8> {
             .fault_plan(plan),
     )
     .expect("valid configuration");
-    let mut stream = tracer.stream();
+    let (mut stream, mut snap) = (tracer.stream(), RingSnapshot::new());
     let producers: Vec<_> = (0..CORES).map(|c| tracer.producer(c).unwrap()).collect();
     for (core, p) in producers.iter().enumerate() {
         if core % 2 == 1 {
@@ -105,16 +105,16 @@ fn build_stream(seed: u64) -> Vec<u8> {
 
         next_poll -= 1;
         if next_poll == 0 {
-            let batch = stream.poll();
-            if !batch.events.is_empty() || splitmix(&mut rng).is_multiple_of(13) {
-                emit(batch.events, &mut out, &mut seq);
+            stream.poll(&mut snap);
+            if snap.count() > 0 || splitmix(&mut rng).is_multiple_of(13) {
+                emit(snap.to_events(), &mut out, &mut seq);
             }
             next_poll = 1 + splitmix(&mut rng) % 200;
         }
     }
     drop(producers);
-    let tail = stream.flush_close();
-    emit(tail.events, &mut out, &mut seq);
+    stream.flush_close(&mut snap);
+    emit(snap.to_events(), &mut out, &mut seq);
     out
 }
 

@@ -4,7 +4,7 @@
 
 use btrace::atrace::{Atrace, Category, Level, OwnedEvent, TraceEvent};
 use btrace::core::sink::TraceSink;
-use btrace::core::{BTrace, Config};
+use btrace::core::{BTrace, Config, RingSnapshot};
 use btrace::persist::{Collector, CollectorConfig, TraceDump};
 use std::sync::Arc;
 
@@ -82,8 +82,7 @@ fn mixed_writers_on_one_buffer() {
 
     let decoded = a.drain_decoded();
     assert_eq!(decoded.len(), 2, "only typed events decode");
-    let all = sink.drain_full();
-    assert_eq!(all.len(), 3, "the raw event is still in the buffer");
+    assert_eq!(sink.drain().len(), 3, "the raw event is still in the buffer");
 }
 
 #[test]
@@ -92,9 +91,12 @@ fn stream_delivers_typed_events_once() {
     let mut stream = sink.stream();
     let a = Atrace::new(sink, Category::ALL);
     a.event(0, 1, TraceEvent::FreqChange { cpu: 0, khz: 2_000_000 });
-    let flushed = stream.flush_close();
-    assert_eq!(flushed.events.len(), 1);
-    let decoded = OwnedEvent::decode(&flushed.events[0].payload).expect("typed payload");
+    let mut snap = RingSnapshot::new();
+    stream.flush_close(&mut snap);
+    let flushed = snap.to_events();
+    assert_eq!(flushed.len(), 1);
+    let decoded = OwnedEvent::decode(&flushed[0].payload).expect("typed payload");
     assert_eq!(decoded, OwnedEvent::FreqChange { cpu: 0, khz: 2_000_000 });
-    assert!(stream.poll().events.is_empty());
+    stream.poll(&mut snap);
+    assert_eq!(snap.count(), 0);
 }

@@ -38,7 +38,7 @@ fn write_fixtures(dir: &Path) -> (PathBuf, PathBuf) {
     // Close every open block first, so the pipeline's drain finds the
     // whole ring in its first poll and frame boundaries never depend on
     // when it polls.
-    tracer.stream().flush_close();
+    tracer.stream().flush_close(&mut RingSnapshot::new());
     let stream = dir.join("trace.btsf");
     let _ = std::fs::remove_file(&stream);
     let sink = Box::new(FileFrameSink::create(&stream).unwrap());

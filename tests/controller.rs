@@ -16,7 +16,7 @@
 //! * failing seeds replay from the printed line
 //!   (`BTRACE_CTRL_SEED=<seed> cargo test --test controller`).
 
-use btrace::core::{BTrace, Backing, Config};
+use btrace::core::{BTrace, Backing, Config, RingSnapshot};
 use btrace::telemetry::{Controller, ControllerConfig, EventKind};
 use btrace::vmem::FaultPlan;
 use std::collections::HashSet;
@@ -98,7 +98,7 @@ struct StormOutcome {
 /// every tick and its decisions are applied; without, the buffer stays at
 /// its seed size (the static baseline). Loss is measured by stamp-set
 /// retention over the window `[warmup, ticks)`: every recorded stamp that
-/// never shows up in any collect was overwritten before it could be read.
+/// never shows up in any snapshot was overwritten before it could be read.
 #[allow(clippy::too_many_arguments)] // scenario knobs read better flat than bundled
 fn run_storm(
     seed: u64,
@@ -135,7 +135,7 @@ fn run_storm(
 
     let mut rng = SplitMix64(seed);
     let producer = tracer.producer(0).expect("core 0");
-    let mut consumer = tracer.consumer();
+    let (mut consumer, mut drained) = (tracer.consumer(), RingSnapshot::new());
     let mut recorded_per_tick = vec![0u64; ticks as usize];
     let mut retained: HashSet<u64> = HashSet::new();
 
@@ -147,11 +147,10 @@ fn run_storm(
                 .record_with((tick << 32) | i, 0, PAYLOAD)
                 .expect("producers must never fail under a storm");
         }
-        // The drain: non-destructive collect, then close the open block so
-        // its events become readable by the next tick's collect.
-        for e in consumer.collect_and_close().events {
-            retained.insert(e.stamp);
-        }
+        // The drain: non-destructive snapshot, then close the open block
+        // so its events become readable by the next tick's snapshot.
+        consumer.snapshot_and_close(&mut drained);
+        retained.extend(drained.to_events().iter().map(|e| e.stamp));
 
         if controlled {
             let mut snap = tracer.health_snapshot();
@@ -167,12 +166,10 @@ fn run_storm(
         );
     }
     // Scoop the final open block.
-    for e in consumer.collect_and_close().events {
-        retained.insert(e.stamp);
-    }
-    for e in consumer.collect().events {
-        retained.insert(e.stamp);
-    }
+    consumer.snapshot_and_close(&mut drained);
+    retained.extend(drained.to_events().iter().map(|e| e.stamp));
+    consumer.snapshot(&mut drained);
+    retained.extend(drained.to_events().iter().map(|e| e.stamp));
 
     let window_recorded: u64 = recorded_per_tick[warmup as usize..].iter().sum();
     let window_retained = retained.iter().filter(|&&s| (s >> 32) >= warmup).count() as u64;

@@ -1,6 +1,7 @@
 //! Differential conformance suite: the same seeded workload is recorded
 //! three ways — through the incremental **stream** consumer, through the
-//! one-shot **collect** drain, and into the **BBQ** global-queue oracle —
+//! one-shot **collect** drain (`TraceSink::visit`), and into the **BBQ**
+//! global-queue oracle —
 //! and the surviving-event sets must agree up to each discipline's
 //! *documented* discard budget:
 //!
@@ -21,8 +22,8 @@
 //! (`BTRACE_DIFF_SEED=<seed> cargo test --test differential`).
 
 use btrace::baselines::Bbq;
-use btrace::core::sink::TraceSink;
-use btrace::core::{BTrace, Backing, Config, TraceError};
+use btrace::core::sink::{FullEvent, TraceSink};
+use btrace::core::{BTrace, Backing, Config, RingSnapshot, TraceError};
 use btrace::vmem::FaultPlan;
 use std::collections::BTreeSet;
 
@@ -65,6 +66,13 @@ fn btrace() -> BTrace {
 
 /// Asserts `got` is a gap-free suffix of the sequence `recorded` (both
 /// ascending). Returns the suffix start index.
+/// Every event `sink` visits, payloads copied out.
+fn visited(sink: &impl TraceSink) -> Vec<FullEvent> {
+    let mut out = Vec::new();
+    sink.visit(&mut |e| out.push(e.to_owned()));
+    out
+}
+
 fn assert_contiguous_suffix(recorded: &[u64], got: &BTreeSet<u64>, what: &str, seed: u64) {
     if got.is_empty() {
         return;
@@ -88,7 +96,7 @@ fn run_differential(seed: u64) {
 
     let tracer = btrace();
     let bbq = Bbq::new(TOTAL, BLOCK);
-    let mut stream = tracer.stream();
+    let (mut stream, mut snap) = (tracer.stream(), RingSnapshot::new());
 
     let mut streamed: Vec<u64> = Vec::new();
     let mut per_core_recorded: Vec<Vec<u64>> = vec![Vec::new(); CORES];
@@ -116,15 +124,15 @@ fn run_differential(seed: u64) {
             // Polling at least every 32 records bounds the inter-poll burst
             // to ~8 blocks, far less than the 56-block reclaim horizon, so
             // the cursor is never lapped and `missed` stays zero.
-            let batch = stream.poll();
-            streamed.extend(batch.events.iter().map(|e| e.stamp));
+            stream.poll(&mut snap);
+            streamed.extend(snap.to_events().iter().map(|e| e.stamp));
             next_poll = 1 + splitmix(&mut rng) % 24;
         }
     }
 
     // Final handoff: close every core's open block, then drain the rest.
-    let tail = stream.flush_close();
-    streamed.extend(tail.events.iter().map(|e| e.stamp));
+    stream.flush_close(&mut snap);
+    streamed.extend(snap.to_events().iter().map(|e| e.stamp));
     assert_eq!(
         stream.stats().missed_blocks,
         0,
@@ -143,7 +151,7 @@ fn run_differential(seed: u64) {
 
     // One-shot collect after the stream closed everything: a subset of the
     // streamed set, contiguous per core.
-    let collected = tracer.drain_full();
+    let collected = visited(&tracer);
     let collect_set: BTreeSet<u64> = collected.iter().map(|e| e.stamp).collect();
     assert_eq!(collect_set.len(), collected.len(), "seed {seed}: collect yielded a duplicate");
     assert!(
@@ -157,7 +165,7 @@ fn run_differential(seed: u64) {
     }
 
     // BBQ oracle: a contiguous suffix of the global sequence.
-    let bbq_events = bbq.drain_full();
+    let bbq_events = visited(&bbq);
     let bbq_set: BTreeSet<u64> = bbq_events.iter().map(|e| e.stamp).collect();
     let all: Vec<u64> = (0..n_ops).collect();
     assert_contiguous_suffix(&all, &bbq_set, "BBQ", seed);
@@ -234,7 +242,7 @@ fn run_differential_sharded(seed: u64, shards: usize) {
     )
     .expect("valid configuration");
 
-    let mut single = tracer.stream();
+    let (mut single, mut snap) = (tracer.stream(), RingSnapshot::new());
     let mut sharded = tracer.stream_sharded(shards);
     let producers: Vec<_> = (0..CORES).map(|c| tracer.producer(c).unwrap()).collect();
     for (core, p) in producers.iter().enumerate() {
@@ -274,11 +282,12 @@ fn run_differential_sharded(seed: u64, shards: usize) {
 
         next_poll -= 1;
         if next_poll == 0 {
-            let batch = single.poll();
-            single_got.extend(batch.events.iter().map(|e| e.stamp));
+            single.poll(&mut snap);
+            single_got.extend(snap.to_events().iter().map(|e| e.stamp));
             for (i, shard) in sharded.iter_mut().enumerate() {
-                let b = shard.poll();
-                for e in &b.events {
+                shard.poll(&mut snap);
+                let b = snap.to_events();
+                for e in &b {
                     assert_eq!(
                         e.payload,
                         payload_for(e.stamp, e.payload.len()),
@@ -286,7 +295,7 @@ fn run_differential_sharded(seed: u64, shards: usize) {
                         e.stamp
                     );
                 }
-                shard_got[i].extend(b.events.iter().map(|e| e.stamp));
+                shard_got[i].extend(b.iter().map(|e| e.stamp));
             }
             next_poll = 1 + splitmix(&mut rng) % 24;
         }
@@ -296,11 +305,11 @@ fn run_differential_sharded(seed: u64, shards: usize) {
     // both sides — single first. The close CAS is idempotent, so the order
     // must not change either consumer's final set.
     drop(producers);
-    let tail = single.flush_close();
-    single_got.extend(tail.events.iter().map(|e| e.stamp));
+    single.flush_close(&mut snap);
+    single_got.extend(snap.to_events().iter().map(|e| e.stamp));
     for (i, shard) in sharded.iter_mut().enumerate() {
-        let b = shard.flush_close();
-        shard_got[i].extend(b.events.iter().map(|e| e.stamp));
+        shard.flush_close(&mut snap);
+        shard_got[i].extend(snap.to_events().iter().map(|e| e.stamp));
     }
 
     // Per-shard at-most-once, then pairwise stripe disjointness: summed

@@ -3,7 +3,7 @@
 
 use btrace::analysis::analyze;
 use btrace::baselines::{Bbq, PerCoreDropNewest, PerCoreOverwrite, PerThread};
-use btrace::core::{BTrace, Config};
+use btrace::core::{BTrace, Config, RingSnapshot};
 use btrace::replay::{scenarios, ReplayConfig, ReplayMode, Replayer};
 
 const CORES: usize = 12;
@@ -170,11 +170,11 @@ fn resize_during_replay_keeps_recording() {
 }
 
 #[test]
-fn collect_and_close_is_pinned_at_wraparound() {
+fn snapshot_and_close_is_pinned_at_wraparound() {
     // Regression pin for the destructive read at buffer wrap-around:
-    // after writing 3x the buffer's capacity, `collect_and_close` must
-    // return a gap-free suffix ending at the newest stamp, every event's
-    // `stored_bytes` must equal its encoded length, the readout total
+    // after writing 3x the buffer's capacity, `snapshot_and_close` must
+    // hold a gap-free suffix ending at the newest stamp, every event's
+    // `stored_bytes` must equal its encoded length, the snapshot total
     // must fit the buffer, and a post-close burst must land strictly
     // after everything returned.
     use btrace::core::event::encoded_len;
@@ -195,10 +195,11 @@ fn collect_and_close_is_pinned_at_wraparound() {
         producer.record_with(i, 7, PAYLOAD).expect("payload fits");
     }
 
-    let mut consumer = tracer.consumer();
-    let readout = consumer.collect_and_close();
+    let (mut consumer, mut readout) = (tracer.consumer(), RingSnapshot::new());
+    consumer.snapshot_and_close(&mut readout);
+    let events = readout.to_events();
 
-    let stamps: Vec<u64> = readout.events.iter().map(|e| e.stamp).collect();
+    let stamps: Vec<u64> = events.iter().map(|e| e.stamp).collect();
     assert!(!stamps.is_empty(), "a wrapped buffer still holds the newest window");
     let newest = *stamps.iter().max().expect("non-empty");
     assert_eq!(newest, WRITES - 1, "the newest stamp survives the wrap");
@@ -214,7 +215,7 @@ fn collect_and_close_is_pinned_at_wraparound() {
     );
 
     // stored_bytes identities: per event, per readout, and within budget.
-    for e in &readout.events {
+    for e in &events {
         assert_eq!(
             e.view().collected().stored_bytes as usize,
             encoded_len(PAYLOAD.len()),
@@ -224,7 +225,7 @@ fn collect_and_close_is_pinned_at_wraparound() {
     }
     assert_eq!(
         readout.stored_bytes(),
-        readout.events.len() * encoded_len(PAYLOAD.len()),
+        events.len() * encoded_len(PAYLOAD.len()),
         "readout total is the sum of its events"
     );
     assert!(
@@ -238,8 +239,9 @@ fn collect_and_close_is_pinned_at_wraparound() {
     for i in 0..FRESH {
         producer.record_with(WRITES + i, 7, PAYLOAD).expect("payload fits");
     }
-    let second = consumer.collect_and_close();
-    let fresh: Vec<u64> = second.events.iter().map(|e| e.stamp).filter(|&s| s >= WRITES).collect();
+    consumer.snapshot_and_close(&mut readout);
+    let fresh: Vec<u64> =
+        readout.to_events().iter().map(|e| e.stamp).filter(|&s| s >= WRITES).collect();
     assert_eq!(
         fresh,
         (WRITES..WRITES + FRESH).collect::<Vec<u64>>(),

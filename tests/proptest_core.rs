@@ -2,8 +2,8 @@
 //! of records, two-phase grants, preemption interleavings, and resizes must
 //! never panic, never corrupt an event, and never lose the newest data.
 
-use btrace::core::sink::TraceSink;
-use btrace::core::{BTrace, Config, Grant};
+use btrace::core::sink::{FullEvent, TraceSink};
+use btrace::core::{BTrace, Config, Grant, RingSnapshot};
 use proptest::prelude::*;
 
 const BLOCK: usize = 256;
@@ -17,6 +17,13 @@ fn tracer(cores: usize, active: usize, ratio: usize) -> BTrace {
             .max_bytes(BLOCK * active * ratio.max(4)),
     )
     .expect("valid configuration")
+}
+
+/// Every currently readable event of `t`, copied out of one snapshot.
+fn readable(t: &BTrace) -> Vec<FullEvent> {
+    let mut snap = RingSnapshot::new();
+    t.consumer().snapshot(&mut snap);
+    snap.to_events()
 }
 
 /// One step of the single-threaded operation machine.
@@ -99,23 +106,23 @@ proptest! {
                     }
                 }
                 Op::Collect => {
-                    let _ = t.consumer().collect();
+                    t.consumer().snapshot(&mut RingSnapshot::new());
                 }
             }
         }
         drop(held); // abandon the rest
 
-        let readout = t.consumer().collect();
+        let readout = readable(&t);
         // 1. No invented events: every event returned was actually written,
         //    with its exact payload length.
-        for e in &readout.events {
+        for e in &readout {
             prop_assert!(
                 written.iter().any(|&(s, len)| s == e.stamp && len == e.payload.len()),
                 "event {e:?} was never written"
             );
         }
         // 2. No duplicates.
-        let mut stamps: Vec<u64> = readout.events.iter().map(|e| e.stamp).collect();
+        let mut stamps: Vec<u64> = readout.iter().map(|e| e.stamp).collect();
         stamps.sort_unstable();
         let before = stamps.len();
         stamps.dedup();
@@ -136,9 +143,9 @@ proptest! {
             let payload = vec![0xEEu8; len];
             t.producer(0).unwrap().record_with(i as u64, 0, &payload).unwrap();
         }
-        let readout = t.consumer().collect();
-        prop_assert!(!readout.events.is_empty());
-        let stamps: Vec<u64> = readout.events.iter().map(|e| e.stamp).collect();
+        let readout = readable(&t);
+        prop_assert!(!readout.is_empty());
+        let stamps: Vec<u64> = readout.iter().map(|e| e.stamp).collect();
         prop_assert_eq!(*stamps.last().unwrap() as usize, lens.len() - 1, "newest lost");
         for w in stamps.windows(2) {
             prop_assert_eq!(w[1], w[0] + 1, "interior gap");
@@ -150,10 +157,10 @@ proptest! {
     fn payload_roundtrip_is_exact(payload in proptest::collection::vec(any::<u8>(), 0..200)) {
         let t = tracer(1, 4, 4);
         t.producer(0).unwrap().record_with(7, 3, &payload).unwrap();
-        let readout = t.consumer().collect();
-        prop_assert_eq!(readout.events.len(), 1);
-        prop_assert_eq!(readout.events[0].payload, &payload[..]);
-        prop_assert_eq!(readout.events[0].tid, 3);
+        let readout = readable(&t);
+        prop_assert_eq!(readout.len(), 1);
+        prop_assert_eq!(readout[0].payload, &payload[..]);
+        prop_assert_eq!(readout[0].tid, 3);
     }
 
     /// Skip rate is monotone in preemption pressure (§3.4): the same flood
@@ -217,8 +224,8 @@ proptest! {
             t.producer(0).unwrap().record_with(i as u64, 0, &payload).unwrap();
         }
         let total = (before + after) as u64;
-        let readout = t.consumer().collect();
-        let mut stamps: Vec<u64> = readout.events.iter().map(|e| e.stamp).collect();
+        let readout = readable(&t);
+        let mut stamps: Vec<u64> = readout.iter().map(|e| e.stamp).collect();
         for &s in &stamps {
             prop_assert!(s < total, "drained stamp {s} was never recorded");
         }

@@ -27,7 +27,7 @@
 use btrace::analysis::{gap_map, GapMapOptions, TracePartial};
 use btrace::atrace::{Category, TraceEvent};
 use btrace::core::sink::{CollectedEvent, FullEvent};
-use btrace::core::{BTrace, Backing, Config, TraceError};
+use btrace::core::{BTrace, Backing, Config, RingSnapshot, TraceError};
 use btrace::persist::{
     analyze_frames, analyze_frames_with, checksum, encode_frame, encode_stream, visit_frames,
     AnalyzeOptions, Collector, CollectorConfig, DefectKind, FrameInfo, Predicate, Query,
@@ -109,7 +109,7 @@ fn build_stream(seed: u64) -> Vec<u8> {
             .fault_plan(plan),
     )
     .expect("valid configuration");
-    let mut stream = tracer.stream();
+    let (mut stream, mut snap) = (tracer.stream(), RingSnapshot::new());
     let producers: Vec<_> = (0..CORES).map(|c| tracer.producer(c).unwrap()).collect();
 
     let mut out = Vec::new();
@@ -138,16 +138,16 @@ fn build_stream(seed: u64) -> Vec<u8> {
 
         next_poll -= 1;
         if next_poll == 0 {
-            let batch = stream.poll();
-            if !batch.events.is_empty() || splitmix(&mut rng).is_multiple_of(13) {
-                emit(batch.events, &mut out);
+            stream.poll(&mut snap);
+            if snap.count() > 0 || splitmix(&mut rng).is_multiple_of(13) {
+                emit(snap.to_events(), &mut out);
             }
             next_poll = 1 + splitmix(&mut rng) % 200;
         }
     }
     drop(producers);
-    let tail = stream.flush_close();
-    emit(tail.events, &mut out);
+    stream.flush_close(&mut snap);
+    emit(snap.to_events(), &mut out);
     out
 }
 

@@ -78,16 +78,14 @@ fn readers_across_a_resize_storm(backing: Backing) {
         }
         let reader = s.spawn(|| {
             let (mut consumer, mut stream) = (tracer.consumer(), tracer.stream());
-            let mut snap = RingSnapshot::new();
+            let (mut snap, mut batch) = (RingSnapshot::new(), RingSnapshot::new());
             let mut returned = 0;
             while !stop.load(Ordering::Relaxed) {
-                let readout = consumer.collect();
-                readout.events.iter().try_for_each(|e| check_recorded(e.view())).unwrap();
                 consumer.snapshot(&mut snap);
                 snap.try_for_each(check_recorded).unwrap();
-                let batch = stream.poll();
-                batch.events.iter().try_for_each(|e| check_recorded(e.view())).unwrap();
-                returned += readout.events.len() + snap.count() + batch.events.len();
+                stream.poll(&mut batch);
+                batch.try_for_each(check_recorded).unwrap();
+                returned += snap.count() + batch.count();
                 passes.fetch_add(1, Ordering::Relaxed);
             }
             returned
@@ -131,9 +129,10 @@ fn collect_while_pinned_still_reads_consistently() {
     tracer.resize_bytes(STRIDE).expect("shrink with a live consumer completes");
     assert_eq!(tracer.health_snapshot().committed_bytes, tracer.capacity_bytes() as u64);
     assert!(!tracer.state().is_degraded(), "reclaim deferred: {:?}", tracer.state());
+    let mut readout = RingSnapshot::new();
     for consumer in [&mut held, &mut tracer.consumer()] {
-        let readout = consumer.collect();
-        assert!(!readout.events.is_empty(), "the shrunk ring still holds records");
-        readout.events.iter().try_for_each(|e| check_recorded(e.view())).unwrap();
+        consumer.snapshot(&mut readout);
+        assert!(readout.count() > 0, "the shrunk ring still holds records");
+        readout.try_for_each(check_recorded).unwrap();
     }
 }

@@ -1,16 +1,17 @@
 //! Property tests for the streaming consumer: arbitrary single-threaded
-//! interleavings of records, `poll()`s, and resizes — with a seeded
+//! interleavings of records, `poll`s, and resizes — with a seeded
 //! backing-fault storm armed the whole time — must deliver every
 //! confirmed record **at most once**, and exactly once whenever the
 //! stream was never lapped and the geometry never shrank under it.
 //!
-//! The final cross-check drives the other consumer: after the stream's
-//! `flush_close` (which closes every open block in the window), a
-//! `collect_and_close` readout must be a subset of what streaming
-//! delivered — the one-shot path can know nothing the stream missed.
+//! Every read fills one reused `RingSnapshot`. The final cross-check drives
+//! the other consumer: after the stream's `flush_close` (which closes every
+//! open block in the window), a `snapshot_and_close` must hold a subset of
+//! what streaming delivered — the one-shot path can know nothing the stream
+//! missed.
 
 use btrace::core::sink::FullEvent;
-use btrace::core::{BTrace, Backing, Config, TraceError};
+use btrace::core::{BTrace, Backing, Config, RingSnapshot, TraceError};
 use btrace::vmem::FaultPlan;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -70,6 +71,7 @@ proptest! {
         let mut stamp = 0u64;
         let mut delivered: Vec<u64> = Vec::new();
         let mut resized = false;
+        let mut snap = RingSnapshot::new();
 
         for op in ops {
             match op {
@@ -79,8 +81,8 @@ proptest! {
                     stamp += 1;
                 }
                 Op::Poll => {
-                    let batch = stream.poll();
-                    delivered.extend(batch.events.iter().map(|e| e.stamp));
+                    stream.poll(&mut snap);
+                    delivered.extend(snap.to_events().iter().map(|e| e.stamp));
                 }
                 Op::Resize { ratio } => {
                     match t.resize_bytes(ratio * STRIDE) {
@@ -96,9 +98,9 @@ proptest! {
         // Final flush: close every open block (current and stragglers) and
         // deliver the tail. After it, the one-shot consumer must see
         // nothing the stream did not already hand off.
-        let tail = stream.flush_close();
-        delivered.extend(tail.events.iter().map(|e| e.stamp));
-        let readout = t.consumer().collect_and_close();
+        stream.flush_close(&mut snap);
+        delivered.extend(snap.to_events().iter().map(|e| e.stamp));
+        t.consumer().snapshot_and_close(&mut snap);
 
         // At-most-once, always: no stamp is ever handed out twice, and
         // nothing is invented.
@@ -110,11 +112,11 @@ proptest! {
         );
 
         // The streamed view covers the one-shot view.
-        let collect_set: BTreeSet<u64> = readout.events.iter().map(|e| e.stamp).collect();
+        let collect_set: BTreeSet<u64> = snap.to_events().iter().map(|e| e.stamp).collect();
         let only: Vec<u64> = collect_set.difference(&delivered_set).copied().collect();
         prop_assert!(
             only.is_empty(),
-            "collect_and_close saw stamps the stream never delivered: {:?} \
+            "snapshot_and_close saw stamps the stream never delivered: {:?} \
              (resized {}, missed {}, stamps {}, delivered {})",
             only, resized, stream.stats().missed_blocks, stamp, delivered_set.len()
         );
@@ -155,6 +157,7 @@ proptest! {
         let mut lens: Vec<usize> = Vec::new();
         let mut per_shard: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); k];
         let mut resized = false;
+        let mut snap = RingSnapshot::new();
 
         for op in ops {
             match op {
@@ -166,8 +169,8 @@ proptest! {
                 }
                 Op::Poll => {
                     for (i, shard) in sharded.iter_mut().enumerate() {
-                        let batch = shard.poll();
-                        per_shard[i].extend(batch.events.into_iter().map(|e| (e.stamp, e.payload)));
+                        shard.poll(&mut snap);
+                        per_shard[i].extend(snap.to_events().into_iter().map(|e| (e.stamp, e.payload)));
                     }
                 }
                 Op::Resize { ratio } => {
@@ -191,8 +194,8 @@ proptest! {
         // stripe may safely issue it.
         drop(producers);
         for (i, shard) in sharded.iter_mut().enumerate() {
-            let batch = shard.flush_close();
-            per_shard[i].extend(batch.events.into_iter().map(|e| (e.stamp, e.payload)));
+            shard.flush_close(&mut snap);
+            per_shard[i].extend(snap.to_events().into_iter().map(|e| (e.stamp, e.payload)));
         }
 
         // Per-stripe at-most-once; summed cardinality == union cardinality
@@ -236,7 +239,7 @@ proptest! {
         lens in proptest::collection::vec(0usize..48, 1..120)
     ) {
         let t = storm_tracer(fault_seed);
-        let mut stream = t.stream();
+        let (mut stream, mut snap) = (t.stream(), RingSnapshot::new());
         let mut events: Vec<FullEvent> = Vec::new();
         for (i, len) in lens.iter().enumerate() {
             let stamp = i as u64;
@@ -244,10 +247,12 @@ proptest! {
             let payload: Vec<u8> = (0..*len).map(|j| (stamp as u8) ^ (j as u8)).collect();
             t.producer(core).unwrap().record_with(stamp, core as u32, &payload).unwrap();
             if i % 13 == 0 {
-                events.extend(stream.poll().events);
+                stream.poll(&mut snap);
+                events.extend(snap.to_events());
             }
         }
-        events.extend(stream.flush_close().events);
+        stream.flush_close(&mut snap);
+        events.extend(snap.to_events());
         for e in &events {
             let expect: Vec<u8> = (0..e.payload.len()).map(|j| (e.stamp as u8) ^ (j as u8)).collect();
             prop_assert_eq!(&e.payload, &expect, "torn payload at stamp {}", e.stamp);
