@@ -12,7 +12,7 @@
 use crate::wordbuf::WordBuf;
 use btrace_core::event::{encoded_len, EventView};
 use btrace_core::sink::{Begin, FullEvent, SinkGrant, TraceSink};
-use crossbeam_utils::CachePadded;
+use btrace_telemetry::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

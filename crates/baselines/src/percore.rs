@@ -11,11 +11,10 @@
 //! across cores, which is exactly the `1/C` utilization pathology of
 //! Table 1.
 
-use crate::ring::{drain_rings, OverwriteRing};
+use crate::ring::{drain_rings, lock, OverwriteRing};
 use btrace_core::event::EventView;
 use btrace_core::sink::{Begin, SinkGrant, TraceSink};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Per-core overwrite-mode rings, modelled on Linux ftrace.
 ///
@@ -50,7 +49,7 @@ impl PerCoreOverwrite {
 
     /// Number of events evicted by overwrite so far.
     pub fn overwritten(&self) -> u64 {
-        self.rings.iter().map(|r| r.lock().overwritten()).sum()
+        self.rings.iter().map(|r| lock(r).overwritten()).sum()
     }
 }
 
@@ -67,7 +66,7 @@ impl SinkGrant for PerCoreGrant {
         // The lock is the preempt-disabled critical section: allocate,
         // copy, and publish happen inside it, so no concurrent writer on
         // this core can observe a half-written entry.
-        self.rings[self.core].lock().write(stamp, tid, self.core as u16, payload);
+        lock(&self.rings[self.core]).write(stamp, tid, self.core as u16, payload);
     }
 }
 
@@ -79,7 +78,7 @@ impl TraceSink for PerCoreOverwrite {
     }
 
     fn try_begin(&self, core: usize, _tid: u32, payload_len: usize) -> Begin<PerCoreGrant> {
-        if core >= self.rings.len() || !self.rings[core].lock().fits(payload_len) {
+        if core >= self.rings.len() || !lock(&self.rings[core]).fits(payload_len) {
             return Begin::Dropped;
         }
         Begin::Granted(PerCoreGrant { rings: Arc::clone(&self.rings), core })
@@ -98,7 +97,7 @@ impl TraceSink for PerCoreOverwrite {
         if core >= self.rings.len() {
             return RecordOutcome::Dropped;
         }
-        let mut ring = self.rings[core].lock();
+        let mut ring = lock(&self.rings[core]);
         if !ring.fits(payload.len()) {
             return RecordOutcome::Dropped;
         }

@@ -6,12 +6,11 @@
 //! short-lived threads leave their slices almost empty — the paper measures
 //! a 0.3 MB average latest fragment out of a 12 MB budget (§5.2).
 
-use crate::ring::{drain_rings, OverwriteRing};
+use crate::ring::{drain_rings, lock, OverwriteRing};
 use btrace_core::event::EventView;
 use btrace_core::sink::{Begin, SinkGrant, TraceSink};
-use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// Per-thread overwrite-mode rings, modelled on VampirTrace.
 ///
@@ -51,10 +50,10 @@ impl PerThread {
     }
 
     fn ring_for(&self, tid: u32) -> Arc<Mutex<OverwriteRing>> {
-        if let Some(ring) = self.rings.read().get(&tid) {
+        if let Some(ring) = self.rings.read().unwrap_or_else(PoisonError::into_inner).get(&tid) {
             return Arc::clone(ring);
         }
-        let mut map = self.rings.write();
+        let mut map = self.rings.write().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(
             map.entry(tid)
                 .or_insert_with(|| Arc::new(Mutex::new(OverwriteRing::new(self.per_thread_bytes)))),
@@ -63,7 +62,7 @@ impl PerThread {
 
     /// Number of rings created so far (distinct recording threads).
     pub fn threads_seen(&self) -> usize {
-        self.rings.read().len()
+        self.rings.read().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// Capacity each thread's ring received.
@@ -81,7 +80,7 @@ pub struct PerThreadGrant {
 
 impl SinkGrant for PerThreadGrant {
     fn commit(self, stamp: u64, tid: u32, payload: &[u8]) {
-        self.ring.lock().write(stamp, tid, self.core, payload);
+        lock(&self.ring).write(stamp, tid, self.core, payload);
     }
 }
 
@@ -94,7 +93,7 @@ impl TraceSink for PerThread {
 
     fn try_begin(&self, core: usize, tid: u32, payload_len: usize) -> Begin<PerThreadGrant> {
         let ring = self.ring_for(tid);
-        if !ring.lock().fits(payload_len) {
+        if !lock(&ring).fits(payload_len) {
             return Begin::Dropped;
         }
         Begin::Granted(PerThreadGrant { ring, core: core as u16 })
@@ -109,7 +108,7 @@ impl TraceSink for PerThread {
     ) -> btrace_core::sink::RecordOutcome {
         use btrace_core::sink::RecordOutcome;
         let ring = self.ring_for(tid);
-        let mut ring = ring.lock();
+        let mut ring = lock(&ring);
         if !ring.fits(payload.len()) {
             return RecordOutcome::Dropped;
         }
@@ -118,7 +117,9 @@ impl TraceSink for PerThread {
     }
 
     fn visit(&self, f: &mut dyn FnMut(EventView<'_>)) {
-        let events = drain_rings(self.rings.read().values().map(Arc::as_ref));
+        let events = drain_rings(
+            self.rings.read().unwrap_or_else(PoisonError::into_inner).values().map(Arc::as_ref),
+        );
         events.iter().for_each(|e| f(e.view()));
     }
 

@@ -14,7 +14,7 @@
 use crate::wordbuf::WordBuf;
 use btrace_core::event::{encoded_len, EntryHeader, EntryKind, HEADER_BYTES};
 use btrace_core::sink::FullEvent;
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 #[derive(Debug)]
 pub(crate) struct OverwriteRing {
@@ -99,6 +99,12 @@ impl OverwriteRing {
     }
 }
 
+/// Locks `mutex`, recovering the guard of a poisoned lock: the baselines
+/// keep the poison-free semantics of the lock they were written against.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Every ring's retained events, in stamp order: the drain of the per-core
 /// and per-thread baselines.
 pub(crate) fn drain_rings<'a>(
@@ -106,7 +112,7 @@ pub(crate) fn drain_rings<'a>(
 ) -> Vec<FullEvent> {
     let mut out = Vec::new();
     for ring in rings {
-        ring.lock().drain_into(&mut out);
+        lock(ring).drain_into(&mut out);
     }
     out.sort_by_key(|e| e.stamp);
     out

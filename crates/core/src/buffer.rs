@@ -10,8 +10,7 @@ use crate::packed::{RatioPos, RndPos};
 use crate::raw::DataRegion;
 use crate::stats::Counters;
 use crate::sync::{Arc, AtomicU64, AtomicUsize, Mutex, Ordering};
-use btrace_telemetry::Stats;
-use crossbeam_utils::CachePadded;
+use btrace_telemetry::{CachePadded, Stats};
 
 /// Largest single dummy entry (bounded by the 16-bit length field).
 const MAX_DUMMY: u32 = u16::MAX as u32 & !7;

@@ -25,7 +25,7 @@
 
 use crate::packed::RndPos;
 use crate::sync::{AtomicU64, Ordering};
-use crossbeam_utils::CachePadded;
+use btrace_telemetry::CachePadded;
 
 /// Result of a fast-path allocation attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -9,8 +9,7 @@
 //! *packed into one word* so the fast path pays exactly one relaxed
 //! fetch-and-add per record instead of two.
 
-use btrace_telemetry::{Stats, TracerState};
-use crossbeam_utils::CachePadded;
+use btrace_telemetry::{CachePadded, Stats, TracerState};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bit where the record count lives in the packed word (low half).

@@ -63,8 +63,9 @@ pub mod check;
 pub mod rng;
 pub mod sched;
 
-use crate::rng::{schedule_seed, SplitMix64};
+use crate::rng::schedule_seed;
 use crate::sched::{Execution, Policy, ThreadGate};
+use btrace_vmem::SplitMix64;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -182,7 +183,7 @@ where
     let mut rng = SplitMix64::new(seed);
     // The policy family is drawn from the seed stream (not the schedule
     // index) so a replayed seed reconstructs the identical schedule.
-    let family = rng.next_below(2);
+    let family = rng.next_below(2) as usize;
     let policy = Policy::for_schedule(family, sim.threads.len(), &mut rng);
     let exec = Execution::new(sim.threads.len(), policy, rng, max_steps);
 

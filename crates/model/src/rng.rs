@@ -1,33 +1,7 @@
-//! SplitMix64: the seed-expansion PRNG. Small state, full-period, and —
-//! crucially for replay — the entire schedule derives from one `u64`.
+//! Seed derivation and schedule fingerprints. The PRNG itself is
+//! [`SplitMix64`], shared with `btrace-vmem`'s fault plans.
 
-/// A SplitMix64 stream.
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Creates a stream seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `0..bound` (`bound > 0`), via 128-bit multiply-shift.
-    pub fn next_below(&mut self, bound: usize) -> usize {
-        debug_assert!(bound > 0);
-        (((self.next_u64() as u128) * (bound as u128)) >> 64) as usize
-    }
-}
+use btrace_vmem::SplitMix64;
 
 /// Derives the per-schedule seed `i` of a base seed: one SplitMix64 step
 /// keyed by the index, so adjacent schedules share no structure.
@@ -52,42 +26,6 @@ pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn deterministic_per_seed() {
-        let a: Vec<u64> = {
-            let mut r = SplitMix64::new(42);
-            (0..8).map(|_| r.next_u64()).collect()
-        };
-        let b: Vec<u64> = {
-            let mut r = SplitMix64::new(42);
-            (0..8).map(|_| r.next_u64()).collect()
-        };
-        assert_eq!(a, b);
-        let c: Vec<u64> = {
-            let mut r = SplitMix64::new(43);
-            (0..8).map(|_| r.next_u64()).collect()
-        };
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn next_below_is_in_range() {
-        let mut r = SplitMix64::new(7);
-        for _ in 0..1000 {
-            assert!(r.next_below(3) < 3);
-        }
-    }
-
-    #[test]
-    fn next_below_hits_every_residue() {
-        let mut r = SplitMix64::new(9);
-        let mut seen = [false; 5];
-        for _ in 0..200 {
-            seen[r.next_below(5)] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
 
     #[test]
     fn schedule_seeds_differ() {

@@ -21,7 +21,8 @@
 //! demotes the spinner so priority schedules cannot starve the thread being
 //! waited on.
 
-use crate::rng::{fnv_mix, SplitMix64, FNV_OFFSET};
+use crate::rng::{fnv_mix, FNV_OFFSET};
+use btrace_vmem::SplitMix64;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -78,7 +79,7 @@ impl Policy {
             let mut priorities: Vec<i64> = (0..threads as i64).collect();
             // Fisher-Yates with the schedule RNG.
             for i in (1..priorities.len()).rev() {
-                priorities.swap(i, rng.next_below(i + 1));
+                priorities.swap(i, rng.next_below(i as u64 + 1) as usize);
             }
             let depth = 1 + rng.next_below(4);
             let mut change_points: Vec<u64> =
@@ -109,7 +110,7 @@ impl Policy {
                     // The spinner is the only thread left: it must run.
                     return avoid.expect("no runnable thread");
                 }
-                candidates[rng.next_below(candidates.len())]
+                candidates[rng.next_below(candidates.len() as u64) as usize]
             }
             Policy::Pct { priorities, change_points, floor } => {
                 if let Some(tid) = avoid {

@@ -11,7 +11,7 @@
 
 use core::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use crossbeam_utils::CachePadded;
+use crate::CachePadded;
 
 use crate::snapshot::LatencySummary;
 

@@ -58,6 +58,7 @@ pub mod fields;
 mod controller;
 mod hist;
 pub mod json;
+mod pad;
 mod recorder;
 mod sampler;
 mod snapshot;
@@ -68,6 +69,7 @@ pub use controller::{
     ResizeReason, ResizeTarget, StaleReason,
 };
 pub use hist::{Histogram, HistogramSnapshot, ShardedHistogram, NUM_BUCKETS};
+pub use pad::CachePadded;
 pub use recorder::{
     EventKind, FlightRecorder, RecordedEvent, RecorderSnapshot, DEFAULT_SLOTS, STAGE_NAMES,
     STAGE_SHARDS,

@@ -41,7 +41,7 @@ use core::sync::atomic::{
 };
 use std::time::Instant;
 
-use crossbeam_utils::CachePadded;
+use crate::CachePadded;
 
 use crate::json::Json;
 

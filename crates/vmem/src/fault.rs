@@ -9,8 +9,9 @@
 //!
 //! The schedule mirrors the `btrace-model` seed/replay convention: the
 //! whole fault sequence is a pure function of one `u64` seed expanded
-//! through SplitMix64, so a failing run is replayed by exporting
-//! `BTRACE_FAULT_SEED=<printed seed>` and re-running the suite.
+//! through [`SplitMix64`], so a failing storm in the `fault_injection`
+//! suite is replayed by the line it prints,
+//! `BTRACE_SEED=fault_injection:<seed> cargo test --test fault_injection <test>`.
 //!
 //! ```rust
 //! use btrace_vmem::{Backing, FaultPlan, Region, PAGE_SIZE};
@@ -22,7 +23,7 @@
 //! assert_eq!(region.fault_stats().unwrap().commit_faults, 1);
 //! ```
 
-use crate::PAGE_SIZE;
+use crate::{SplitMix64, PAGE_SIZE};
 use std::sync::{Mutex, PoisonError};
 
 /// `ENOMEM`: the errno injected commit/decommit failures report.
@@ -32,33 +33,6 @@ pub(crate) const ENOMEM: i32 = 12;
 /// `Copy + Eq` and decisions are exact integer comparisons (bit-for-bit
 /// replayable, no float rounding in the schedule).
 const PPM: u64 = 1_000_000;
-
-/// SplitMix64, mirroring `btrace-model`'s seed-expansion PRNG: small
-/// state, full period, and the entire schedule derives from one `u64`.
-#[derive(Debug, Clone)]
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `0..bound` (`bound > 0`), via 128-bit multiply-shift.
-    fn next_below(&mut self, bound: u64) -> u64 {
-        debug_assert!(bound > 0);
-        (((self.next_u64() as u128) * (bound as u128)) >> 64) as u64
-    }
-}
 
 /// A seed-replayable fault schedule for one [`Region`](crate::Region).
 ///

@@ -42,11 +42,13 @@ mod heap;
 #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 mod mmap;
 mod region;
+mod rng;
 
 pub use error::RegionError;
 pub use fault::{FaultPlan, FaultStats};
 pub use filemap::FileMap;
 pub use region::{Backing, Region};
+pub use rng::SplitMix64;
 
 /// Granularity of commit/decommit operations, in bytes.
 ///

@@ -16,112 +16,33 @@
 //!   points and the merged partials must equal the whole.
 //!
 //! Every failing seed is printed with a replay line
-//! (`BTRACE_ANALYZE_SEED=<seed> cargo test --test analysis_parallel`).
+//! (`BTRACE_SEED=analysis_parallel:<seed> cargo test --test
+//! analysis_parallel fresh_seed_batch_bit_identical`; see `tests/common`).
 
 use btrace::analysis::{analyze, by_core, by_thread, fold_merge, GapMapOptions, TracePartial};
 use btrace::core::event::encoded_len;
 use btrace::core::sink::{CollectedEvent, FullEvent};
-use btrace::core::{BTrace, Backing, Config, RingSnapshot, TraceError};
 use btrace::persist::{analyze_frames, encode_frame, visit_frames, AnalyzeOptions};
-use btrace::vmem::FaultPlan;
+use btrace::vmem::SplitMix64;
+use common::{run_seeds, stormed_stream, Base};
 use proptest::prelude::*;
 
+mod common;
 mod oracle;
 
-const CORES: usize = 4;
-const BLOCK: usize = 256;
-const ACTIVE: usize = 8;
-const STRIDE: usize = BLOCK * ACTIVE;
 const MAX_PAYLOAD: usize = 40;
 
-/// Fallback base seed when `BTRACE_ANALYZE_SEED` is not set.
+/// Base of the pinned batch; the fresh batch's default XORs it.
 const DEFAULT_BASE_SEED: u64 = 0xA7A1_5E3D_0C42;
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Drives a fault-stormed, resizing, occasionally-lapped workload and
-/// frames whatever the stream delivers — exactly what `btrace stream
-/// --out` persists. Some frames are empty, so splitting must survive them.
-fn build_stream(seed: u64) -> Vec<u8> {
-    let mut rng = seed;
-    let n_ops = 2_000 + splitmix(&mut rng) % 2_000;
-
-    let plan = FaultPlan::new(seed ^ 0xFA01_57A2)
-        .commit_failure_rate(0.2)
-        .partial_commit_rate(0.1)
-        .decommit_failure_rate(0.15)
-        .delayed_decommit_rate(0.1)
-        .arm_after_ops(1);
-    let tracer = BTrace::new(
-        Config::new(CORES)
-            .active_blocks(ACTIVE)
-            .block_bytes(BLOCK)
-            .buffer_bytes(4 * STRIDE)
-            .max_bytes(16 * STRIDE)
-            .backing(Backing::Heap)
-            .fault_plan(plan),
-    )
-    .expect("valid configuration");
-    let (mut stream, mut snap) = (tracer.stream(), RingSnapshot::new());
-    let producers: Vec<_> = (0..CORES).map(|c| tracer.producer(c).unwrap()).collect();
-    for (core, p) in producers.iter().enumerate() {
-        if core % 2 == 1 {
-            p.set_confirm_coalescing(true);
-        }
-    }
-
-    let mut out = Vec::new();
-    let mut seq = 0u64;
-    let emit = |events: Vec<FullEvent>, out: &mut Vec<u8>, seq: &mut u64| {
-        out.extend_from_slice(&encode_frame(*seq, &events));
-        *seq += 1;
-    };
-
-    // Cadences up to ~200 records between polls let bursts overrun the
-    // 32-block window, so some seeds genuinely lap the stream.
-    let mut next_poll = 1 + splitmix(&mut rng) % 200;
-    for stamp in 0..n_ops {
-        let core = (splitmix(&mut rng) as usize) % CORES;
-        let len = 8 + (splitmix(&mut rng) as usize) % (MAX_PAYLOAD - 7);
-        let payload: Vec<u8> = (0..len).map(|i| (stamp as u8).wrapping_add(i as u8)).collect();
-        producers[core].record_with(stamp, core as u32, &payload).unwrap();
-
-        if splitmix(&mut rng).is_multiple_of(127) {
-            for p in &producers {
-                p.flush_confirms();
-            }
-            let ratio = 2 + (splitmix(&mut rng) as usize) % 7;
-            match tracer.resize_bytes(ratio * STRIDE) {
-                Ok(()) | Err(TraceError::Region(_)) => {}
-                Err(other) => panic!("seed {seed}: unexpected resize error {other:?}"),
-            }
-        }
-
-        next_poll -= 1;
-        if next_poll == 0 {
-            stream.poll(&mut snap);
-            if snap.count() > 0 || splitmix(&mut rng).is_multiple_of(13) {
-                emit(snap.to_events(), &mut out, &mut seq);
-            }
-            next_poll = 1 + splitmix(&mut rng) % 200;
-        }
-    }
-    drop(producers);
-    stream.flush_close(&mut snap);
-    emit(snap.to_events(), &mut out, &mut seq);
-    out
-}
 
 /// One differential run: sequential reference vs parallel shapes vs the
 /// historical flat-decode analysis. Panics (with the seed) on divergence.
 fn run_parallel_vs_sequential(seed: u64) {
-    let bytes = build_stream(seed);
+    // The stormed stream with coalescing odd cores and counting payloads.
+    let bytes = stormed_stream(seed, true, |rng, stamp| {
+        let len = 8 + (rng.next_u64() as usize) % (MAX_PAYLOAD - 7);
+        (0..len).map(|i| (stamp as u8).wrapping_add(i as u8)).collect()
+    });
 
     let mut ref_opts = AnalyzeOptions::default();
     let probe = analyze_frames(&bytes, &ref_opts).expect("stream decodes");
@@ -186,51 +107,20 @@ fn run_parallel_vs_sequential(seed: u64) {
     }
 }
 
-fn base_seed() -> u64 {
-    match std::env::var("BTRACE_ANALYZE_SEED") {
-        Ok(v) => v.parse().unwrap_or_else(|_| panic!("BTRACE_ANALYZE_SEED must be a u64, got {v}")),
-        Err(_) => DEFAULT_BASE_SEED,
-    }
-}
-
-/// Runs `count` seeds derived from `base`, printing a replay line for
-/// every failure before asserting.
-fn run_batch(base: u64, count: u64) {
-    let mut failures = Vec::new();
-    for i in 0..count {
-        let seed = base.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        if let Err(payload) = std::panic::catch_unwind(|| run_parallel_vs_sequential(seed)) {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("non-string panic");
-            eprintln!(
-                "parallel-analysis differential FAILED: seed {seed} \
-                 (replay: BTRACE_ANALYZE_SEED={seed} cargo test --test analysis_parallel): {msg}"
-            );
-            failures.push(seed);
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} of {count} seeds failed: {failures:?} (base {base})",
-        failures.len()
-    );
-}
-
 #[test]
 fn fixed_seeds_bit_identical() {
     // The pinned batch, so regressions reproduce without environment setup.
-    run_batch(DEFAULT_BASE_SEED, 8);
+    let base = Base::pinned(DEFAULT_BASE_SEED);
+    run_seeds("fresh_seed_batch_bit_identical", base, 8, run_parallel_vs_sequential);
 }
 
 #[test]
 fn fresh_seed_batch_bit_identical() {
-    // 200 fresh seeds in release (CI exports a random BTRACE_ANALYZE_SEED);
+    // 200 fresh seeds in release (CI exports a random BTRACE_SEED);
     // fewer in debug so the suite stays usable locally.
     let count = if cfg!(debug_assertions) { 25 } else { 200 };
-    run_batch(base_seed() ^ 0x5_EED0_F5E7, count);
+    let base = Base::from_env(DEFAULT_BASE_SEED ^ 0x5_EED0_F5E7);
+    run_seeds("fresh_seed_batch_bit_identical", base, count, run_parallel_vs_sequential);
 }
 
 fn collected(raw: &[(u64, u16, u32, u8)]) -> Vec<CollectedEvent> {
@@ -272,18 +162,18 @@ proptest! {
     fn arbitrary_fragment_counts_analyze_identically(
         seed in 0u64..1_000, fragments in 1usize..24, threads in 1usize..6,
     ) {
-        let mut rng = seed;
+        let mut rng = SplitMix64::new(seed);
         let mut stamp = 0u64;
         let mut bytes = Vec::new();
         for seq in 0..(1 + seed % 9) {
-            let events: Vec<FullEvent> = (0..(splitmix(&mut rng) % 40))
+            let events: Vec<FullEvent> = (0..(rng.next_u64() % 40))
                 .map(|_| {
-                    stamp += 1 + (splitmix(&mut rng) & 3);
+                    stamp += 1 + (rng.next_u64() & 3);
                     FullEvent {
                         stamp,
-                        core: (splitmix(&mut rng) % 5) as u16,
-                        tid: (splitmix(&mut rng) % 9) as u32,
-                        payload: vec![0x3C; 8 + (splitmix(&mut rng) as usize) % 24],
+                        core: (rng.next_u64() % 5) as u16,
+                        tid: (rng.next_u64() % 9) as u32,
+                        payload: vec![0x3C; 8 + (rng.next_u64() as usize) % 24],
                     }
                 })
                 .collect();
@@ -315,9 +205,9 @@ proptest! {
             0 => events.sort_by_key(|e| e.stamp),
             1 => events.sort_by_key(|e| std::cmp::Reverse(e.stamp)),
             2 => {
-                let mut rng = shuffle_seed;
+                let mut rng = SplitMix64::new(shuffle_seed);
                 for i in (1..events.len()).rev() {
-                    events.swap(i, (splitmix(&mut rng) % (i as u64 + 1)) as usize);
+                    events.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
                 }
             }
             _ => {}

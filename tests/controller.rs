@@ -13,13 +13,18 @@
 //! * the resize count stays bounded (hysteresis + cooldown: no thrash);
 //! * a fault storm that makes every grow fall back produces exponential
 //!   back-off — a handful of probes, not one attempt per tick;
-//! * failing seeds replay from the printed line
-//!   (`BTRACE_CTRL_SEED=<seed> cargo test --test controller`).
+//! * a failing seed of the random batch replays from its printed line
+//!   (`BTRACE_SEED=controller:<seed> cargo test --test controller
+//!   random_seed_batch_holds_the_loss_target`; see `tests/common`), under
+//!   every shape the batch could have paired with it.
 
 use btrace::core::{BTrace, Backing, Config, RingSnapshot};
 use btrace::telemetry::{Controller, ControllerConfig, EventKind};
-use btrace::vmem::FaultPlan;
+use btrace::vmem::{FaultPlan, SplitMix64};
+use common::{cases, run_batch, Base};
 use std::collections::HashSet;
+
+mod common;
 
 const BLOCK: usize = 1024;
 const ACTIVE: usize = 8;
@@ -29,26 +34,8 @@ const MAX_BYTES: usize = 64 * STRIDE; // 512 KiB reserved ceiling
 /// ~64 B per event on the wire (header + payload below).
 const PAYLOAD: &[u8] = b"controller-storm synthetic event payload";
 
-/// Fallback base seed when `BTRACE_CTRL_SEED` is not set.
+/// Base seed when `BTRACE_SEED` does not name this suite.
 const DEFAULT_BASE_SEED: u64 = 0xC0_47_20_11_E4;
-
-/// The seed-derived jitter stream (same generator family as the model
-/// checker, so one u64 replays the whole scenario).
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
 
 /// Events to record on `tick`, per scenario shape (with seeded jitter).
 type Shape = fn(u64, &mut SplitMix64) -> u64;
@@ -56,27 +43,27 @@ type Shape = fn(u64, &mut SplitMix64) -> u64;
 /// App launch: a hard 15-tick spike, then a moderate steady state.
 fn launch_spike(tick: u64, rng: &mut SplitMix64) -> u64 {
     if tick < 15 {
-        2_500 + rng.below(400)
+        2_500 + rng.next_u64() % 400
     } else {
-        250 + rng.below(50)
+        250 + rng.next_u64() % 50
     }
 }
 
 /// Scroll jank: a big burst every 8th tick over a light baseline.
 fn scroll_jank(tick: u64, rng: &mut SplitMix64) -> u64 {
     if tick.is_multiple_of(8) {
-        2_000 + rng.below(300)
+        2_000 + rng.next_u64() % 300
     } else {
-        150 + rng.below(30)
+        150 + rng.next_u64() % 30
     }
 }
 
 /// Background sync: a 4-tick medium burst every 20 ticks over a drip.
 fn background_sync(tick: u64, rng: &mut SplitMix64) -> u64 {
     if tick % 20 < 4 {
-        800 + rng.below(100)
+        800 + rng.next_u64() % 100
     } else {
-        80 + rng.below(16)
+        80 + rng.next_u64() % 16
     }
 }
 
@@ -133,7 +120,7 @@ fn run_storm(
     );
     let stats = controller.stats();
 
-    let mut rng = SplitMix64(seed);
+    let mut rng = SplitMix64::new(seed);
     let producer = tracer.producer(0).expect("core 0");
     let (mut consumer, mut drained) = (tracer.consumer(), RingSnapshot::new());
     let mut recorded_per_tick = vec![0u64; ticks as usize];
@@ -202,7 +189,7 @@ fn run_storm(
 /// One assertion bundle shared by the scenario tests.
 fn assert_holds(seed: u64, name: &str, shape: Shape, budget: u64, max_resizes: u64) {
     const TARGET_PPM: u64 = 20_000; // 2 % of window events
-    eprintln!("controller storm `{name}` seed {seed} (replay: BTRACE_CTRL_SEED={seed})");
+    eprintln!("controller storm `{name}` seed {seed}");
     let auto = run_storm(seed, shape, 60, 12, budget, TARGET_PPM, None, true);
     let stat = run_storm(seed, shape, 60, 12, budget, TARGET_PPM, None, false);
     eprintln!(
@@ -265,7 +252,7 @@ fn fault_storm_backs_off_exponentially_instead_of_hammering() {
     // producers alive, register every fallback, and space its probes out
     // exponentially — not retry on every tick.
     let seed = 0xFA_17_5E_ED;
-    eprintln!("controller storm `fault-storm` seed {seed} (replay: BTRACE_CTRL_SEED={seed})");
+    eprintln!("controller storm `fault-storm` seed {seed}");
     let plan = FaultPlan::new(seed).commit_failure_rate(1.0).arm_after_ops(1);
     let out = run_storm(seed, launch_spike, 60, 12, 32 * STRIDE as u64, 20_000, Some(plan), true);
     assert_eq!(out.resizes, 0, "no grow can succeed under a total commit-fault storm");
@@ -285,18 +272,17 @@ fn fault_storm_backs_off_exponentially_instead_of_hammering() {
 
 #[test]
 fn random_seed_batch_holds_the_loss_target() {
-    // A fresh batch each CI run (the workflow passes a random
-    // BTRACE_CTRL_SEED); seeds are printed so any failure replays
-    // bit-for-bit on a developer machine.
-    let base: u64 = std::env::var("BTRACE_CTRL_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_BASE_SEED);
-    eprintln!("controller base seed: {base}");
-    for i in 0..3u64 {
-        let seed = (base ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_add(i);
-        let shape: Shape = [launch_spike, scroll_jank, background_sync][(i % 3) as usize];
-        let name = ["launch-spike", "scroll-jank", "background-sync"][(i % 3) as usize];
-        assert_holds(seed, name, shape, 32 * STRIDE as u64, 8);
-    }
+    // A fresh batch each CI run (the workflow exports a random
+    // BTRACE_SEED); case i runs shape i mod 3, and a failing seed prints
+    // its replay line, so it replays bit-for-bit on a developer machine.
+    const SHAPES: [(&str, Shape); 3] = [
+        ("launch-spike", launch_spike),
+        ("scroll-jank", scroll_jank),
+        ("background-sync", background_sync),
+    ];
+    let cases = cases(Base::from_env(DEFAULT_BASE_SEED), 3, &[0, 1, 2], |i, _| i as usize % 3);
+    run_batch("random_seed_batch_holds_the_loss_target", &cases, |seed, shape| {
+        let (name, shape) = SHAPES[shape];
+        assert_holds(seed, name, shape, 32 * STRIDE as u64, 8)
+    });
 }

@@ -19,15 +19,18 @@
 //!   discipline can have recycled them — including payload bytes.
 //!
 //! Every failing seed is printed with a replay line
-//! (`BTRACE_DIFF_SEED=<seed> cargo test --test differential`).
+//! (`BTRACE_SEED=differential:<seed> cargo test --test differential <test>`;
+//! see `tests/common`).
 
 use btrace::baselines::Bbq;
 use btrace::core::sink::{FullEvent, TraceSink};
-use btrace::core::{BTrace, Backing, Config, RingSnapshot, TraceError};
-use btrace::vmem::FaultPlan;
+use btrace::core::{BTrace, Config, RingSnapshot, TraceError};
+use btrace::vmem::SplitMix64;
+use common::{cases, run_batch, run_seeds, stormed_tracer, Base, CORES, STRIDE};
 use std::collections::BTreeSet;
 
-const CORES: usize = 4;
+mod common;
+
 const BLOCK: usize = 256;
 const N_BLOCKS: usize = 64;
 const ACTIVE: usize = 8;
@@ -44,16 +47,12 @@ const MIN_EVENTS_PER_BLOCK: u64 = ((BLOCK - 16) / (16 + MAX_PAYLOAD)) as u64;
 /// have reached them.
 const SAFE_WINDOW: u64 = 100;
 
-/// Fallback base seed when `BTRACE_DIFF_SEED` is not set.
+/// Base seed when `BTRACE_SEED` does not name this suite.
 const DEFAULT_BASE_SEED: u64 = 0xD1FF_0CE4_2EA1;
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// The stripe counts the sharded run takes: an even seed runs at K = 2,
+/// an odd seed at K = 4.
+const SHARDS: [usize; 2] = [2, 4];
 
 fn payload_for(stamp: u64, len: usize) -> Vec<u8> {
     (0..len).map(|i| (stamp as u8).wrapping_add(i as u8)).collect()
@@ -91,8 +90,8 @@ fn assert_contiguous_suffix(recorded: &[u64], got: &BTreeSet<u64>, what: &str, s
 
 /// One differential run. Panics (with the seed) on any disagreement.
 fn run_differential(seed: u64) {
-    let mut rng = seed;
-    let n_ops = 1_500 + (splitmix(&mut rng) % 1_500);
+    let mut rng = SplitMix64::new(seed);
+    let n_ops = 1_500 + (rng.next_u64() % 1_500);
 
     let tracer = btrace();
     let bbq = Bbq::new(TOTAL, BLOCK);
@@ -100,11 +99,11 @@ fn run_differential(seed: u64) {
 
     let mut streamed: Vec<u64> = Vec::new();
     let mut per_core_recorded: Vec<Vec<u64>> = vec![Vec::new(); CORES];
-    let mut next_poll = 1 + splitmix(&mut rng) % 24;
+    let mut next_poll = 1 + rng.next_u64() % 24;
 
     for stamp in 0..n_ops {
-        let core = (splitmix(&mut rng) as usize) % CORES;
-        let len = 8 + (splitmix(&mut rng) as usize) % (MAX_PAYLOAD - 7);
+        let core = (rng.next_u64() as usize) % CORES;
+        let len = 8 + (rng.next_u64() as usize) % (MAX_PAYLOAD - 7);
         let payload = payload_for(stamp, len);
         use btrace::core::sink::RecordOutcome;
         assert_eq!(
@@ -126,7 +125,7 @@ fn run_differential(seed: u64) {
             // the cursor is never lapped and `missed` stays zero.
             stream.poll(&mut snap);
             streamed.extend(snap.to_events().iter().map(|e| e.stamp));
-            next_poll = 1 + splitmix(&mut rng) % 24;
+            next_poll = 1 + rng.next_u64() % 24;
         }
     }
 
@@ -219,28 +218,9 @@ fn run_differential(seed: u64) {
 /// coalesce their confirms, so deferred-visibility runs cross the stripe
 /// logic too.
 fn run_differential_sharded(seed: u64, shards: usize) {
-    const S_ACTIVE: usize = 8;
-    const STRIDE: usize = BLOCK * S_ACTIVE;
-
-    let mut rng = seed;
-    let n_ops = 1_000 + (splitmix(&mut rng) % 1_000);
-
-    let plan = FaultPlan::new(seed ^ 0x57AB_1E5E_ED00)
-        .commit_failure_rate(0.25)
-        .partial_commit_rate(0.15)
-        .decommit_failure_rate(0.2)
-        .delayed_decommit_rate(0.1)
-        .arm_after_ops(1);
-    let tracer = BTrace::new(
-        Config::new(CORES)
-            .active_blocks(S_ACTIVE)
-            .block_bytes(BLOCK)
-            .buffer_bytes(4 * STRIDE)
-            .max_bytes(16 * STRIDE)
-            .backing(Backing::Heap)
-            .fault_plan(plan),
-    )
-    .expect("valid configuration");
+    let mut rng = SplitMix64::new(seed);
+    let n_ops = 1_000 + (rng.next_u64() % 1_000);
+    let tracer = stormed_tracer(seed ^ 0x57AB_1E5E_ED00, [0.25, 0.15, 0.2, 0.1]);
 
     let (mut single, mut snap) = (tracer.stream(), RingSnapshot::new());
     let mut sharded = tracer.stream_sharded(shards);
@@ -253,16 +233,16 @@ fn run_differential_sharded(seed: u64, shards: usize) {
 
     let mut single_got: Vec<u64> = Vec::new();
     let mut shard_got: Vec<Vec<u64>> = vec![Vec::new(); shards];
-    let mut next_poll = 1 + splitmix(&mut rng) % 24;
+    let mut next_poll = 1 + rng.next_u64() % 24;
     let mut resized = false;
 
     for stamp in 0..n_ops {
-        let core = (splitmix(&mut rng) as usize) % CORES;
-        let len = 8 + (splitmix(&mut rng) as usize) % (MAX_PAYLOAD - 7);
+        let core = (rng.next_u64() as usize) % CORES;
+        let len = 8 + (rng.next_u64() as usize) % (MAX_PAYLOAD - 7);
         let payload = payload_for(stamp, len);
         producers[core].record_with(stamp, core as u32, &payload).unwrap();
 
-        if splitmix(&mut rng).is_multiple_of(97) {
+        if rng.next_u64().is_multiple_of(97) {
             // A pending coalesced run pins its block exactly like an open
             // grant, and a resize waits for unconfirmed producers to
             // drain — on this single thread it would wait forever. Flush
@@ -271,7 +251,7 @@ fn run_differential_sharded(seed: u64, shards: usize) {
             for p in &producers {
                 p.flush_confirms();
             }
-            let ratio = 2 + (splitmix(&mut rng) as usize) % 7;
+            let ratio = 2 + (rng.next_u64() as usize) % 7;
             match tracer.resize_bytes(ratio * STRIDE) {
                 // A grow rejected by injected backing faults falls back to
                 // the old geometry — sanctioned degradation.
@@ -297,7 +277,7 @@ fn run_differential_sharded(seed: u64, shards: usize) {
                 }
                 shard_got[i].extend(b.iter().map(|e| e.stamp));
             }
-            next_poll = 1 + splitmix(&mut rng) % 24;
+            next_poll = 1 + rng.next_u64() % 24;
         }
     }
 
@@ -359,108 +339,44 @@ fn run_differential_sharded(seed: u64, shards: usize) {
     }
 }
 
-/// Runs `count` sharded seeds derived from `base`. `shards == 0` means
-/// alternate K between 2 and 4 by seed parity.
-fn run_batch_sharded(base: u64, count: u64, shards: usize) {
-    let mut failures = Vec::new();
-    for i in 0..count {
-        let seed = base.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let k = if shards == 0 {
-            if seed % 2 == 0 {
-                2
-            } else {
-                4
-            }
-        } else {
-            shards
-        };
-        if let Err(payload) = std::panic::catch_unwind(|| run_differential_sharded(seed, k)) {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("non-string panic");
-            eprintln!(
-                "sharded differential FAILED: seed {seed} k={k} \
-                 (replay: BTRACE_DIFF_SEED={seed} cargo test --test differential sharded): {msg}"
-            );
-            failures.push(seed);
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} of {count} sharded seeds failed: {failures:?} (base {base})",
-        failures.len()
-    );
-}
-
 #[test]
 fn sharded_fixed_seeds_agree() {
     // The pinned batch at both required stripe counts, so regressions
     // reproduce without environment setup.
-    run_batch_sharded(DEFAULT_BASE_SEED, 8, 2);
-    run_batch_sharded(DEFAULT_BASE_SEED, 8, 4);
+    for k in SHARDS {
+        let cases = cases(Base::pinned(DEFAULT_BASE_SEED), 8, &[k], |_, _| k);
+        run_batch("sharded_seed_batch_agrees", &cases, run_differential_sharded);
+    }
 }
 
 #[test]
 fn sharded_seed_batch_agrees() {
-    // 200 fresh seeds in release (CI exports a random BTRACE_DIFF_SEED),
+    // 200 fresh seeds in release (CI exports a random BTRACE_SEED),
     // alternating K in {2, 4} by seed parity; fewer in debug.
     let count = if cfg!(debug_assertions) { 24 } else { 200 };
-    let base = base_seed();
-    eprintln!(
-        "sharded differential batch: {count} seeds from base {base} (BTRACE_DIFF_SEED={base})"
-    );
-    run_batch_sharded(base, count, 0);
-}
-
-fn base_seed() -> u64 {
-    std::env::var("BTRACE_DIFF_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(DEFAULT_BASE_SEED)
-}
-
-/// Runs `count` seeds derived from `base`, printing every seed so a
-/// failure replays with `BTRACE_DIFF_SEED=<base>`.
-fn run_batch(base: u64, count: u64) {
-    let mut failures = Vec::new();
-    for i in 0..count {
-        let seed = base.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        if let Err(payload) = std::panic::catch_unwind(|| run_differential(seed)) {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("non-string panic");
-            eprintln!("differential FAILED: seed {seed} (replay: BTRACE_DIFF_SEED={seed}): {msg}");
-            failures.push(seed);
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} of {count} seeds failed: {failures:?} (base {base})",
-        failures.len()
-    );
+    let pair = |_, seed: u64| SHARDS[(seed % 2) as usize];
+    let cases = cases(Base::from_env(DEFAULT_BASE_SEED), count, &SHARDS, pair);
+    run_batch("sharded_seed_batch_agrees", &cases, run_differential_sharded);
 }
 
 #[test]
 fn fixed_seeds_agree() {
     // A pinned batch that always runs, so regressions reproduce without
     // any environment setup.
-    run_batch(DEFAULT_BASE_SEED, 8);
+    run_seeds("single_seed_replays", Base::pinned(DEFAULT_BASE_SEED), 8, run_differential);
 }
 
 #[test]
 fn seed_batch_agrees() {
-    // 200 fresh seeds in release (CI exports a random BTRACE_DIFF_SEED);
+    // 200 fresh seeds in release (CI exports a random BTRACE_SEED);
     // fewer in debug where each run is ~10x slower.
     let count = if cfg!(debug_assertions) { 25 } else { 200 };
-    let base = base_seed();
-    eprintln!("differential batch: {count} seeds from base {base} (BTRACE_DIFF_SEED={base})");
-    run_batch(base, count);
+    run_seeds("single_seed_replays", Base::from_env(DEFAULT_BASE_SEED), count, run_differential);
 }
 
 #[test]
 fn single_seed_replays() {
-    // The replay entry point: BTRACE_DIFF_SEED=<seed> selects the exact
-    // workload; default exercises one representative seed.
-    run_differential(base_seed());
+    // The replay entry point: BTRACE_SEED=differential:<seed> selects the
+    // exact workload; default exercises one representative seed.
+    run_seeds("single_seed_replays", Base::from_env(DEFAULT_BASE_SEED), 1, run_differential);
 }

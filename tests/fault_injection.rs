@@ -13,21 +13,25 @@
 //!   exact identity: `commit_failures` equals the number of injected
 //!   commit, partial-commit, and decommit faults (the heap backing itself
 //!   never fails, so injection is the only failure source);
-//! * any failing schedule replays from its printed seed
-//!   (`BTRACE_FAULT_SEED=<seed> cargo test --test fault_injection`).
+//! * any failing schedule replays from its printed line
+//!   (`BTRACE_SEED=fault_injection:<seed> cargo test --test fault_injection
+//!   <test>`; see `tests/common`).
 
 use btrace::core::sink::TraceSink;
 use btrace::core::{BTrace, Backing, Config, TraceError, TracerState};
 use btrace::vmem::{FaultPlan, FaultStats};
+use common::{run_seeds, Base};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
+
+mod common;
 
 const CORES: usize = 4;
 const BLOCK: usize = 1024;
 const ACTIVE: usize = 64;
 const STRIDE: usize = BLOCK * ACTIVE;
 
-/// Fallback base seed when `BTRACE_FAULT_SEED` is not set.
+/// Base seed when `BTRACE_SEED` does not name this suite.
 const DEFAULT_BASE_SEED: u64 = 0xB7_2ACE_FA01;
 
 fn storm_plan(seed: u64) -> FaultPlan {
@@ -189,23 +193,8 @@ fn commit_failure_storm_with_live_producers() {
 
 #[test]
 fn random_seed_batch_survives_storms() {
-    // A fresh batch each CI run (the workflow passes a random
-    // BTRACE_FAULT_SEED); the seeds are printed so any failure is
-    // replayable bit-for-bit on a developer machine.
-    let base: u64 = std::env::var("BTRACE_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_BASE_SEED);
-    eprintln!("fault-injection base seed: {base}");
-    for i in 0..4u64 {
-        // SplitMix64-style derivation keeps the batch deterministic in base.
-        let seed = (base ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_add(i);
-        // A batch's first storm runs on its base seed, so this seed as the
-        // base replays this storm first.
-        eprintln!(
-            "  storm seed {seed} (replay: BTRACE_FAULT_SEED={seed} cargo test --test \
-             fault_injection random_seed_batch_survives_storms)"
-        );
-        run_storm(seed);
-    }
+    // A fresh batch each CI run (the workflow exports a random
+    // BTRACE_SEED); each failing storm prints its replay line, so it
+    // replays bit-for-bit on a developer machine.
+    run_seeds("random_seed_batch_survives_storms", Base::from_env(DEFAULT_BASE_SEED), 4, run_storm);
 }

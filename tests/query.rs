@@ -12,7 +12,8 @@
 //! The result sets, derived metrics, reconstructed state, and rendered gap
 //! maps must be **bit-identical**, and the predicate-pruned
 //! `analyze_frames_with` must agree with both. Failing seeds print a
-//! replay line (`BTRACE_QUERY_SEED=<seed> cargo test --test query`).
+//! replay line (`BTRACE_SEED=query:<seed> cargo test --test query
+//! fresh_seed_batch_matches_oracle`; see `tests/common`).
 //!
 //! **Compression and pruning**: on a seeded atrace-shaped corpus the
 //! compressed framing must stay >= 1.5x smaller than fixed-width framing,
@@ -27,37 +28,29 @@
 use btrace::analysis::{gap_map, GapMapOptions, TracePartial};
 use btrace::atrace::{Category, TraceEvent};
 use btrace::core::sink::{CollectedEvent, FullEvent};
-use btrace::core::{BTrace, Backing, Config, RingSnapshot, TraceError};
+use btrace::core::{BTrace, Config};
 use btrace::persist::{
     analyze_frames, analyze_frames_with, checksum, encode_frame, encode_stream, visit_frames,
     AnalyzeOptions, Collector, CollectorConfig, DefectKind, FrameInfo, Predicate, Query,
     QueryOptions, TraceDump, TraceStore,
 };
 use btrace::replay::TraceState;
-use btrace::vmem::FaultPlan;
+use btrace::vmem::SplitMix64;
+use common::{run_seeds, stormed_stream, Base, CORES, STRIDE};
 
+mod common;
 mod oracle;
 
-const CORES: usize = 4;
 const BLOCK: usize = 256;
 const ACTIVE: usize = 8;
-const STRIDE: usize = BLOCK * ACTIVE;
 
-/// Fallback base seed when `BTRACE_QUERY_SEED` is not set.
+/// Base of the pinned batch; the fresh batch's default XORs it.
 const DEFAULT_BASE_SEED: u64 = 0xB2E5_7A11_93D6;
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A seeded atrace payload — roughly half the workload carries decodable
 /// tracepoints (so category predicates bite), the rest raw filler bytes.
-fn payload_for(rng: &mut u64, stamp: u64) -> Vec<u8> {
-    let r = splitmix(rng);
+fn payload_for(rng: &mut SplitMix64, stamp: u64) -> Vec<u8> {
+    let r = rng.next_u64();
     let mut buf = [0u8; btrace::atrace::MAX_ENCODED];
     let n = match r % 8 {
         0 => {
@@ -87,90 +80,26 @@ fn payload_for(rng: &mut u64, stamp: u64) -> Vec<u8> {
     buf[..n].to_vec()
 }
 
-/// Drives a fault-stormed, resizing, occasionally-lapped workload and
-/// frames whatever the stream delivers (plus the occasional empty frame).
-fn build_stream(seed: u64) -> Vec<u8> {
-    let mut rng = seed;
-    let n_ops = 2_000 + splitmix(&mut rng) % 2_000;
-
-    let plan = FaultPlan::new(seed ^ 0xFA01_57A2)
-        .commit_failure_rate(0.2)
-        .partial_commit_rate(0.1)
-        .decommit_failure_rate(0.15)
-        .delayed_decommit_rate(0.1)
-        .arm_after_ops(1);
-    let tracer = BTrace::new(
-        Config::new(CORES)
-            .active_blocks(ACTIVE)
-            .block_bytes(BLOCK)
-            .buffer_bytes(4 * STRIDE)
-            .max_bytes(16 * STRIDE)
-            .backing(Backing::Heap)
-            .fault_plan(plan),
-    )
-    .expect("valid configuration");
-    let (mut stream, mut snap) = (tracer.stream(), RingSnapshot::new());
-    let producers: Vec<_> = (0..CORES).map(|c| tracer.producer(c).unwrap()).collect();
-
-    let mut out = Vec::new();
-    let mut seq = 0u64;
-    let mut emit = |events: Vec<FullEvent>, out: &mut Vec<u8>| {
-        out.extend_from_slice(&encode_frame(seq, &events));
-        seq += 1;
-    };
-
-    let mut next_poll = 1 + splitmix(&mut rng) % 200;
-    for stamp in 0..n_ops {
-        let core = (splitmix(&mut rng) as usize) % CORES;
-        let payload = payload_for(&mut rng, stamp);
-        producers[core].record_with(stamp, core as u32, &payload).unwrap();
-
-        if splitmix(&mut rng).is_multiple_of(127) {
-            for p in &producers {
-                p.flush_confirms();
-            }
-            let ratio = 2 + (splitmix(&mut rng) as usize) % 7;
-            match tracer.resize_bytes(ratio * STRIDE) {
-                Ok(()) | Err(TraceError::Region(_)) => {}
-                Err(other) => panic!("seed {seed}: unexpected resize error {other:?}"),
-            }
-        }
-
-        next_poll -= 1;
-        if next_poll == 0 {
-            stream.poll(&mut snap);
-            if snap.count() > 0 || splitmix(&mut rng).is_multiple_of(13) {
-                emit(snap.to_events(), &mut out);
-            }
-            next_poll = 1 + splitmix(&mut rng) % 200;
-        }
-    }
-    drop(producers);
-    stream.flush_close(&mut snap);
-    emit(snap.to_events(), &mut out);
-    out
-}
-
 /// A seeded predicate over the observed stamp span: random time slices,
 /// core subsets, and category masks in every combination (including the
 /// unrestricted one).
-fn gen_predicate(rng: &mut u64, min_stamp: u64, max_stamp: u64) -> Predicate {
+fn gen_predicate(rng: &mut SplitMix64, min_stamp: u64, max_stamp: u64) -> Predicate {
     let span = max_stamp.saturating_sub(min_stamp).max(1);
-    let r = splitmix(rng);
+    let r = rng.next_u64();
     let (since, until) = match r % 4 {
         0 => (None, None),
-        1 => (Some(min_stamp + splitmix(rng) % span), None),
-        2 => (None, Some(min_stamp + splitmix(rng) % span)),
+        1 => (Some(min_stamp + rng.next_u64() % span), None),
+        2 => (None, Some(min_stamp + rng.next_u64() % span)),
         _ => {
-            let a = min_stamp + splitmix(rng) % span;
-            let b = min_stamp + splitmix(rng) % span;
+            let a = min_stamp + rng.next_u64() % span;
+            let b = min_stamp + rng.next_u64() % span;
             (Some(a.min(b)), Some(a.max(b)))
         }
     };
     let cores: Vec<u16> = match (r >> 8) % 3 {
         0 => Vec::new(),
-        1 => vec![(splitmix(rng) % CORES as u64) as u16],
-        _ => vec![0, (1 + splitmix(rng) % (CORES as u64 - 1)) as u16],
+        1 => vec![(rng.next_u64() % CORES as u64) as u16],
+        _ => vec![0, (1 + rng.next_u64() % (CORES as u64 - 1)) as u16],
     };
     let category = match (r >> 16) % 4 {
         0 => Some(Category::SCHED),
@@ -195,7 +124,8 @@ fn decode_all(bytes: &[u8]) -> std::io::Result<Vec<FullEvent>> {
 /// One differential run: several generated predicates, each resolved via
 /// the store query, the pruned parallel analyzer, and the linear oracle.
 fn run_query_vs_oracle(seed: u64) {
-    let bytes = build_stream(seed);
+    // The stormed stream with atrace-shaped payloads.
+    let bytes = stormed_stream(seed, false, payload_for);
     let store = TraceStore::from_bytes(bytes.clone());
     assert!(store.defects().is_empty(), "seed {seed}: healthy stream scanned with defects");
 
@@ -208,7 +138,7 @@ fn run_query_vs_oracle(seed: u64) {
     let (min_stamp, max_stamp) =
         all.iter().fold((u64::MAX, 0u64), |(lo, hi), e| (lo.min(e.stamp), hi.max(e.stamp)));
 
-    let mut rng = seed ^ 0x9D_1CE5;
+    let mut rng = SplitMix64::new(seed ^ 0x9D_1CE5);
     let mut predicates: Vec<Predicate> =
         (0..4).map(|_| gen_predicate(&mut rng, min_stamp, max_stamp.max(min_stamp))).collect();
     predicates.push(Predicate::default());
@@ -324,51 +254,20 @@ fn run_query_vs_oracle(seed: u64) {
     }
 }
 
-fn base_seed() -> u64 {
-    match std::env::var("BTRACE_QUERY_SEED") {
-        Ok(v) => v.parse().unwrap_or_else(|_| panic!("BTRACE_QUERY_SEED must be a u64, got {v}")),
-        Err(_) => DEFAULT_BASE_SEED,
-    }
-}
-
-/// Runs `count` seeds derived from `base`, printing a replay line for
-/// every failure before asserting.
-fn run_batch(base: u64, count: u64) {
-    let mut failures = Vec::new();
-    for i in 0..count {
-        let seed = base.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        if let Err(payload) = std::panic::catch_unwind(|| run_query_vs_oracle(seed)) {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("non-string panic");
-            eprintln!(
-                "query differential FAILED: seed {seed} \
-                 (replay: BTRACE_QUERY_SEED={seed} cargo test --test query): {msg}"
-            );
-            failures.push(seed);
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} of {count} seeds failed: {failures:?} (base {base})",
-        failures.len()
-    );
-}
-
 #[test]
 fn fixed_seeds_match_oracle() {
     // The pinned batch, so regressions reproduce without environment setup.
-    run_batch(DEFAULT_BASE_SEED, 8);
+    let base = Base::pinned(DEFAULT_BASE_SEED);
+    run_seeds("fresh_seed_batch_matches_oracle", base, 8, run_query_vs_oracle);
 }
 
 #[test]
 fn fresh_seed_batch_matches_oracle() {
-    // 200 fresh seeds in release (CI exports a random BTRACE_QUERY_SEED);
+    // 200 fresh seeds in release (CI exports a random BTRACE_SEED);
     // fewer in debug so the suite stays usable locally.
     let count = if cfg!(debug_assertions) { 25 } else { 200 };
-    run_batch(base_seed() ^ 0x5_EED0_F5E8, count);
+    let base = Base::from_env(DEFAULT_BASE_SEED ^ 0x5_EED0_F5E8);
+    run_seeds("fresh_seed_batch_matches_oracle", base, count, run_query_vs_oracle);
 }
 
 // ---------------------------------------------------------------------------
@@ -460,11 +359,11 @@ fn lapped_stream_matches_independent_oracle() {
 /// backwards within and across frames, skip some values and repeat others
 /// with other payload sizes.
 fn spread_key_events() -> Vec<FullEvent> {
-    let mut rng = 0x6B3D_0A11_u64;
+    let mut rng = SplitMix64::new(0x6B3D_0A11);
     let tids: Vec<u32> = (0..1_500u32)
         .map(|i| match i % 3 {
             0 => (i / 3) << 22,
-            1 => splitmix(&mut rng) as u32,
+            1 => rng.next_u64() as u32,
             _ => u32::MAX - i,
         })
         .collect();
@@ -472,7 +371,7 @@ fn spread_key_events() -> Vec<FullEvent> {
         .map(|j| (j, (j * 7_919) % 10_000)) // a permutation of 0..10 000, then repeats
         .filter(|&(_, stamp)| stamp % 11 != 4)
         .map(|(j, stamp)| {
-            let r = splitmix(&mut rng);
+            let r = rng.next_u64();
             FullEvent {
                 stamp,
                 core: (r % 96) as u16,
@@ -559,12 +458,12 @@ fn spread_group_keys_match_the_record_oracle() {
 /// hot, and small atrace-encoded payloads (sched/irq/binder mix) — what a
 /// phone dumps, not fat blobs.
 fn atrace_corpus() -> Vec<FullEvent> {
-    let mut rng = 0x51u64;
+    let mut rng = SplitMix64::new(0x51);
     let mut stamp = 0u64;
     let mut buf = [0u8; btrace::atrace::MAX_ENCODED];
     (0..CORPUS_EVENTS)
         .map(|_| {
-            let r = splitmix(&mut rng);
+            let r = rng.next_u64();
             stamp += 1 + (r & 15);
             let core = if r & 1 == 0 { 0 } else { ((r >> 1) % 8) as u16 };
             let tid = 100 + (r >> 16) as u32 % 32;
@@ -637,7 +536,7 @@ fn atrace_corpus_compresses_and_prunes() {
 // ---------------------------------------------------------------------------
 
 fn battery_events(n: u64) -> Vec<FullEvent> {
-    let mut rng = 0x00C0_FFEE_u64;
+    let mut rng = SplitMix64::new(0x00C0_FFEE);
     (0..n)
         .map(|s| FullEvent {
             stamp: s,
@@ -981,9 +880,9 @@ fn collector_dump_opens_in_place_through_the_store() {
         )
         .expect("valid configuration"),
     );
-    let mut rng = 0x0D0_5EED_u64;
+    let mut rng = SplitMix64::new(0x0D0_5EED);
     for stamp in 0..1_500u64 {
-        let core = (splitmix(&mut rng) as usize) % CORES;
+        let core = (rng.next_u64() as usize) % CORES;
         let payload = payload_for(&mut rng, stamp);
         tracer.producer(core).unwrap().record_with(stamp, core as u32, &payload).unwrap();
     }
@@ -1023,9 +922,9 @@ fn collector_dump_opens_in_place_through_the_store() {
 
 #[test]
 fn garbage_files_never_panic() {
-    let mut rng = 0xDEAD_BEEFu64;
+    let mut rng = SplitMix64::new(0xDEAD_BEEF);
     for len in [0usize, 1, 3, 7, 64, 4096] {
-        let junk: Vec<u8> = (0..len).map(|_| splitmix(&mut rng) as u8).collect();
+        let junk: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
         let store = TraceStore::from_bytes(junk);
         let report = Query::default().run(&store);
         assert_eq!(report.matched_events, 0);
